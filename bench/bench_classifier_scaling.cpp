@@ -79,8 +79,12 @@ void BM_ClassifyComponent(benchmark::State& state) {
     }
   }
   diag::Classifier classifier({}, fault::SpatialLayout::linear(5));
+  // Folded up to `rounds` as the assessor's per-round fold leaves it: each
+  // classification merges the folded state with the short tail walk.
+  diag::EvidenceSummary summary = classifier.summarize(store, 5);
+  summary.fold(rounds);
   for (auto _ : state) {
-    auto d = classifier.classify_component(store, 1, rounds, 5);
+    auto d = classifier.classify_component(summary, 1, rounds);
     benchmark::DoNotOptimize(d);
   }
   state.SetComplexityN(state.range(0));

@@ -12,6 +12,7 @@ Assessor::Assessor(Params p, fault::SpatialLayout layout,
       classifier_(p.classifier, std::move(layout)),
       store_(p.evidence),
       component_count_(component_count),
+      summary_(classifier_.summarize(store_, component_count)),
       component_trust_(component_count, p.trust.initial),
       component_trajectories_(component_count),
       was_stale_(component_count, false),
@@ -20,12 +21,6 @@ Assessor::Assessor(Params p, fault::SpatialLayout layout,
       mask_words_((component_count + 63) / 64) {
   if (mask_words_ == 0) mask_words_ = 1;
   transport_masks_.assign(component_count_ * mask_words_, 0);
-  if (p_.incremental_summaries) {
-    summary_ = EvidenceSummary(&store_,
-                               classifier_.resolved_features(component_count),
-                               p_.classifier.alpha_decay, component_count,
-                               classifier_.layout());
-  }
 }
 
 void Assessor::enable_hierarchy(HierarchyTopology topology,
@@ -596,6 +591,10 @@ const VerdictDelta* Assessor::cached_job_delta(platform::JobId j) const {
 void Assessor::export_staleness() {
   if (!metrics_ || !p_.hardening) return;
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
+    // A position never hears agents outside its tester slice; its age for
+    // them is not the FRU's staleness (report() writes those rows from
+    // their serving tester).
+    if (hierarchical() && !topo_->is_tester(position_, c)) continue;
     metrics_
         ->gauge("diag.evidence_staleness",
                 std::string("fru=c") + std::to_string(c))
@@ -666,24 +665,14 @@ void Assessor::reconcile_from(const Assessor& fresher) {
     store_ = fresher.store_;
     component_trajectories_ = fresher.component_trajectories_;
     last_sample_ = fresher.last_sample_;
-    if (summary_.enabled()) {
-      if (fresher.summary_.enabled()) {
-        summary_ = fresher.summary_;
-        summary_.rebind(&store_);
-      } else {
-        // Fresh summary over the adopted store; first access rebuilds.
-        summary_ = EvidenceSummary(
-            &store_, classifier_.resolved_features(component_count_),
-            p_.classifier.alpha_decay, component_count_, classifier_.layout());
-      }
-    }
+    summary_ = fresher.summary_;
+    summary_.rebind(&store_);
   }
   seen_.insert(fresher.seen_.begin(), fresher.seen_.end());
 }
 
 Diagnosis Assessor::diagnose_component(platform::ComponentId c) const {
-  Diagnosis d = classifier_.classify_component(store_, c, round_,
-                                               component_count_, summary_ptr());
+  Diagnosis d = classifier_.classify_component(summary_, c, round_);
   if (metrics_) {
     metrics_
         ->counter("diag.classifications",

@@ -93,10 +93,6 @@ class Assessor {
     /// Observation-key dedupe horizon in rounds (must exceed the agents'
     /// largest resend backoff).
     tta::RoundId dedupe_window = 512;
-    /// Maintain incremental evidence summaries so classification folds
-    /// the aged window once instead of rescanning it per classify call.
-    /// Off by default: the legacy rigs keep the exact walk path.
-    bool incremental_summaries = false;
     /// Hierarchy mode: rounds between periodic re-emissions of a still-
     /// standing verdict delta (edge-triggered emissions happen at the
     /// violation instant regardless).
@@ -108,6 +104,9 @@ class Assessor {
 
   Assessor(Params p, fault::SpatialLayout layout, std::uint32_t component_count,
            std::uint32_t job_count);
+  // The evidence summary points into this assessor's own store.
+  Assessor(const Assessor&) = delete;
+  Assessor& operator=(const Assessor&) = delete;
 
   /// Registers which agent job reports for which component (observer
   /// reconstruction on decode).
@@ -225,10 +224,9 @@ class Assessor {
     return ch.seq_seen || ch.last_heard != 0;
   }
 
-  /// The incremental evidence summary, when enabled (tests/inspection).
-  [[nodiscard]] const EvidenceSummary* summary() const {
-    return summary_.enabled() ? &summary_ : nullptr;
-  }
+  /// The incremental evidence summary classification reads
+  /// (tests/inspection).
+  [[nodiscard]] const EvidenceSummary& summary() const { return summary_; }
 
   // --- results -----------------------------------------------------------
   [[nodiscard]] Diagnosis diagnose_component(platform::ComponentId c) const;
@@ -307,6 +305,8 @@ class Assessor {
   Classifier classifier_;
   EvidenceStore store_;
   std::uint32_t component_count_;
+  /// Folded features over store_, the classifier's only feature source.
+  EvidenceSummary summary_;
   std::map<platform::JobId, platform::ComponentId> agent_component_;
   std::map<platform::ComponentId, std::vector<platform::JobId>> jobs_by_host_;
   std::map<platform::JobId, platform::ComponentId> job_host_;
@@ -390,7 +390,6 @@ class Assessor {
   std::vector<bool> comp_delta_active_;
   std::map<platform::JobId, bool> job_delta_active_;
   tta::RoundId last_delta_refresh_ = 0;
-  EvidenceSummary summary_;
 
   /// Accepts/dedupes/merges/forwards one incoming delta message.
   void handle_delta(const vnet::Message& m);
@@ -398,9 +397,6 @@ class Assessor {
   /// and drains the dissemination queue within the per-round budget.
   void emit_deltas(platform::JobContext& ctx);
   void queue_clear_delta(bool job_level, std::uint32_t fru, double trust);
-  [[nodiscard]] const EvidenceSummary* summary_ptr() const {
-    return summary_.enabled() ? &summary_ : nullptr;
-  }
 
   obs::Counter hier_accepted_metric_;
   obs::Counter hier_filtered_metric_;

@@ -1,9 +1,6 @@
 #include "diag/classifier.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "diag/summary.hpp"
 
 namespace decos::diag {
 namespace {
@@ -21,18 +18,17 @@ int rank(fault::FaultClass c) {
 
 }  // namespace
 
-Diagnosis Classifier::classify_component(const EvidenceStore& ev,
+Diagnosis Classifier::classify_component(const EvidenceSummary& summary,
                                          platform::ComponentId c,
-                                         tta::RoundId now,
-                                         std::uint32_t component_count,
-                                         const EvidenceSummary* summary) const {
-  const FeatureParams fp = resolved_features(component_count);
+                                         tta::RoundId now) const {
+  const FeatureParams& fp = summary.feature_params();
+  const EvidenceStore& ev = summary.evidence();
 
   // Star-coupler evidence first: recurring guardian blocks mean the
   // component attempts transmissions outside its windows — a babbling
   // controller defect that the containment makes invisible in the
-  // transport verdicts. The guardian-block vector is bounded, so this
-  // stays exact in both feature paths.
+  // transport verdicts. The guardian-block vector is bounded, so it is
+  // walked exactly.
   const auto gb_eps = episodes_of(ev.guardian_blocks(c), fp.episode_gap);
   if (gb_eps.size() >= 3 || ev.guardian_blocks(c).size() >= 20) {
     return {fault::FaultClass::kComponentInternal,
@@ -41,35 +37,10 @@ Diagnosis Classifier::classify_component(const EvidenceStore& ev,
             "bus guardian (babbling controller)"};
   }
 
-  // Feature extraction: folded incremental state when an applicable
-  // summary is attached, full evidence walk otherwise. The decision rules
-  // below are shared, so both paths yield the same verdicts.
-  const bool summarized = summary != nullptr && summary->enabled() &&
-                          summary->feature_params() == fp &&
-                          summary->alpha_decay() == p_.alpha_decay;
   EvidenceSummary::ComponentFeatures feat;
-  if (summarized) {
-    summary->component_features(c, now, feat);
-  } else {
-    feat.sender_eps = sender_episodes(ev, c, fp);
-    feat.observer_eps = observer_episodes(ev, c, fp);
-    if (!feat.sender_eps.empty()) feat.totals = verdict_totals(ev, c, fp);
-  }
+  summary.component_features(c, now, feat);
   const auto& sender_eps = feat.sender_eps;
   const auto& observer_eps = feat.observer_eps;
-  const auto alpha = [&] {
-    return summarized ? feat.alpha
-                      : alpha_score(ev, c, now, fp, p_.alpha_decay);
-  };
-  const auto correlated = [&] {
-    if (!summarized) {
-      return spatially_correlated(ev, c, observer_eps, layout_,
-                                  component_count, fp);
-    }
-    std::size_t hits = 0;
-    for (const bool h : feat.observer_hit) hits += h ? 1u : 0u;
-    return 2 * hits > observer_eps.size();
-  };
 
   Diagnosis sender_diag;  // defaults to kNone
   if (!sender_eps.empty()) {
@@ -101,7 +72,7 @@ Diagnosis Classifier::classify_component(const EvidenceStore& ev,
                      fault::Persistence::kIntermittent, 0.7,
                      "recurring transient episodes at the same component "
                      "(internal intermittent fault)"};
-    } else if (alpha() >= p_.alpha_threshold) {
+    } else if (feat.alpha >= p_.alpha_threshold) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kIntermittent, 0.7,
                      "alpha-count over threshold: transient failures recur "
@@ -116,7 +87,11 @@ Diagnosis Classifier::classify_component(const EvidenceStore& ev,
 
   Diagnosis observer_diag;
   if (!observer_eps.empty()) {
-    if (correlated()) {
+    // Spatial correlation needs a majority of correlated episodes (see
+    // spatially_correlated for why one coincidence is not enough).
+    const auto hits = static_cast<std::size_t>(
+        std::count(feat.observer_hit.begin(), feat.observer_hit.end(), true));
+    if (2 * hits > observer_eps.size()) {
       observer_diag = {fault::FaultClass::kComponentExternal,
                        fault::Persistence::kTransient, 0.85,
                        "receive-path disturbance correlated with spatially "

@@ -22,13 +22,12 @@
 
 #include "diag/evidence.hpp"
 #include "diag/features.hpp"
+#include "diag/summary.hpp"
 #include "fault/injector.hpp"
 #include "fault/taxonomy.hpp"
 #include "platform/types.hpp"
 
 namespace decos::diag {
-
-class EvidenceSummary;
 
 struct Diagnosis {
   fault::FaultClass cls = fault::FaultClass::kNone;
@@ -83,28 +82,26 @@ class Classifier {
   Classifier(Params p, fault::SpatialLayout layout)
       : p_(p), layout_(std::move(layout)) {}
 
-  /// Classifies one component FRU from the evidence store. When `summary`
-  /// is provided (and its resolved feature parameters match this
-  /// classifier's), the time/space/value features come from the folded
-  /// incremental state plus a short exact tail walk instead of a full
-  /// rescan of the evidence window — same decision rules, same verdicts.
-  [[nodiscard]] Diagnosis classify_component(
-      const EvidenceStore& ev, platform::ComponentId c, tta::RoundId now,
-      std::uint32_t component_count,
-      const EvidenceSummary* summary = nullptr) const;
+  /// Classifies one component FRU. The time/space/value features come
+  /// from `summary` (built by summarize() over the evidence store and
+  /// folded up to `now`): folded incremental state plus a short exact tail
+  /// walk, never a rescan of the whole evidence window.
+  [[nodiscard]] Diagnosis classify_component(const EvidenceSummary& summary,
+                                             platform::ComponentId c,
+                                             tta::RoundId now) const;
 
-  /// The fully resolved feature parameters for a cluster of
-  /// `component_count` components (sender_spread auto-scaling applied) —
-  /// what an EvidenceSummary must be constructed with to be accepted by
-  /// classify_component.
-  [[nodiscard]] FeatureParams resolved_features(
-      std::uint32_t component_count) const {
+  /// The evidence summary this classifier reads for a cluster of
+  /// `component_count` components over `ev` (not owned; must outlive the
+  /// summary): feature parameters fully resolved (sender_spread
+  /// auto-scaling applied), alpha decay and spatial layout from here.
+  [[nodiscard]] EvidenceSummary summarize(const EvidenceStore& ev,
+                                          std::uint32_t component_count) const {
     FeatureParams fp = p_.features();
     if (fp.sender_spread == 0) {
       fp.sender_spread =
           std::max(2u, (3u * std::max(component_count, 2u) - 3u) / 4u);
     }
-    return fp;
+    return EvidenceSummary(&ev, fp, p_.alpha_decay, component_count, layout_);
   }
 
   /// Classifies one job FRU. Needs the host component's diagnosis (a

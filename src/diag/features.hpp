@@ -22,6 +22,8 @@ struct Episode {
   tta::RoundId first = 0;
   tta::RoundId last = 0;
   std::uint32_t rounds = 0;  // symptomatic rounds inside [first, last]
+
+  bool operator==(const Episode&) const = default;
 };
 
 /// Groups symptomatic rounds (ascending) into episodes separated by > gap.
@@ -89,6 +91,8 @@ struct VerdictTotals {
   std::uint64_t timing = 0;
   std::uint64_t omission = 0;
   std::uint64_t quorum_rounds = 0;
+
+  bool operator==(const VerdictTotals&) const = default;
 };
 [[nodiscard]] VerdictTotals verdict_totals(const EvidenceStore& ev,
                                            platform::ComponentId c,

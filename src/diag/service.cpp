@@ -3,6 +3,20 @@
 #include <algorithm>
 
 namespace decos::diag {
+namespace {
+
+/// A verdict served second-hand from the dissemination cache.
+Diagnosis disseminated(const VerdictDelta& d) {
+  Diagnosis out;
+  out.cls = d.cls;
+  out.confidence = 0.5;  // no local evidence behind it
+  out.rationale = "disseminated verdict (origin position " +
+                  std::to_string(d.origin) + ", round " +
+                  std::to_string(d.round) + ")";
+  return out;
+}
+
+}  // namespace
 
 DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
                                      fault::SpatialLayout layout, Params params)
@@ -168,8 +182,10 @@ const HierarchyTopology& DiagnosticService::topology() const {
 
 const Assessor* DiagnosticService::resolve_component(
     platform::ComponentId c, const VerdictDelta** delta) const {
-  refresh_view();
   if (delta) *delta = nullptr;
+  // Legacy mode: the active assessor holds the whole cluster's evidence.
+  if (!hierarchy_) return assessors_[active_].get();
+  refresh_view();
   const auto& testers = view_topo_->testers(c);
   for (const HierarchyTopology::Position p : testers) {
     const Assessor& a = *assessors_[p];
@@ -188,9 +204,19 @@ const Assessor* DiagnosticService::resolve_component(
   return assessors_.front().get();
 }
 
+const Assessor* DiagnosticService::resolve_job(
+    platform::JobId j, const VerdictDelta** delta) const {
+  const platform::ComponentId host = system_.job(j).host();
+  const Assessor* a = resolve_component(host, nullptr);
+  // Only a host resolver that never heard the host's agent (hierarchy
+  // mode, tester reassigned) serves the cached job verdict.
+  *delta = a->ever_heard(host) ? nullptr : a->cached_job_delta(j);
+  return a;
+}
+
 std::size_t DiagnosticService::serving_assessor(
     platform::ComponentId c) const {
-  if (!hierarchy_) return active_assessor();
+  check_failover();
   const Assessor* a = resolve_component(c, nullptr);
   for (std::size_t i = 0; i < assessors_.size(); ++i) {
     if (assessors_[i].get() == a) return i;
@@ -199,54 +225,32 @@ std::size_t DiagnosticService::serving_assessor(
 }
 
 double DiagnosticService::component_trust(platform::ComponentId c) const {
-  if (!hierarchy_) return assessor().component_trust(c);
+  check_failover();
   const VerdictDelta* d = nullptr;
   const Assessor* a = resolve_component(c, &d);
   return d ? d->trust : a->component_trust(c);
 }
 
 double DiagnosticService::job_trust(platform::JobId j) const {
-  if (!hierarchy_) return assessor().job_trust(j);
-  const platform::ComponentId host = system_.job(j).host();
-  const Assessor* a = resolve_component(host, nullptr);
-  if (a->ever_heard(host)) return a->job_trust(j);
-  if (const VerdictDelta* d = a->cached_job_delta(j)) return d->trust;
-  return a->job_trust(j);
+  check_failover();
+  const VerdictDelta* d = nullptr;
+  const Assessor* a = resolve_job(j, &d);
+  return d ? d->trust : a->job_trust(j);
 }
 
 Diagnosis DiagnosticService::diagnose_component(
     platform::ComponentId c) const {
-  if (!hierarchy_) return assessor().diagnose_component(c);
+  check_failover();
   const VerdictDelta* d = nullptr;
   const Assessor* a = resolve_component(c, &d);
-  if (d) {
-    Diagnosis out;
-    out.cls = d->cls;
-    out.confidence = 0.5;  // second-hand: no local evidence behind it
-    out.rationale = "disseminated verdict (origin position " +
-                    std::to_string(d->origin) + ", round " +
-                    std::to_string(d->round) + ")";
-    return out;
-  }
-  return a->diagnose_component(c);
+  return d ? disseminated(*d) : a->diagnose_component(c);
 }
 
 Diagnosis DiagnosticService::diagnose_job(platform::JobId j) const {
-  if (!hierarchy_) return assessor().diagnose_job(j);
-  const platform::ComponentId host = system_.job(j).host();
-  const Assessor* a = resolve_component(host, nullptr);
-  if (!a->ever_heard(host)) {
-    if (const VerdictDelta* d = a->cached_job_delta(j)) {
-      Diagnosis out;
-      out.cls = d->cls;
-      out.confidence = 0.5;
-      out.rationale = "disseminated verdict (origin position " +
-                      std::to_string(d->origin) + ", round " +
-                      std::to_string(d->round) + ")";
-      return out;
-    }
-  }
-  return a->diagnose_job(j);
+  check_failover();
+  const VerdictDelta* d = nullptr;
+  const Assessor* a = resolve_job(j, &d);
+  return d ? disseminated(*d) : a->diagnose_job(j);
 }
 
 std::optional<tta::RoundId> DiagnosticService::first_component_violation(
@@ -425,11 +429,13 @@ std::size_t DiagnosticService::record_detection_latency(
   return recorded;
 }
 
-std::vector<FruReport> DiagnosticService::hierarchical_report() const {
-  // The Fig. 11 report, composed from the per-slice partial views: each
-  // component row is answered by its serving tester (local evidence
-  // first, disseminated verdict as the fallback), so no single assessor
-  // ever needs the whole cluster's evidence in memory.
+std::vector<FruReport> DiagnosticService::report() const {
+  // The Fig. 11 report. Each row is answered by the FRU's serving
+  // assessor: the active one in legacy mode; in hierarchy mode the
+  // serving tester (local evidence first, disseminated verdict as the
+  // fallback), so no single assessor ever needs the whole cluster's
+  // evidence in memory. Failover is evaluated once per report, not per row.
+  check_failover();
   static const OnaEngine kOnaRules = OnaEngine::standard_rules();
   obs::Registry& metrics = system_.simulator().metrics();
   std::vector<FruReport> rows;
@@ -440,7 +446,7 @@ std::vector<FruReport> DiagnosticService::hierarchical_report() const {
     row.fru = "component " + std::to_string(c);
     row.component = c;
     row.trust = delta ? delta->trust : a->component_trust(c);
-    row.diagnosis = diagnose_component(c);
+    row.diagnosis = delta ? disseminated(*delta) : a->diagnose_component(c);
     row.action = row.diagnosis.action();
     row.evidence_quality = delta ? 0.0 : a->evidence_quality(c);
     row.evidence_age = a->evidence_age(c);
@@ -454,6 +460,8 @@ std::vector<FruReport> DiagnosticService::hierarchical_report() const {
           .counter("diag.ona_assertions", "ona=" + std::string(hit->name()))
           .inc();
     }
+    // Meta-ONA: the diagnostic channel itself is out of norm — the FRU's
+    // agent has gone silent and this row's verdict rests on stale data.
     if (a->channel_degraded(c)) {
       row.asserted_onas.emplace_back("diagnostic-channel-degraded");
       metrics
@@ -467,71 +475,9 @@ std::vector<FruReport> DiagnosticService::hierarchical_report() const {
         metrics.counter("diag.ona_assertions", "ona=" + name).inc();
       }
     }
-    rows.push_back(std::move(row));
-  }
-  for (platform::JobId j : subject_jobs_) {
-    const auto& job = system_.job(j);
-    const Assessor* a = resolve_component(job.host(), nullptr);
-    FruReport row;
-    row.fru = "job " + job.name() + " (j" + std::to_string(j) +
-              ") on component " + std::to_string(job.host());
-    row.component = job.host();
-    row.job = j;
-    row.trust = job_trust(j);
-    row.diagnosis = diagnose_job(j);
-    row.action = row.diagnosis.action();
-    row.evidence_quality = a->job_evidence_quality(j);
-    row.evidence_age = a->evidence_age(job.host());
-    row.evidence_fresh = a->evidence_fresh(job.host());
-    rows.push_back(std::move(row));
-  }
-  metrics.gauge("diag.hierarchy.recomputes")
-      .set(static_cast<double>(view_topo_->recomputes()));
-  return rows;
-}
-
-std::vector<FruReport> DiagnosticService::report() const {
-  if (hierarchy_) return hierarchical_report();
-  static const OnaEngine kOnaRules = OnaEngine::standard_rules();
-  const Assessor& active = assessor();
-  obs::Registry& metrics = system_.simulator().metrics();
-  const fault::SpatialLayout& layout = active.classifier().layout();
-  std::vector<FruReport> rows;
-  for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
-    FruReport row;
-    row.fru = "component " + std::to_string(c);
-    row.component = c;
-    row.trust = active.component_trust(c);
-    row.diagnosis = active.diagnose_component(c);
-    row.action = row.diagnosis.action();
-    row.evidence_quality = active.evidence_quality(c);
-    row.evidence_age = active.evidence_age(c);
-    row.evidence_fresh = active.evidence_fresh(c);
-    const OnaContext ctx{active.evidence(), c, active.current_round(),
-                         system_.component_count(), layout, FeatureParams{}};
-    for (const auto* hit : kOnaRules.evaluate(ctx)) {
-      row.asserted_onas.push_back(hit->name());
-      metrics
-          .counter("diag.ona_assertions", "ona=" + std::string(hit->name()))
-          .inc();
-    }
-    // Meta-ONA: the diagnostic channel itself is out of norm — the FRU's
-    // agent has gone silent and this row's verdict rests on stale data.
-    if (active.channel_degraded(c)) {
-      row.asserted_onas.emplace_back("diagnostic-channel-degraded");
-      metrics
-          .counter("diag.ona_assertions", "ona=diagnostic-channel-degraded")
-          .inc();
-    }
-    auto ext = external_onas_.find(c);
-    if (ext != external_onas_.end()) {
-      for (const std::string& name : ext->second) {
-        row.asserted_onas.push_back(name);
-        metrics.counter("diag.ona_assertions", "ona=" + name).inc();
-      }
-    }
-    // Keep the staleness gauges tracking the *active* assessor's view, so
-    // the exported metrics survive a primary death.
+    // The staleness gauges track the *serving* assessor's view, so the
+    // exported metrics survive a primary death and cover FRUs outside the
+    // primary's tester slice.
     metrics
         .gauge("diag.evidence_staleness", "fru=c" + std::to_string(c))
         .set(static_cast<double>(row.evidence_age));
@@ -539,18 +485,24 @@ std::vector<FruReport> DiagnosticService::report() const {
   }
   for (platform::JobId j : subject_jobs_) {
     const auto& job = system_.job(j);
+    const VerdictDelta* delta = nullptr;
+    const Assessor* a = resolve_job(j, &delta);
     FruReport row;
     row.fru = "job " + job.name() + " (j" + std::to_string(j) +
               ") on component " + std::to_string(job.host());
     row.component = job.host();
     row.job = j;
-    row.trust = active.job_trust(j);
-    row.diagnosis = active.diagnose_job(j);
+    row.trust = delta ? delta->trust : a->job_trust(j);
+    row.diagnosis = delta ? disseminated(*delta) : a->diagnose_job(j);
     row.action = row.diagnosis.action();
-    row.evidence_quality = active.job_evidence_quality(j);
-    row.evidence_age = active.evidence_age(job.host());
-    row.evidence_fresh = active.evidence_fresh(job.host());
+    row.evidence_quality = a->job_evidence_quality(j);
+    row.evidence_age = a->evidence_age(job.host());
+    row.evidence_fresh = a->evidence_fresh(job.host());
     rows.push_back(std::move(row));
+  }
+  if (view_topo_) {
+    metrics.gauge("diag.hierarchy.recomputes")
+        .set(static_cast<double>(view_topo_->recomputes()));
   }
   return rows;
 }

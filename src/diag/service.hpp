@@ -219,12 +219,16 @@ class DiagnosticService {
   void refresh_local_view(Assessor& a, std::size_t i);
   /// Refreshes the service-level overlay view from per-host self-liveness.
   void refresh_view() const;
-  /// Resolves the assessor composing `c`'s verdict; when the verdict is
+  /// Resolves the assessor composing `c`'s verdict (legacy mode: the
+  /// active one, without re-evaluating failover); when the verdict is
   /// served from the dissemination cache, `*delta` is set to it.
   [[nodiscard]] const Assessor* resolve_component(platform::ComponentId c,
                                                   const VerdictDelta** delta)
       const;
-  [[nodiscard]] std::vector<FruReport> hierarchical_report() const;
+  /// Same for job `j`: its host's serving assessor, and the cached job
+  /// verdict when that assessor never heard the host's agent.
+  [[nodiscard]] const Assessor* resolve_job(platform::JobId j,
+                                            const VerdictDelta** delta) const;
 
   platform::System& system_;
   SpecTable specs_;

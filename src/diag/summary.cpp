@@ -7,21 +7,16 @@ namespace decos::diag {
 EvidenceSummary::EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
                                  double alpha_decay,
                                  std::uint32_t component_count,
-                                 fault::SpatialLayout layout,
-                                 tta::RoundId fold_lag)
+                                 fault::SpatialLayout layout)
     : store_(store),
       fp_(fp),
       decay_(alpha_decay),
       component_count_(component_count),
       layout_(std::move(layout)),
-      lag_(fold_lag),
-      folds_(component_count) {
-  // A closed episode's correlation window [first - delta, last + delta]
-  // must be final at close time; delta < gap guarantees it. Outside that
-  // regime the summary refuses to fold and every read walks the detail
-  // (correct, just not accelerated).
-  if (fp_.correlation_delta >= fp_.episode_gap) lag_ = 0;
-}
+      // A closed episode's correlation window [first - delta, last + delta]
+      // must be final at close time; delta < gap guarantees it.
+      lag_(fp.correlation_delta < fp.episode_gap ? kFoldLag : 0),
+      folds_(component_count) {}
 
 bool EvidenceSummary::credible_round(platform::ComponentId c, tta::RoundId r,
                                      const SubjectRound& sr) const {
@@ -57,7 +52,7 @@ bool EvidenceSummary::episode_correlated(platform::ComponentId c,
   return false;
 }
 
-void EvidenceSummary::fold_component(platform::ComponentId c, tta::RoundId from,
+void EvidenceSummary::fold_component(platform::ComponentId c,
                                      tta::RoundId to) const {
   ComponentFold& f = folds_[c];
 
@@ -65,8 +60,8 @@ void EvidenceSummary::fold_component(platform::ComponentId c, tta::RoundId from,
   // accumulator advance together over one walk of the subject detail.
   double tail_alpha = 0.0;
   const auto& about = store_->about(c);
-  for (auto it = about.upper_bound(from); it != about.end() && it->first <= to;
-       ++it) {
+  for (auto it = about.lower_bound(tail_start());
+       it != about.end() && it->first <= to; ++it) {
     const tta::RoundId r = it->first;
     const SubjectRound& sr = it->second;
     if (sr.observers.size() >= fp_.observer_quorum) {
@@ -86,12 +81,13 @@ void EvidenceSummary::fold_component(platform::ComponentId c, tta::RoundId from,
     }
   }
   f.alpha_at_horizon =
-      f.alpha_at_horizon * std::pow(decay_, static_cast<double>(to - from)) +
+      f.alpha_at_horizon *
+          std::pow(decay_, static_cast<double>(to - horizon_)) +
       tail_alpha;
 
   // Observer side.
   const auto& reported = store_->reported_by(c);
-  for (auto it = reported.upper_bound(from);
+  for (auto it = reported.lower_bound(tail_start());
        it != reported.end() && it->first <= to; ++it) {
     if (it->second.senders_reported.size() < fp_.sender_spread) continue;
     const tta::RoundId r = it->first;
@@ -120,7 +116,7 @@ void EvidenceSummary::fold_component(platform::ComponentId c, tta::RoundId from,
 }
 
 void EvidenceSummary::fold(tta::RoundId now) {
-  if (!enabled() || lag_ == 0) return;
+  if (lag_ == 0) return;
   if (dirty_) {
     rebuild(now);
     return;
@@ -128,7 +124,7 @@ void EvidenceSummary::fold(tta::RoundId now) {
   const tta::RoundId h1 = now > lag_ ? now - lag_ : 0;
   if (h1 <= horizon_) return;
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    fold_component(c, horizon_, h1);
+    fold_component(c, h1);
   }
   horizon_ = h1;
 }
@@ -142,7 +138,7 @@ void EvidenceSummary::rebuild(tta::RoundId now) const {
   const tta::RoundId h1 = now > lag_ ? now - lag_ : 0;
   if (h1 == 0) return;
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    fold_component(c, 0, h1);
+    fold_component(c, h1);
   }
   horizon_ = h1;
 }
@@ -158,11 +154,11 @@ void EvidenceSummary::component_features(platform::ComponentId c,
   out.alpha = f.alpha_at_horizon *
               std::pow(decay_, static_cast<double>(now - horizon_));
 
-  // Exact tail walk over (horizon, now] — the short, still-mutable recent
-  // window. The folded lists end in (at most one) open episode each,
+  // Exact tail walk over the unfolded rounds from tail_start() on — the
+  // short, still-mutable recent window. The folded lists end in (at most one) open episode each,
   // which the tail rounds may extend exactly like episodes_of would.
   const auto& about = store_->about(c);
-  for (auto it = about.upper_bound(horizon_); it != about.end(); ++it) {
+  for (auto it = about.lower_bound(tail_start()); it != about.end(); ++it) {
     const tta::RoundId r = it->first;
     const SubjectRound& sr = it->second;
     if (sr.observers.size() >= fp_.observer_quorum) {
@@ -184,7 +180,8 @@ void EvidenceSummary::component_features(platform::ComponentId c,
     }
   }
   const auto& reported = store_->reported_by(c);
-  for (auto it = reported.upper_bound(horizon_); it != reported.end(); ++it) {
+  for (auto it = reported.lower_bound(tail_start()); it != reported.end();
+       ++it) {
     if (it->second.senders_reported.size() < fp_.sender_spread) continue;
     const tta::RoundId r = it->first;
     if (!out.observer_eps.empty() &&

@@ -1,11 +1,12 @@
 // Incremental per-round evidence summaries — classification cost becomes
 // independent of the evidence window.
 //
-// The component classifier's feature walks (credible sender rounds,
+// The exact feature walks of diag/features.hpp (credible sender rounds,
 // observer rounds, verdict totals, alpha score) re-scan the full per-round
-// detail of the evidence store on every classify call. That is O(window)
-// per FRU per report — tolerable at N = 7, ruinous for always-on
-// classification in large clusters.
+// detail of the evidence store on every call. That is O(window) per FRU
+// per report — tolerable at N = 7, ruinous for always-on classification
+// in large clusters. The summary is therefore the component classifier's
+// only feature source; the exact walks remain as its test oracle.
 //
 // The summary maintains a *fold horizon* h: rounds at or before h are
 // folded once into per-component state (closed episodes with their
@@ -20,8 +21,8 @@
 // at 255 rounds) plus the agents' largest resend backoff. Should an older
 // observation arrive anyway — or the store prune folded detail — the
 // summary marks itself dirty and rebuilds from the detail, which is
-// exactly the legacy computation. Folded features are bit-identical to
-// the legacy walks for integer-valued features (episodes, totals); the
+// exactly what the exact walks compute. Folded features are bit-identical
+// to the exact walks for integer-valued features (episodes, totals); the
 // alpha accumulator folds multiplicatively and may differ from the exact
 // sum in the last ulp.
 #pragma once
@@ -38,21 +39,26 @@ namespace decos::diag {
 
 class EvidenceSummary {
  public:
-  EvidenceSummary() = default;
+  /// Rounds between now and the fold horizon: above the symptom age
+  /// field's 255-round saturation plus the agents' largest resend backoff.
+  static constexpr tta::RoundId kFoldLag = 320;
 
   /// `store` is not owned and must outlive the summary (or be re-pointed
   /// with rebind after a wholesale copy). `fp` must be the fully resolved
-  /// feature parameters the classifier will use — sender_spread already
-  /// scaled to the component count. Requires correlation_delta <
-  /// episode_gap (the defaults), so a closed episode's correlation window
-  /// is final at close time.
+  /// feature parameters the classifier uses — sender_spread already
+  /// scaled to the component count (Classifier::summarize builds it so).
+  /// With correlation_delta >= episode_gap a closed episode's correlation
+  /// window is not final at close time, so the summary never folds and
+  /// every read walks the detail.
   EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
                   double alpha_decay, std::uint32_t component_count,
-                  fault::SpatialLayout layout, tta::RoundId fold_lag = 320);
+                  fault::SpatialLayout layout);
 
-  [[nodiscard]] bool enabled() const { return store_ != nullptr; }
+  [[nodiscard]] const EvidenceStore& evidence() const { return *store_; }
   [[nodiscard]] const FeatureParams& feature_params() const { return fp_; }
   [[nodiscard]] double alpha_decay() const { return decay_; }
+  /// Last folded round; 0 while nothing is folded (a fold always moves
+  /// the horizon to round 1 or later, so round 0 is never lost).
   [[nodiscard]] tta::RoundId horizon() const { return horizon_; }
   [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
 
@@ -63,13 +69,13 @@ class EvidenceSummary {
   /// Ingest-side hook: observations at or before the fold horizon violate
   /// the finality assumption and force a rebuild on next access.
   void note_ingest(const Symptom& s) {
-    if (s.round <= horizon_) dirty_ = true;
+    if (s.round < tail_start()) dirty_ = true;
   }
   /// Prune-side hook: dropping folded detail invalidates nothing (folded
   /// state no longer reads it), but detail *newer* than the horizon must
   /// survive for the tail walk.
   void note_prune(tta::RoundId cutoff) {
-    if (cutoff > horizon_) dirty_ = true;
+    if (cutoff > tail_start()) dirty_ = true;
   }
 
   /// Advances the fold horizon to now - lag. Call once per assessment
@@ -107,22 +113,28 @@ class EvidenceSummary {
     double alpha_at_horizon = 0.0;
   };
 
+  /// First round not yet folded.
+  [[nodiscard]] tta::RoundId tail_start() const {
+    return horizon_ == 0 ? 0 : horizon_ + 1;
+  }
   /// True when >= quorum credible observers reported `c` in round `r`.
   [[nodiscard]] bool credible_round(platform::ComponentId c, tta::RoundId r,
                                     const SubjectRound& sr) const;
-  /// Legacy spatial-correlation test for one episode of `c`.
+  /// spatially_correlated's test for one episode of `c`.
   [[nodiscard]] bool episode_correlated(platform::ComponentId c,
                                         const Episode& e) const;
-  void fold_component(platform::ComponentId c, tta::RoundId from,
-                      tta::RoundId to) const;
+  /// Folds rounds [tail_start(), to] of `c` (the caller then moves the
+  /// horizon to `to`).
+  void fold_component(platform::ComponentId c, tta::RoundId to) const;
   void rebuild(tta::RoundId now) const;
 
-  const EvidenceStore* store_ = nullptr;
-  FeatureParams fp_{};
-  double decay_ = 0.999;
-  std::uint32_t component_count_ = 0;
-  fault::SpatialLayout layout_{};
-  tta::RoundId lag_ = 320;
+  const EvidenceStore* store_;
+  FeatureParams fp_;
+  double decay_;
+  std::uint32_t component_count_;
+  fault::SpatialLayout layout_;
+  /// kFoldLag, or 0 when the summary never folds.
+  tta::RoundId lag_;
   mutable tta::RoundId horizon_ = 0;
   mutable bool dirty_ = false;
   mutable std::uint64_t rebuilds_ = 0;

@@ -34,13 +34,7 @@ struct HierarchyOptions {
   std::uint32_t rings = 1;
   sim::Duration slot_length = sim::microseconds(500);
   double spec_bound = 15.0;
-  /// Hierarchy runs default to incremental evidence summaries — the
-  /// O(classes) classification path this scale needs.
-  diag::Assessor::Params assessor = [] {
-    diag::Assessor::Params p;
-    p.incremental_summaries = true;
-    return p;
-  }();
+  diag::Assessor::Params assessor{};
   bool provenance = false;
 };
 

@@ -108,25 +108,31 @@ TEST(HierarchyRig, AssessorDeathSelfHealsWithoutFailover) {
   }
 }
 
-TEST(HierarchyRig, SummariesMatchExactClassification) {
-  // Same seed, same fault; incremental per-round summaries on vs off must
-  // reach the same verdict on the victim.
-  auto run = [](bool summaries) {
-    scenario::HierarchyOptions opts;
-    opts.components = 8;
-    opts.assessor.incremental_summaries = summaries;
-    scenario::HierarchySystem rig(opts);
-    rig.injector().inject_wearout(2, ms(300), sim::milliseconds(600), 0.7,
-                                  sim::milliseconds(10));
-    rig.run(sim::seconds(4));
-    return std::pair<double, fault::FaultClass>{
-        rig.diag().component_trust(2), rig.diag().diagnose_component(2).cls};
-  };
-  const auto exact = run(false);
-  const auto summarised = run(true);
-  EXPECT_EQ(exact.first, summarised.first);
-  EXPECT_EQ(exact.second, summarised.second);
-  EXPECT_NE(summarised.second, fault::FaultClass::kNone);
+TEST(HierarchyRig, StalenessGaugesFollowTheServingTester) {
+  // Only the primary position exports metrics, and it never hears agents
+  // outside its tester slice. The per-FRU staleness gauges must still
+  // report each FRU's evidence age as its serving tester sees it — the
+  // same figure as the report row — not the primary's blind spot.
+  scenario::HierarchyOptions opts;
+  opts.components = 8;
+  scenario::HierarchySystem rig(opts);
+  rig.run(sim::seconds(2));
+
+  const auto rows = rig.diag().report();
+  const obs::Snapshot snap = rig.sim().metrics().snapshot();
+  std::size_t checked = 0;
+  for (const diag::FruReport& row : rows) {
+    if (row.job) continue;
+    SCOPED_TRACE(row.fru);
+    const obs::SnapshotEntry* gauge = snap.find(
+        "diag.evidence_staleness", "fru=c" + std::to_string(row.component));
+    ASSERT_NE(gauge, nullptr);
+    EXPECT_EQ(gauge->gauge, static_cast<double>(row.evidence_age));
+    // Undisturbed run: every FRU is healthy and its agent fresh.
+    EXPECT_LE(gauge->gauge, static_cast<double>(opts.assessor.stale_after));
+    ++checked;
+  }
+  EXPECT_EQ(checked, 8u);
 }
 
 TEST(HierarchyCampaign, JobsFourBitIdenticalToSerial) {

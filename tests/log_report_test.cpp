@@ -125,14 +125,16 @@ TEST(DiagnosticLog, ReplayReproducesClassificationOffBoard) {
   ASSERT_GT(recorder.size(), 50u);
 
   // Off-board (service station): serialise, re-parse, replay into a fresh
-  // evidence store, classify with the same rules.
+  // evidence store, fold its summary up to the recorded round as the
+  // assessor does, classify with the same rules.
   const auto replayed = DiagnosticLog::parse(recorder.serialize());
   ASSERT_TRUE(replayed.has_value());
   EvidenceStore store;
   replayed->replay_into(store);
   Classifier classifier({}, fault::SpatialLayout::linear(5));
-  const auto offboard =
-      classifier.classify_component(store, 1, rig.round(), 5);
+  EvidenceSummary summary = classifier.summarize(store, 5);
+  summary.fold(rig.round());
+  const auto offboard = classifier.classify_component(summary, 1, rig.round());
   EXPECT_EQ(offboard.cls, onboard.cls) << offboard.rationale;
 }
 
