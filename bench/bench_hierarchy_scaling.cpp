@@ -20,7 +20,7 @@
 //
 // Counts and latencies are deterministic (fixed seed, logical time), so
 // the --json export is gated in CI against a checked-in baseline by
-// tools/check_hierarchy.cmake (exact equality on the structural fields,
+// tools/check_bench.cmake (exact equality on the structural fields,
 // tolerance on throughput-like ones).
 #include <cstdio>
 #include <string>

@@ -86,8 +86,8 @@ int main() {
                   static_cast<unsigned long long>(e->counter));
     }
   }
-  std::printf("  (full JSON snapshot: obs::to_json; Chrome trace of the run: "
-              "sim::write_chrome_trace)\n");
+  std::printf("  (full JSON snapshot: obs::to_json; Chrome trace of each "
+              "fault's journey: provenance().write_chrome_trace)\n");
 
   std::printf("\ntakeaway: the EMI victims need NO maintenance (replacing "
               "them would be a classic No-Fault-Found removal); only the "

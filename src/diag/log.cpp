@@ -1,8 +1,12 @@
 #include "diag/log.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 namespace decos::diag {
 
@@ -24,37 +28,57 @@ std::string DiagnosticLog::serialize() const {
   return out;
 }
 
+namespace {
+
+// Parses one whole token as T. from_chars range-checks and takes no sign
+// for unsigned types, so "-1" as an observer or "70000" as a JobId fail
+// instead of wrapping.
+template <typename T>
+bool parse_field(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
+
 std::optional<DiagnosticLog> DiagnosticLog::parse(const std::string& text) {
+  constexpr std::string_view kBlank = " \t\r";
   DiagnosticLog log;
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    unsigned long long round;
-    unsigned type, observer, subject;
-    int job;
-    double magnitude;
-    int consumed = 0;
-    if (std::sscanf(line.c_str(), "%llu %u %u %u %d %lg %n", &round, &type,
-                    &observer, &subject, &job, &magnitude, &consumed) != 6) {
-      return std::nullopt;
+    // Exactly six fields. A seventh is trailing garbage: the line is not
+    // ours, so reject rather than silently truncate (the log is legal
+    // evidence in the garage loop).
+    std::array<std::string_view, 6> field;
+    std::size_t n = 0;
+    std::string_view rest = line;
+    for (auto at = rest.find_first_not_of(kBlank); at != std::string_view::npos;
+         at = rest.find_first_not_of(kBlank)) {
+      if (n == field.size()) return std::nullopt;
+      rest.remove_prefix(at);
+      const std::size_t len = std::min(rest.find_first_of(kBlank), rest.size());
+      field[n++] = rest.substr(0, len);
+      rest.remove_prefix(len);
     }
-    // Trailing garbage means the line is not ours — reject rather than
-    // silently truncate (the log is legal evidence in the garage loop).
-    if (line.find_first_not_of(" \t\r",
-                               static_cast<std::size_t>(consumed)) !=
-        std::string::npos) {
+    if (n != field.size()) return std::nullopt;
+    Symptom s;
+    unsigned type = 0;
+    if (!parse_field(field[0], s.round) || !parse_field(field[1], type) ||
+        !parse_field(field[2], s.observer) ||
+        !parse_field(field[3], s.subject_component) ||
+        !parse_field(field[5], s.magnitude)) {
       return std::nullopt;
     }
     if (type < 1 || type > 8) return std::nullopt;
-    if (job < -1) return std::nullopt;
-    Symptom s;
-    s.round = round;
     s.type = static_cast<SymptomType>(type);
-    s.observer = static_cast<platform::ComponentId>(observer);
-    s.subject_component = static_cast<platform::ComponentId>(subject);
-    if (job >= 0) s.subject_job = static_cast<platform::JobId>(job);
-    s.magnitude = magnitude;
+    if (field[4] != "-1") {
+      platform::JobId job = 0;
+      if (!parse_field(field[4], job)) return std::nullopt;
+      s.subject_job = job;
+    }
     log.symptoms_.push_back(s);
   }
   return log;

@@ -54,7 +54,8 @@ struct FruReport {
   /// diagnostic agent is fresh; lower values mean the assessor has not
   /// heard the agent recently and the verdict rests on stale evidence.
   double evidence_quality = 1.0;
-  /// Rounds since the FRU's agent was last heard by the active assessor.
+  /// Rounds since the FRU's agent was last heard by the assessor serving
+  /// this row (`serving_assessor`; in legacy mode the active one).
   tta::RoundId evidence_age = 0;
   /// Whether the agent was heard within the assessor's staleness
   /// threshold. Derived from the integer evidence age, never from
@@ -195,15 +196,16 @@ class DiagnosticService {
   /// meta-ONA and a reduced evidence quality.
   [[nodiscard]] std::vector<FruReport> report() const;
 
-  /// Correlates the injector's ground-truth ledger with the active
-  /// assessor's first trust violations and records, for every injected
-  /// fault whose FRU became suspected after the injection instant, the
-  /// detection latency (injection -> first trust violation) into the
-  /// simulator's metrics registry: histogram `diag.detection_latency_us`,
-  /// both aggregate and labelled per FRU (`fru=component.N` /
-  /// `fru=job.N`). Returns how many faults got a latency sample. Call
-  /// after the run; idempotent only in the sense that calling twice
-  /// records the samples twice.
+  /// Correlates the injector's ground-truth ledger with the composed first
+  /// trust violations (`first_component_violation` / `first_job_violation`:
+  /// the active assessor in legacy mode, the earliest-recording tester in
+  /// hierarchy mode) and records, for every injected fault whose FRU became
+  /// suspected after the injection instant, the detection latency
+  /// (injection -> first trust violation) into the simulator's metrics
+  /// registry: histogram `diag.detection_latency_us`, both aggregate and
+  /// labelled per FRU (`fru=component.N` / `fru=job.N`). Returns how many
+  /// faults got a latency sample. Call after the run; idempotent only in
+  /// the sense that calling twice records the samples twice.
   std::size_t record_detection_latency(const fault::FaultInjector& injector);
 
  private:

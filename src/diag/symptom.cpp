@@ -1,6 +1,7 @@
 #include "diag/symptom.hpp"
 
 #include <cstdio>
+#include <limits>
 
 namespace decos::diag {
 
@@ -59,8 +60,15 @@ vnet::Message encode_heartbeat(const Heartbeat& hb, tta::RoundId round) {
 std::optional<Heartbeat> decode_heartbeat(const vnet::Message& m) {
   if (m.kind != kHeartbeatMsgKind) return std::nullopt;
   Heartbeat hb;
-  hb.symptoms_detected =
-      m.value < 0.0 ? 0 : static_cast<std::uint64_t>(m.value);
+  // The count travels as a double, and a corrupted one must not make the
+  // conversion undefined: NaN and negatives read as 0, values past the
+  // 64-bit range saturate.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (m.value >= kTwoTo64) {
+    hb.symptoms_detected = std::numeric_limits<std::uint64_t>::max();
+  } else if (m.value > 0.0) {
+    hb.symptoms_detected = static_cast<std::uint64_t>(m.value);
+  }
   hb.symptoms_dropped = m.aux;
   return hb;
 }
@@ -102,11 +110,15 @@ std::optional<VerdictDelta> decode_delta(const vnet::Message& m) {
   }
   const std::uint32_t age = (m.aux >> 26) & 0x3Fu;
   if (age == 63) return std::nullopt;  // saturated: emission round unknown
+  const std::uint32_t cls = (m.aux >> 22) & 0x7u;
+  if (cls > static_cast<std::uint32_t>(fault::FaultClass::kNone)) {
+    return std::nullopt;  // 3-bit field, only 7 classes: not a verdict
+  }
   VerdictDelta d;
   d.job_level = m.kind == kJobDeltaMsgKind;
   d.fru = m.aux & 0xFFFFu;
   d.origin = (m.aux >> 16) & 0x3Fu;
-  d.cls = static_cast<fault::FaultClass>((m.aux >> 22) & 0x7u);
+  d.cls = static_cast<fault::FaultClass>(cls);
   d.clear = ((m.aux >> 25) & 0x1u) != 0;
   d.trust = m.value;
   d.round = m.sent_round > age ? m.sent_round - age : 0;

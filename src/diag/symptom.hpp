@@ -80,7 +80,10 @@ struct Symptom {
 
 /// Decodes a diagnostic-vnet message back into a symptom. The observer
 /// field is reconstructed by the caller from the sending agent's identity
-/// (`observer_of_sender`). Returns nullopt for non-symptom kinds.
+/// (`observer_of_sender`). Returns nullopt for non-symptom kinds. Any
+/// accepted symptom has a type in 1..8, a subject component below 256, a
+/// subject job (if any) below 0xFFFF and a round no later than
+/// `m.sent_round`.
 [[nodiscard]] std::optional<Symptom> decode(const vnet::Message& m,
                                             platform::ComponentId observer);
 
@@ -103,7 +106,9 @@ struct Heartbeat {
 [[nodiscard]] vnet::Message encode_heartbeat(const Heartbeat& hb,
                                              tta::RoundId round);
 
-/// Returns nullopt unless `m.kind == kHeartbeatMsgKind`.
+/// Returns nullopt unless `m.kind == kHeartbeatMsgKind`. The detected
+/// count is the value truncated toward zero; NaN or negative values read
+/// as 0 and values past the 64-bit range saturate.
 [[nodiscard]] std::optional<Heartbeat> decode_heartbeat(const vnet::Message& m);
 
 /// Message kinds of verdict deltas on the dissemination vnet (hierarchy
@@ -146,7 +151,10 @@ struct VerdictDelta {
 /// Returns nullopt unless `m.kind` is one of the delta kinds, or when the
 /// age field saturated (a copy too stale to merge monotonically — the
 /// reconstructed emission round would be wrong in the dangerous
-/// direction, so receivers discard it and rely on the periodic refresh).
+/// direction, so receivers discard it and rely on the periodic refresh),
+/// or when the class field names no FaultClass. Any accepted delta has a
+/// fru below 2^16, an origin below 64 and a round no later than
+/// `m.sent_round`.
 [[nodiscard]] std::optional<VerdictDelta> decode_delta(const vnet::Message& m);
 
 }  // namespace decos::diag

@@ -36,7 +36,6 @@ FaultInjector::FaultInjector(sim::Simulator& sim, platform::System& system,
 FaultId FaultInjector::record(InjectedFault f) {
   f.id = ledger_.size();
   auto& prov = sim_.provenance();
-  std::uint32_t root = obs::kNoSpan;
   if (prov.enabled()) {
     char ent[24];
     if (f.job.has_value()) {
@@ -51,11 +50,7 @@ FaultId FaultInjector::record(InjectedFault f) {
     prov.map_component(f.component, f.provenance);
     if (f.job.has_value()) prov.map_job(*f.job, f.provenance);
     for (auto c : f.affected) prov.map_component(c, f.provenance);
-    if (const auto* jr = prov.journey(f.provenance)) root = jr->root;
   }
-  sim_.log(sim::TraceCategory::kFault,
-           "component." + std::to_string(f.component),
-           std::string(to_string(f.cls)) + ": " + f.description, root);
   // Injections are rare; the registration lookup off the hot path is fine.
   sim_.metrics()
       .counter("fault.injections", std::string("cls=") + to_string(f.cls))

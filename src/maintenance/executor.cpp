@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "sim/trace.hpp"
 #include "tta/node.hpp"
 
 namespace decos::maintenance {
@@ -90,9 +89,6 @@ void MaintenanceExecutor::poll() {
     const std::size_t idx = orders_.size();
     orders_.push_back(std::move(o));
     sim_.metrics().counter("maint.work_orders").inc();
-    sim_.log(sim::TraceCategory::kMaintenance, orders_[idx].fru,
-             std::string("work order opened: ") +
-                 fault::to_string(row.diagnosis.cls));
     sim_.schedule_after(p_.technician_latency,
                         [this, idx] { execute(idx); });
   }
@@ -131,13 +127,9 @@ void MaintenanceExecutor::execute(std::size_t idx) {
       --spares_;
       ++spares_consumed_;
       sim_.metrics().gauge("maint.spare_pool").set(static_cast<double>(spares_));
-      sim_.log(sim::TraceCategory::kMaintenance, o.fru,
-               "spare dead on arrival, pulling another");
     }
     if (spares_ == 0) {
       sim_.metrics().counter("maint.spares_exhausted").inc();
-      sim_.log(sim::TraceCategory::kMaintenance, o.fru,
-               "replacement needed but spare pool is empty");
       quarantine(o);
       return;
     }
@@ -165,17 +157,12 @@ void MaintenanceExecutor::execute(std::size_t idx) {
     o.nff = true;
     ++nff_removals_;
     sim_.metrics().counter("maint.nff_removals").inc();
-    sim_.log(sim::TraceCategory::kMaintenance, o.fru,
-             "removed hardware retests OK (NFF removal)");
     sim_.provenance().event(o.provenance, obs::ProvStage::kAction, o.fru,
                             "nff removal");
   }
 
   perform(o, action);
   o.state = WorkOrderState::kVerifying;
-  sim_.log(sim::TraceCategory::kMaintenance, o.fru,
-           std::string("executed ") + fault::to_string(action) +
-               " (attempt " + std::to_string(o.attempts) + ")");
 
   // The replacement re-integrates (clock snap + listen-only rounds) before
   // the verification clock starts: reset trust after the settle, then the
@@ -281,16 +268,12 @@ void MaintenanceExecutor::verify(std::size_t idx) {
     sim_.metrics().counter("maint.repairs_verified").inc();
     sim_.metrics().histogram("maint.ttr_us").record((o.closed - o.opened).ns() /
                                                     1000);
-    sim_.log(sim::TraceCategory::kMaintenance, o.fru,
-             "repair verified, trust reconverged");
     return;
   }
   ++failed_;
   sim_.provenance().end_span(o.open_span, o.nff ? obs::ProvOutcome::kNff
                                                 : obs::ProvOutcome::kRetried);
   sim_.metrics().counter("maint.repair_failures").inc();
-  sim_.log(sim::TraceCategory::kMaintenance, o.fru,
-           "repair did not take (trust " + std::to_string(trust) + ")");
   if (o.attempts >= p_.max_attempts) {
     quarantine(o);
     return;
@@ -312,8 +295,6 @@ void MaintenanceExecutor::quarantine(WorkOrder& o) {
   ++quarantines_;
   sim_.metrics().counter("maint.quarantined").inc();
   service_.assert_external_ona(o.component, "maintenance-degraded");
-  sim_.log(sim::TraceCategory::kMaintenance, o.fru,
-           "quarantined unrepaired (maintenance-degraded)");
   if (o.job) {
     quarantined_jobs_.insert(*o.job);
     degraded_jobs_.push_back(*o.job);

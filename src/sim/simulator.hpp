@@ -1,8 +1,10 @@
 // Discrete-event simulation kernel.
 //
 // Single-threaded and deterministic by construction: one event queue with a
-// total order, one master RNG from which every stochastic entity forks a
-// named stream, and a trace log that doubles as the audit trail. This is
+// total order and one master RNG from which every stochastic entity forks a
+// named stream. The kernel hosts the run's two recorders: the metrics
+// registry counts what happened, and the (opt-in) provenance tracer keeps
+// each fault's causal timeline from injection to verdict to repair. This is
 // the substrate for the synthetic TTA-like cluster the DECOS reproduction
 // runs on — the paper's diagnostic architecture only needs an observable,
 // consistently-timed distributed state, which a sequential kernel provides
@@ -20,7 +22,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 namespace decos::sim {
 
@@ -96,20 +97,11 @@ class Simulator {
 
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }
 
-  TraceLog& trace() { return trace_; }
-  [[nodiscard]] const TraceLog& trace() const { return trace_; }
-
   /// Metrics registry shared by every layer of this simulation: each
   /// subsystem registers its counters/histograms here at setup, so one
   /// snapshot captures the whole run (see obs/metrics.hpp).
   [[nodiscard]] obs::Registry& metrics() { return metrics_; }
   [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
-
-  /// Convenience wrapper for trace appends stamped with now().
-  void log(TraceCategory c, std::string_view entity, std::string_view message,
-           std::uint32_t span = 0) {
-    trace_.append(now_, c, entity, message, span);
-  }
 
   /// Causal provenance tracer (disabled by default; see obs/provenance.hpp).
   /// Instrumented layers grab this reference at setup — calls are
@@ -137,7 +129,6 @@ class Simulator {
   std::uint32_t current_shard_ = 0;
   Rng master_rng_;
   std::uint64_t seed_;
-  TraceLog trace_;
   obs::ProvenanceTracer provenance_;
   std::uint64_t events_executed_ = 0;
   std::uint64_t event_limit_ = 500'000'000;

@@ -54,9 +54,6 @@ bool Bus::transmit(NodeId sender, const Frame& frame) {
     if (!inside) {
       ++frames_blocked_;
       frames_blocked_metric_.inc();
-      sim_.log(sim::TraceCategory::kBus, "guardian",
-               "blocked out-of-window transmission from node " +
-                   std::to_string(sender));
       if (on_blocked) on_blocked(sender, now);
       return false;
     }

@@ -57,9 +57,6 @@ void TtaNode::start_cold() {
     listen_rounds_left_ = 0;
     round_ = 0;
     ++chain_epoch_;
-    sim_.log(sim::TraceCategory::kClockSync,
-             "node." + std::to_string(params_.id),
-             "cold-start anchor: opening the time base");
     schedule_slot(0, bus_.schedule().slot_of(params_.id));
   });
 }
@@ -82,8 +79,6 @@ void TtaNode::restart() {
   next_membership_ = 0;
   round_ = bus_.schedule().round_at(sim_.now()) + 1;
   schedule_slot(round_, 0);
-  sim_.log(sim::TraceCategory::kMembership, "node." + std::to_string(params_.id),
-           "restart with state synchronisation");
 }
 
 void TtaNode::schedule_slot(RoundId round, SlotId slot) {
@@ -285,8 +280,6 @@ void TtaNode::finish_round(RoundId round) {
   if (measurements < needed && frames_heard_this_round_ > 0) {
     if (++rounds_without_sync_ >= params_.sync_loss_rounds && in_sync_) {
       in_sync_ = false;
-      sim_.log(sim::TraceCategory::kClockSync,
-               "node." + std::to_string(params_.id), "lost synchronisation");
     }
   } else if (measurements >= needed) {
     rounds_without_sync_ = 0;
@@ -326,8 +319,6 @@ void TtaNode::reintegrate(const Frame& frame, sim::SimTime arrival) {
     next_slot = 0;
     ++next_round;
   }
-  sim_.log(sim::TraceCategory::kClockSync, "node." + std::to_string(params_.id),
-           "re-integrated at round " + std::to_string(frame.round));
   schedule_slot(next_round, next_slot);
 }
 

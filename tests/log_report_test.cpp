@@ -50,6 +50,10 @@ TEST(DiagnosticLog, ParseRejectsGarbage) {
   EXPECT_FALSE(DiagnosticLog::parse("10 1 0 0 -2 1.0\n").has_value());  // bad job
   EXPECT_FALSE(
       DiagnosticLog::parse("10 1 0 0 -1 1.0 surprise\n").has_value());  // trailing
+  // Out-of-range fields must not wrap into plausible-looking ids.
+  EXPECT_FALSE(DiagnosticLog::parse("10 1 0 0 70000 1.0\n").has_value());  // job
+  EXPECT_FALSE(DiagnosticLog::parse("10 1 -1 0 -1 1.0\n").has_value());  // observer
+  EXPECT_FALSE(DiagnosticLog::parse("-5 1 0 0 -1 1.0\n").has_value());  // round
   // Empty text is a valid empty log.
   const auto empty = DiagnosticLog::parse("");
   ASSERT_TRUE(empty.has_value());

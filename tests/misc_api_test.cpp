@@ -1,8 +1,7 @@
-// Coverage of the smaller public-API surfaces: trace filtering, duration
-// formatting edge cases, cluster precision with no synchronised nodes,
-// job phase offsets, multi-receiver local routing, diagnostic-job
-// identification, report row integrity, and Fig10 assessor replication
-// through the scenario options.
+// Coverage of the smaller public-API surfaces: duration formatting edge
+// cases, cluster precision with no synchronised nodes, job phase offsets,
+// multi-receiver local routing, diagnostic-job identification, report row
+// integrity, and Fig10 assessor replication through the scenario options.
 #include <gtest/gtest.h>
 
 #include "scenario/fig10.hpp"
@@ -11,25 +10,6 @@
 
 namespace decos {
 namespace {
-
-TEST(TraceLog, CategoryFilterAndClear) {
-  sim::TraceLog log;
-  log.append(sim::SimTime{1}, sim::TraceCategory::kBus, "a", "one");
-  log.append(sim::SimTime{2}, sim::TraceCategory::kFault, "b", "two");
-  log.append(sim::SimTime{3}, sim::TraceCategory::kBus, "c", "three");
-  EXPECT_EQ(log.by_category(sim::TraceCategory::kBus).size(), 2u);
-  EXPECT_EQ(log.count_containing("two"), 1u);
-  EXPECT_EQ(log.count_containing("nope"), 0u);
-  log.clear();
-  EXPECT_TRUE(log.records().empty());
-}
-
-TEST(TraceLog, CategoryNamesAreDistinct) {
-  EXPECT_STRNE(to_string(sim::TraceCategory::kBus),
-               to_string(sim::TraceCategory::kFault));
-  EXPECT_STRNE(to_string(sim::TraceCategory::kClockSync),
-               to_string(sim::TraceCategory::kMaintenance));
-}
 
 TEST(Duration, NegativeValuesFormat) {
   EXPECT_FALSE(sim::to_string(sim::Duration{-1'500'000}).empty());

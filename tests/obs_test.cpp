@@ -1,8 +1,7 @@
 // Unit tests for the observability layer: registry/handle semantics,
 // log2 histogram bucket boundaries, snapshot merge algebra, JSON/CSV
-// export well-formedness (checked with a tiny strict JSON parser),
-// Chrome trace export, and end-to-end detection latency measured under
-// a scripted fault injection.
+// export well-formedness (checked with a tiny strict JSON parser), and
+// end-to-end detection latency measured under a scripted fault injection.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -19,8 +18,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/fig10.hpp"
-#include "sim/trace.hpp"
-#include "sim/trace_export.hpp"
 
 namespace decos::obs {
 namespace {
@@ -356,28 +353,6 @@ TEST(Export, CsvHasHeaderAndOneRowPerMetric) {
   for (char c : csv) lines += c == '\n';
   EXPECT_EQ(lines, 3u);
   EXPECT_EQ(csv.rfind("kind,name,label", 0), 0u);
-}
-
-// --- Chrome trace export -----------------------------------------------------
-
-TEST(TraceExport, ChromeTraceJsonIsWellFormed) {
-  sim::TraceLog log;
-  log.append(sim::SimTime{1500}, sim::TraceCategory::kBus, "bus",
-             "frame \"7\" sent\\ok");  // hostile message
-  log.append(sim::SimTime{2500}, sim::TraceCategory::kDiagnosis,
-             "component.1", "trust dropped");
-
-  const std::string json = sim::chrome_trace_json(log);
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  // ts is microseconds: 1500 ns = 1.5 us.
-  EXPECT_NE(json.find("1.500"), std::string::npos);
-}
-
-TEST(TraceExport, EmptyLogStillValid) {
-  sim::TraceLog log;
-  EXPECT_TRUE(JsonChecker(sim::chrome_trace_json(log)).valid());
 }
 
 // --- detection latency under scripted injection ------------------------------

@@ -1,5 +1,4 @@
-// Provenance tracing tests: the arena-backed TraceLog's eviction and
-// truncation contracts, the ProvenanceTracer's span algebra (coalescing,
+// Provenance tracing tests: the ProvenanceTracer's span algebra (coalescing,
 // parenting, first-close/first-terminal wins, cap accounting, disabled
 // no-op), flow-id round-trips through both exporters, stage progression
 // on a real instrumented Fig. 10 rig, and the parallel chaos campaign's
@@ -14,68 +13,12 @@
 #include "obs/provenance.hpp"
 #include "scenario/chaos.hpp"
 #include "scenario/fig10.hpp"
-#include "sim/trace.hpp"
 
 namespace decos {
 namespace {
 
 sim::SimTime at_us(std::int64_t us) {
   return sim::SimTime::zero() + sim::microseconds(us);
-}
-
-// --- TraceLog arena ---------------------------------------------------------
-
-TEST(TraceLogArena, CapEvictsOldestChunkKeepingTimeOrder) {
-  sim::TraceLog log;
-  log.set_capacity(16);  // eviction chunk = 16/8 = 2
-  for (int i = 0; i < 100; ++i) {
-    log.append(at_us(i), sim::TraceCategory::kKernel, "e",
-               "msg " + std::to_string(i));
-  }
-  ASSERT_LE(log.records().size(), 16u);
-  ASSERT_FALSE(log.records().empty());
-  // Every drop is accounted for: survivors + dropped == appended.
-  EXPECT_EQ(log.records().size() + log.dropped(), 100u);
-  // Eviction removes from the front only, so what survives is the newest
-  // suffix, still in time order.
-  EXPECT_EQ(log.records().back().message(), "msg 99");
-  for (std::size_t i = 1; i < log.records().size(); ++i) {
-    EXPECT_LT(log.records()[i - 1].time.ns(), log.records()[i].time.ns());
-  }
-}
-
-TEST(TraceLogArena, SetCapacityOnFullLogTrimsToCap) {
-  sim::TraceLog log;
-  for (int i = 0; i < 40; ++i) {
-    log.append(at_us(i), sim::TraceCategory::kBus, "e", std::to_string(i));
-  }
-  log.set_capacity(10);
-  EXPECT_EQ(log.records().size(), 10u);
-  EXPECT_EQ(log.dropped(), 30u);
-  EXPECT_EQ(log.records().front().message(), "30");
-  EXPECT_EQ(log.records().back().message(), "39");
-}
-
-TEST(TraceLogArena, OversizeTextTruncatesToInlineCapacity) {
-  sim::TraceLog log;
-  const std::string long_entity(100, 'e');
-  const std::string long_message(300, 'm');
-  log.append(at_us(1), sim::TraceCategory::kDiagnosis, long_entity,
-             long_message);
-  const sim::TraceRecord& r = log.records().front();
-  EXPECT_EQ(r.entity().size(), sim::TraceRecord::kEntityCapacity);
-  EXPECT_EQ(r.message().size(), sim::TraceRecord::kMessageCapacity);
-  EXPECT_EQ(r.entity(), long_entity.substr(0, sim::TraceRecord::kEntityCapacity));
-  EXPECT_EQ(r.message(),
-            long_message.substr(0, sim::TraceRecord::kMessageCapacity));
-}
-
-TEST(TraceLogArena, RecordCarriesProvenanceSpanId) {
-  sim::TraceLog log;
-  log.append(at_us(5), sim::TraceCategory::kFault, "component.2", "emi", 42u);
-  EXPECT_EQ(log.records().front().span, 42u);
-  log.append(at_us(6), sim::TraceCategory::kFault, "component.2", "emi");
-  EXPECT_EQ(log.records().back().span, 0u);
 }
 
 // --- ProvenanceTracer span algebra ------------------------------------------

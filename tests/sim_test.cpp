@@ -407,55 +407,6 @@ TEST(AperiodicTimer, StopsWhenCallbackReturnsNullopt) {
   EXPECT_FALSE(timer.active());
 }
 
-TEST(Simulator, TraceRecordsCarryTimeAndCategory) {
-  Simulator sim(1);
-  sim.schedule_at(SimTime{42}, [&] {
-    sim.log(TraceCategory::kFault, "x", "boom");
-  });
-  sim.run_all();
-  ASSERT_EQ(sim.trace().records().size(), 1u);
-  EXPECT_EQ(sim.trace().records()[0].time, SimTime{42});
-  EXPECT_EQ(sim.trace().records()[0].category, TraceCategory::kFault);
-  EXPECT_EQ(sim.trace().count_containing("boom"), 1u);
-  EXPECT_EQ(sim.trace().by_category(TraceCategory::kFault).size(), 1u);
-  EXPECT_EQ(sim.trace().by_category(TraceCategory::kBus).size(), 0u);
-}
-
-// Capacity cap: the trace becomes a ring buffer, dropping the oldest
-// records in chunks and counting the casualties.
-TEST(TraceLog, CapacityCapDropsOldest) {
-  TraceLog log;
-  EXPECT_EQ(log.capacity(), 0u);  // unbounded by default
-  log.set_capacity(64);
-  for (int i = 0; i < 200; ++i) {
-    log.append(SimTime{i}, TraceCategory::kKernel, "e",
-               "msg " + std::to_string(i));
-  }
-  EXPECT_LE(log.records().size(), 64u);
-  EXPECT_EQ(log.records().size() + log.dropped(), 200u);
-  // Survivors are the newest records, still in time order.
-  EXPECT_EQ(log.records().back().message(), "msg 199");
-  EXPECT_GT(log.records().front().time.ns(),
-            static_cast<std::int64_t>(log.dropped()) - 1);
-}
-
-TEST(TraceLog, SetCapacityTrimsExistingRecords) {
-  TraceLog log;
-  for (int i = 0; i < 100; ++i) {
-    log.append(SimTime{i}, TraceCategory::kBus, "e", "m");
-  }
-  log.set_capacity(10);
-  EXPECT_LE(log.records().size(), 10u);
-  EXPECT_EQ(log.records().size() + log.dropped(), 100u);
-  // Back to unbounded: nothing further is dropped.
-  log.set_capacity(0);
-  const std::uint64_t dropped_before = log.dropped();
-  for (int i = 0; i < 50; ++i) {
-    log.append(SimTime{100 + i}, TraceCategory::kBus, "e", "m");
-  }
-  EXPECT_EQ(log.dropped(), dropped_before);
-}
-
 // Determinism: two simulators with the same seed produce identical event
 // streams (property the whole experiment suite rests on).
 TEST(Simulator, DeterministicAcrossInstances) {
