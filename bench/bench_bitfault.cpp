@@ -12,7 +12,10 @@
 // *nothing* per round (the perf gate holds this at exactly 0). A second
 // pass arms a receiver-side BER sampler and reports the copy-on-corrupt
 // traffic: corrupted deliveries pay for a private pool slot, pristine
-// ones keep riding the shared master.
+// ones keep riding the shared master. Each receiver verifies the CRC
+// through its pooled handle, so the faults-off pass also reports the CRC
+// work per transmission: the slot caches its verdict, so it must be
+// exactly one evaluation however many receivers check it (gated).
 //
 // Section 3 (campaign): the wearout/EMI/SEU workloads of
 // scenario/bitfault.hpp, honouring `--ber <rate>` (EMI/SEU receive BER)
@@ -130,9 +133,9 @@ struct Sink : tta::BusReceiver {
   tta::NodeId id = 0;
   std::uint64_t bytes = 0;
   std::uint64_t crc_bad = 0;
-  void on_frame(const tta::Frame& f, sim::SimTime) override {
-    bytes += f.payload.size();
-    if (!f.crc_ok()) ++crc_bad;
+  void on_frame(const tta::FrameHandle& h, sim::SimTime) override {
+    bytes += h->payload.size();
+    if (!h.crc_ok()) ++crc_bad;
   }
   [[nodiscard]] tta::NodeId node_id() const override { return id; }
 };
@@ -143,6 +146,7 @@ struct TransmitStats {
   double rounds_per_sec = 0.0;
   double allocs_per_round = 0.0;
   double corrupt_copies_per_round = 0.0;
+  double crc_checks_per_tx = 0.0;
   std::uint64_t crc_bad = 0;
 };
 
@@ -221,6 +225,8 @@ TransmitStats bench_transmit(tta::RoundId rounds, double rx_ber) {
   };
 
   run_rounds(0, 256);  // warm-up: pool, kernel slab, payload capacity
+  const std::uint64_t checks0 = bus.frame_pool()->crc_checks();
+  const std::uint64_t sent0 = bus.frames_sent();
   const auto a0 = g_allocs;
   const auto w0 = std::chrono::steady_clock::now();
   run_rounds(256, rounds);
@@ -235,6 +241,9 @@ TransmitStats bench_transmit(tta::RoundId rounds, double rx_ber) {
   t.corrupt_copies_per_round =
       static_cast<double>(bus.frame_pool()->corrupt_copies() - copies0) /
       static_cast<double>(rounds);
+  t.crc_checks_per_tx =
+      static_cast<double>(bus.frame_pool()->crc_checks() - checks0) /
+      static_cast<double>(bus.frames_sent() - sent0);
   for (const Sink& sk : sinks) t.crc_bad += sk.crc_bad;
   return t;
 }
@@ -253,10 +262,12 @@ int main(int argc, char** argv) {
 
   const TransmitStats clean = bench_transmit(quick ? 20'000 : 100'000, 0.0);
   std::printf(
-      "transmit(faults off): rounds_per_sec=%.3g allocs_per_round=%.4f\n",
-      clean.rounds_per_sec, clean.allocs_per_round);
+      "transmit(faults off): rounds_per_sec=%.3g allocs_per_round=%.4f "
+      "crc_checks_per_tx=%.4f\n",
+      clean.rounds_per_sec, clean.allocs_per_round, clean.crc_checks_per_tx);
   reporter.set_info("tx_rounds_per_sec", clean.rounds_per_sec);
   reporter.set_info("allocs_per_round", clean.allocs_per_round);
+  reporter.set_info("crc_checks_per_tx", clean.crc_checks_per_tx);
 
   const TransmitStats noisy = bench_transmit(quick ? 20'000 : 100'000, 5e-4);
   std::printf(

@@ -102,7 +102,7 @@ bool Bus::transmit(NodeId sender, const Frame& frame) {
     // The handle pins both the slot and the pool, so a delivery queued at
     // teardown outlives the bus safely.
     sim_.schedule_at(
-        arrival, [rx, h = d.take(), arrival]() { rx->on_frame(*h, arrival); },
+        arrival, [rx, h = d.take(), arrival]() { rx->on_frame(h, arrival); },
         sim::EventPriority::kTransport);
   }
   return true;

@@ -15,7 +15,9 @@
 // Deliveries ride on the ref-counted FramePool: one pooled master frame is
 // shared by every receiver and cloned only at the instant a hook actually
 // corrupts a delivery (copy-on-corrupt), so the fault-free broadcast path
-// allocates and copies nothing per receiver (E22).
+// allocates and copies nothing per receiver (E22). Receivers keep the
+// handle rather than a copy, and the slot caches its CRC verdict, so a
+// fault-free broadcast is also CRC-verified once, not once per receiver.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +37,11 @@ namespace decos::tta {
 class BusReceiver {
  public:
   virtual ~BusReceiver() = default;
-  /// Delivery of a frame (possibly corrupted by the channel). The
-  /// reference is only valid for the duration of the call.
-  virtual void on_frame(const Frame& frame, sim::SimTime arrival) = 0;
+  /// Delivery of a pooled frame (possibly corrupted by the channel). A
+  /// receiver may retain a copy of the handle past the call; holding it
+  /// pins the pool slot, so release it once the frame has been judged.
+  /// `frame.crc_ok()` is verified once per slot and cached for the rest.
+  virtual void on_frame(const FrameHandle& frame, sim::SimTime arrival) = 0;
   [[nodiscard]] virtual NodeId node_id() const = 0;
 };
 

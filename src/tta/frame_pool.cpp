@@ -27,6 +27,7 @@ FrameHandle FramePool::acquire(const Frame& src) {
   // a warmed-up pool serves this without touching the allocator.
   s.frame = src;
   s.refs = 1;
+  s.crc_verdict = CrcVerdict::kUnknown;
   ++in_use_;
   return {shared_from_this(), idx};
 }

@@ -13,11 +13,20 @@
 // payload capacity intact, so the steady-state transmit path allocates
 // nothing (E22).
 //
+// Each slot also caches its CRC verdict (unknown / ok / bad). The first
+// FrameHandle::crc_ok() on a slot runs the CRC; every later receiver of the
+// same broadcast reads the cached verdict, so a fault-free transmission is
+// verified once per shared slot instead of once per receiver. acquire()
+// and mutate() reset the verdict, and mutation is legal only on an
+// unshared slot, so a shared slot's verdict can never go stale.
+//
 // Handles also pin the pool itself (shared_ptr), so a delivery event that
-// is still queued when the cluster is torn down destroys its handle
-// safely regardless of destruction order.
+// is still queued when the cluster is torn down — or a receiver that still
+// holds the frame of its open slot — destroys its handle safely regardless
+// of destruction order.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,7 +56,13 @@ class FrameHandle {
   /// Mutable access to the pooled frame. Legal only while this handle is
   /// the slot's sole owner (before it was shared with receivers) — the
   /// corrupt path must privatize first, never scribble on a shared slot.
+  /// Resets the slot's cached CRC verdict, so do not keep writing through
+  /// the returned reference after a later crc_ok(): call mutate() again.
   [[nodiscard]] Frame& mutate();
+
+  /// The frame's CRC verdict (Frame::crc_ok()), computed on the slot's
+  /// first call and served from the slot cache afterwards.
+  [[nodiscard]] bool crc_ok() const;
 
   /// True when no other handle shares the slot.
   [[nodiscard]] bool unique() const;
@@ -92,23 +107,31 @@ class FramePool : public std::enable_shared_from_this<FramePool> {
   /// Private copies made because a fault actually corrupted a delivery.
   [[nodiscard]] std::uint64_t corrupt_copies() const { return corrupt_copies_; }
   void count_corrupt_copy() { ++corrupt_copies_; }
+  /// CRC evaluations run by crc_ok() — cache misses only (E22 gate: one
+  /// per fault-free transmission, however many receivers verify it).
+  [[nodiscard]] std::uint64_t crc_checks() const { return crc_checks_; }
 
  private:
   friend class FrameHandle;
   explicit FramePool(std::size_t soft_cap) : soft_cap_(soft_cap) {}
 
+  enum class CrcVerdict : std::uint8_t { kUnknown, kOk, kBad };
+
   struct Slot {
     Frame frame;
     std::uint32_t refs = 0;
+    CrcVerdict crc_verdict = CrcVerdict::kUnknown;
   };
 
   void add_ref(std::uint32_t slot) { ++slots_[slot]->refs; }
   void release(std::uint32_t slot);
+  [[nodiscard]] bool crc_ok(std::uint32_t slot);
 
   std::size_t soft_cap_;
   std::size_t in_use_ = 0;
   std::uint64_t fallback_acquires_ = 0;
   std::uint64_t corrupt_copies_ = 0;
+  std::uint64_t crc_checks_ = 0;
   /// Stable addresses: handles cache nothing, but Frame payload capacity
   /// must survive free-list recycling.
   std::vector<std::unique_ptr<Slot>> slots_;
@@ -155,7 +178,23 @@ inline const Frame& FrameHandle::operator*() const {
   return pool_->slots_[slot_]->frame;
 }
 
-inline Frame& FrameHandle::mutate() { return pool_->slots_[slot_]->frame; }
+inline Frame& FrameHandle::mutate() {
+  assert(unique() && "mutating a shared slot would stale its CRC verdict");
+  FramePool::Slot& s = *pool_->slots_[slot_];
+  s.crc_verdict = FramePool::CrcVerdict::kUnknown;
+  return s.frame;
+}
+
+inline bool FrameHandle::crc_ok() const { return pool_->crc_ok(slot_); }
+
+inline bool FramePool::crc_ok(std::uint32_t slot) {
+  Slot& s = *slots_[slot];
+  if (s.crc_verdict == CrcVerdict::kUnknown) {
+    ++crc_checks_;
+    s.crc_verdict = s.frame.crc_ok() ? CrcVerdict::kOk : CrcVerdict::kBad;
+  }
+  return s.crc_verdict == CrcVerdict::kOk;
+}
 
 inline bool FrameHandle::unique() const {
   return pool_ != nullptr && pool_->slots_[slot_]->refs == 1;

@@ -72,7 +72,7 @@ void TtaNode::restart() {
   // wedged (in_sync_ set but no chain scheduled), and a double restart
   // could race two chains.
   ++chain_epoch_;
-  pending_valid_ = false;
+  pending_.frame.reset();
   in_sync_ = true;
   rounds_without_sync_ = 0;
   listen_rounds_left_ = 0;
@@ -160,13 +160,14 @@ bool TtaNode::attempt_transmit_now() {
   return bus_.transmit(params_.id, frame);
 }
 
-void TtaNode::on_frame(const Frame& frame, sim::SimTime arrival) {
+void TtaNode::on_frame(const FrameHandle& handle, sim::SimTime arrival) {
   if (faults_.rx_drop_prob > 0.0 && rng_.bernoulli(faults_.rx_drop_prob)) return;
 
   ++frames_heard_this_round_;
 
+  const Frame& frame = *handle;
   // A desynchronised node integrates on the first valid frame it hears.
-  if (!in_sync_ && frame.crc_ok()) {
+  if (!in_sync_ && handle.crc_ok()) {
     reintegrate(frame, arrival);
     return;
   }
@@ -195,14 +196,17 @@ void TtaNode::on_frame(const Frame& frame, sim::SimTime arrival) {
 
   // Keep the first frame of the open slot; a second arrival in the same
   // slot would collide on a real bus — modelling "first wins" keeps the
-  // judgement deterministic. The copy lands in the reused pending buffer
-  // (payload capacity retained), so the delivery path allocates nothing.
-  if (!pending_valid_) {
-    pending_.frame = frame;
-    if (rx_corrupt) pending_.frame.payload[rx_corrupt_idx] ^= 0x5A;
+  // judgement deterministic. The pending slot shares the bus's pooled
+  // frame; only receiver-stage corruption pays for a private copy.
+  if (!pending_.frame) {
+    if (rx_corrupt) {
+      pending_.frame = bus_.frame_pool()->acquire_copy(handle);
+      pending_.frame.mutate().payload[rx_corrupt_idx] ^= 0x5A;
+    } else {
+      pending_.frame = handle;
+    }
     pending_.arrival_offset = offset;
     pending_.timely = timely;
-    pending_valid_ = true;
   }
 }
 
@@ -215,7 +219,7 @@ void TtaNode::close_slot(RoundId round, SlotId slot) {
     if (!faults_.fail_silent && in_sync_ && listen_rounds_left_ == 0) {
       next_membership_ |= std::uint64_t{1} << params_.id;
     }
-    pending_valid_ = false;
+    pending_.frame.reset();
   } else {
     SlotObservation obs;
     obs.observer = params_.id;
@@ -223,14 +227,15 @@ void TtaNode::close_slot(RoundId round, SlotId slot) {
     obs.slot = slot;
     obs.round = round;
 
-    if (!pending_valid_) {
+    if (!pending_.frame) {
       obs.verdict = SlotVerdict::kOmission;
       slots_omission_metric_.inc();
     } else {
       const Pending& p = pending_;
       obs.arrival_offset = p.arrival_offset;
-      const bool slot_matches = p.frame.sender == owner && p.frame.slot == slot &&
-                                p.frame.round == round;
+      const Frame& f = *p.frame;
+      const bool slot_matches =
+          f.sender == owner && f.slot == slot && f.round == round;
       if (!p.timely || !slot_matches) {
         obs.verdict = SlotVerdict::kTimingError;
         slots_timing_metric_.inc();
@@ -242,11 +247,11 @@ void TtaNode::close_slot(RoundId round, SlotId slot) {
         slots_correct_metric_.inc();
         sync_.record(owner, p.arrival_offset);
         next_membership_ |= std::uint64_t{1} << owner;
-        if (delivery_handler) delivery_handler(owner, p.frame.payload, round);
+        if (delivery_handler) delivery_handler(owner, f.payload, round);
       }
     }
     if (observation_sink) observation_sink(obs);
-    pending_valid_ = false;
+    pending_.frame.reset();
   }
 
   const std::uint32_t slots = sched.params().slots_per_round;
@@ -306,7 +311,7 @@ void TtaNode::reintegrate(const Frame& frame, sim::SimTime arrival) {
   // Abandon the drifted slot chain and restart it at the next boundary of
   // the cluster's schedule, listen-only for a few rounds.
   ++chain_epoch_;
-  pending_valid_ = false;
+  pending_.frame.reset();
   in_sync_ = true;
   rounds_without_sync_ = 0;
   listen_rounds_left_ = params_.reintegration_listen_rounds;

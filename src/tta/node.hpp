@@ -67,7 +67,7 @@ class TtaNode final : public BusReceiver {
   TtaNode(sim::Simulator& sim, Bus& bus, Params params);
 
   // BusReceiver
-  void on_frame(const Frame& frame, sim::SimTime arrival) override;
+  void on_frame(const FrameHandle& frame, sim::SimTime arrival) override;
   [[nodiscard]] NodeId node_id() const override { return params_.id; }
 
   /// Begins executing the schedule immediately, assumed synchronised
@@ -158,17 +158,17 @@ class TtaNode final : public BusReceiver {
   std::uint64_t membership_ = 0;
   std::uint64_t next_membership_ = 0;
 
-  /// Frame received in the currently open slot, if any. The struct is
-  /// reused across slots (payload capacity retained) so storing an
-  /// arrival copies bytes without allocating; `pending_valid_` plays the
-  /// role the old std::optional did.
+  /// Frame received in the currently open slot, if any (empty handle =
+  /// none). It holds the bus's pooled handle, not a copy: every receiver
+  /// of a broadcast shares one slot and its cached CRC verdict, and only
+  /// receiver-stage corruption privatizes the frame into a slot of its
+  /// own. Released when the slot closes or the chain restarts.
   struct Pending {
-    Frame frame;
+    FrameHandle frame;
     sim::Duration arrival_offset;
     bool timely = false;
   };
   Pending pending_;
-  bool pending_valid_ = false;
 
   /// Scratch frame reused across transmissions: its payload buffer keeps
   /// its capacity, so do_transmit allocates nothing in steady state.

@@ -1,7 +1,7 @@
 // Bit-granular value-fault tests: BER sampler determinism and extremes,
-// the wearout bathtub curve, FramePool copy-on-corrupt isolation, the
-// bit-fault plane on the Fig. 10 rig, and the campaign's jobs-N bit
-// identity.
+// the wearout bathtub curve, FramePool copy-on-corrupt isolation and its
+// per-slot CRC verdict cache, the bit-fault plane on the Fig. 10 rig, and
+// the campaign's jobs-N bit identity.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,6 +10,7 @@
 #include "obs/bench_io.hpp"
 #include "scenario/bitfault.hpp"
 #include "scenario/fig10.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "tta/bus.hpp"
 #include "tta/frame_pool.hpp"
@@ -194,15 +195,152 @@ TEST(FramePool, SoftCapFallbackIsCounted) {
   EXPECT_EQ(pool->in_use(), 0u);
 }
 
+// --- FramePool CRC verdict cache ----------------------------------------------
+
+tta::Frame sealed_frame(std::vector<std::uint8_t> payload) {
+  tta::Frame f;
+  f.payload = std::move(payload);
+  f.seal();
+  return f;
+}
+
+TEST(FramePoolCrc, VerdictComputedOnceThenServedFromCache) {
+  auto pool = tta::FramePool::create(4);
+  const tta::FrameHandle master = pool->acquire(sealed_frame({1, 2, 3}));
+  EXPECT_EQ(pool->crc_checks(), 0u);
+  EXPECT_TRUE(master.crc_ok());
+  EXPECT_EQ(pool->crc_checks(), 1u);
+
+  // Every receiver of the broadcast shares the slot and its verdict.
+  std::vector<tta::FrameHandle> receivers(8, master);
+  for (const tta::FrameHandle& h : receivers) EXPECT_TRUE(h.crc_ok());
+  EXPECT_TRUE(master.crc_ok());
+  EXPECT_EQ(pool->crc_checks(), 1u);
+}
+
+TEST(FramePoolCrc, MutateOnUniqueHandleInvalidatesVerdict) {
+  auto pool = tta::FramePool::create(4);
+  tta::FrameHandle h = pool->acquire(sealed_frame({4, 5, 6}));
+  ASSERT_TRUE(h.unique());
+  EXPECT_TRUE(h.crc_ok());
+
+  h.mutate().payload[1] ^= 0x10;
+  EXPECT_FALSE(h.crc_ok());
+  EXPECT_EQ(pool->crc_checks(), 2u);
+
+  h.mutate().payload[1] ^= 0x10;  // flip back: the bytes are pristine again
+  EXPECT_TRUE(h.crc_ok());
+  EXPECT_EQ(pool->crc_checks(), 3u);
+}
+
+TEST(FramePoolCrc, RecycledSlotStartsUnknown) {
+  auto pool = tta::FramePool::create(4);
+  tta::Frame bad = sealed_frame({7, 8, 9});
+  bad.payload[0] ^= 0xFF;
+  {
+    const tta::FrameHandle h = pool->acquire(bad);
+    EXPECT_FALSE(h.crc_ok());
+  }
+  ASSERT_EQ(pool->in_use(), 0u);
+  const std::size_t slots_before = pool->slots();
+
+  // Same slot, fresh bytes: the old "bad" verdict must not leak through.
+  const tta::FrameHandle h = pool->acquire(sealed_frame({7, 8, 9}));
+  EXPECT_EQ(pool->slots(), slots_before);
+  EXPECT_TRUE(h.crc_ok());
+  EXPECT_EQ(pool->crc_checks(), 2u);
+}
+
+TEST(FramePoolCrc, PrivatizingKeepsMasterVerdict) {
+  auto pool = tta::FramePool::create(4);
+  const tta::FrameHandle master = pool->acquire(sealed_frame({1, 1, 2, 3}));
+  EXPECT_TRUE(master.crc_ok());
+
+  tta::Delivery d(*pool, master);
+  d.corrupt().payload[2] ^= 0x01;
+  const tta::FrameHandle mine = d.take();
+  EXPECT_FALSE(mine.crc_ok());
+  EXPECT_EQ(pool->crc_checks(), 2u);
+
+  // The master's cached verdict is untouched and still served for free.
+  EXPECT_TRUE(master.crc_ok());
+  EXPECT_EQ(pool->crc_checks(), 2u);
+}
+
+TEST(FramePoolCrc, CachedVerdictAlwaysMatchesTheBytes) {
+  // Seeded property loop: random payloads, random share / privatize /
+  // mutate / drop sequences. After every step each live handle's cached
+  // verdict must equal a fresh CRC over its current bytes.
+  auto pool = tta::FramePool::create(8);
+  sim::Rng rng(2024);
+  std::vector<tta::FrameHandle> live;
+  auto random_frame = [&rng] {
+    std::vector<std::uint8_t> payload(
+        static_cast<std::size_t>(rng.uniform_int(0, 24)));
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    tta::Frame f = sealed_frame(std::move(payload));
+    if (rng.bernoulli(0.3) && !f.payload.empty()) f.crc ^= 1u;
+    return f;
+  };
+  auto pick = [&rng, &live]() -> tta::FrameHandle& {
+    return live[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const std::int64_t op = live.empty() ? 0 : rng.uniform_int(0, 5);
+    switch (op) {
+      case 0:  // fresh transmission
+        live.push_back(pool->acquire(random_frame()));
+        break;
+      case 1:  // share with another receiver
+        live.push_back(pick());
+        break;
+      case 2: {  // copy-on-corrupt through a Delivery
+        tta::Delivery d(*pool, pick());
+        tta::Frame& f = d.corrupt();
+        if (!f.payload.empty()) {
+          f.payload[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(f.payload.size()) - 1))] ^= 0x5A;
+        }
+        live.push_back(d.take());
+        break;
+      }
+      case 3: {  // mutate in place when unshared (reseal half of the time)
+        tta::FrameHandle& h = pick();
+        if (!h.unique()) break;
+        tta::Frame& f = h.mutate();
+        f.payload.push_back(static_cast<std::uint8_t>(step));
+        if (rng.bernoulli(0.5)) f.seal();
+        break;
+      }
+      case 4:  // privatize via acquire_copy without corrupting
+        live.push_back(pool->acquire_copy(pick()));
+        break;
+      default: {  // drop a handle (may recycle its slot)
+        tta::FrameHandle& h = pick();
+        h = std::move(live.back());
+        live.pop_back();
+        break;
+      }
+    }
+    for (const tta::FrameHandle& h : live) {
+      ASSERT_EQ(h.crc_ok(), (*h).crc_ok()) << "step " << step;
+    }
+    if (live.size() > 32) live.erase(live.begin(), live.begin() + 16);
+  }
+  EXPECT_GT(pool->crc_checks(), 0u);
+}
+
 // --- bus-level isolation ----------------------------------------------------
 
 struct RecordingSink : tta::BusReceiver {
   tta::NodeId id = 0;
   std::uint64_t frames = 0;
   std::uint64_t crc_bad = 0;
-  void on_frame(const tta::Frame& f, sim::SimTime) override {
+  void on_frame(const tta::FrameHandle& h, sim::SimTime) override {
     ++frames;
-    if (!f.crc_ok()) ++crc_bad;
+    if (!h.crc_ok()) ++crc_bad;
   }
   [[nodiscard]] tta::NodeId node_id() const override { return id; }
 };
@@ -276,7 +414,7 @@ TEST(BitFaultPlane, FlipLogIsSeedStable) {
 
 TEST(BitFaultPlane, DisabledPlaneStaysSilent) {
   scenario::Fig10System rig({.seed = 5});
-  rig.injector().bitfault_plane();  // constructed, nothing armed
+  (void)rig.injector().bitfault_plane();  // constructed, nothing armed
   rig.run(sim::milliseconds(200));
   EXPECT_TRUE(rig.injector().bitfault_plane().log().records().empty());
   EXPECT_FALSE(rig.injector().bitfault_plane().any_active());

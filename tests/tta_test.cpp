@@ -276,6 +276,72 @@ TEST(Cluster, ReceiverLocalCorruptionSeenOnlyByThatReceiver) {
   EXPECT_EQ(crc_errors[3], 0);
 }
 
+TEST(Cluster, ReceiverStageCorruptionIsNodeInternal) {
+  // Receiver-stage corruption privatizes the node's pending frame inside
+  // the node; it is not a channel fault, so the bus's copy-on-corrupt
+  // counter stays put and the peers keep verifying the shared slot.
+  sim::Simulator sim(121);
+  Cluster cluster(sim, small_cluster());
+  std::map<NodeId, int> crc_errors;
+  std::map<NodeId, int> correct;
+  for (NodeId i = 0; i < cluster.size(); ++i) {
+    cluster.node(i).observation_sink = [&crc_errors, &correct,
+                                        i](const SlotObservation& o) {
+      if (o.verdict == SlotVerdict::kCrcError) ++crc_errors[i];
+      if (o.verdict == SlotVerdict::kCorrect) ++correct[i];
+    };
+  }
+  const auto& pool = cluster.bus().frame_pool();
+  const std::uint64_t copies0 = pool->corrupt_copies();
+  cluster.node(1).faults().rx_corrupt_prob = 1.0;
+  cluster.start();
+  sim.run_until(sim::SimTime{0} + sim::milliseconds(50));
+
+  EXPECT_GT(crc_errors[1], 30);
+  EXPECT_EQ(correct[1], 0);
+  for (NodeId i : {0u, 2u, 3u}) {
+    EXPECT_EQ(crc_errors[i], 0) << "observer " << i;
+    EXPECT_GT(correct[i], 30) << "observer " << i;
+  }
+  EXPECT_EQ(pool->corrupt_copies(), copies0);
+}
+
+TEST(Cluster, RestartAndReintegrationReleaseThePendingFrame) {
+  // The pending slot holds a pooled handle; restart() and reintegrate()
+  // must release it, or every restart would pin a pool slot.
+  sim::Simulator sim(122);
+  Cluster cluster(sim, small_cluster());
+  const auto& pool = cluster.bus().frame_pool();
+  const auto& sched = cluster.schedule();
+  // A private pending copy on node 1 makes its release observable.
+  cluster.node(1).faults().rx_corrupt_prob = 1.0;
+  cluster.start();
+  sim.run_until(sim::SimTime{0} + sim::milliseconds(20));
+
+  RoundId round = sched.round_at(sim.now()) + 1;
+  for (int i = 0; i < 100; ++i, ++round) {
+    // Mid-slot of node 0's transmission: the peers share the master, node
+    // 1 holds its private corrupted copy.
+    sim.run_until(sched.slot_start(round, sched.slot_of(0)) +
+                  sim::microseconds(250));
+    ASSERT_EQ(pool->in_use(), 2u) << "restart " << i;
+    cluster.node(1).restart();
+    EXPECT_EQ(pool->in_use(), 1u) << "restart " << i;
+  }
+
+  cluster.node(1).faults().rx_corrupt_prob = 0.0;
+
+  // Quartz failure then repair: node 2 churns through desync and
+  // re-integration cycles, each abandoning whatever it held pending.
+  cluster.node(2).clock().set_drift_ppm(20'000.0);
+  sim.run_until(sim.now() + sim::milliseconds(100));
+  cluster.node(2).clock().set_drift_ppm(10.0);
+  sim.run_until(sim.now() + sim::milliseconds(100));
+  EXPECT_TRUE(cluster.node(2).in_sync());
+  EXPECT_LE(pool->in_use(), cluster.size() + 1);
+  EXPECT_LE(pool->slots(), 2 * cluster.size());
+}
+
 TEST(Cluster, DelayedTransmitterSeenAsTimingError) {
   sim::Simulator sim(111);
   Cluster cluster(sim, small_cluster());
