@@ -16,7 +16,9 @@
 //     zero legacy failovers — the overlay self-heals by construction.
 //  3. 512-FRU end-to-end: the N=64 flagship run additionally loses an
 //     assessor position (host 42) mid-run next to the faulty component;
-//     both must be convicted, still with zero failovers.
+//     both must be convicted, still with zero failovers. Its receive-side
+//     decode work (records decoded per frame reception, --json only) is
+//     gated exactly: receivers decode only the records they host.
 //
 // Counts and latencies are deterministic (fixed seed, logical time), so
 // the --json export is gated in CI against a checked-in baseline by
@@ -209,6 +211,22 @@ int main(int argc, char** argv) {
         rig.diag().first_component_violation(42).has_value() &&
         rig.diag().component_trust(42) < 0.5;
     const auto stats = rig.diag().hierarchy_stats();
+    // Receive-side decode work: each component decodes only the records
+    // it hosts a receiver for, a fraction of each ~19-record frame. An
+    // unfiltered decode shows up here as the full frame size. Every
+    // correct slot verdict is one frame delivered to a component.
+    const std::uint64_t receptions =
+        rig.sim().metrics().counter("tta.slot_verdicts", "verdict=correct")
+            .value();
+    std::uint64_t decoded = 0;
+    for (platform::ComponentId c = 0; c < rig.system().component_count();
+         ++c) {
+      decoded += rig.system().component(c).records_decoded();
+    }
+    reporter.set_info("records_decoded_per_reception",
+                      receptions == 0 ? 0.0
+                                      : static_cast<double>(decoded) /
+                                            static_cast<double>(receptions));
     flagship_converged = faulty_convicted && dead_assessor_convicted;
     flagship_failovers = rig.diag().failovers();
     std::printf("  victim 21 %s, dead assessor 42 %s, failovers %llu\n",

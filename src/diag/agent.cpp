@@ -174,29 +174,35 @@ void Agent::flush(platform::JobContext& ctx) {
   const tta::RoundId round = ctx.round();
 
   // LIF temporal monitor: has any locally hosted, spec'd port gone silent
-  // beyond its gap tolerance?
-  for (const auto& pc : system_.plan().ports()) {
-    if (pc.vnet == platform::kDiagnosticVnet) continue;
-    if (system_.job(pc.owner).host() != component_) continue;
-    const auto spec = specs_.find(pc.id);
-    if (!spec || spec->period_rounds == 0) continue;
-    const tta::RoundId last = last_sent_.contains(pc.id) ? last_sent_[pc.id] : 0;
-    const auto limit = static_cast<tta::RoundId>(spec->period_rounds) *
-                       spec->gap_tolerance_periods;
-    if (round > last + limit) {
-      // Rate-limit to one report per tolerance window.
-      auto& last_report = last_gap_report_[pc.id];
-      if (round >= last_report + limit) {
-        last_report = round;
-        Symptom s;
-        s.type = SymptomType::kMessageGap;
-        s.observer = component_;
-        s.subject_component = component_;
-        s.subject_job = pc.owner;
-        s.round = round;
-        s.magnitude = static_cast<double>(round - last);
-        note(s);
-      }
+  // beyond its gap tolerance? The plan is frozen before the first dispatch,
+  // so the agent's own ports are collected once and then walked alone.
+  if (!monitored_built_) {
+    monitored_built_ = true;
+    for (const auto& pc : system_.plan().ports()) {
+      if (pc.vnet == platform::kDiagnosticVnet) continue;
+      if (system_.job(pc.owner).host() != component_) continue;
+      const auto spec = specs_.find(pc.id);
+      if (!spec || spec->period_rounds == 0) continue;
+      monitored_.push_back(MonitoredPort{
+          pc.id, pc.owner,
+          static_cast<tta::RoundId>(spec->period_rounds) *
+              spec->gap_tolerance_periods});
+    }
+  }
+  for (MonitoredPort& mp : monitored_) {
+    const auto sent_it = last_sent_.find(mp.port);
+    const tta::RoundId last = sent_it == last_sent_.end() ? 0 : sent_it->second;
+    // Rate-limit to one report per tolerance window.
+    if (round > last + mp.limit && round >= mp.last_report + mp.limit) {
+      mp.last_report = round;
+      Symptom s;
+      s.type = SymptomType::kMessageGap;
+      s.observer = component_;
+      s.subject_component = component_;
+      s.subject_job = mp.owner;
+      s.round = round;
+      s.magnitude = static_cast<double>(round - last);
+      note(s);
     }
   }
 

@@ -155,7 +155,16 @@ class Agent {
 
   /// LIF temporal monitor: last round each local port was seen sending.
   std::map<platform::PortId, tta::RoundId> last_sent_;
-  std::map<platform::PortId, tta::RoundId> last_gap_report_;
+  /// The gap monitor's ports: locally hosted, spec'd with a period, not on
+  /// the diagnostic vnet. Built at the first flush, ascending port id.
+  struct MonitoredPort {
+    platform::PortId port;
+    platform::JobId owner;
+    tta::RoundId limit;  // period_rounds * gap_tolerance_periods
+    tta::RoundId last_report = 0;
+  };
+  std::vector<MonitoredPort> monitored_;
+  bool monitored_built_ = false;
 
   // Cluster-wide aggregates (all agents of one simulator share the cells).
   obs::Counter heartbeats_metric_;

@@ -7,13 +7,14 @@
 namespace decos::diag {
 
 Assessor::Assessor(Params p, fault::SpatialLayout layout,
-                   std::uint32_t component_count, std::uint32_t /*job_count*/)
+                   std::uint32_t component_count, std::uint32_t job_count)
     : p_(p),
       classifier_(p.classifier, std::move(layout)),
       store_(p.evidence),
       component_count_(component_count),
       summary_(classifier_.summarize(store_, component_count)),
       component_trust_(component_count, p.trust.initial),
+      jobs_(job_count),
       component_trajectories_(component_count),
       was_stale_(component_count, false),
       channels_(component_count),
@@ -66,11 +67,22 @@ void Assessor::register_agent(platform::JobId agent_job,
   agent_component_[agent_job] = component;
 }
 
+Assessor::JobState& Assessor::enrol(platform::JobId j) {
+  if (j >= jobs_.size()) jobs_.resize(j + 1);
+  JobState& js = jobs_[j];
+  if (!js.enrolled) {
+    js.enrolled = true;
+    js.trust = p_.trust.initial;
+    subjects_.insert(std::lower_bound(subjects_.begin(), subjects_.end(), j),
+                     j);
+  }
+  return js;
+}
+
 void Assessor::register_subject_job(platform::JobId job,
                                     platform::ComponentId host) {
   jobs_by_host_[host].push_back(job);
-  job_host_[job] = host;
-  job_trust_.emplace(job, p_.trust.initial);
+  enrol(job).host = host;
   if (job >= job_hits_.size()) job_hits_.resize(job + 1, 0);
 }
 
@@ -106,7 +118,7 @@ void Assessor::note_component_trust(platform::ComponentId c) {
 }
 
 void Assessor::note_job_trust(platform::JobId j) {
-  if (job_trust_.at(j) < p_.trust.violation_threshold &&
+  if (jobs_[j].trust < p_.trust.violation_threshold &&
       !job_violation_round_.contains(j)) {
     job_violation_round_[j] = round_;
     violations_metric_.inc();
@@ -147,9 +159,7 @@ double Assessor::evidence_quality(platform::ComponentId c) const {
 }
 
 double Assessor::job_evidence_quality(platform::JobId j) const {
-  auto it = job_host_.find(j);
-  if (it == job_host_.end()) return evidence_quality(0);
-  return evidence_quality(it->second);
+  return evidence_quality(host_or_zero(j));
 }
 
 std::vector<platform::ComponentId> Assessor::stale_components() const {
@@ -376,11 +386,12 @@ void Assessor::process(platform::JobContext& ctx) {
       note_component_trust(c);
     }
   }
-  for (auto& [j, trust] : job_trust_) {
+  for (const platform::JobId j : subjects_) {
+    double& trust = jobs_[j].trust;
     const std::uint32_t hits = j < job_hits_.size() ? job_hits_[j] : 0;
     if (hits == 0) {
-      auto host_it = job_host_.find(j);
-      if (host_it == job_host_.end() || !channel_degraded(host_it->second)) {
+      const platform::ComponentId host = jobs_[j].host;
+      if (host == kNoHost || !channel_degraded(host)) {
         trust = std::min(1.0, trust + p_.trust.recovery);
       }
     } else {
@@ -534,12 +545,13 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
       queue_clear_delta(false, c, component_trust_[c]);
     }
   }
-  for (const auto& [j, trust] : job_trust_) {
-    const auto host_it = job_host_.find(j);
-    if (host_it == job_host_.end()) continue;
-    if (!topo_->is_tester(position_, host_it->second)) continue;
+  for (const platform::JobId j : subjects_) {
+    JobState& js = jobs_[j];
+    if (js.host == kNoHost) continue;
+    if (!topo_->is_tester(position_, js.host)) continue;
+    const double trust = js.trust;
     const bool suspect = trust < p_.trust.violation_threshold;
-    bool& active = job_delta_active_[j];
+    bool& active = js.delta_active;
     if (suspect && (!active || refresh)) {
       active = true;
       emit(true, j, trust);
@@ -615,13 +627,13 @@ void Assessor::reset_component_trust(platform::ComponentId c) {
 }
 
 void Assessor::reset_job_trust(platform::JobId j) {
-  job_trust_[j] = p_.trust.initial;
+  JobState& js = enrol(j);
+  js.trust = p_.trust.initial;
   job_violation_round_.erase(j);
   if (hierarchical()) {
     delta_cache_.erase(DeltaKey{true, j});
-    auto it = job_delta_active_.find(j);
-    if (it != job_delta_active_.end() && it->second) {
-      it->second = false;
+    if (js.delta_active) {
+      js.delta_active = false;
       queue_clear_delta(true, j, p_.trust.initial);
     }
   }
@@ -641,14 +653,11 @@ void Assessor::reconcile_from(const Assessor& fresher) {
       if (!inserted) mine->second = std::min(mine->second, vit->second);
     }
   }
-  for (auto& [j, trust] : job_trust_) {
-    auto host_it = job_host_.find(j);
-    const platform::ComponentId host =
-        host_it == job_host_.end() ? 0 : host_it->second;
-    auto theirs = fresher.job_trust_.find(j);
-    if (theirs != fresher.job_trust_.end() &&
+  for (const platform::JobId j : subjects_) {
+    const platform::ComponentId host = host_or_zero(j);
+    if (fresher.enrolled(j) &&
         fresher.channels_[host].last_heard >= channels_[host].last_heard) {
-      trust = theirs->second;
+      jobs_[j].trust = fresher.jobs_[j].trust;
     }
   }
   for (const auto& [j, r] : fresher.job_violation_round_) {
@@ -687,9 +696,7 @@ Diagnosis Assessor::diagnose_component(platform::ComponentId c) const {
 }
 
 Diagnosis Assessor::diagnose_job(platform::JobId j) const {
-  const auto host_it = job_host_.find(j);
-  const platform::ComponentId host =
-      host_it == job_host_.end() ? 0 : host_it->second;
+  const platform::ComponentId host = host_or_zero(j);
   const Diagnosis host_diag = diagnose_component(host);
   static const std::vector<platform::JobId> kNoSiblings;
   const auto sib_it = jobs_by_host_.find(host);

@@ -19,10 +19,17 @@
 // quietly recover toward 1.0 — silence of the monitor is not health of
 // the monitored. Retransmitted symptoms are deduplicated on their
 // observation key so resends never double-charge trust.
+//
+// Per-FRU state is dense: component state in vectors indexed by
+// ComponentId, per-job trust, host and dissemination flag in one vector
+// indexed by JobId (sized from the job count, grown on enrolment). The
+// per-round passes walk these arrays, never a tree, so a position's round
+// costs O(components + jobs) array work plus its slice's emissions.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -235,9 +242,9 @@ class Assessor {
   [[nodiscard]] double component_trust(platform::ComponentId c) const {
     return component_trust_.at(c);
   }
+  /// Trust of an enrolled job; 1.0 for a job the assessor never heard of.
   [[nodiscard]] double job_trust(platform::JobId j) const {
-    auto it = job_trust_.find(j);
-    return it == job_trust_.end() ? 1.0 : it->second;
+    return enrolled(j) ? jobs_[j].trust : 1.0;
   }
   [[nodiscard]] const std::vector<TrustSample>& component_trajectory(
       platform::ComponentId c) const {
@@ -309,10 +316,34 @@ class Assessor {
   EvidenceSummary summary_;
   std::map<platform::JobId, platform::ComponentId> agent_component_;
   std::map<platform::ComponentId, std::vector<platform::JobId>> jobs_by_host_;
-  std::map<platform::JobId, platform::ComponentId> job_host_;
 
   std::vector<double> component_trust_;
-  std::map<platform::JobId, double> job_trust_;
+  /// Per-job state, indexed by JobId. A job is enrolled by
+  /// register_subject_job or by reset_job_trust; only enrolled jobs carry
+  /// trust, and only registered ones know their host.
+  static constexpr platform::ComponentId kNoHost =
+      std::numeric_limits<platform::ComponentId>::max();
+  struct JobState {
+    double trust = 1.0;
+    platform::ComponentId host = kNoHost;
+    bool enrolled = false;
+    /// Hierarchy mode: an emitted suspicion stands (not yet cleared).
+    bool delta_active = false;
+  };
+  std::vector<JobState> jobs_;
+  /// Enrolled jobs in ascending JobId order: the trust and emission passes
+  /// walk this list, so the dissemination FIFO order is ascending JobId.
+  std::vector<platform::JobId> subjects_;
+  [[nodiscard]] bool enrolled(platform::JobId j) const {
+    return j < jobs_.size() && jobs_[j].enrolled;
+  }
+  /// Enrols `j` (idempotent) with initial trust; returns its state.
+  JobState& enrol(platform::JobId j);
+  /// Host of `j`, or component 0 when unknown (the classification and
+  /// reconciliation fallback).
+  [[nodiscard]] platform::ComponentId host_or_zero(platform::JobId j) const {
+    return j < jobs_.size() && jobs_[j].host != kNoHost ? jobs_[j].host : 0;
+  }
   std::vector<std::vector<TrustSample>> component_trajectories_;
   tta::RoundId round_ = 0;
   tta::RoundId last_sample_ = 0;
@@ -388,7 +419,6 @@ class Assessor {
   std::deque<PendingDelta> dissem_out_;
   /// Per slice FRU: an emitted suspicion stands (not yet cleared).
   std::vector<bool> comp_delta_active_;
-  std::map<platform::JobId, bool> job_delta_active_;
   tta::RoundId last_delta_refresh_ = 0;
 
   /// Accepts/dedupes/merges/forwards one incoming delta message.

@@ -19,11 +19,13 @@ void Component::host_port(PortId port) { mux_.host_port(port); }
 
 void Component::bind() {
   local_receivers_.assign(plan_.ports().size(), {});
+  hosted_port_mask_.assign(plan_.ports().size(), 0);
   for (const vnet::PortConfig& pc : plan_.ports()) {
     for (JobId receiver : pc.receivers) {
       auto it = jobs_.find(receiver);
       if (it != jobs_.end()) local_receivers_[pc.id].push_back(it->second);
     }
+    hosted_port_mask_[pc.id] = local_receivers_[pc.id].empty() ? 0 : 1;
   }
   node_.payload_provider = [this](tta::RoundId round,
                                   std::vector<std::uint8_t>& out) {
@@ -31,7 +33,12 @@ void Component::bind() {
   };
   node_.delivery_handler = [this](tta::NodeId, const std::vector<std::uint8_t>& payload,
                                   tta::RoundId) {
-    mux_.unpack_arrival(payload, arrival_scratch_);
+    // Records nobody here receives are skipped undecoded — except under a
+    // stored-record mutator, which corrupts every record this memory holds.
+    const std::span<const std::uint8_t> mask =
+        delivery_mutator ? std::span<const std::uint8_t>{} : hosted_port_mask_;
+    mux_.unpack_arrival(payload, arrival_scratch_, mask);
+    records_decoded_ += arrival_scratch_.size();
     for (const vnet::Message& m : arrival_scratch_) {
       route_local(m);
     }

@@ -7,6 +7,10 @@
 // queues through the multiplexer under the vnets' bandwidth budgets, packs
 // the result into the frame, and loops drained messages back to local
 // subscribers; on frame arrival it routes records to hosted receiver jobs.
+// Arrival decodes only the records on ports with a hosted receiver (a mask
+// precomputed in bind()), so a receiver's per-frame work follows what it
+// hosts, not the frame size — unless a delivery_mutator is installed, which
+// sees every arriving record (see below).
 //
 // Because every hosted job shares this node's physical resources, a
 // component-internal hardware fault disturbs *all* of them at once — the
@@ -68,9 +72,19 @@ class Component {
   /// Value-domain corruption of the record as stored in this component's
   /// memory (SEU in a port buffer): when set, every locally delivered
   /// message passes through the mutator before reaching the hosted
-  /// receiver jobs — all of them read the same corrupted store. Null (the
-  /// default) costs one branch.
+  /// receiver jobs — all of them read the same corrupted store. The
+  /// component's memory holds every arriving record, so while a mutator
+  /// is installed arrivals are decoded in full and the mutator runs once
+  /// per arriving record, hosted receiver or not. Null (the default) costs
+  /// one branch.
   std::function<void(vnet::Message&)> delivery_mutator;
+
+  /// Records decoded from the frames this component's node delivered:
+  /// only records on ports with a hosted receiver, or all of them while a
+  /// delivery_mutator is set.
+  [[nodiscard]] std::uint64_t records_decoded() const {
+    return records_decoded_;
+  }
 
  private:
   void build_payload(tta::RoundId round, std::vector<std::uint8_t>& out);
@@ -85,6 +99,10 @@ class Component {
   /// delivery hot path walks exactly the jobs it will deliver to, instead
   /// of probing the job map once per configured receiver per message.
   std::vector<std::vector<Job*>> local_receivers_;
+  /// Per port: 1 if local_receivers_[port] is non-empty. The arrival
+  /// decode mask (vnet::unpack_into).
+  std::vector<std::uint8_t> hosted_port_mask_;
+  std::uint64_t records_decoded_ = 0;
   /// Round-scratch buffers: cleared every use, capacity kept, so the
   /// steady-state TDMA round allocates nothing on this component.
   std::vector<vnet::Message> drain_scratch_;

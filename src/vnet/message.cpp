@@ -52,7 +52,8 @@ void pack_into(const std::vector<Message>& msgs, tta::RoundId round,
 }
 
 bool unpack_into(std::span<const std::uint8_t> payload,
-                 std::vector<Message>& out) {
+                 std::vector<Message>& out,
+                 std::span<const std::uint8_t> port_mask) {
   out.clear();
   if (payload.size() < 2) return false;
   const std::uint16_t count = get_u16(payload, 0);
@@ -62,9 +63,14 @@ bool unpack_into(std::span<const std::uint8_t> payload,
   out.reserve(count);
   for (std::uint16_t i = 0; i < count; ++i) {
     const std::size_t base = 2 + static_cast<std::size_t>(i) * kWireRecordSize;
+    const std::uint16_t port = get_u16(payload, base + 2);
+    if (!port_mask.empty() &&
+        (port >= port_mask.size() || port_mask[port] == 0)) {
+      continue;
+    }
     Message m;
     m.vnet = get_u16(payload, base);
-    m.port = get_u16(payload, base + 2);
+    m.port = port;
     m.sender = get_u16(payload, base + 4);
     m.kind = payload[base + 6];
     m.seq = get_u32(payload, base + 8);

@@ -49,8 +49,16 @@ void pack_into(const std::vector<Message>& msgs, tta::RoundId round,
 /// kept). Returns false on malformed input (wrong length for its count
 /// prefix) — corrupted frames normally fail the CRC first, so this guards
 /// only against truncation bugs; `out` is left empty in that case.
+///
+/// `port_mask` selects which records are decoded: a record on port `p` is
+/// kept only if `p < port_mask.size()` and `port_mask[p] != 0`; the rest
+/// are skipped without being decoded. An empty mask (the default) decodes
+/// every record. The length check runs first and does not depend on the
+/// mask, so the return value is the same for every mask, and the masked
+/// result equals the unmasked one filtered by port, in wire order.
 bool unpack_into(std::span<const std::uint8_t> payload,
-                 std::vector<Message>& out);
+                 std::vector<Message>& out,
+                 std::span<const std::uint8_t> port_mask = {});
 
 /// Value-returning convenience over pack_into (tests, cold paths).
 [[nodiscard]] std::vector<std::uint8_t> pack(const std::vector<Message>& msgs,

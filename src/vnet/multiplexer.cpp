@@ -104,8 +104,9 @@ std::vector<Message> Multiplexer::drain_messages(tta::RoundId round) {
 }
 
 void Multiplexer::unpack_arrival(std::span<const std::uint8_t> payload,
-                                 std::vector<Message>& out) const {
-  if (!unpack_into(payload, out)) out.clear();
+                                 std::vector<Message>& out,
+                                 std::span<const std::uint8_t> port_mask) const {
+  if (!unpack_into(payload, out, port_mask)) out.clear();
 }
 
 std::vector<Message> Multiplexer::unpack_arrival(

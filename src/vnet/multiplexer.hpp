@@ -52,9 +52,11 @@ class Multiplexer {
   std::function<bool(Message&, tta::RoundId)> drain_filter;
 
   /// Unpacks an arriving payload into `out` (cleared first, capacity
-  /// kept). Malformed payloads yield an empty list.
+  /// kept). Malformed payloads yield an empty list. `port_mask` restricts
+  /// decoding to the selected ports (see unpack_into; empty = all).
   void unpack_arrival(std::span<const std::uint8_t> payload,
-                      std::vector<Message>& out) const;
+                      std::vector<Message>& out,
+                      std::span<const std::uint8_t> port_mask = {}) const;
 
   /// Value-returning convenience over the buffer-filling overload.
   [[nodiscard]] std::vector<Message> unpack_arrival(

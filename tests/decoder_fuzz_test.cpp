@@ -1,14 +1,14 @@
 // Deterministic fuzzing of every byte decoder that faces untrusted input:
-// the vnet wire format (`vnet::unpack_into`), the diagnostic-vnet codecs
-// layered on it (`diag::decode`, `decode_heartbeat`, `decode_delta`) and
-// the garage evidence log (`DiagnosticLog::parse`). A seeded in-tree
-// mutator takes valid encodings and applies bit flips, truncations and
-// extensions; every mutant is fed to the decoders, which must not crash
-// (the ASan/UBSan build turns any out-of-bounds read or undefined
-// conversion into a failure) and whose accepted results must satisfy the
-// field ranges documented in vnet/message.hpp, diag/symptom.hpp and
-// diag/log.hpp. Fixed seeds and iteration counts keep the run identical
-// on every build.
+// the vnet wire format (`vnet::unpack_into`, with and without its port
+// mask), the diagnostic-vnet codecs layered on it (`diag::decode`,
+// `decode_heartbeat`, `decode_delta`) and the garage evidence log
+// (`DiagnosticLog::parse`). A seeded in-tree mutator takes valid encodings
+// and applies bit flips, truncations and extensions; every mutant is fed
+// to the decoders, which must not crash (the ASan/UBSan build turns any
+// out-of-bounds read or undefined conversion into a failure) and whose
+// accepted results must satisfy the field ranges documented in
+// vnet/message.hpp, diag/symptom.hpp and diag/log.hpp. Fixed seeds and
+// iteration counts keep the run identical on every build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -222,6 +222,63 @@ TEST(DecoderFuzz, VnetUnpackAndDiagCodecsStayInRange) {
   // The mutator must not be so destructive that nothing gets through.
   EXPECT_GT(accepted, static_cast<std::size_t>(kIterations) / 10);
   EXPECT_GT(decoded, static_cast<std::size_t>(kIterations) / 4);
+}
+
+bool same_record(const vnet::Message& a, const vnet::Message& b) {
+  return a.vnet == b.vnet && a.port == b.port && a.sender == b.sender &&
+         a.kind == b.kind && a.seq == b.seq && a.aux == b.aux &&
+         a.sent_round == b.sent_round &&
+         std::memcmp(&a.value, &b.value, sizeof a.value) == 0;
+}
+
+// The port mask is a pure filter: on every fuzzed payload, decoding with a
+// random mask gives the same verdict as the unmasked decode and exactly
+// its records on selected ports, in wire order; an empty mask decodes
+// everything. Masks are sometimes shorter than the port range in the
+// payload (ports past the mask are unselected), and bit flips land in the
+// port field too.
+TEST(DecoderFuzz, MaskedUnpackIsUnmaskedFilteredByPort) {
+  sim::Rng rng(0xF022'0004);
+  std::vector<vnet::Message> all;
+  std::vector<vnet::Message> masked;
+  std::vector<std::uint8_t> mask;
+  std::size_t accepted = 0;
+  std::size_t skipped = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    std::vector<std::uint8_t> bytes =
+        vnet::pack(random_diag_messages(rng), /*round=*/0);
+    if (rng.bernoulli(0.5)) mutate(rng, bytes, "");
+    mask.assign(pick(rng, 20), 0);
+    for (std::uint8_t& bit : mask) bit = rng.bernoulli(0.4) ? 1 : 0;
+
+    const bool ok = vnet::unpack_into(bytes, all);
+    ASSERT_EQ(vnet::unpack_into(bytes, masked, mask), ok);
+    if (!ok) {
+      EXPECT_TRUE(masked.empty());
+      continue;
+    }
+    ++accepted;
+    std::vector<vnet::Message> expected;
+    for (const vnet::Message& m : all) {
+      if (mask.empty() || (m.port < mask.size() && mask[m.port] != 0)) {
+        expected.push_back(m);
+      }
+    }
+    skipped += all.size() - expected.size();
+    ASSERT_EQ(masked.size(), expected.size());
+    for (std::size_t r = 0; r < expected.size(); ++r) {
+      EXPECT_TRUE(same_record(masked[r], expected[r])) << "record " << r;
+    }
+
+    ASSERT_TRUE(vnet::unpack_into(bytes, masked, {}));
+    ASSERT_EQ(masked.size(), all.size());
+    for (std::size_t r = 0; r < all.size(); ++r) {
+      EXPECT_TRUE(same_record(masked[r], all[r])) << "record " << r;
+    }
+  }
+  // Both sides of the filter must actually be exercised.
+  EXPECT_GT(accepted, static_cast<std::size_t>(kIterations) / 4);
+  EXPECT_GT(skipped, static_cast<std::size_t>(kIterations) / 4);
 }
 
 // Raw message fields, not just byte images of valid encodings: every kind

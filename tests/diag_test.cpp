@@ -2,12 +2,15 @@
 // grouping, evidence store, and — the heart of the reproduction — the
 // end-to-end classification of every fault class of the maintenance-
 // oriented model on the Fig. 10 system: inject, run, diagnose, compare
-// with ground truth.
+// with ground truth. The assessor's per-job state is also driven
+// directly, one hand-built inbox per round.
 #include <gtest/gtest.h>
 
+#include "diag/assessor.hpp"
 #include "diag/classifier.hpp"
 #include "diag/evidence.hpp"
 #include "diag/symptom.hpp"
+#include "platform/job.hpp"
 #include "scenario/fig10.hpp"
 
 namespace decos::diag {
@@ -136,6 +139,167 @@ TEST(EvidenceStore, PruneDropsOldDetailKeepsTotals) {
   ev.prune(500);
   EXPECT_TRUE(ev.about(1).empty());
   EXPECT_EQ(ev.total_subject_rounds(1), 50u);  // totals survive pruning
+}
+
+// --- assessor per-job state ------------------------------------------------------
+
+// Agent job reporting for component c: kAgentBase + c.
+constexpr platform::JobId kAgentBase = 800;
+
+// Runs an Assessor one round at a time over a hand-built inbox and keeps
+// what it sends (verdict deltas in hierarchy mode).
+struct AssessorHarness {
+  platform::Job job{platform::Job::Params{.id = 900},
+                    [](platform::JobContext&) {}, sim::Rng(1)};
+  std::vector<vnet::Message> sent;
+
+  void round(Assessor& a, tta::RoundId r,
+             const std::vector<vnet::Message>& inbox) {
+    auto send = [&](platform::PortId port, double value, std::uint8_t kind,
+                    std::uint32_t aux) {
+      vnet::Message m;
+      m.port = port;
+      m.value = value;
+      m.kind = kind;
+      m.aux = aux;
+      m.sent_round = r;
+      sent.push_back(m);
+      return true;
+    };
+    platform::JobContext ctx(job, r, sim::SimTime{0}, inbox, send);
+    a.process(ctx);
+  }
+
+  [[nodiscard]] std::vector<std::uint32_t> job_delta_frus() const {
+    std::vector<std::uint32_t> frus;
+    for (const vnet::Message& m : sent) {
+      const auto d = decode_delta(m);
+      if (d && d->job_level && !d->clear) frus.push_back(d->fru);
+    }
+    return frus;
+  }
+};
+
+// A value-out-of-range symptom about job `j`, from its host's agent.
+vnet::Message job_symptom(platform::JobId j, platform::ComponentId host,
+                          tta::RoundId r) {
+  Symptom s;
+  s.type = SymptomType::kValueOutOfRange;
+  s.observer = host;
+  s.subject_component = host;
+  s.subject_job = j;
+  s.round = r;
+  s.magnitude = 1.0;
+  vnet::Message m = encode(s, r);
+  m.sent_round = r;
+  m.sender = static_cast<platform::JobId>(kAgentBase + host);
+  return m;
+}
+
+Assessor make_assessor(const Assessor::Params& p, std::uint32_t job_count) {
+  return Assessor(p, fault::SpatialLayout::linear(4), 4, job_count);
+}
+
+void register_agents(Assessor& a) {
+  for (platform::ComponentId c = 0; c < 4; ++c) {
+    a.register_agent(static_cast<platform::JobId>(kAgentBase + c), c);
+  }
+}
+
+TEST(AssessorJobState, OutOfOrderRegistrationKeepsAscendingJobOrder) {
+  Assessor::Params p;
+  p.trust.drop = 0.2;  // one symptomatic round crosses the 0.9 threshold
+  Assessor a = make_assessor(p, /*job_count=*/3);
+  register_agents(a);
+  // Non-contiguous ids, registered out of order, one past job_count.
+  a.register_subject_job(9, 3);
+  a.register_subject_job(2, 1);
+  a.register_subject_job(5, 2);
+  a.enable_hierarchy(HierarchyTopology({0}, 4), 0, /*dissem_port=*/7);
+
+  AssessorHarness d;
+  d.round(a, 1, {job_symptom(9, 3, 1), job_symptom(2, 1, 1),
+                 job_symptom(5, 2, 1)});
+  for (const platform::JobId j : {2, 5, 9}) {
+    EXPECT_DOUBLE_EQ(a.job_trust(j), 0.8) << "job " << j;
+    EXPECT_EQ(a.first_job_violation(j), std::optional<tta::RoundId>(1));
+  }
+  // Suspicions are emitted in ascending JobId order, whatever the
+  // registration order.
+  EXPECT_EQ(d.job_delta_frus(), (std::vector<std::uint32_t>{2, 5, 9}));
+
+  // The periodic refresh re-emits the standing suspicions in the same
+  // order; healthy rounds in between emit nothing about jobs.
+  d.sent.clear();
+  for (tta::RoundId r = 2; r <= 1 + p.delta_refresh_period; ++r) {
+    d.round(a, r, {});
+  }
+  EXPECT_EQ(d.job_delta_frus(), (std::vector<std::uint32_t>{2, 5, 9}));
+}
+
+TEST(AssessorJobState, UnregisteredJobReadsFullTrust) {
+  Assessor::Params p;
+  p.trust.initial = 0.7;
+  Assessor a = make_assessor(p, /*job_count=*/3);
+  a.register_subject_job(1, 0);
+  EXPECT_DOUBLE_EQ(a.job_trust(1), 0.7);
+  EXPECT_DOUBLE_EQ(a.job_trust(0), 1.0);      // inside job_count
+  EXPECT_DOUBLE_EQ(a.job_trust(2), 1.0);
+  EXPECT_DOUBLE_EQ(a.job_trust(40000), 1.0);  // far past it
+  EXPECT_FALSE(a.first_job_violation(40000).has_value());
+}
+
+TEST(AssessorJobState, ResetEnrolsNeverRegisteredJob) {
+  Assessor::Params p;
+  p.trust.initial = 0.5;
+  Assessor a = make_assessor(p, /*job_count=*/3);
+  register_agents(a);
+  EXPECT_DOUBLE_EQ(a.job_trust(7), 1.0);
+  a.reset_job_trust(7);
+  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5);
+  // Enrolled without a host: it recovers on every round (no agent channel
+  // can be stale for it) and classifies against component 0.
+  AssessorHarness d;
+  d.round(a, 1, {});
+  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5 + p.trust.recovery);
+  d.round(a, 2, {});
+  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5 + 2 * p.trust.recovery);
+  EXPECT_EQ(a.diagnose_job(7).cls, fault::FaultClass::kNone);
+  EXPECT_DOUBLE_EQ(a.job_evidence_quality(7), a.evidence_quality(0));
+}
+
+TEST(AssessorJobState, ReconcileAcrossDifferentSubjectSets) {
+  Assessor::Params p;
+  p.trust.drop = 0.2;
+  Assessor a = make_assessor(p, /*job_count=*/5);
+  Assessor b = make_assessor(p, /*job_count=*/5);
+  register_agents(a);
+  register_agents(b);
+  a.register_subject_job(1, 1);
+  a.register_subject_job(3, 2);
+  b.register_subject_job(3, 2);
+  b.register_subject_job(4, 3);
+
+  AssessorHarness d;
+  d.round(a, 1, {});
+  d.round(b, 1, {job_symptom(3, 2, 1), job_symptom(4, 3, 1)});
+  ASSERT_DOUBLE_EQ(b.job_trust(3), 0.8);
+
+  // b heard job 3's host more recently: a adopts b's trust for the job
+  // both assess, keeps its own for job 1, and does not enrol job 4.
+  a.reconcile_from(b);
+  EXPECT_DOUBLE_EQ(a.job_trust(3), 0.8);
+  EXPECT_DOUBLE_EQ(a.job_trust(1), 1.0);
+  EXPECT_DOUBLE_EQ(a.job_trust(4), 1.0);
+
+  // The other way round, b's fresher channel wins and its own trust for
+  // job 3 stands; job 4, unknown to a, is untouched.
+  Assessor c = make_assessor(p, /*job_count=*/5);
+  register_agents(c);
+  c.register_subject_job(3, 2);
+  b.reconcile_from(c);
+  EXPECT_DOUBLE_EQ(b.job_trust(3), 0.8);
+  EXPECT_DOUBLE_EQ(b.job_trust(4), 0.8);
 }
 
 // --- end-to-end classification -----------------------------------------------------

@@ -1,7 +1,8 @@
 // Tests for the platform layer: sensors and their fault modes, job
 // dispatch semantics and software faults, and full System integration —
 // jobs on different components exchanging messages over the TDMA bus,
-// local loopback, DAS encapsulation bookkeeping, and determinism.
+// local loopback, DAS encapsulation bookkeeping, determinism, and the
+// receive side's decode-only-hosted-records delivery.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -364,6 +365,128 @@ TEST(System, DeterministicEndToEnd) {
   };
   EXPECT_EQ(run(9), run(9));
   EXPECT_NE(run(9), run(10));
+}
+
+// --- receive-side delivery ------------------------------------------------------
+
+// Component 0 sends one record per round on port A (received by two jobs
+// on component 1 and one on component 2) and one on port B (received on
+// component 2 only), so component 1 hosts a receiver for A but not for B.
+struct DeliveryRig {
+  TestRig rig;
+  PortId port_a = 0;
+  PortId port_b = 0;
+  std::vector<JobId> on_c1;  // the two port-A receivers on component 1
+  /// Every record each receiver job saw, in inbox order.
+  std::map<JobId, std::vector<vnet::Message>> inboxes;
+
+  DeliveryRig() {
+    System& sys = rig.system;
+    const DasId das = sys.add_das("app", Criticality::kNonSafetyCritical);
+    const VnetId vn = sys.add_vnet("app", 4, 8);
+    Job& src = sys.add_job(das, "src", 0, [this](JobContext& ctx) {
+      ctx.send(port_a, static_cast<double>(ctx.round()));
+      ctx.send(port_b, -static_cast<double>(ctx.round()));
+    });
+    auto record = [this](JobContext& ctx) {
+      auto& log = inboxes[ctx.job().id()];
+      log.insert(log.end(), ctx.inbox().begin(), ctx.inbox().end());
+    };
+    const JobId r1a = sys.add_job(das, "r1a", 1, record).id();
+    const JobId r1b = sys.add_job(das, "r1b", 1, record).id();
+    const JobId r2 = sys.add_job(das, "r2", 2, record).id();
+    on_c1 = {r1a, r1b};
+    port_a = sys.add_port(src.id(), "a", vn, {r1a, r1b, r2});
+    port_b = sys.add_port(src.id(), "b", vn, {r2});
+    sys.finalize();
+  }
+
+  /// Ends on a round boundary, after component 1's last dispatch, so every
+  /// record it decoded has reached an inbox.
+  void run() {
+    rig.system.start();
+    rig.run_ms(40);
+  }
+};
+
+bool same_record(const vnet::Message& a, const vnet::Message& b) {
+  return a.vnet == b.vnet && a.port == b.port && a.sender == b.sender &&
+         a.kind == b.kind && a.seq == b.seq && a.aux == b.aux &&
+         a.value == b.value && a.sent_round == b.sent_round;
+}
+
+TEST(Delivery, ReceiverDecodesOnlyRecordsItHosts) {
+  DeliveryRig d;
+  d.run();
+  const Component& c1 = d.rig.system.component(1);
+  // Component 1 receives only component 0's frames with records (the
+  // other nodes send empty payloads): one port-A record each, and the
+  // port-B record is skipped undecoded.
+  const std::size_t delivered = d.inboxes[d.on_c1[0]].size();
+  ASSERT_GT(delivered, 10u);
+  EXPECT_EQ(c1.records_decoded(), delivered);
+  EXPECT_EQ(d.inboxes[d.on_c1[1]].size(), delivered);
+  for (const vnet::Message& m : d.inboxes[d.on_c1[0]]) {
+    EXPECT_EQ(m.port, d.port_a);
+  }
+}
+
+TEST(Delivery, MutatorSeesEveryArrivingRecordIncludingUnhostedPorts) {
+  DeliveryRig d;
+  std::map<PortId, std::size_t> mutated;
+  d.rig.system.component(1).delivery_mutator = [&](vnet::Message& m) {
+    ++mutated[m.port];
+  };
+  d.run();
+  const Component& c1 = d.rig.system.component(1);
+  // One call per arriving record: the port-A records its receivers get,
+  // and as many port-B records that no job on component 1 receives.
+  const std::size_t delivered = d.inboxes[d.on_c1[0]].size();
+  ASSERT_GT(delivered, 10u);
+  EXPECT_EQ(mutated[d.port_a], delivered);
+  EXPECT_EQ(mutated[d.port_b], delivered);
+  EXPECT_EQ(c1.records_decoded(), mutated[d.port_a] + mutated[d.port_b]);
+}
+
+TEST(Delivery, MaskedInboxesMatchTheFullDecode) {
+  // An identity mutator forces the full (unmasked) decode without changing
+  // any record, so both runs must fill every inbox identically.
+  DeliveryRig masked;
+  masked.run();
+  DeliveryRig full;
+  for (ComponentId c = 0; c < 4; ++c) {
+    full.rig.system.component(c).delivery_mutator = [](vnet::Message&) {};
+  }
+  full.run();
+  EXPECT_LT(masked.rig.system.component(1).records_decoded(),
+            full.rig.system.component(1).records_decoded());
+  ASSERT_EQ(masked.inboxes.size(), full.inboxes.size());
+  for (const auto& [job, log] : masked.inboxes) {
+    const auto& other = full.inboxes.at(job);
+    ASSERT_EQ(log.size(), other.size()) << "job " << job;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      EXPECT_TRUE(same_record(log[i], other[i])) << "job " << job;
+    }
+  }
+}
+
+TEST(Delivery, FilterConsultedOncePerRecordAndHostedReceiver) {
+  DeliveryRig d;
+  std::map<std::pair<std::uint32_t, JobId>, int> calls;  // (seq, receiver)
+  d.rig.system.component(1).delivery_filter = [&](const vnet::Message& m,
+                                                  JobId receiver) {
+    EXPECT_EQ(m.port, d.port_a);
+    ++calls[{m.seq, receiver}];
+    return true;
+  };
+  d.run();
+  const std::size_t delivered = d.inboxes[d.on_c1[0]].size();
+  ASSERT_GT(delivered, 10u);
+  EXPECT_EQ(calls.size(), 2 * delivered);
+  for (const auto& [key, n] : calls) {
+    EXPECT_EQ(n, 1) << "seq " << key.first << " receiver " << key.second;
+    EXPECT_TRUE(key.second == d.on_c1[0] || key.second == d.on_c1[1]);
+  }
 }
 
 }  // namespace

@@ -42,10 +42,13 @@ set(rules_bench_kernel_hotpath
 # failover path re-engaged. Traffic and latency get a two-sided band, so a
 # last-ulp classifier or libm difference that shifts one detection by a
 # round passes while an O(N^2) traffic blowup or a silent overlay fails.
+# The flagship's records decoded per reception is a pure work count: exact,
+# so a receiver that decodes records it hosts no receiver for fails.
 set(tolerance_bench_hierarchy_scaling 15)
 set(rules_bench_hierarchy_scaling
   "exact scale_convicted" "exact kill_convicted" "exact failovers"
   "exact flagship_converged" "exact frus"
+  "exact records_decoded_per_reception"
   "band msgs_per_round_8" "band msgs_per_round_16" "band msgs_per_round_32"
   "band msgs_per_round_64" "band detect_rounds_8" "band detect_rounds_16"
   "band detect_rounds_32" "band detect_rounds_64")
