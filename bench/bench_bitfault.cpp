@@ -12,10 +12,17 @@
 // *nothing* per round (the perf gate holds this at exactly 0). A second
 // pass arms a receiver-side BER sampler and reports the copy-on-corrupt
 // traffic: corrupted deliveries pay for a private pool slot, pristine
-// ones keep riding the shared master. Each receiver verifies the CRC
-// through its pooled handle, so the faults-off pass also reports the CRC
-// work per transmission: the slot caches its verdict, so it must be
-// exactly one evaluation however many receivers check it (gated).
+// ones keep riding the shared master. Each sender seals its frame in its
+// pool slot, which records the CRC verdict, and each receiver verifies
+// the CRC through its pooled handle; so the faults-off pass reports zero
+// receive-side CRC evaluations per transmission (gated).
+//
+// Section 2b (cluster): the same faults-off measurement on a real 7-node
+// tta::Cluster, whose nodes also close every slot and run the FTA clock
+// sync. Gated: zero allocations per round, zero receive-side CRC
+// evaluations per transmission, and exactly N+2 kernel events per
+// transmission (the transmit, its one delivery event, and one slot close
+// per node).
 //
 // Section 3 (campaign): the wearout/EMI/SEU workloads of
 // scenario/bitfault.hpp, honouring `--ber <rate>` (EMI/SEU receive BER)
@@ -34,6 +41,7 @@
 #include "scenario/bitfault.hpp"
 #include "sim/simulator.hpp"
 #include "tta/bus.hpp"
+#include "tta/cluster.hpp"
 #include "tta/frame.hpp"
 #include "tta/tdma.hpp"
 
@@ -186,29 +194,32 @@ TransmitStats bench_transmit(tta::RoundId rounds, double rx_ber) {
 
   tta::Frame frame;
   frame.payload.assign(96, 0xA5);  // a typical muxed TDMA payload
-  frame.seal();
 
   const std::uint64_t copies0 = bus.frame_pool()->corrupt_copies();
 
   // Self-rescheduling per-node senders, the E18 idiom: each node's chain
   // event transmits its slot and re-arms for the next round, so the event
   // queue stays at its (tiny) steady-state size and the measured region
-  // exercises only the broadcast path — transmit, pooled delivery, hook.
+  // exercises only the broadcast path — seal, transmit, pooled delivery,
+  // hook. Like a TtaNode, the sender seals the frame in its pool slot.
   struct NodeChain {
     sim::Simulator* s = nullptr;
     tta::Bus* bus = nullptr;
     const tta::TdmaSchedule* sched = nullptr;
-    tta::Frame* frame = nullptr;
+    const tta::Frame* frame = nullptr;
     std::uint32_t node = 0;
     tta::RoundId round = 0;
     tta::RoundId stop = 0;
     void arm() {
       s->schedule_at(sched->send_instant(round, node),
                      [this] {
-                       frame->sender = node;
-                       frame->slot = static_cast<tta::SlotId>(node);
-                       frame->round = round;
-                       (void)bus->transmit(node, *frame);
+                       tta::FrameHandle h = bus->frame_pool()->acquire(*frame);
+                       tta::Frame& f = h.mutate();
+                       f.sender = node;
+                       f.slot = static_cast<tta::SlotId>(node);
+                       f.round = round;
+                       h.seal();
+                       (void)bus->transmit(node, std::move(h));
                        if (++round < stop) arm();
                      },
                      sim::EventPriority::kTransport);
@@ -248,6 +259,51 @@ TransmitStats bench_transmit(tta::RoundId rounds, double rx_ber) {
   return t;
 }
 
+// --- section 2b: faults-off cluster -------------------------------------------
+
+struct ClusterStats {
+  double rounds_per_sec = 0.0;
+  double allocs_per_round = 0.0;
+  double events_per_tx = 0.0;
+  double crc_checks_per_tx = 0.0;
+};
+
+ClusterStats bench_cluster(tta::RoundId rounds) {
+  constexpr std::uint32_t kNodes = 7;
+  sim::Simulator s(7);
+  tta::Cluster cluster(s, tta::Cluster::Params{.node_count = kNodes});
+  cluster.start();
+  const tta::TdmaSchedule& sched = cluster.schedule();
+  tta::Bus& bus = cluster.bus();
+
+  // Window edges sit mid-slot 0, after node 0's transmission has been
+  // delivered and before any node closes the slot, so both edges split
+  // the event stream at the same point of the round.
+  const sim::Duration half_slot{sched.params().slot_length.ns() / 2};
+  auto edge = [&](tta::RoundId r) { return sched.slot_start(r, 0) + half_slot; };
+
+  s.run_until(edge(256));  // warm-up: pool, batches, sync buffers, kernel
+  const std::uint64_t events0 = s.events_executed();
+  const std::uint64_t sent0 = bus.frames_sent();
+  const std::uint64_t checks0 = bus.frame_pool()->crc_checks();
+  const auto a0 = g_allocs;
+  const auto w0 = std::chrono::steady_clock::now();
+  s.run_until(edge(256 + rounds));
+  const auto w1 = std::chrono::steady_clock::now();
+  const auto allocs = g_allocs - a0;
+
+  const double sent = static_cast<double>(bus.frames_sent() - sent0);
+  ClusterStats c;
+  c.rounds_per_sec = static_cast<double>(rounds) /
+                     std::chrono::duration<double>(w1 - w0).count();
+  c.allocs_per_round =
+      static_cast<double>(allocs) / static_cast<double>(rounds);
+  c.events_per_tx = static_cast<double>(s.events_executed() - events0) / sent;
+  c.crc_checks_per_tx =
+      static_cast<double>(bus.frame_pool()->crc_checks() - checks0) / sent;
+  return c;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -268,6 +324,16 @@ int main(int argc, char** argv) {
   reporter.set_info("tx_rounds_per_sec", clean.rounds_per_sec);
   reporter.set_info("allocs_per_round", clean.allocs_per_round);
   reporter.set_info("crc_checks_per_tx", clean.crc_checks_per_tx);
+
+  const ClusterStats cluster = bench_cluster(quick ? 5'000 : 20'000);
+  std::printf(
+      "cluster(7 nodes, faults off): rounds_per_sec=%.3g "
+      "allocs_per_round=%.4f events_per_tx=%.4f crc_checks_per_tx=%.4f\n",
+      cluster.rounds_per_sec, cluster.allocs_per_round, cluster.events_per_tx,
+      cluster.crc_checks_per_tx);
+  reporter.set_info("cluster_allocs_per_round", cluster.allocs_per_round);
+  reporter.set_info("events_per_tx", cluster.events_per_tx);
+  reporter.set_info("cluster_crc_checks_per_tx", cluster.crc_checks_per_tx);
 
   const TransmitStats noisy = bench_transmit(quick ? 20'000 : 100'000, 5e-4);
   std::printf(

@@ -90,42 +90,54 @@ Histogram Registry::histogram(std::string_view name, std::string_view label) {
 }
 
 Snapshot Registry::snapshot() const {
+  // The three maps are each ordered by (name, label), so a 3-way merge
+  // yields the sorted snapshot without sorting; on a tied key the counter
+  // goes first, then the gauge, then the histogram.
   Snapshot snap;
   snap.entries.reserve(size());
-  for (const auto& [key, cell] : counters_) {
-    SnapshotEntry e;
-    e.kind = MetricKind::kCounter;
-    e.name = key.first;
-    e.label = key.second;
-    e.counter = cell.value;
-    snap.entries.push_back(std::move(e));
+  auto c = counters_.begin();
+  auto g = gauges_.begin();
+  auto h = histograms_.begin();
+  for (;;) {
+    const Key* next = nullptr;
+    MetricKind kind = MetricKind::kCounter;
+    if (c != counters_.end()) next = &c->first;
+    if (g != gauges_.end() && (next == nullptr || g->first < *next)) {
+      next = &g->first;
+      kind = MetricKind::kGauge;
+    }
+    if (h != histograms_.end() && (next == nullptr || h->first < *next)) {
+      next = &h->first;
+      kind = MetricKind::kHistogram;
+    }
+    if (next == nullptr) break;
+
+    SnapshotEntry& e = snap.entries.emplace_back();
+    e.kind = kind;
+    e.name = next->first;
+    e.label = next->second;
+    switch (kind) {
+      case MetricKind::kCounter:
+        e.counter = c->second.value;
+        ++c;
+        break;
+      case MetricKind::kGauge:
+        e.gauge = g->second.value;
+        e.gauge_high_water = g->second.touched ? g->second.high_water : 0.0;
+        ++g;
+        break;
+      case MetricKind::kHistogram: {
+        const detail::HistogramCell& cell = h->second;
+        e.hist_count = cell.count;
+        e.hist_sum = cell.sum;
+        e.hist_min = cell.count ? cell.min : 0;
+        e.hist_max = cell.count ? cell.max : 0;
+        e.buckets = cell.buckets;
+        ++h;
+        break;
+      }
+    }
   }
-  for (const auto& [key, cell] : gauges_) {
-    SnapshotEntry e;
-    e.kind = MetricKind::kGauge;
-    e.name = key.first;
-    e.label = key.second;
-    e.gauge = cell.value;
-    e.gauge_high_water = cell.touched ? cell.high_water : 0.0;
-    snap.entries.push_back(std::move(e));
-  }
-  for (const auto& [key, cell] : histograms_) {
-    SnapshotEntry e;
-    e.kind = MetricKind::kHistogram;
-    e.name = key.first;
-    e.label = key.second;
-    e.hist_count = cell.count;
-    e.hist_sum = cell.sum;
-    e.hist_min = cell.count ? cell.min : 0;
-    e.hist_max = cell.count ? cell.max : 0;
-    e.buckets = cell.buckets;
-    snap.entries.push_back(std::move(e));
-  }
-  std::sort(snap.entries.begin(), snap.entries.end(),
-            [](const SnapshotEntry& a, const SnapshotEntry& b) {
-              if (a.name != b.name) return a.name < b.name;
-              return a.label < b.label;
-            });
   return snap;
 }
 

@@ -17,7 +17,7 @@ Bus::Bus(sim::Simulator& sim, TdmaSchedule schedule, Params params)
 
 void Bus::attach(BusReceiver& receiver) { receivers_.push_back(&receiver); }
 
-bool Bus::transmit(NodeId sender, const Frame& frame) {
+bool Bus::transmit(NodeId sender, FrameHandle master) {
   const sim::SimTime now = sim_.now();
 
   if (params_.guardian_enabled) {
@@ -72,16 +72,17 @@ bool Bus::transmit(NodeId sender, const Frame& frame) {
   frames_sent_metric_.inc();
   last_accepted_ = now;
 
-  // One pooled copy of the frame, shared by every receiver. Sender-side
-  // hooks mutate the master before it is shared (refs == 1 here), so all
-  // receivers see the same internally-corrupted bytes.
-  FrameHandle master = pool_->acquire(frame);
+  // One pooled master, shared by every receiver. Sender-side hooks mutate
+  // it before it is shared, so all receivers see the same internally-
+  // corrupted bytes; mutate() resets the verdict recorded at seal.
   if (!tx_hooks_.empty()) {
+    if (!master.unique()) master = pool_->acquire_copy(master);
     Frame& m = master.mutate();
     for (auto& [id, hook] : tx_hooks_) hook(m, sender, now);
   }
 
-  const sim::SimTime arrival = now + params_.propagation_delay;
+  const std::uint32_t bi = acquire_batch();
+  Batch& batch = *batches_[bi];
   for (BusReceiver* rx : receivers_) {
     if (rx->node_id() == sender) continue;  // no self-reception
     // Channel faults stay receiver-local: the delivery reads the shared
@@ -99,13 +100,42 @@ bool Bus::transmit(NodeId sender, const Frame& frame) {
       copies_dropped_metric_.inc();
       continue;
     }
-    // The handle pins both the slot and the pool, so a delivery queued at
-    // teardown outlives the bus safely.
-    sim_.schedule_at(
-        arrival, [rx, h = d.take(), arrival]() { rx->on_frame(h, arrival); },
-        sim::EventPriority::kTransport);
+    batch.deliveries.emplace_back(rx, d.privatized() ? d.take() : FrameHandle{});
   }
+  if (batch.deliveries.empty()) {
+    free_batches_.push_back(bi);
+    return true;
+  }
+  batch.master = std::move(master);
+  batch.arrival = now + params_.propagation_delay;
+  sim_.schedule_at(batch.arrival, [this, bi] { deliver(bi); },
+                   sim::EventPriority::kTransport);
   return true;
+}
+
+std::uint32_t Bus::acquire_batch() {
+  if (!free_batches_.empty()) {
+    const std::uint32_t bi = free_batches_.back();
+    free_batches_.pop_back();
+    return bi;
+  }
+  auto batch = std::make_unique<Batch>();
+  batch->deliveries.reserve(receivers_.size());
+  batches_.push_back(std::move(batch));
+  // Every batch can be free at once; growing here keeps release
+  // allocation-free.
+  free_batches_.reserve(batches_.size());
+  return static_cast<std::uint32_t>(batches_.size() - 1);
+}
+
+void Bus::deliver(std::uint32_t bi) {
+  Batch& batch = *batches_[bi];
+  for (const auto& [rx, own] : batch.deliveries) {
+    rx->on_frame(own ? own : batch.master, batch.arrival);
+  }
+  batch.deliveries.clear();
+  batch.master.reset();
+  free_batches_.push_back(bi);
 }
 
 std::uint64_t Bus::add_channel_fault(ChannelFaultHook hook) {

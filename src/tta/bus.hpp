@@ -15,9 +15,21 @@
 // Deliveries ride on the ref-counted FramePool: one pooled master frame is
 // shared by every receiver and cloned only at the instant a hook actually
 // corrupts a delivery (copy-on-corrupt), so the fault-free broadcast path
-// allocates and copies nothing per receiver (E22). Receivers keep the
-// handle rather than a copy, and the slot caches its CRC verdict, so a
-// fault-free broadcast is also CRC-verified once, not once per receiver.
+// allocates and copies nothing per receiver (E22). The sender seals the
+// master in its pool slot, so a fault-free broadcast is never CRC-checked
+// on the receive side; receivers keep the handle rather than a copy.
+//
+// A broadcast is one kernel event, not one per receiver: transmit() runs
+// the channel hooks, records every surviving delivery (receiver plus its
+// privatised handle, if a hook corrupted it) in a bus-owned batch, and
+// schedules a single event that hands the frame to the receivers in
+// attach order. That is exactly the order one event per receiver would
+// give: such events would share one (arrival, kTransport) key with
+// consecutive sequence numbers, and nothing an on_frame schedules can run
+// between them unless it is at that instant with a priority ahead of
+// kTransport, which no code uses. Batches recycle through a free list
+// (several can be in flight under a tx_delay fault), so the steady state
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -46,32 +58,39 @@ class BusReceiver {
 };
 
 /// One receiver's view of an in-flight frame. Reading is free (the pooled
-/// master frame is shared); `corrupt()` privatizes the delivery into its
-/// own pool slot on first call, so other receivers keep seeing pristine
-/// bytes while this one's copy is mutilated.
+/// master frame is shared, and only referenced: `shared` must outlive the
+/// Delivery); `corrupt()` privatizes the delivery into its own pool slot
+/// on first call, so other receivers keep seeing pristine bytes while this
+/// one's copy is mutilated.
 class Delivery {
  public:
   Delivery(FramePool& pool, const FrameHandle& shared)
-      : pool_(&pool), handle_(shared) {}
+      : pool_(&pool), shared_(&shared) {}
 
-  [[nodiscard]] const Frame& frame() const { return *handle_; }
+  [[nodiscard]] const Frame& frame() const {
+    return privatized_ ? *private_ : **shared_;
+  }
   /// Copy-on-corrupt: returns a mutable frame private to this receiver.
   [[nodiscard]] Frame& corrupt() {
     if (!privatized_) {
-      handle_ = pool_->acquire_copy(handle_);
+      private_ = pool_->acquire_copy(*shared_);
       pool_->count_corrupt_copy();
       privatized_ = true;
     }
-    return handle_.mutate();
+    return private_.mutate();
   }
   /// True once a hook privatized this delivery.
   [[nodiscard]] bool privatized() const { return privatized_; }
-  /// Transfers ownership of the (shared or private) frame to the caller.
-  [[nodiscard]] FrameHandle take() { return std::move(handle_); }
+  /// Transfers ownership of the private frame to the caller, or hands out
+  /// a reference to the shared one if no hook privatized the delivery.
+  [[nodiscard]] FrameHandle take() {
+    return privatized_ ? std::move(private_) : *shared_;
+  }
 
  private:
   FramePool* pool_;
-  FrameHandle handle_;
+  const FrameHandle* shared_;
+  FrameHandle private_;
   bool privatized_ = false;
 };
 
@@ -111,10 +130,11 @@ class Bus {
   void attach(BusReceiver& receiver);
 
   /// Transmission attempt by `sender` starting at the current instant.
-  /// Returns false if the guardian blocked it. The frame is copied once
-  /// into the pool and shared by every receiver; channel faults stay
-  /// receiver-local via copy-on-corrupt (see Delivery).
-  bool transmit(NodeId sender, const Frame& frame);
+  /// Returns false if the guardian blocked it. `frame` is the pooled
+  /// master (build it in `frame_pool()->acquire()` and seal it there, or
+  /// copy a frame in with `acquire(f)`); every receiver shares it, and
+  /// channel faults stay receiver-local via copy-on-corrupt (see Delivery).
+  bool transmit(NodeId sender, FrameHandle frame);
 
   /// Installs a channel fault hook; returns an id for removal.
   std::uint64_t add_channel_fault(ChannelFaultHook hook);
@@ -140,11 +160,29 @@ class Bus {
   std::function<void(NodeId sender, sim::SimTime when)> on_blocked;
 
  private:
+  /// One broadcast in flight: the shared master and, per surviving
+  /// receiver in attach order, its privatised handle (empty = the master).
+  struct Batch {
+    FrameHandle master;
+    sim::SimTime arrival{};
+    std::vector<std::pair<BusReceiver*, FrameHandle>> deliveries;
+  };
+
+  /// Pops a free batch (or makes one); its delivery list keeps capacity.
+  [[nodiscard]] std::uint32_t acquire_batch();
+  /// The batch's one kernel event: hands the frame to every receiver,
+  /// then releases the handles and recycles the batch.
+  void deliver(std::uint32_t batch);
+
   sim::Simulator& sim_;
   TdmaSchedule schedule_;
   Params params_;
   std::vector<BusReceiver*> receivers_;
   std::shared_ptr<FramePool> pool_;
+  /// Stable addresses: a receiver may transmit from on_frame, which can
+  /// add a batch while another is being delivered.
+  std::vector<std::unique_ptr<Batch>> batches_;
+  std::vector<std::uint32_t> free_batches_;
   std::vector<std::pair<std::uint64_t, ChannelFaultHook>> fault_hooks_;
   std::vector<std::pair<std::uint64_t, TxFaultHook>> tx_hooks_;
   std::uint64_t next_hook_id_ = 1;

@@ -10,11 +10,14 @@ void FtaClockSync::record(NodeId, sim::Duration deviation) {
 }
 
 sim::Duration FtaClockSync::finish_round() {
-  auto m = std::move(measurements_);
-  measurements_.clear();
-
+  // Sorted and averaged in place, then cleared: the buffer keeps its
+  // capacity, so a steady-state round allocates nothing.
+  auto& m = measurements_;
   const std::size_t k = p_.k;
-  if (m.size() < 2 * k + 1) return sim::Duration{0};
+  if (m.size() < 2 * k + 1) {
+    m.clear();
+    return sim::Duration{0};
+  }
 
   std::sort(m.begin(), m.end());
   const auto first = m.begin() + static_cast<std::ptrdiff_t>(k);
@@ -24,6 +27,7 @@ sim::Duration FtaClockSync::finish_round() {
   for (auto it = first; it != last; ++it) sum += it->ns();
   const auto n = static_cast<std::int64_t>(last - first);
   const double mean = static_cast<double>(sum) / static_cast<double>(n);
+  m.clear();
 
   // Deviation positive = local clock fast => move local time forward by a
   // negative correction (local perceives others late; shifting the local

@@ -12,7 +12,7 @@ std::shared_ptr<FramePool> FramePool::create(std::size_t soft_cap) {
   return pool;
 }
 
-FrameHandle FramePool::acquire(const Frame& src) {
+FrameHandle FramePool::acquire() {
   std::uint32_t idx = 0;
   if (!free_.empty()) {
     idx = free_.back();
@@ -23,13 +23,25 @@ FrameHandle FramePool::acquire(const Frame& src) {
     slots_.push_back(std::make_unique<Slot>());
   }
   Slot& s = *slots_[idx];
-  // Vector copy-assignment reuses the recycled slot's payload capacity, so
-  // a warmed-up pool serves this without touching the allocator.
-  s.frame = src;
+  // Reset field by field: clear() keeps the recycled payload capacity.
+  s.frame.sender = kInvalidNode;
+  s.frame.slot = 0;
+  s.frame.round = 0;
+  s.frame.membership = 0;
+  s.frame.payload.clear();
+  s.frame.crc = 0;
   s.refs = 1;
   s.crc_verdict = CrcVerdict::kUnknown;
   ++in_use_;
   return {shared_from_this(), idx};
+}
+
+FrameHandle FramePool::acquire(const Frame& src) {
+  FrameHandle h = acquire();
+  // Vector copy-assignment reuses the recycled slot's payload capacity, so
+  // a warmed-up pool serves this without touching the allocator.
+  slots_[h.slot_]->frame = src;
+  return h;
 }
 
 void FramePool::release(std::uint32_t slot) {

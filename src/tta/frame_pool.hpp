@@ -13,12 +13,15 @@
 // payload capacity intact, so the steady-state transmit path allocates
 // nothing (E22).
 //
-// Each slot also caches its CRC verdict (unknown / ok / bad). The first
-// FrameHandle::crc_ok() on a slot runs the CRC; every later receiver of the
-// same broadcast reads the cached verdict, so a fault-free transmission is
-// verified once per shared slot instead of once per receiver. acquire()
-// and mutate() reset the verdict, and mutation is legal only on an
-// unshared slot, so a shared slot's verdict can never go stale.
+// Each slot also caches its CRC verdict (unknown / ok / bad). A sender
+// that builds its frame in a slot and seals it there (FrameHandle::seal())
+// records `ok` at once: the CRC it just computed matches the bytes by
+// construction, so a fault-free transmission is never CRC-checked on the
+// receive side at all. Otherwise the first FrameHandle::crc_ok() on a slot
+// runs the CRC and every later receiver of the same broadcast reads the
+// cached verdict. acquire() and mutate() reset the verdict, and mutation
+// is legal only on an unshared slot, so a shared slot's verdict can never
+// go stale.
 //
 // Handles also pin the pool itself (shared_ptr), so a delivery event that
 // is still queued when the cluster is torn down — or a receiver that still
@@ -60,6 +63,11 @@ class FrameHandle {
   /// the returned reference after a later crc_ok(): call mutate() again.
   [[nodiscard]] Frame& mutate();
 
+  /// Seals the frame in place (Frame::seal()) and records the slot's CRC
+  /// verdict as ok, since the stored CRC now matches the bytes. Same
+  /// ownership rule as mutate(); a later mutate() resets the verdict.
+  void seal();
+
   /// The frame's CRC verdict (Frame::crc_ok()), computed on the slot's
   /// first call and served from the slot cache afterwards.
   [[nodiscard]] bool crc_ok() const;
@@ -86,6 +94,11 @@ class FramePool : public std::enable_shared_from_this<FramePool> {
   [[nodiscard]] static std::shared_ptr<FramePool> create(
       std::size_t soft_cap = 256);
 
+  /// A recycled (or new) slot holding a default frame with an empty
+  /// payload, for a sender to build and seal its frame in place. The
+  /// payload keeps the slot's capacity, so steady state allocates nothing.
+  [[nodiscard]] FrameHandle acquire();
+
   /// Copies `src` into a recycled (or new) slot and returns the owning
   /// handle. Steady state: free-list pop + field copy + payload byte copy
   /// into retained capacity — no allocation.
@@ -107,8 +120,9 @@ class FramePool : public std::enable_shared_from_this<FramePool> {
   /// Private copies made because a fault actually corrupted a delivery.
   [[nodiscard]] std::uint64_t corrupt_copies() const { return corrupt_copies_; }
   void count_corrupt_copy() { ++corrupt_copies_; }
-  /// CRC evaluations run by crc_ok() — cache misses only (E22 gate: one
-  /// per fault-free transmission, however many receivers verify it).
+  /// CRC evaluations run by crc_ok() — cache misses only. A frame sealed
+  /// in its slot is never counted (E22 gate: zero per fault-free
+  /// transmission, however many receivers verify it).
   [[nodiscard]] std::uint64_t crc_checks() const { return crc_checks_; }
 
  private:
@@ -183,6 +197,11 @@ inline Frame& FrameHandle::mutate() {
   FramePool::Slot& s = *pool_->slots_[slot_];
   s.crc_verdict = FramePool::CrcVerdict::kUnknown;
   return s.frame;
+}
+
+inline void FrameHandle::seal() {
+  mutate().seal();
+  pool_->slots_[slot_]->crc_verdict = FramePool::CrcVerdict::kOk;
 }
 
 inline bool FrameHandle::crc_ok() const { return pool_->crc_ok(slot_); }

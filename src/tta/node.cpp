@@ -115,12 +115,16 @@ void TtaNode::do_transmit(RoundId round) {
     return;
   }
 
-  Frame& frame = tx_frame_;
+  // Build and seal the frame in its pool slot: the seal records the CRC
+  // verdict, and the slot's payload keeps its capacity across rounds, so a
+  // steady-state transmission neither allocates nor gets CRC-checked again
+  // by its receivers.
+  FrameHandle sealed = bus_.frame_pool()->acquire();
+  Frame& frame = sealed.mutate();
   frame.sender = params_.id;
   frame.slot = bus_.schedule().slot_of(params_.id);
   frame.round = round;
   frame.membership = membership_;
-  frame.payload.clear();
   if (payload_provider) {
     payload_provider(round, frame.payload);
   } else {
@@ -129,23 +133,25 @@ void TtaNode::do_transmit(RoundId round) {
     frame.payload.push_back(static_cast<std::uint8_t>((round >> 16) & 0xFF));
     frame.payload.push_back(static_cast<std::uint8_t>((round >> 24) & 0xFF));
   }
-  frame.seal();
+  sealed.seal();
 
   if (faults_.tx_corrupt_prob > 0.0 && rng_.bernoulli(faults_.tx_corrupt_prob) &&
-      !frame.payload.empty()) {
+      !sealed->payload.empty()) {
     const auto idx = static_cast<std::size_t>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(frame.payload.size()) - 1));
-    frame.payload[idx] ^= 0xA5;  // value fault: CRC no longer matches
+        0, static_cast<std::int64_t>(sealed->payload.size()) - 1));
+    // Value fault: the CRC no longer matches (mutate() drops the verdict).
+    sealed.mutate().payload[idx] ^= 0xA5;
   }
 
   if (faults_.tx_delay.ns() > 0) {
-    // Fault path: the scratch frame will be overwritten next round, so the
-    // delayed transmission owns a copy.
+    // Timing fault: the delayed transmission carries the sealed slot.
     sim_.schedule_after(faults_.tx_delay,
-                        [this, copy = frame]() { bus_.transmit(params_.id, copy); },
+                        [this, h = std::move(sealed)]() mutable {
+                          bus_.transmit(params_.id, std::move(h));
+                        },
                         sim::EventPriority::kApplication);
   } else {
-    bus_.transmit(params_.id, frame);
+    bus_.transmit(params_.id, std::move(sealed));
   }
 }
 
@@ -157,7 +163,7 @@ bool TtaNode::attempt_transmit_now() {
   frame.membership = membership_;
   frame.payload = {0xBA, 0xBB, 0x1E};
   frame.seal();
-  return bus_.transmit(params_.id, frame);
+  return bus_.transmit(params_.id, bus_.frame_pool()->acquire(frame));
 }
 
 void TtaNode::on_frame(const FrameHandle& handle, sim::SimTime arrival) {

@@ -169,10 +169,6 @@ class TtaNode final : public BusReceiver {
     bool timely = false;
   };
   Pending pending_;
-
-  /// Scratch frame reused across transmissions: its payload buffer keeps
-  /// its capacity, so do_transmit allocates nothing in steady state.
-  Frame tx_frame_;
 };
 
 }  // namespace decos::tta

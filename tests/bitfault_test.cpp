@@ -4,6 +4,8 @@
 // the campaign's jobs-N bit identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "fault/bitfault.hpp"
@@ -288,7 +290,7 @@ TEST(FramePoolCrc, CachedVerdictAlwaysMatchesTheBytes) {
   };
 
   for (int step = 0; step < 4000; ++step) {
-    const std::int64_t op = live.empty() ? 0 : rng.uniform_int(0, 5);
+    const std::int64_t op = live.empty() ? 0 : rng.uniform_int(0, 6);
     switch (op) {
       case 0:  // fresh transmission
         live.push_back(pool->acquire(random_frame()));
@@ -317,6 +319,15 @@ TEST(FramePoolCrc, CachedVerdictAlwaysMatchesTheBytes) {
       case 4:  // privatize via acquire_copy without corrupting
         live.push_back(pool->acquire_copy(pick()));
         break;
+      case 5: {  // seal in place when unshared, as a sender does
+        tta::FrameHandle& h = pick();
+        if (!h.unique()) break;
+        if (rng.bernoulli(0.5)) {
+          h.mutate().payload.push_back(static_cast<std::uint8_t>(step));
+        }
+        h.seal();
+        break;
+      }
       default: {  // drop a handle (may recycle its slot)
         tta::FrameHandle& h = pick();
         h = std::move(live.back());
@@ -373,7 +384,7 @@ TEST(Bus, ChannelFaultCorruptsOnlyTheHookedReceiver) {
       f.payload = {static_cast<std::uint8_t>(r), 7, 7};
       f.seal();
       s.schedule_at(sched.send_instant(r, node), [&bus, node, f] {
-        (void)bus.transmit(node, f);
+        (void)bus.transmit(node, bus.frame_pool()->acquire(f));
       });
     }
   }
@@ -390,6 +401,199 @@ TEST(Bus, ChannelFaultCorruptsOnlyTheHookedReceiver) {
   }
   EXPECT_EQ(bus.frame_pool()->corrupt_copies(), 10u * (kNodes - 1));
   EXPECT_EQ(bus.frame_pool()->in_use(), 0u);
+}
+
+/// Logs every arrival in delivery order: which receiver, which broadcast,
+/// which pool slot (by frame address) and the CRC verdict. Keeps no
+/// handle, so the pool drains once the batches are delivered.
+struct Arrival {
+  tta::NodeId receiver;
+  tta::NodeId sender;
+  const tta::Frame* frame;
+  bool crc_ok;
+};
+
+struct LoggingSink : tta::BusReceiver {
+  tta::NodeId id = 0;
+  std::vector<Arrival>* log = nullptr;
+  std::function<void(const tta::FrameHandle&)> on_arrival;
+  void on_frame(const tta::FrameHandle& h, sim::SimTime) override {
+    log->push_back({id, h->sender, &*h, h.crc_ok()});
+    if (on_arrival) on_arrival(h);
+  }
+  [[nodiscard]] tta::NodeId node_id() const override { return id; }
+};
+
+tta::FrameHandle sealed_in_pool(tta::Bus& bus, tta::NodeId sender) {
+  tta::FrameHandle h = bus.frame_pool()->acquire();
+  tta::Frame& f = h.mutate();
+  f.sender = sender;
+  f.slot = sender;
+  f.payload = {static_cast<std::uint8_t>(sender), 1, 2, 3};
+  h.seal();
+  return h;
+}
+
+TEST(Bus, OneBatchPerBroadcastDeliversInAttachOrder) {
+  // Two broadcasts in flight at once (propagation 5 us, sent 1 us apart,
+  // as a tx_delay fault can cause), a drop hook on receiver 4 and a
+  // corrupting hook on receivers 2 and 3. Each batch must reach its
+  // receivers in attach order — not id order — with the corrupted ones on
+  // private slots and the rest on the sender's sealed master.
+  sim::Simulator s(3);
+  tta::TdmaSchedule sched{tta::TdmaSchedule::Params{
+      .slots_per_round = 6, .slot_length = sim::microseconds(500)}};
+  tta::Bus bus(s, sched,
+               tta::Bus::Params{.propagation_delay = sim::microseconds(5),
+                                .guardian_enabled = false});
+  std::vector<Arrival> log;
+  const std::vector<tta::NodeId> attach_order = {3, 0, 4, 1, 5, 2};
+  std::vector<LoggingSink> sinks(attach_order.size());
+  for (std::size_t i = 0; i < attach_order.size(); ++i) {
+    sinks[i].id = attach_order[i];
+    sinks[i].log = &log;
+    bus.attach(sinks[i]);
+  }
+  bus.add_channel_fault([](tta::Delivery&, tta::NodeId rx, sim::SimTime) {
+    return rx != 4;
+  });
+  bus.add_channel_fault([](tta::Delivery& d, tta::NodeId rx, sim::SimTime) {
+    if (rx == 2 || rx == 3) d.corrupt().payload[0] ^= 0xFF;
+    return true;
+  });
+
+  std::vector<const tta::Frame*> masters;
+  for (const tta::NodeId sender : {tta::NodeId{0}, tta::NodeId{1}}) {
+    s.schedule_at(sim::SimTime{0} + sim::microseconds(10 + sender),
+                  [&bus, &masters, sender] {
+                    tta::FrameHandle h = sealed_in_pool(bus, sender);
+                    masters.push_back(&*h);
+                    EXPECT_TRUE(bus.transmit(sender, std::move(h)));
+                  });
+  }
+  // Both batches are pending before either is delivered.
+  s.run_until(sim::SimTime{0} + sim::microseconds(12));
+  EXPECT_TRUE(log.empty());
+  s.run_all();
+
+  // Attach order minus the sender and the dropped receiver, per batch.
+  const std::vector<std::pair<tta::NodeId, tta::NodeId>> expected = {
+      {0, 3}, {0, 1}, {0, 5}, {0, 2},   // sender 0's broadcast
+      {1, 3}, {1, 0}, {1, 5}, {1, 2}};  // then sender 1's
+  ASSERT_EQ(log.size(), expected.size());
+  std::vector<const tta::Frame*> private_slots;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const Arrival& a = log[i];
+    EXPECT_EQ(a.sender, expected[i].first) << "arrival " << i;
+    EXPECT_EQ(a.receiver, expected[i].second) << "arrival " << i;
+    const tta::Frame* master = masters[a.sender];
+    if (a.receiver == 2 || a.receiver == 3) {
+      EXPECT_NE(a.frame, master) << "arrival " << i;
+      EXPECT_FALSE(a.crc_ok) << "arrival " << i;
+      private_slots.push_back(a.frame);
+    } else {
+      EXPECT_EQ(a.frame, master) << "arrival " << i;
+      EXPECT_TRUE(a.crc_ok) << "arrival " << i;
+    }
+  }
+  // Four corrupted deliveries, four distinct private slots: no receiver
+  // shares another's copy, within or across the in-flight batches.
+  ASSERT_EQ(private_slots.size(), 4u);
+  std::sort(private_slots.begin(), private_slots.end());
+  EXPECT_EQ(std::unique(private_slots.begin(), private_slots.end()),
+            private_slots.end());
+  EXPECT_EQ(bus.frame_pool()->corrupt_copies(), 4u);
+  // Only the private copies were CRC-checked; the masters were sealed.
+  EXPECT_EQ(bus.frame_pool()->crc_checks(), 4u);
+  EXPECT_EQ(bus.frame_pool()->in_use(), 0u);
+}
+
+TEST(Bus, ReceiverTransmittingFromOnFrameKeepsTheBatchIntact) {
+  // Receiver 1 (attached first) answers the first broadcast with three
+  // broadcasts of its own from inside on_frame, which allocates new
+  // batches while the first is mid-delivery. The rest of the first batch
+  // must still reach receivers 2 and 3 with the original frame, the
+  // corrupted delivery to 3 on its private slot; the answers follow.
+  sim::Simulator s(5);
+  tta::TdmaSchedule sched{tta::TdmaSchedule::Params{
+      .slots_per_round = 4, .slot_length = sim::microseconds(500)}};
+  tta::Bus bus(s, sched, tta::Bus::Params{.guardian_enabled = false});
+  std::vector<Arrival> log;
+  std::vector<LoggingSink> sinks(4);
+  for (const tta::NodeId id : {1u, 2u, 3u, 0u}) {
+    sinks[id].id = id;
+    sinks[id].log = &log;
+    bus.attach(sinks[id]);
+  }
+  bus.add_channel_fault([](tta::Delivery& d, tta::NodeId rx, sim::SimTime) {
+    if (rx == 3 && d.frame().sender == 0) d.corrupt().payload[1] ^= 0x01;
+    return true;
+  });
+  int answers = 0;
+  sinks[1].on_arrival = [&](const tta::FrameHandle& h) {
+    if (h->sender != 0 || answers > 0) return;
+    for (; answers < 3; ++answers) {
+      EXPECT_TRUE(bus.transmit(1, sealed_in_pool(bus, 1)));
+    }
+  };
+
+  const tta::Frame* master = nullptr;
+  s.schedule_at(sim::SimTime{0} + sim::microseconds(10), [&] {
+    tta::FrameHandle h = sealed_in_pool(bus, 0);
+    master = &*h;
+    EXPECT_TRUE(bus.transmit(0, std::move(h)));
+  });
+  s.run_all();
+
+  ASSERT_EQ(log.size(), 3u + 3u * 3u);
+  EXPECT_EQ(log[0].receiver, 1u);
+  EXPECT_EQ(log[1].receiver, 2u);
+  EXPECT_EQ(log[2].receiver, 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(log[i].sender, 0u) << "arrival " << i;
+  }
+  EXPECT_EQ(log[0].frame, master);
+  EXPECT_EQ(log[1].frame, master);
+  EXPECT_TRUE(log[1].crc_ok);
+  EXPECT_NE(log[2].frame, master);
+  EXPECT_FALSE(log[2].crc_ok);
+  // The answers arrive after the whole first batch, each in attach order.
+  for (std::size_t i = 3; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].sender, 1u) << "arrival " << i;
+    EXPECT_EQ(log[i].receiver, (std::vector<tta::NodeId>{2, 3, 0})[(i - 3) % 3])
+        << "arrival " << i;
+    EXPECT_TRUE(log[i].crc_ok) << "arrival " << i;
+  }
+  EXPECT_EQ(bus.frame_pool()->in_use(), 0u);
+}
+
+TEST(Bus, TxHookNeverWritesThroughACallersSharedHandle) {
+  // A caller that keeps a copy of the handle it transmits must not see a
+  // sender-side hook's corruption: the bus privatizes a shared master
+  // before the hooks mutate it.
+  sim::Simulator s(9);
+  tta::TdmaSchedule sched{tta::TdmaSchedule::Params{
+      .slots_per_round = 2, .slot_length = sim::microseconds(500)}};
+  tta::Bus bus(s, sched, tta::Bus::Params{.guardian_enabled = false});
+  std::vector<Arrival> log;
+  std::vector<LoggingSink> sinks(2);
+  for (tta::NodeId id = 0; id < 2; ++id) {
+    sinks[id].id = id;
+    sinks[id].log = &log;
+    bus.attach(sinks[id]);
+  }
+  bus.add_tx_fault([](tta::Frame& f, tta::NodeId, sim::SimTime) {
+    f.payload[0] ^= 0xFF;
+  });
+  const tta::FrameHandle kept = sealed_in_pool(bus, 0);
+  EXPECT_TRUE(bus.transmit(0, kept));
+  s.run_all();
+
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_NE(log[0].frame, &*kept);
+  EXPECT_FALSE(log[0].crc_ok);
+  EXPECT_EQ(kept->payload[0], 0u);
+  EXPECT_TRUE(kept.crc_ok());
 }
 
 // --- the plane on the Fig. 10 rig -------------------------------------------

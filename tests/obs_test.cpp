@@ -4,6 +4,7 @@
 // end-to-end detection latency measured under a scripted fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -186,6 +187,53 @@ TEST(Registry, KindsShareNamespaceWithoutColliding) {
   r.gauge("x").set(5.0);
   r.histogram("x").record(9);
   EXPECT_EQ(r.size(), 3u);
+}
+
+TEST(Registry, SnapshotMergeOrderEqualsTheSortedOrder) {
+  // The snapshot merges the three per-kind maps instead of sorting. Its
+  // order must equal the old one: all counters, then gauges, then
+  // histograms, stably sorted by (name, label) — so a key registered as
+  // several kinds lists its counter, gauge, histogram in that order.
+  Registry r;
+  for (const char* name : {"b", "a.x", "a", "c", "ab"}) {
+    for (const char* label : {"", "k=2", "k=1"}) {
+      r.counter(name, label).inc();
+    }
+  }
+  for (const char* name : {"a", "bb", "ab", "0"}) {
+    r.gauge(name, "k=1").set(1.0);
+    r.gauge(name).set(2.0);
+  }
+  for (const char* name : {"c", "a", "zz", "a.x"}) {
+    r.histogram(name, "k=2").record(3);
+    r.histogram(name).record(4);
+  }
+
+  const Snapshot snap = r.snapshot();
+  ASSERT_EQ(snap.entries.size(), r.size());
+  std::vector<SnapshotEntry> oracle = snap.entries;
+  std::stable_sort(oracle.begin(), oracle.end(),
+                   [](const SnapshotEntry& a, const SnapshotEntry& b) {
+                     return a.kind < b.kind;
+                   });
+  std::stable_sort(oracle.begin(), oracle.end(),
+                   [](const SnapshotEntry& a, const SnapshotEntry& b) {
+                     if (a.name != b.name) return a.name < b.name;
+                     return a.label < b.label;
+                   });
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(snap.entries[i].kind, oracle[i].kind) << "entry " << i;
+    EXPECT_EQ(snap.entries[i].name, oracle[i].name) << "entry " << i;
+    EXPECT_EQ(snap.entries[i].label, oracle[i].label) << "entry " << i;
+  }
+  // The tie rule on one key registered as all three kinds.
+  const auto first_a = std::find_if(
+      snap.entries.begin(), snap.entries.end(),
+      [](const SnapshotEntry& e) { return e.name == "a" && e.label == "k=1"; });
+  ASSERT_NE(first_a, snap.entries.end());
+  EXPECT_EQ(first_a[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(first_a[1].kind, MetricKind::kGauge);
+  EXPECT_EQ(first_a[1].name, "a");
 }
 
 TEST(Registry, UnboundHandlesAreSafeSinks) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "tta/cluster.hpp"
 #include "tta/clock.hpp"
@@ -22,6 +23,42 @@ TEST(Crc32, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (IEEE 802.3).
   const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(data), 0xCBF43926u);
+}
+
+/// Bytewise reference CRC-32: the single-table loop the production
+/// slice-by-8 routine replaced, kept here as its oracle.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : bytes) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseOracle) {
+  // Every length 0-300 (all head/tail splits around the 8-byte blocks) at
+  // every offset 0-7 into one buffer, so unaligned loads are covered too.
+  sim::Rng rng(8);
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const std::span<const std::uint8_t> bytes(buf.data() + off, len);
+      ASSERT_EQ(crc32(bytes), crc32_bytewise(bytes))
+          << "len " << len << " offset " << off;
+    }
+  }
+  // Random lengths over fresh random bytes.
+  for (int i = 0; i < 200; ++i) {
+    std::vector<std::uint8_t> data(
+        static_cast<std::size_t>(rng.uniform_int(0, 300)));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    ASSERT_EQ(crc32(data), crc32_bytewise(data)) << "trial " << i;
+  }
 }
 
 TEST(Frame, SealAndDetectCorruption) {
@@ -438,6 +475,34 @@ TEST(Cluster, AnchorRestartKeepsLoneNodeAlive) {
   sim.run_until(sim.now() + sim::milliseconds(50));
   EXPECT_TRUE(cluster.node(2).in_sync());
   EXPECT_GT(cluster.bus().frames_sent(), frames_before + 10u);
+}
+
+TEST(Cluster, FaultFreeBroadcastsNeedNoReceiveSideCrc) {
+  // Senders seal in their pool slot, which records the verdict: receivers
+  // judge every fault-free frame correct without running a CRC. A
+  // corrupting sender's frames are still checked (and fail) once each.
+  sim::Simulator sim(107);
+  Cluster cluster(sim, small_cluster());
+  std::uint64_t correct = 0, crc_errors = 0;
+  for (NodeId i = 0; i < cluster.size(); ++i) {
+    cluster.node(i).observation_sink = [&](const SlotObservation& o) {
+      correct += o.verdict == SlotVerdict::kCorrect;
+      crc_errors += o.verdict == SlotVerdict::kCrcError;
+    };
+  }
+  cluster.start();
+  sim.run_until(sim::SimTime{0} + sim::milliseconds(40));
+  EXPECT_GT(correct, 0u);
+  EXPECT_EQ(crc_errors, 0u);
+  EXPECT_EQ(cluster.bus().frame_pool()->crc_checks(), 0u);
+
+  cluster.node(1).faults().tx_corrupt_prob = 1.0;
+  const std::uint64_t sent = cluster.bus().frames_sent();
+  sim.run_until(sim::SimTime{0} + sim::milliseconds(80));
+  EXPECT_GT(crc_errors, 0u);
+  EXPECT_GT(cluster.bus().frame_pool()->crc_checks(), 0u);
+  EXPECT_LT(cluster.bus().frame_pool()->crc_checks(),
+            cluster.bus().frames_sent() - sent);
 }
 
 TEST(Cluster, DeterministicTrajectories) {

@@ -54,14 +54,18 @@ set(rules_bench_hierarchy_scaling
   "band detect_rounds_32" "band detect_rounds_64")
 
 # E22 bit faults: the faults-off pooled broadcast path allocates nothing
-# (one ref-counted master frame per transmission) and runs exactly one CRC
-# per transmission (the pool slot caches the verdict for every receiver),
-# every campaign bit flip joins a provenance journey, and transmit
-# throughput keeps its floor.
+# (one ref-counted master frame per transmission) and runs no receive-side
+# CRC (the sender seals in its pool slot, which records the verdict for
+# every receiver), every campaign bit flip joins a provenance journey, and
+# transmit throughput keeps its floor. The faults-off 7-node cluster is
+# held to the same zeros per round and per transmission, and to exactly
+# N+2 = 9 kernel events per transmission (transmit, one delivery event,
+# one slot close per node): a per-receiver delivery event fails it.
 set(tolerance_bench_bitfault 10)
 set(rules_bench_bitfault
   "floor tx_rounds_per_sec" "zero allocs_per_round" "exact crc_checks_per_tx"
-  "zero orphan_flips")
+  "zero cluster_allocs_per_round" "exact events_per_tx"
+  "exact cluster_crc_checks_per_tx" "zero orphan_flips")
 
 # E23 fleet: throughput floors; steady-state stepping is allocation-free
 # (DESIGN.md §17), which is also the no-cross-shard proof; the Fig. 12 NFF
