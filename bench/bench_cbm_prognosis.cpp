@@ -14,7 +14,7 @@
 
 #include "analysis/cbm.hpp"
 #include "analysis/table.hpp"
-#include "diag/features.hpp"
+#include "diag/summary.hpp"
 #include "exec/runner.hpp"
 #include "obs/bench_io.hpp"
 #include "scenario/fig10.hpp"
@@ -37,9 +37,10 @@ Outcome run_one(std::uint64_t seed, double shrink) {
                                 sim::milliseconds(10));
   rig.run(sim::seconds(10));
 
-  diag::FeatureParams fp;
-  const auto eps =
-      diag::sender_episodes(rig.diag().assessor().evidence(), 1, fp);
+  const diag::Assessor& assessor = rig.diag().assessor();
+  diag::EvidenceSummary::ComponentFeatures f;
+  assessor.summary().component_features(1, assessor.current_round(), f);
+  const auto& eps = f.sender_eps;
 
   Outcome out{1.0, 0, 0, false};
   if (eps.size() < 6) return out;

@@ -84,7 +84,9 @@ void BM_ClassifyComponent(benchmark::State& state) {
   diag::EvidenceSummary summary = classifier.summarize(store, 5);
   summary.fold(rounds);
   for (auto _ : state) {
-    auto d = classifier.classify_component(summary, 1, rounds);
+    diag::EvidenceSummary::ComponentFeatures f;
+    summary.component_features(1, rounds, f);
+    auto d = classifier.classify(f, rounds);
     benchmark::DoNotOptimize(d);
   }
   state.SetComplexityN(state.range(0));

@@ -43,11 +43,10 @@ int main(int argc, char** argv) {
       rig.run(sim::seconds(2) + sim::milliseconds(outage_ms));
 
       // DECOS detection: any credible omission evidence about component 2.
-      diag::FeatureParams fp;
-      if (!diag::sender_episodes(rig.diag().assessor().evidence(), 2, fp)
-               .empty()) {
-        ++decos_hits;
-      }
+      const diag::Assessor& assessor = rig.diag().assessor();
+      diag::EvidenceSummary::ComponentFeatures f;
+      assessor.summary().component_features(2, assessor.current_round(), f);
+      if (!f.sender_eps.empty()) ++decos_hits;
     }
     char a[16], b[16];
     std::snprintf(a, sizeof a, "%d/%d", decos_hits, trials);

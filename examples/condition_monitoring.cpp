@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "analysis/cbm.hpp"
-#include "diag/features.hpp"
+#include "diag/summary.hpp"
 #include "scenario/fig10.hpp"
 
 using namespace decos;
@@ -33,13 +33,14 @@ int main() {
 
   // Drive until the diagnosis flags the LRU as wearing.
   std::printf("phase 1: monitoring...\n");
-  diag::FeatureParams fp;
+  diag::EvidenceSummary::ComponentFeatures f;
   analysis::WearoutTracker tracker;
   std::optional<analysis::WearoutTracker::Prognosis> prognosis;
   for (int window = 0; window < 40 && !prognosis; ++window) {
     rig.run(sim::milliseconds(250));
-    const auto eps =
-        diag::sender_episodes(rig.diag().assessor().evidence(), lru, fp);
+    const diag::Assessor& assessor = rig.diag().assessor();
+    assessor.summary().component_features(lru, assessor.current_round(), f);
+    const auto& eps = f.sender_eps;
     if (eps.size() < 5) continue;
     analysis::WearoutTracker t;
     for (const auto& e : eps) t.add_episode(e.first);

@@ -88,6 +88,7 @@ void Assessor::register_subject_job(platform::JobId job,
 
 void Assessor::bind_metrics(obs::Registry& registry) {
   metrics_ = &registry;
+  classification_metrics_ = {};
   symptoms_metric_ = registry.counter("diag.symptoms_ingested");
   violations_metric_ = registry.counter("diag.trust_violations");
   gaps_metric_ = registry.counter("diag.assessor.symptom_gaps");
@@ -680,14 +681,27 @@ void Assessor::reconcile_from(const Assessor& fresher) {
   seen_.insert(fresher.seen_.begin(), fresher.seen_.end());
 }
 
-Diagnosis Assessor::diagnose_component(platform::ComponentId c) const {
-  Diagnosis d = classifier_.classify_component(summary_, c, round_);
-  if (metrics_) {
-    metrics_
-        ->counter("diag.classifications",
-                  std::string("cls=") + fault::to_string(d.cls))
-        .inc();
+void Assessor::count_classification(fault::FaultClass cls) const {
+  if (!metrics_) return;
+  auto& metric = classification_metrics_[static_cast<std::size_t>(cls)];
+  if (!metric) {
+    metric = metrics_->counter("diag.classifications",
+                               std::string("cls=") + fault::to_string(cls));
   }
+  metric->inc();
+}
+
+Diagnosis Assessor::diagnose_component(platform::ComponentId c) const {
+  EvidenceSummary::ComponentFeatures f;
+  summary_.component_features(c, round_, f);
+  return diagnose_component(c, f);
+}
+
+Diagnosis Assessor::diagnose_component(
+    platform::ComponentId c,
+    const EvidenceSummary::ComponentFeatures& f) const {
+  Diagnosis d = classifier_.classify(f, round_);
+  count_classification(d.cls);
   if (prov_ && prov_->enabled() && d.cls != fault::FaultClass::kNone) {
     prov_->event(prov_->journey_for_component(c), obs::ProvStage::kVerdict,
                  "assessor", fault::to_string(d.cls), round_);
@@ -703,12 +717,7 @@ Diagnosis Assessor::diagnose_job(platform::JobId j) const {
   const auto& siblings =
       sib_it == jobs_by_host_.end() ? kNoSiblings : sib_it->second;
   Diagnosis d = classifier_.classify_job(store_, j, host_diag, siblings, round_);
-  if (metrics_) {
-    metrics_
-        ->counter("diag.classifications",
-                  std::string("cls=") + fault::to_string(d.cls))
-        .inc();
-  }
+  count_classification(d.cls);
   if (prov_ && prov_->enabled() && d.cls != fault::FaultClass::kNone) {
     prov_->event(prov_->journey_for_job(j), obs::ProvStage::kVerdict,
                  "assessor", fault::to_string(d.cls), round_);

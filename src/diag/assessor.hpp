@@ -27,6 +27,7 @@
 // costs O(components + jobs) array work plus its slice's emissions.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -237,6 +238,12 @@ class Assessor {
 
   // --- results -----------------------------------------------------------
   [[nodiscard]] Diagnosis diagnose_component(platform::ComponentId c) const;
+  /// The verdict over `f`, the features summary() reads for `c` at
+  /// current_round() — for a caller that hands the same value to the
+  /// ONAs (DiagnosticService::report).
+  [[nodiscard]] Diagnosis diagnose_component(
+      platform::ComponentId c,
+      const EvidenceSummary::ComponentFeatures& f) const;
   [[nodiscard]] Diagnosis diagnose_job(platform::JobId j) const;
 
   [[nodiscard]] double component_trust(platform::ComponentId c) const {
@@ -437,6 +444,12 @@ class Assessor {
   obs::Counter hier_rejected_metric_;
 
   obs::Registry* metrics_ = nullptr;  // for label-keyed lazy registration
+  /// `diag.classifications` cells by fault class, each registered on the
+  /// first verdict of its class.
+  mutable std::array<std::optional<obs::Counter>,
+                     static_cast<std::size_t>(fault::FaultClass::kNone) + 1>
+      classification_metrics_;
+  void count_classification(fault::FaultClass cls) const;
   obs::Counter symptoms_metric_;
   obs::Counter violations_metric_;
   obs::Counter gaps_metric_;

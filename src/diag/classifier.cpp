@@ -1,7 +1,5 @@
 #include "diag/classifier.hpp"
 
-#include <algorithm>
-
 namespace decos::diag {
 namespace {
 
@@ -18,47 +16,37 @@ int rank(fault::FaultClass c) {
 
 }  // namespace
 
-Diagnosis Classifier::classify_component(const EvidenceSummary& summary,
-                                         platform::ComponentId c,
-                                         tta::RoundId now) const {
-  const FeatureParams& fp = summary.feature_params();
-  const EvidenceStore& ev = summary.evidence();
+Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
+                               tta::RoundId now) const {
+  // The time-dimension parameters read here need no resolution.
+  const FeatureParams fp = p_.features();
 
   // Star-coupler evidence first: recurring guardian blocks mean the
   // component attempts transmissions outside its windows — a babbling
   // controller defect that the containment makes invisible in the
-  // transport verdicts. The guardian-block vector is bounded, so it is
-  // walked exactly.
-  const auto gb_eps = episodes_of(ev.guardian_blocks(c), fp.episode_gap);
-  if (gb_eps.size() >= 3 || ev.guardian_blocks(c).size() >= 20) {
+  // transport verdicts.
+  if (f.guardian_episodes >= 3 || f.guardian_blocks >= 20) {
     return {fault::FaultClass::kComponentInternal,
             fault::Persistence::kPermanent, 0.9,
             "recurring out-of-window transmission attempts blocked by the "
             "bus guardian (babbling controller)"};
   }
 
-  EvidenceSummary::ComponentFeatures feat;
-  summary.component_features(c, now, feat);
-  const auto& sender_eps = feat.sender_eps;
-  const auto& observer_eps = feat.observer_eps;
+  const auto& sender_eps = f.sender_eps;
+  const auto& observer_eps = f.observer_eps;
 
   Diagnosis sender_diag;  // defaults to kNone
   if (!sender_eps.empty()) {
-    const VerdictTotals& vt = feat.totals;
-    const Episode& last_ep = sender_eps.back();
-    const bool ongoing = last_ep.last + fp.episode_gap >= now;
-    const bool dense_tail =
-        ongoing &&
-        last_ep.last - last_ep.first >= p_.permanent_omission_rounds &&
-        last_ep.rounds >=
-            static_cast<std::uint32_t>(p_.permanent_omission_rounds * 8 / 10);
+    const VerdictTotals& vt = f.totals;
+    const bool dense_tail = f.sender_dense_tail(
+        now, p_.permanent_omission_rounds, fp.episode_gap);
 
-    if (dense_tail && vt.omission >= vt.crc && vt.omission >= vt.timing) {
+    if (dense_tail && vt.omission_dominant()) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kPermanent, 0.95,
                      "continuous omission: component silent (permanent "
                      "hardware failure)"};
-    } else if (dense_tail && vt.timing > vt.crc && vt.timing > vt.omission) {
+    } else if (dense_tail && vt.timing_dominant()) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kPermanent, 0.9,
                      "persistent timing violations (clock/oscillator defect)"};
@@ -72,7 +60,7 @@ Diagnosis Classifier::classify_component(const EvidenceSummary& summary,
                      fault::Persistence::kIntermittent, 0.7,
                      "recurring transient episodes at the same component "
                      "(internal intermittent fault)"};
-    } else if (feat.alpha >= p_.alpha_threshold) {
+    } else if (f.alpha >= p_.alpha_threshold) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kIntermittent, 0.7,
                      "alpha-count over threshold: transient failures recur "
@@ -87,11 +75,7 @@ Diagnosis Classifier::classify_component(const EvidenceSummary& summary,
 
   Diagnosis observer_diag;
   if (!observer_eps.empty()) {
-    // Spatial correlation needs a majority of correlated episodes (see
-    // spatially_correlated for why one coincidence is not enough).
-    const auto hits = static_cast<std::size_t>(
-        std::count(feat.observer_hit.begin(), feat.observer_hit.end(), true));
-    if (2 * hits > observer_eps.size()) {
+    if (f.observers_correlated()) {
       observer_diag = {fault::FaultClass::kComponentExternal,
                        fault::Persistence::kTransient, 0.85,
                        "receive-path disturbance correlated with spatially "

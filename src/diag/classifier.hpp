@@ -10,10 +10,13 @@
 //   value  — CRC corruption vs timing deviation vs semantic out-of-range
 //            vs slow drift (transducer wearout).
 //
-// Feature extraction lives in diag/features.hpp (shared with the
-// declarative ONA library); this class applies the decision rules. Each
-// rule produces the class plus a human-readable rationale — what a service
-// technician's display shows next to the trust level.
+// A component verdict is a pure function of one
+// EvidenceSummary::ComponentFeatures value (diag/summary.hpp), the same
+// value the declarative ONA library evaluates, and its Fig. 8 tests are
+// the predicates that value and VerdictTotals carry; this class applies
+// the decision rules. Each rule produces the class plus a human-readable
+// rationale — what a service technician's display shows next to the
+// trust level.
 #pragma once
 
 #include <algorithm>
@@ -82,18 +85,18 @@ class Classifier {
   Classifier(Params p, fault::SpatialLayout layout)
       : p_(p), layout_(std::move(layout)) {}
 
-  /// Classifies one component FRU. The time/space/value features come
-  /// from `summary` (built by summarize() over the evidence store and
-  /// folded up to `now`): folded incremental state plus a short exact tail
-  /// walk, never a rescan of the whole evidence window.
-  [[nodiscard]] Diagnosis classify_component(const EvidenceSummary& summary,
-                                             platform::ComponentId c,
-                                             tta::RoundId now) const;
+  /// Classifies one component FRU from its features at `now`, as read
+  /// from a summary this classifier built (summarize()). Reads nothing
+  /// else: no evidence store, no walk.
+  [[nodiscard]] Diagnosis classify(
+      const EvidenceSummary::ComponentFeatures& f, tta::RoundId now) const;
 
   /// The evidence summary this classifier reads for a cluster of
   /// `component_count` components over `ev` (not owned; must outlive the
   /// summary): feature parameters fully resolved (sender_spread
   /// auto-scaling applied), alpha decay and spatial layout from here.
+  /// The one place feature parameters are resolved; the ONAs read the
+  /// summary's.
   [[nodiscard]] EvidenceSummary summarize(const EvidenceStore& ev,
                                           std::uint32_t component_count) const {
     FeatureParams fp = p_.features();

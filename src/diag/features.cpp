@@ -18,46 +18,6 @@ std::vector<Episode> episodes_of(const std::vector<tta::RoundId>& rounds,
   return eps;
 }
 
-std::vector<tta::RoundId> credible_sender_rounds(const EvidenceStore& ev,
-                                                 platform::ComponentId c,
-                                                 const FeatureParams& p) {
-  std::vector<tta::RoundId> rounds;
-  for (const auto& [r, sr] : ev.about(c)) {
-    std::uint32_t credible = 0;
-    for (platform::ComponentId o : sr.observers) {
-      const auto& reported = ev.reported_by(o);
-      auto it = reported.find(r);
-      const std::size_t spread =
-          it == reported.end() ? 0 : it->second.senders_reported.size();
-      if (spread < p.sender_spread) ++credible;
-    }
-    if (credible >= p.observer_quorum) rounds.push_back(r);
-  }
-  return rounds;
-}
-
-std::vector<Episode> sender_episodes(const EvidenceStore& ev,
-                                     platform::ComponentId c,
-                                     const FeatureParams& p) {
-  return episodes_of(credible_sender_rounds(ev, c, p), p.episode_gap);
-}
-
-std::vector<tta::RoundId> observer_rounds(const EvidenceStore& ev,
-                                          platform::ComponentId c,
-                                          const FeatureParams& p) {
-  std::vector<tta::RoundId> rounds;
-  for (const auto& [r, orow] : ev.reported_by(c)) {
-    if (orow.senders_reported.size() >= p.sender_spread) rounds.push_back(r);
-  }
-  return rounds;
-}
-
-std::vector<Episode> observer_episodes(const EvidenceStore& ev,
-                                       platform::ComponentId c,
-                                       const FeatureParams& p) {
-  return episodes_of(observer_rounds(ev, c, p), p.episode_gap);
-}
-
 bool rate_increasing(const std::vector<Episode>& eps, const FeatureParams& p) {
   if (eps.size() < p.min_episodes_for_trend) return false;
   std::vector<double> gaps;
@@ -72,66 +32,6 @@ bool rate_increasing(const std::vector<Episode>& eps, const FeatureParams& p) {
   early /= static_cast<double>(half);
   late /= static_cast<double>(half);
   return early > 0 && late < early * p.wearout_gap_ratio;
-}
-
-bool spatially_correlated(const EvidenceStore& ev, platform::ComponentId c,
-                          const std::vector<Episode>& eps,
-                          const fault::SpatialLayout& layout,
-                          std::uint32_t component_count,
-                          const FeatureParams& p) {
-  if (eps.empty()) return false;
-  // Count how many of c's episodes coincide with receive-path trouble at
-  // a spatially proximate component. The verdict needs a *majority*: a
-  // vehicle with a bad connector also drives past the occasional
-  // interference zone, and one coincidence must not relabel the whole
-  // recurring connector history as EMI. A true massive transient, by
-  // contrast, correlates in (almost) every episode it produced.
-  std::size_t correlated = 0;
-  for (const Episode& e : eps) {
-    bool hit = false;
-    for (platform::ComponentId o = 0; o < component_count && !hit; ++o) {
-      if (o == c) continue;
-      if (std::abs(layout.position.at(o) - layout.position.at(c)) >
-          p.spatial_radius) {
-        continue;
-      }
-      const auto& reported = ev.reported_by(o);
-      auto it = reported.lower_bound(
-          e.first > p.correlation_delta ? e.first - p.correlation_delta : 0);
-      for (; it != reported.end() && it->first <= e.last + p.correlation_delta;
-           ++it) {
-        if (it->second.senders_reported.size() >= p.sender_spread) {
-          hit = true;
-          break;
-        }
-      }
-    }
-    if (hit) ++correlated;
-  }
-  return 2 * correlated > eps.size();
-}
-
-VerdictTotals verdict_totals(const EvidenceStore& ev, platform::ComponentId c,
-                             const FeatureParams& p) {
-  VerdictTotals vt;
-  for (const auto& [r, sr] : ev.about(c)) {
-    if (sr.observers.size() < p.observer_quorum) continue;
-    ++vt.quorum_rounds;
-    vt.crc += sr.crc;
-    vt.timing += sr.timing;
-    vt.omission += sr.omission;
-  }
-  return vt;
-}
-
-double alpha_score(const EvidenceStore& ev, platform::ComponentId c,
-                   tta::RoundId now, const FeatureParams& p, double decay) {
-  double alpha = 0.0;
-  for (tta::RoundId r : credible_sender_rounds(ev, c, p)) {
-    if (r > now) continue;
-    alpha += std::pow(decay, static_cast<double>(now - r));
-  }
-  return alpha;
 }
 
 bool magnitudes_drifting(const std::vector<double>& mags) {

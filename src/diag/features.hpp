@@ -1,19 +1,23 @@
-// Feature extraction over the evidence store — the measurable quantities
-// of the three Fig. 8 dimensions, shared by the rule classifier and the
-// declarative Out-of-Norm Assertion library.
+// Feature vocabulary of the three Fig. 8 dimensions, shared by the rule
+// classifier and the declarative Out-of-Norm Assertion library.
 //
 //   time  : symptomatic-round lists grouped into episodes; rate trends
 //   space : credible-observer quorums (sender-side) vs sender spread
 //           (observer-side); spatial correlation against the layout
 //   value : dominant transport verdict; value-magnitude trends
+//
+// The per-component features themselves are computed in one place, the
+// incremental EvidenceSummary (diag/summary.hpp); this header holds the
+// value types and the pure tests over them, plus the bit-level features
+// over a fault::BitFaultLog slice.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "diag/evidence.hpp"
 #include "fault/injector.hpp"
 #include "platform/types.hpp"
+#include "tta/types.hpp"
 
 namespace decos::diag {
 
@@ -52,66 +56,36 @@ struct FeatureParams {
   bool operator==(const FeatureParams&) const = default;
 };
 
-/// Rounds in which >= quorum *credible* observers reported component `c`
-/// as a faulty sender. An observer flagging >= sender_spread senders in
-/// the same round is self-suspect and does not count.
-[[nodiscard]] std::vector<tta::RoundId> credible_sender_rounds(
-    const EvidenceStore& ev, platform::ComponentId c, const FeatureParams& p);
-
-/// Episodes of the above.
-[[nodiscard]] std::vector<Episode> sender_episodes(const EvidenceStore& ev,
-                                                   platform::ComponentId c,
-                                                   const FeatureParams& p);
-
-/// Rounds in which component `c` itself reported >= sender_spread senders
-/// (its receive path is the common factor).
-[[nodiscard]] std::vector<tta::RoundId> observer_rounds(
-    const EvidenceStore& ev, platform::ComponentId c, const FeatureParams& p);
-
-[[nodiscard]] std::vector<Episode> observer_episodes(const EvidenceStore& ev,
-                                                     platform::ComponentId c,
-                                                     const FeatureParams& p);
-
 /// Late-vs-early mean episode gap shrinks below the wearout ratio.
 [[nodiscard]] bool rate_increasing(const std::vector<Episode>& eps,
                                    const FeatureParams& p);
 
-/// Some episode of `c` coincides (within delta) with an observer-round of
-/// a spatially proximate component.
-[[nodiscard]] bool spatially_correlated(const EvidenceStore& ev,
-                                        platform::ComponentId c,
-                                        const std::vector<Episode>& eps,
-                                        const fault::SpatialLayout& layout,
-                                        std::uint32_t component_count,
-                                        const FeatureParams& p);
-
-/// Per-verdict totals over quorum rounds about `c`.
+/// Per-verdict totals over the quorum rounds about one component.
 struct VerdictTotals {
   std::uint64_t crc = 0;
   std::uint64_t timing = 0;
   std::uint64_t omission = 0;
   std::uint64_t quorum_rounds = 0;
 
+  // Dominant transport verdict (Fig. 8's value dimension); never one
+  // without a quorum round. Omission and corruption win ties, timing
+  // must lead strictly.
+  [[nodiscard]] bool omission_dominant() const {
+    return quorum_rounds > 0 && omission >= crc && omission >= timing;
+  }
+  [[nodiscard]] bool timing_dominant() const {
+    return quorum_rounds > 0 && timing > crc && timing > omission;
+  }
+  [[nodiscard]] bool corruption_dominant() const {
+    return quorum_rounds > 0 && crc >= timing && crc >= omission;
+  }
+
   bool operator==(const VerdictTotals&) const = default;
 };
-[[nodiscard]] VerdictTotals verdict_totals(const EvidenceStore& ev,
-                                           platform::ComponentId c,
-                                           const FeatureParams& p);
 
 /// Bucket-mean drift test over a job's value-magnitude history: split into
 /// four buckets; near-monotone growth with last >= 1.8 x first.
 [[nodiscard]] bool magnitudes_drifting(const std::vector<double>& magnitudes);
-
-/// Alpha-count score (Bondavalli et al., the paper's §V-C discriminator)
-/// computed over the credible sender rounds of `c`: each symptomatic
-/// round contributes decay^(now - round). Rare uncorrelated transients
-/// decay away; an internal fault recurring at the same location keeps the
-/// score high. Equivalent to running reliability::AlphaCount over the
-/// round history, evaluated lazily on the evidence store.
-[[nodiscard]] double alpha_score(const EvidenceStore& ev,
-                                 platform::ComponentId c, tta::RoundId now,
-                                 const FeatureParams& p,
-                                 double decay = 0.999);
 
 // --- bit-level value-error features (Fig. 8's value dimension at bit
 // granularity, computed over a fault::BitFaultLog slice) ---------------------

@@ -5,82 +5,72 @@ namespace conditions {
 
 OnaCondition sender_episode_count_at_least(std::size_t n) {
   return [n](const OnaContext& ctx) {
-    return sender_episodes(ctx.evidence, ctx.subject, ctx.features).size() >= n;
+    return ctx.features.sender_eps.size() >= n;
   };
 }
 
 OnaCondition sender_episode_count_at_most(std::size_t n) {
   return [n](const OnaContext& ctx) {
-    const auto eps = sender_episodes(ctx.evidence, ctx.subject, ctx.features);
+    const auto& eps = ctx.features.sender_eps;
     return !eps.empty() && eps.size() <= n;
   };
 }
 
 OnaCondition sender_rate_increasing() {
   return [](const OnaContext& ctx) {
-    return rate_increasing(
-        sender_episodes(ctx.evidence, ctx.subject, ctx.features), ctx.features);
+    return rate_increasing(ctx.features.sender_eps, ctx.params);
   };
 }
 
 OnaCondition sender_dense_tail(tta::RoundId rounds) {
   return [rounds](const OnaContext& ctx) {
-    const auto eps = sender_episodes(ctx.evidence, ctx.subject, ctx.features);
-    if (eps.empty()) return false;
-    const Episode& last = eps.back();
-    const bool ongoing = last.last + ctx.features.episode_gap >= ctx.now;
-    return ongoing && last.last - last.first >= rounds &&
-           last.rounds >= static_cast<std::uint32_t>(rounds * 8 / 10);
+    return ctx.features.sender_dense_tail(ctx.now, rounds,
+                                          ctx.params.episode_gap);
   };
 }
 
 OnaCondition observer_episode_count_at_least(std::size_t n) {
   return [n](const OnaContext& ctx) {
-    return observer_episodes(ctx.evidence, ctx.subject, ctx.features).size() >=
-           n;
+    return ctx.features.observer_eps.size() >= n;
   };
 }
 
 OnaCondition observers_spatially_correlated() {
   return [](const OnaContext& ctx) {
-    const auto eps = observer_episodes(ctx.evidence, ctx.subject, ctx.features);
-    return spatially_correlated(ctx.evidence, ctx.subject, eps, ctx.layout,
-                                ctx.component_count, ctx.features);
+    return ctx.features.observers_correlated();
   };
 }
 
 OnaCondition observers_isolated() {
   return [](const OnaContext& ctx) {
-    const auto eps = observer_episodes(ctx.evidence, ctx.subject, ctx.features);
-    if (eps.empty()) return false;
-    return !spatially_correlated(ctx.evidence, ctx.subject, eps, ctx.layout,
-                                 ctx.component_count, ctx.features);
+    return !ctx.features.observer_eps.empty() &&
+           !ctx.features.observers_correlated();
   };
 }
 
 OnaCondition no_sender_evidence() {
   return [](const OnaContext& ctx) {
-    return sender_episodes(ctx.evidence, ctx.subject, ctx.features).empty();
+    return ctx.features.sender_eps.empty();
   };
 }
 
-namespace {
-OnaCondition dominant(int which) {  // 0 omission, 1 timing, 2 crc
-  return [which](const OnaContext& ctx) {
-    const auto vt = verdict_totals(ctx.evidence, ctx.subject, ctx.features);
-    if (vt.quorum_rounds == 0) return false;
-    switch (which) {
-      case 0: return vt.omission >= vt.crc && vt.omission >= vt.timing;
-      case 1: return vt.timing > vt.crc && vt.timing > vt.omission;
-      default: return vt.crc >= vt.timing && vt.crc >= vt.omission;
-    }
+OnaCondition dominant_omission() {
+  return [](const OnaContext& ctx) {
+    return ctx.features.totals.omission_dominant();
   };
 }
-}  // namespace
 
-OnaCondition dominant_omission() { return dominant(0); }
-OnaCondition dominant_timing() { return dominant(1); }
-OnaCondition dominant_corruption() { return dominant(2); }
+OnaCondition dominant_timing() {
+  return [](const OnaContext& ctx) {
+    return ctx.features.totals.timing_dominant();
+  };
+}
+
+OnaCondition dominant_corruption() {
+  return [](const OnaContext& ctx) {
+    return ctx.features.totals.corruption_dominant();
+  };
+}
 
 }  // namespace conditions
 

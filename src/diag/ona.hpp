@@ -6,11 +6,15 @@
 // particular fault pattern are detected on the distributed state."
 //
 // This module gives the concept a first-class, declarative form: an ONA
-// is a named conjunction of per-dimension conditions over the evidence
-// store; the standard library expresses the Fig. 8 patterns (and the rest
-// of the taxonomy) as ONA objects. The OnaEngine evaluates the whole rule
-// base for a subject FRU and reports every triggered assertion — the
-// DECOS architecture's explainable front-end to the rule classifier.
+// is a named conjunction of per-dimension conditions over the subject's
+// component features; the standard library expresses the Fig. 8 patterns
+// (and the rest of the taxonomy) as ONA objects. The OnaEngine evaluates
+// the whole rule base for a subject FRU and reports every triggered
+// assertion — the DECOS architecture's explainable front-end to the rule
+// classifier. The conditions read the same EvidenceSummary features, under
+// the same resolved parameters, as the classifier's verdict, and share its
+// Fig. 8 predicates, so an asserted pattern and the verdict next to it
+// never rest on different evidence.
 #pragma once
 
 #include <functional>
@@ -18,19 +22,19 @@
 #include <vector>
 
 #include "diag/features.hpp"
+#include "diag/summary.hpp"
 #include "fault/taxonomy.hpp"
 
 namespace decos::diag {
 
-/// Everything a condition may look at: the distributed state (evidence),
-/// the subject FRU, the sparse-time "now", and the cluster geometry.
+/// Everything a condition may look at: the subject FRU, its features as
+/// the evidence summary reads them at the sparse-time "now", and the
+/// summary's resolved feature parameters (EvidenceSummary::feature_params).
 struct OnaContext {
-  const EvidenceStore& evidence;
   platform::ComponentId subject;
+  const EvidenceSummary::ComponentFeatures& features;
   tta::RoundId now;
-  std::uint32_t component_count;
-  const fault::SpatialLayout& layout;
-  FeatureParams features;
+  const FeatureParams& params;
 };
 
 using OnaCondition = std::function<bool(const OnaContext&)>;

@@ -384,6 +384,18 @@ void DiagnosticService::retract_external_ona(platform::ComponentId c,
   std::erase(it->second, name);
 }
 
+void DiagnosticService::count_ona(std::string_view name) const {
+  auto it = ona_metrics_.find(name);
+  if (it == ona_metrics_.end()) {
+    it = ona_metrics_
+             .emplace(name, system_.simulator().metrics().counter(
+                                "diag.ona_assertions",
+                                "ona=" + std::string(name)))
+             .first;
+  }
+  it->second.inc();
+}
+
 void DiagnosticService::reset_component_trust(platform::ComponentId c) {
   for (auto& assessor : assessors_) assessor->reset_component_trust(c);
 }
@@ -439,6 +451,7 @@ std::vector<FruReport> DiagnosticService::report() const {
   static const OnaEngine kOnaRules = OnaEngine::standard_rules();
   obs::Registry& metrics = system_.simulator().metrics();
   std::vector<FruReport> rows;
+  EvidenceSummary::ComponentFeatures feat;
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
     const VerdictDelta* delta = nullptr;
     const Assessor* a = resolve_component(c, &delta);
@@ -446,35 +459,31 @@ std::vector<FruReport> DiagnosticService::report() const {
     row.fru = "component " + std::to_string(c);
     row.component = c;
     row.trust = delta ? delta->trust : a->component_trust(c);
-    row.diagnosis = delta ? disseminated(*delta) : a->diagnose_component(c);
+    // One feature read per row: the verdict and the pattern ONAs both
+    // evaluate this value, under the summary's resolved parameters.
+    a->summary().component_features(c, a->current_round(), feat);
+    row.diagnosis =
+        delta ? disseminated(*delta) : a->diagnose_component(c, feat);
     row.action = row.diagnosis.action();
     row.evidence_quality = delta ? 0.0 : a->evidence_quality(c);
     row.evidence_age = a->evidence_age(c);
     row.evidence_fresh = delta ? false : a->evidence_fresh(c);
-    const OnaContext ctx{a->evidence(), c, a->current_round(),
-                         system_.component_count(), a->classifier().layout(),
-                         FeatureParams{}};
+    const OnaContext ctx{c, feat, a->current_round(),
+                         a->summary().feature_params()};
     for (const auto* hit : kOnaRules.evaluate(ctx)) {
       row.asserted_onas.push_back(hit->name());
-      metrics
-          .counter("diag.ona_assertions", "ona=" + std::string(hit->name()))
-          .inc();
     }
     // Meta-ONA: the diagnostic channel itself is out of norm — the FRU's
     // agent has gone silent and this row's verdict rests on stale data.
     if (a->channel_degraded(c)) {
       row.asserted_onas.emplace_back("diagnostic-channel-degraded");
-      metrics
-          .counter("diag.ona_assertions", "ona=diagnostic-channel-degraded")
-          .inc();
     }
     auto ext = external_onas_.find(c);
     if (ext != external_onas_.end()) {
-      for (const std::string& name : ext->second) {
-        row.asserted_onas.push_back(name);
-        metrics.counter("diag.ona_assertions", "ona=" + name).inc();
-      }
+      row.asserted_onas.insert(row.asserted_onas.end(), ext->second.begin(),
+                               ext->second.end());
     }
+    for (const std::string& name : row.asserted_onas) count_ona(name);
     // The staleness gauges track the *serving* assessor's view, so the
     // exported metrics survive a primary death and cover FRUs outside the
     // primary's tester slice.

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "diag/agent.hpp"
@@ -242,6 +243,10 @@ class DiagnosticService {
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<platform::JobId> subject_jobs_;
   std::map<platform::ComponentId, std::vector<std::string>> external_onas_;
+  /// `diag.ona_assertions` cells by ONA name, each registered on the
+  /// first assertion of its name.
+  mutable std::map<std::string, obs::Counter, std::less<>> ona_metrics_;
+  void count_ona(std::string_view name) const;
   bool hardening_ = true;
   bool hierarchy_ = false;
   mutable std::optional<HierarchyTopology> view_topo_;

@@ -18,7 +18,7 @@ EvidenceSummary::EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
       lag_(fp.correlation_delta < fp.episode_gap ? kFoldLag : 0),
       folds_(component_count) {}
 
-bool EvidenceSummary::credible_round(platform::ComponentId c, tta::RoundId r,
+bool EvidenceSummary::credible_round(tta::RoundId r,
                                      const SubjectRound& sr) const {
   std::uint32_t credible = 0;
   for (platform::ComponentId o : sr.observers) {
@@ -28,7 +28,6 @@ bool EvidenceSummary::credible_round(platform::ComponentId c, tta::RoundId r,
         it == reported.end() ? 0 : it->second.senders_reported.size();
     if (spread < fp_.sender_spread) ++credible;
   }
-  (void)c;
   return credible >= fp_.observer_quorum;
 }
 
@@ -70,7 +69,7 @@ void EvidenceSummary::fold_component(platform::ComponentId c,
       f.totals.timing += sr.timing;
       f.totals.omission += sr.omission;
     }
-    if (!credible_round(c, r, sr)) continue;
+    if (!credible_round(r, sr)) continue;
     tail_alpha += std::pow(decay_, static_cast<double>(to - r));
     if (!f.sender_eps.empty() &&
         r <= f.sender_eps.back().last + fp_.episode_gap) {
@@ -153,10 +152,16 @@ void EvidenceSummary::component_features(platform::ComponentId c,
   out.totals = f.totals;
   out.alpha = f.alpha_at_horizon *
               std::pow(decay_, static_cast<double>(now - horizon_));
+  // The guardian-block list is capped (EvidenceStore keeps at most 10,000
+  // rounds), so it is read exactly.
+  const std::vector<tta::RoundId>& blocks = store_->guardian_blocks(c);
+  out.guardian_blocks = blocks.size();
+  out.guardian_episodes = episodes_of(blocks, fp_.episode_gap).size();
 
   // Exact tail walk over the unfolded rounds from tail_start() on — the
-  // short, still-mutable recent window. The folded lists end in (at most one) open episode each,
-  // which the tail rounds may extend exactly like episodes_of would.
+  // short, still-mutable recent window. The folded lists end in (at most
+  // one) open episode each, which the tail rounds may extend exactly like
+  // episodes_of would.
   const auto& about = store_->about(c);
   for (auto it = about.lower_bound(tail_start()); it != about.end(); ++it) {
     const tta::RoundId r = it->first;
@@ -167,7 +172,7 @@ void EvidenceSummary::component_features(platform::ComponentId c,
       out.totals.timing += sr.timing;
       out.totals.omission += sr.omission;
     }
-    if (!credible_round(c, r, sr)) continue;
+    if (!credible_round(r, sr)) continue;
     if (r <= now) {
       out.alpha += std::pow(decay_, static_cast<double>(now - r));
     }

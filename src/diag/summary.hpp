@@ -1,19 +1,21 @@
-// Incremental per-round evidence summaries — classification cost becomes
-// independent of the evidence window.
+// Incremental per-round evidence summaries — the one source of the
+// component features, so classification cost is independent of the
+// evidence window.
 //
-// The exact feature walks of diag/features.hpp (credible sender rounds,
-// observer rounds, verdict totals, alpha score) re-scan the full per-round
-// detail of the evidence store on every call. That is O(window) per FRU
-// per report — tolerable at N = 7, ruinous for always-on classification
-// in large clusters. The summary is therefore the component classifier's
-// only feature source; the exact walks remain as its test oracle.
+// Walking the per-round detail of the evidence store for every feature
+// (credible sender rounds, observer rounds, verdict totals, alpha score)
+// is O(window) per FRU per read — tolerable at N = 7, ruinous for
+// always-on classification in large clusters. The summary therefore
+// computes one ComponentFeatures value per read, and both the classifier
+// and the Out-of-Norm Assertions evaluate that same value. The exact
+// walks live on as its test oracle (tests/exact_features.hpp).
 //
 // The summary maintains a *fold horizon* h: rounds at or before h are
 // folded once into per-component state (closed episodes with their
 // spatial-correlation verdicts, verdict totals, the alpha accumulator at
-// h, the still-open trailing episode) and never rescanned. A classify
-// call merges the folded state with an exact walk over the short tail
-// (h, now] — O(tail + episodes) instead of O(window).
+// h, the still-open trailing episode) and never rescanned. A read merges
+// the folded state with an exact walk over the short tail (h, now] —
+// O(tail + episodes) instead of O(window).
 //
 // Correctness hinges on finality: a round is folded only once no future
 // ingest can still mention it. The fold lag therefore exceeds the oldest
@@ -27,6 +29,7 @@
 // sum in the last ulp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -82,16 +85,50 @@ class EvidenceSummary {
   /// round; amortised cost is O(1) per symptomatic round folded.
   void fold(tta::RoundId now);
 
-  /// The component-level features classify_component needs, folded state
-  /// merged with an exact walk over (horizon, now].
+  /// Everything the classifier and the ONAs read about one component at
+  /// one round: folded state merged with an exact walk over
+  /// (horizon, now].
   struct ComponentFeatures {
+    /// Episodes of credible sender rounds (>= quorum observers that are
+    /// not themselves self-suspect).
     std::vector<Episode> sender_eps;
+    /// Episodes of observer rounds (the component flagged >=
+    /// sender_spread senders).
     std::vector<Episode> observer_eps;
     /// Per observer episode: coincides (within correlation_delta) with an
     /// observer-round of a spatially proximate component.
     std::vector<bool> observer_hit;
     VerdictTotals totals;
+    /// Alpha-count score (Bondavalli et al., the paper's §V-C
+    /// discriminator) over the credible sender rounds: each contributes
+    /// decay^(now - round).
     double alpha = 0.0;
+    /// Rounds in which the bus guardian blocked the component, and the
+    /// episodes they form.
+    std::size_t guardian_blocks = 0;
+    std::size_t guardian_episodes = 0;
+
+    /// The latest sender episode is a dense run of at least `rounds`
+    /// rounds, >= 80 % of them symptomatic, still ongoing at `now` (the
+    /// permanent-fault time signature).
+    [[nodiscard]] bool sender_dense_tail(tta::RoundId now, tta::RoundId rounds,
+                                         tta::RoundId episode_gap) const {
+      if (sender_eps.empty()) return false;
+      const Episode& last = sender_eps.back();
+      return last.last + episode_gap >= now &&
+             last.last - last.first >= rounds &&
+             last.rounds >= static_cast<std::uint32_t>(rounds * 8 / 10);
+    }
+    /// A majority of the observer episodes coincides with receive-path
+    /// trouble at proximate components (the massive-transient space
+    /// signature). A majority, because a component with a bad connector
+    /// also meets the occasional interference zone, and one coincidence
+    /// must not relabel a recurring connector history as EMI.
+    [[nodiscard]] bool observers_correlated() const {
+      const auto hits = static_cast<std::size_t>(
+          std::count(observer_hit.begin(), observer_hit.end(), true));
+      return 2 * hits > observer_eps.size();
+    }
   };
   void component_features(platform::ComponentId c, tta::RoundId now,
                           ComponentFeatures& out) const;
@@ -117,10 +154,12 @@ class EvidenceSummary {
   [[nodiscard]] tta::RoundId tail_start() const {
     return horizon_ == 0 ? 0 : horizon_ + 1;
   }
-  /// True when >= quorum credible observers reported `c` in round `r`.
-  [[nodiscard]] bool credible_round(platform::ComponentId c, tta::RoundId r,
+  /// True when >= quorum credible observers reported the subject of `sr`
+  /// in round `r`.
+  [[nodiscard]] bool credible_round(tta::RoundId r,
                                     const SubjectRound& sr) const;
-  /// spatially_correlated's test for one episode of `c`.
+  /// Whether one observer episode of `c` coincides with an observer-round
+  /// of a spatially proximate component.
   [[nodiscard]] bool episode_correlated(platform::ComponentId c,
                                         const Episode& e) const;
   /// Folds rounds [tail_start(), to] of `c` (the caller then moves the

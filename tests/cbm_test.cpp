@@ -166,8 +166,10 @@ TEST(CbmLive, TrackerPrognosesLiveWearout) {
   rig.run(sim::seconds(6));
 
   // Build the tracker from the evidence the assessor actually collected.
-  diag::FeatureParams fp;
-  const auto eps = diag::sender_episodes(rig.diag().assessor().evidence(), 1, fp);
+  const diag::Assessor& assessor = rig.diag().assessor();
+  diag::EvidenceSummary::ComponentFeatures f;
+  assessor.summary().component_features(1, assessor.current_round(), f);
+  const auto& eps = f.sender_eps;
   ASSERT_GE(eps.size(), 6u);
   // Prognose mid-degradation (from the first six episodes), before the
   // gaps have collapsed to the end-of-life threshold.

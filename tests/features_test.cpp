@@ -1,11 +1,14 @@
-// Direct unit tests of the feature-extraction layer shared by the
-// classifier and the ONA library: credibility filtering, verdict totals,
-// spatial correlation geometry, drift-bucket tests, and the alpha score.
+// Direct unit tests of the feature vocabulary shared by the classifier
+// and the ONA library, checked through the exact walks that serve as the
+// evidence summary's oracle: credibility filtering, verdict totals and
+// their dominance tests, spatial correlation geometry, drift-bucket
+// tests, and the alpha score.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "diag/features.hpp"
+#include "exact_features.hpp"
 
 namespace decos::diag {
 namespace {
@@ -64,6 +67,22 @@ TEST(Features, VerdictTotalsCountOnlyQuorumRounds) {
   EXPECT_EQ(vt.crc, 1u);
   EXPECT_EQ(vt.omission, 1u);
   EXPECT_EQ(vt.timing, 0u);  // round 2 below quorum
+}
+
+TEST(Features, DominantVerdictNeedsAQuorumRound) {
+  VerdictTotals vt;
+  EXPECT_FALSE(vt.omission_dominant());
+  EXPECT_FALSE(vt.timing_dominant());
+  EXPECT_FALSE(vt.corruption_dominant());
+  // A tie between omission and corruption asserts both; timing must lead.
+  vt = {.crc = 3, .timing = 3, .omission = 3, .quorum_rounds = 3};
+  EXPECT_TRUE(vt.omission_dominant());
+  EXPECT_TRUE(vt.corruption_dominant());
+  EXPECT_FALSE(vt.timing_dominant());
+  vt.timing = 4;
+  EXPECT_TRUE(vt.timing_dominant());
+  EXPECT_FALSE(vt.omission_dominant());
+  EXPECT_FALSE(vt.corruption_dominant());
 }
 
 // --- spatial correlation geometry ----------------------------------------------------

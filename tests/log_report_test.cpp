@@ -138,7 +138,9 @@ TEST(DiagnosticLog, ReplayReproducesClassificationOffBoard) {
   Classifier classifier({}, fault::SpatialLayout::linear(5));
   EvidenceSummary summary = classifier.summarize(store, 5);
   summary.fold(rig.round());
-  const auto offboard = classifier.classify_component(summary, 1, rig.round());
+  EvidenceSummary::ComponentFeatures features;
+  summary.component_features(1, rig.round(), features);
+  const auto offboard = classifier.classify(features, rig.round());
   EXPECT_EQ(offboard.cls, onboard.cls) << offboard.rationale;
 }
 
@@ -176,9 +178,10 @@ TEST(TechnicianReport, OnaFindingsRendered) {
                                 sim::milliseconds(10));
   rig.run(sim::seconds(5));
   const auto engine = OnaEngine::standard_rules();
-  const auto layout = fault::SpatialLayout::linear(5);
-  const OnaContext ctx{rig.diag().assessor().evidence(), 1, rig.round(), 5,
-                       layout, FeatureParams{}};
+  const EvidenceSummary& summary = rig.diag().assessor().summary();
+  EvidenceSummary::ComponentFeatures features;
+  summary.component_features(1, rig.round(), features);
+  const OnaContext ctx{1, features, rig.round(), summary.feature_params()};
   const auto text = analysis::render_ona_findings(engine, ctx);
   EXPECT_NE(text.find("wearout"), std::string::npos);
   EXPECT_NE(text.find("component-internal"), std::string::npos);

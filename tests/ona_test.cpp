@@ -1,8 +1,13 @@
 // Tests for the declarative Out-of-Norm Assertion framework: condition
 // primitives on synthetic evidence, the standard rule base against the
 // Fig. 8 archetypes (unit level), and agreement between the triggered
-// ONAs and the rule classifier on live end-to-end scenarios.
+// ONAs and the rule classifier on live end-to-end scenarios. Every
+// context is built from an EvidenceSummary, the ONAs' one feature source.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "diag/classifier.hpp"
 #include "diag/ona.hpp"
@@ -38,15 +43,54 @@ EvidenceStore synthetic_sender_evidence(platform::ComponentId subject,
   return ev;
 }
 
-OnaContext make_ctx(const EvidenceStore& ev, platform::ComponentId subject,
-                    tta::RoundId now, const fault::SpatialLayout& layout) {
-  return OnaContext{ev, subject, now, 5, layout, FeatureParams{}};
+/// The ONA context of `subject` at `now` over synthetic evidence: its
+/// features read through an EvidenceSummary with the default feature
+/// parameters on a 5-component cluster. Converts to the OnaContext, which
+/// refers into this object.
+class SyntheticContext {
+ public:
+  SyntheticContext(const EvidenceStore& ev, platform::ComponentId subject,
+                   tta::RoundId now, const fault::SpatialLayout& layout)
+      : summary_(&ev, FeatureParams{}, 0.999, 5, layout),
+        subject_(subject),
+        now_(now) {
+    summary_.component_features(subject, now, features_);
+  }
+  // NOLINTNEXTLINE(google-explicit-constructor): stands in for the context
+  operator OnaContext() const {
+    return {subject_, features_, now_, summary_.feature_params()};
+  }
+
+ private:
+  EvidenceSummary summary_;
+  EvidenceSummary::ComponentFeatures features_;
+  platform::ComponentId subject_;
+  tta::RoundId now_;
+};
+
+/// The names of the standard ONAs the live rig's assessor asserts on
+/// `subject`, from its summary's features at the rig's current round.
+std::vector<std::string> live_onas(scenario::Fig10System& rig,
+                                   platform::ComponentId subject) {
+  const EvidenceSummary& summary = rig.diag().assessor().summary();
+  EvidenceSummary::ComponentFeatures features;
+  summary.component_features(subject, rig.round(), features);
+  const OnaContext ctx{subject, features, rig.round(),
+                       summary.feature_params()};
+  const OnaEngine engine = OnaEngine::standard_rules();
+  std::vector<std::string> names;
+  for (const auto* h : engine.evaluate(ctx)) names.push_back(h->name());
+  return names;
+}
+
+bool contains(const std::vector<std::string>& names, const std::string& n) {
+  return std::find(names.begin(), names.end(), n) != names.end();
 }
 
 TEST(OnaConditions, SenderEpisodeCountAtLeast) {
   const auto layout = fault::SpatialLayout::linear(5);
   const auto ev = synthetic_sender_evidence(0, 5, 200.0, 1.0);
-  const auto ctx = make_ctx(ev, 0, 2000, layout);
+  const SyntheticContext ctx(ev, 0, 2000, layout);
   EXPECT_TRUE(conditions::sender_episode_count_at_least(5)(ctx));
   EXPECT_FALSE(conditions::sender_episode_count_at_least(6)(ctx));
   EXPECT_FALSE(conditions::sender_episode_count_at_most(4)(ctx));
@@ -58,9 +102,9 @@ TEST(OnaConditions, RateIncreasingDetectsAcceleration) {
   const auto accel = synthetic_sender_evidence(0, 8, 400.0, 0.6);
   const auto steady = synthetic_sender_evidence(0, 8, 400.0, 1.0);
   EXPECT_TRUE(conditions::sender_rate_increasing()(
-      make_ctx(accel, 0, 5000, layout)));
+      SyntheticContext(accel, 0, 5000, layout)));
   EXPECT_FALSE(conditions::sender_rate_increasing()(
-      make_ctx(steady, 0, 5000, layout)));
+      SyntheticContext(steady, 0, 5000, layout)));
 }
 
 TEST(OnaConditions, DenseTailDetectsContinuousRun) {
@@ -76,12 +120,12 @@ TEST(OnaConditions, DenseTailDetectsContinuousRun) {
       ev.ingest(s);
     }
   }
-  const auto ctx = make_ctx(ev, 0, 405, layout);
+  const SyntheticContext ctx(ev, 0, 405, layout);
   EXPECT_TRUE(conditions::sender_dense_tail(200)(ctx));
   EXPECT_TRUE(conditions::dominant_omission()(ctx));
   EXPECT_FALSE(conditions::dominant_timing()(ctx));
   // A run that ended long ago is not a dense *tail*.
-  const auto stale = make_ctx(ev, 0, 2000, layout);
+  const SyntheticContext stale(ev, 0, 2000, layout);
   EXPECT_FALSE(conditions::sender_dense_tail(200)(stale));
 }
 
@@ -101,7 +145,7 @@ TEST(OnaConditions, ObserverSideAndIsolation) {
       }
     }
   }
-  const auto ctx = make_ctx(ev, 3, 1000, layout);
+  const SyntheticContext ctx(ev, 3, 1000, layout);
   EXPECT_TRUE(conditions::observer_episode_count_at_least(3)(ctx));
   EXPECT_TRUE(conditions::observers_isolated()(ctx));
   EXPECT_FALSE(conditions::observers_spatially_correlated()(ctx));
@@ -115,7 +159,7 @@ TEST(OnaEngine, StandardRulesMatchSyntheticArchetypes) {
   // Wearout: accelerating CRC episodes.
   {
     const auto ev = synthetic_sender_evidence(0, 8, 400.0, 0.6);
-    const auto hits = engine.evaluate(make_ctx(ev, 0, 5000, layout));
+    const auto hits = engine.evaluate(SyntheticContext(ev, 0, 5000, layout));
     ASSERT_FALSE(hits.empty());
     bool wearout = false;
     for (const auto* h : hits) wearout |= (h->name() == "wearout");
@@ -124,7 +168,7 @@ TEST(OnaEngine, StandardRulesMatchSyntheticArchetypes) {
   // Isolated transient: one short burst.
   {
     const auto ev = synthetic_sender_evidence(0, 1, 200.0, 1.0);
-    const auto hits = engine.evaluate(make_ctx(ev, 0, 5000, layout));
+    const auto hits = engine.evaluate(SyntheticContext(ev, 0, 5000, layout));
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0]->name(), "isolated-transient");
     EXPECT_EQ(hits[0]->indicates(), fault::FaultClass::kComponentExternal);
@@ -132,7 +176,7 @@ TEST(OnaEngine, StandardRulesMatchSyntheticArchetypes) {
   // No evidence: nothing triggers.
   {
     EvidenceStore ev;
-    EXPECT_TRUE(engine.evaluate(make_ctx(ev, 0, 100, layout)).empty());
+    EXPECT_TRUE(engine.evaluate(SyntheticContext(ev, 0, 100, layout)).empty());
   }
 }
 
@@ -144,14 +188,14 @@ TEST(OnaEngine, UntriggeredRuleRequiresAllConditions) {
   const auto layout = fault::SpatialLayout::linear(5);
   // CRC-dominant evidence: first condition holds, second does not.
   const auto ev = synthetic_sender_evidence(0, 3, 200.0, 1.0);
-  EXPECT_FALSE(ona.triggered(make_ctx(ev, 0, 2000, layout)));
+  EXPECT_FALSE(ona.triggered(SyntheticContext(ev, 0, 2000, layout)));
 }
 
 TEST(OnaEngine, EmptyConditionListNeverTriggers) {
   OutOfNormAssertion ona("empty", fault::FaultClass::kNone, {});
   EvidenceStore ev;
   const auto layout = fault::SpatialLayout::linear(5);
-  EXPECT_FALSE(ona.triggered(make_ctx(ev, 0, 0, layout)));
+  EXPECT_FALSE(ona.triggered(SyntheticContext(ev, 0, 0, layout)));
 }
 
 // --- live agreement with the classifier -----------------------------------------
@@ -162,15 +206,7 @@ TEST(OnaLive, WearoutScenarioTriggersWearoutOna) {
                                 sim::milliseconds(600), 0.7,
                                 sim::milliseconds(10));
   rig.run(sim::seconds(5));
-  const auto engine = OnaEngine::standard_rules();
-  const auto layout = fault::SpatialLayout::linear(5);
-  const OnaContext ctx{rig.diag().assessor().evidence(), 1, rig.round(), 5,
-                       layout, FeatureParams{}};
-  bool wearout = false;
-  for (const auto* h : engine.evaluate(ctx)) {
-    wearout |= (h->name() == "wearout");
-  }
-  EXPECT_TRUE(wearout);
+  EXPECT_TRUE(contains(live_onas(rig, 1), "wearout"));
   // And the rule classifier agrees with the ONA's indicated class.
   EXPECT_EQ(rig.diag().assessor().diagnose_component(1).cls,
             fault::FaultClass::kComponentInternal);
@@ -181,15 +217,7 @@ TEST(OnaLive, EmiScenarioTriggersMassiveTransientOna) {
   rig.injector().inject_emi_burst(1.0, 1.1, sim::SimTime{0} + sim::milliseconds(600),
                                   sim::milliseconds(12));
   rig.run(sim::seconds(3));
-  const auto engine = OnaEngine::standard_rules();
-  const auto layout = fault::SpatialLayout::linear(5);
-  const OnaContext ctx{rig.diag().assessor().evidence(), 1, rig.round(), 5,
-                       layout, FeatureParams{}};
-  bool massive = false;
-  for (const auto* h : engine.evaluate(ctx)) {
-    massive |= (h->name() == "massive-transient");
-  }
-  EXPECT_TRUE(massive);
+  EXPECT_TRUE(contains(live_onas(rig, 1), "massive-transient"));
 }
 
 TEST(OnaLive, ConnectorScenarioTriggersConnectorOna) {
@@ -198,15 +226,7 @@ TEST(OnaLive, ConnectorScenarioTriggersConnectorOna) {
                                         sim::milliseconds(250),
                                         sim::milliseconds(10), 0.8);
   rig.run(sim::seconds(5));
-  const auto engine = OnaEngine::standard_rules();
-  const auto layout = fault::SpatialLayout::linear(5);
-  const OnaContext ctx{rig.diag().assessor().evidence(), 3, rig.round(), 5,
-                       layout, FeatureParams{}};
-  bool connector = false;
-  for (const auto* h : engine.evaluate(ctx)) {
-    connector |= (h->name() == "connector");
-  }
-  EXPECT_TRUE(connector);
+  EXPECT_TRUE(contains(live_onas(rig, 3), "connector"));
 }
 
 }  // namespace

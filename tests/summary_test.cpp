@@ -1,6 +1,7 @@
 // Direct oracle tests of the incremental evidence summary
 // (diag/summary.hpp): its folded component features must equal the exact
-// O(window) walks of diag/features.hpp — on every fault archetype of the
+// O(window) walks of tests/exact_features.hpp, and the classifier must
+// reach the same verdict from either — on every fault archetype of the
 // Fig. 10 rig, on a synthetic stream with late arrivals, after a forced
 // rebuild, and in the regime where the summary does not fold at all.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "diag/classifier.hpp"
 #include "diag/summary.hpp"
+#include "exact_features.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/fig10.hpp"
 
@@ -39,12 +41,14 @@ struct Coverage {
 };
 
 /// Compares the summary's features for every component at `now` with the
-/// exact walks over the same store and the same resolved parameters.
-void expect_matches_exact(const EvidenceSummary& s, tta::RoundId now,
-                          const fault::SpatialLayout& layout,
+/// exact walks over the same store and the same resolved parameters, and
+/// the verdicts `classifier` (which built the summary) reaches from each.
+void expect_matches_exact(const Classifier& classifier,
+                          const EvidenceSummary& s, tta::RoundId now,
                           std::uint32_t components, Coverage* cov = nullptr) {
   const EvidenceStore& ev = s.evidence();
   const FeatureParams& fp = s.feature_params();
+  const fault::SpatialLayout& layout = classifier.layout();
   for (platform::ComponentId c = 0; c < components; ++c) {
     SCOPED_TRACE("component " + std::to_string(c) + " at round " +
                  std::to_string(now) + " (horizon " +
@@ -67,6 +71,16 @@ void expect_matches_exact(const EvidenceSummary& s, tta::RoundId now,
     const double exact = alpha_score(ev, c, now, fp, s.alpha_decay());
     EXPECT_LE(std::abs(f.alpha - exact), 1e-9 * exact)
         << "summary alpha " << f.alpha << " vs exact " << exact;
+
+    const EvidenceSummary::ComponentFeatures walked = exact_component_features(
+        ev, c, now, fp, s.alpha_decay(), layout, components);
+    EXPECT_EQ(f.observer_hit, walked.observer_hit);
+    EXPECT_EQ(f.guardian_blocks, walked.guardian_blocks);
+    EXPECT_EQ(f.guardian_episodes, walked.guardian_episodes);
+    const Diagnosis from_summary = classifier.classify(f, now);
+    const Diagnosis from_walks = classifier.classify(walked, now);
+    EXPECT_EQ(from_summary.cls, from_walks.cls);
+    EXPECT_EQ(from_summary.rationale, from_walks.rationale);
 
     if (cov != nullptr) {
       for (const Episode& e : f.sender_eps) {
@@ -94,8 +108,8 @@ TEST(EvidenceSummary, MatchesExactWalksOnEveryArchetype) {
     rig.run(sim::seconds(1));
     for (sim::Duration t = sim::seconds(1);; t = t + sim::milliseconds(500)) {
       ASSERT_GT(assessor.summary().horizon(), 0u);
-      expect_matches_exact(assessor.summary(), assessor.current_round(),
-                           assessor.classifier().layout(), n, &cov);
+      expect_matches_exact(assessor.classifier(), assessor.summary(),
+                           assessor.current_round(), n, &cov);
       if (t.ns() >= a.horizon.ns()) break;
       rig.run(sim::milliseconds(500));
     }
@@ -124,8 +138,8 @@ constexpr std::uint32_t kComponents = 5;
 /// sender episodes, receive-path bursts (one observer flagging most
 /// senders), lone reports below quorum, symptoms in round 0, and late
 /// arrivals up to 250 rounds old (within the wire's 255-round age field).
-void drive_synthetic(EvidenceStore& store, EvidenceSummary& summary,
-                     const fault::SpatialLayout& layout, tta::RoundId rounds,
+void drive_synthetic(const Classifier& classifier, EvidenceStore& store,
+                     EvidenceSummary& summary, tta::RoundId rounds,
                      tta::RoundId check_every, Coverage* cov) {
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> u(0.0, 1.0);
@@ -178,7 +192,7 @@ void drive_synthetic(EvidenceStore& store, EvidenceSummary& summary,
     }
     summary.fold(r);
     if (r % check_every == 0 || r + 1 == rounds) {
-      expect_matches_exact(summary, r, layout, kComponents, cov);
+      expect_matches_exact(classifier, summary, r, kComponents, cov);
     }
   }
 }
@@ -189,7 +203,7 @@ TEST(EvidenceSummary, MatchesExactWalksUnderLateArrivals) {
   EvidenceStore store;
   EvidenceSummary summary = classifier.summarize(store, kComponents);
   Coverage cov;
-  drive_synthetic(store, summary, layout, 2000, 97, &cov);
+  drive_synthetic(classifier, store, summary, 2000, 97, &cov);
   EXPECT_EQ(summary.horizon(), 1999 - EvidenceSummary::kFoldLag);
   // Late arrivals stay inside the fold lag: no rebuild was ever needed.
   EXPECT_EQ(summary.rebuilds(), 0u);
@@ -202,7 +216,7 @@ TEST(EvidenceSummary, ArrivalAtOrBeforeHorizonForcesRebuild) {
   const Classifier classifier({}, layout);
   EvidenceStore store;
   EvidenceSummary summary = classifier.summarize(store, kComponents);
-  drive_synthetic(store, summary, layout, 1200, 400, nullptr);
+  drive_synthetic(classifier, store, summary, 1200, 400, nullptr);
   const tta::RoundId now = 1199;
   const tta::RoundId horizon = summary.horizon();
   ASSERT_EQ(horizon, now - EvidenceSummary::kFoldLag);
@@ -220,7 +234,7 @@ TEST(EvidenceSummary, ArrivalAtOrBeforeHorizonForcesRebuild) {
     store.ingest(s);
     summary.note_ingest(s);
   }
-  expect_matches_exact(summary, now, layout, kComponents);
+  expect_matches_exact(classifier, summary, now, kComponents);
   EXPECT_EQ(summary.rebuilds(), 1u);
   EXPECT_EQ(summary.horizon(), horizon);
 }
@@ -237,7 +251,7 @@ TEST(EvidenceSummary, DoesNotFoldWhenCorrelationDeltaReachesEpisodeGap) {
   EvidenceStore store;
   EvidenceSummary summary = classifier.summarize(store, kComponents);
   Coverage cov;
-  drive_synthetic(store, summary, layout, 1500, 149, &cov);
+  drive_synthetic(classifier, store, summary, 1500, 149, &cov);
   EXPECT_EQ(summary.horizon(), 0u);
   EXPECT_EQ(summary.rebuilds(), 0u);
 }
