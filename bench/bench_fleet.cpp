@@ -3,18 +3,20 @@
 // operator-new hook proving the steady-state stepping path allocation-free.
 //
 // Section 1 (steady) runs one FleetSimulator batch twice on the same
-// kernel: the first pass grows every per-shard slab, heap and arena to its
+// kernel: the first pass grows every per-shard slab, run and arena to its
 // high-water mark, the second pass is the measured window — with the
 // sparse module cells pre-reserved it must allocate *nothing*, which is
 // also the proof that no event crosses shards (a cross-shard push would
-// grow a cold slab). Section 2 runs the full FleetCampaign — batching,
-// worker pool, ordered merge — and self-checks the paper's shapes: the
+// grow a cold slab), and every epoch must arrive in firing order, so no
+// push takes an event-queue heap. Section 2 runs the full FleetCampaign —
+// batching, worker pool, ordered merge — and self-checks the paper's shapes: the
 // naive strategy's NFF ratio strictly above the model-guided one
 // (Fig. 12) and the failure-rate-vs-age histogram recovering the bathtub
 // (Fig. 7: infant mortality and wearout both well above the useful-life
 // valley). Shape violations exit nonzero, so the fleet_smoke ctest and
 // the CI perf gate catch them without comparing machine-dependent floats.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -27,27 +29,29 @@
 #include "obs/bench_io.hpp"
 
 namespace {
-unsigned long long g_allocs = 0;
+// Campaign worker threads allocate too, hence atomic; relaxed suffices,
+// since every measured window runs on one thread.
+std::atomic<unsigned long long> g_allocs{0};
 }
 
 // Counting global allocator hooks: every variant funnels through malloc so
 // the count covers array, nothrow and over-aligned forms alike.
 void* operator new(std::size_t n) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   const auto align = static_cast<std::size_t>(a);
   if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
     return p;
@@ -116,25 +120,32 @@ void bench_steady(obs::BenchReporter& reporter, std::uint32_t vehicles,
   // past any plausible two-pass count so the window sees no vector growth.
   tally.module_failures.reserve(2 * vehicles);
 
-  sim.run_into(tally);  // warm-up: slabs, heaps, arenas, tallies at HWM
+  sim.run_into(tally);  // warm-up: slabs, runs, arenas, tallies at HWM
 
-  const auto a0 = g_allocs;
+  const auto h0 = sim.simulator().heap_pushes();
+  const auto a0 = g_allocs.load(std::memory_order_relaxed);
   const auto w0 = std::chrono::steady_clock::now();
   sim.run_into(tally);
   const auto w1 = std::chrono::steady_clock::now();
-  const auto allocs = g_allocs - a0;
+  const auto allocs = g_allocs.load(std::memory_order_relaxed) - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
   const auto epochs = static_cast<double>(vehicles) * 4.0;
+  // Every epoch is scheduled in firing order, so each push is an O(1)
+  // append to its shard's run; a heap push means that order broke.
+  const double heap_share =
+      static_cast<double>(sim.simulator().heap_pushes() - h0) / epochs;
 
   std::printf(
       "steady: vehicles=%u shards=%u vehicle_epochs_per_sec=%.3g "
-      "steady_allocs=%llu\n",
+      "steady_allocs=%llu heap_pushes_per_vehicle_epoch=%.4f\n",
       vehicles, shards, epochs / wall,
-      static_cast<unsigned long long>(allocs));
+      static_cast<unsigned long long>(allocs), heap_share);
   reporter.set_info("vehicle_epochs_per_sec", epochs / wall);
   reporter.set_info("steady_allocs", static_cast<double>(allocs));
+  reporter.set_info("heap_pushes_per_vehicle_epoch", heap_share);
   check(allocs == 0 || !kAllocGateArmed,
         "steady-state fleet stepping allocated");
+  check(heap_share == 0.0, "steady-state fleet epochs took the heap lane");
 }
 
 /// Section 2: the campaign driver end to end, plus the paper's shapes.

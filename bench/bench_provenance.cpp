@@ -16,6 +16,7 @@
 // sanitizer builds interpose operator new and a loaded CI box skews any
 // hard wall-clock bound. The tier-1 smoke run only checks the bench runs
 // and exports its keys.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,27 +33,29 @@
 #include "vnet/network_plan.hpp"
 
 namespace {
-unsigned long long g_allocs = 0;
+// Campaign worker threads allocate too, hence atomic; relaxed suffices,
+// since every measured window runs on one thread.
+std::atomic<unsigned long long> g_allocs{0};
 }
 
 // Counting global allocator hooks: every variant funnels through malloc so
 // the count covers array, nothrow and over-aligned forms alike.
 void* operator new(std::size_t n) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   const auto align = static_cast<std::size_t>(a);
   if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
     return p;
@@ -133,12 +136,12 @@ SectionResult bench_mux_with_tracer(tta::RoundId rounds, TraceMode mode) {
   };
 
   for (tta::RoundId r = 0; r < 512; ++r) round_once(r);  // warm-up
-  const auto a0 = g_allocs;
+  const auto a0 = g_allocs.load(std::memory_order_relaxed);
   const auto w0 = std::chrono::steady_clock::now();
   std::size_t sink = 0;
   for (tta::RoundId r = 512; r < 512 + rounds; ++r) sink += round_once(r);
   const auto w1 = std::chrono::steady_clock::now();
-  const auto allocs = g_allocs - a0;
+  const auto allocs = g_allocs.load(std::memory_order_relaxed) - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
 
   const char* label = mode == TraceMode::kNone       ? "bare"

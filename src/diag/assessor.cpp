@@ -89,6 +89,7 @@ void Assessor::register_subject_job(platform::JobId job,
 void Assessor::bind_metrics(obs::Registry& registry) {
   metrics_ = &registry;
   classification_metrics_ = {};
+  staleness_metrics_.assign(component_count_, std::nullopt);
   symptoms_metric_ = registry.counter("diag.symptoms_ingested");
   violations_metric_ = registry.counter("diag.trust_violations");
   gaps_metric_ = registry.counter("diag.assessor.symptom_gaps");
@@ -608,10 +609,12 @@ void Assessor::export_staleness() {
     // them is not the FRU's staleness (report() writes those rows from
     // their serving tester).
     if (hierarchical() && !topo_->is_tester(position_, c)) continue;
-    metrics_
-        ->gauge("diag.evidence_staleness",
-                std::string("fru=c") + std::to_string(c))
-        .set(static_cast<double>(evidence_age(c)));
+    auto& gauge = staleness_metrics_[c];
+    if (!gauge) {
+      gauge = metrics_->gauge("diag.evidence_staleness",
+                              "fru=c" + std::to_string(c));
+    }
+    gauge->set(static_cast<double>(evidence_age(c)));
   }
 }
 

@@ -450,6 +450,9 @@ class Assessor {
                      static_cast<std::size_t>(fault::FaultClass::kNone) + 1>
       classification_metrics_;
   void count_classification(fault::FaultClass cls) const;
+  /// `diag.evidence_staleness` cells by component, each registered on
+  /// the first export of its row.
+  std::vector<std::optional<obs::Gauge>> staleness_metrics_;
   obs::Counter symptoms_metric_;
   obs::Counter violations_metric_;
   obs::Counter gaps_metric_;

@@ -487,9 +487,13 @@ std::vector<FruReport> DiagnosticService::report() const {
     // The staleness gauges track the *serving* assessor's view, so the
     // exported metrics survive a primary death and cover FRUs outside the
     // primary's tester slice.
-    metrics
-        .gauge("diag.evidence_staleness", "fru=c" + std::to_string(c))
-        .set(static_cast<double>(row.evidence_age));
+    if (staleness_metrics_.size() <= c) staleness_metrics_.resize(c + 1);
+    auto& gauge = staleness_metrics_[c];
+    if (!gauge) {
+      gauge = metrics.gauge("diag.evidence_staleness",
+                            "fru=c" + std::to_string(c));
+    }
+    gauge->set(static_cast<double>(row.evidence_age));
     rows.push_back(std::move(row));
   }
   for (platform::JobId j : subject_jobs_) {

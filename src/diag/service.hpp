@@ -247,6 +247,9 @@ class DiagnosticService {
   /// first assertion of its name.
   mutable std::map<std::string, obs::Counter, std::less<>> ona_metrics_;
   void count_ona(std::string_view name) const;
+  /// `diag.evidence_staleness` cells by component, each registered on the
+  /// first report row of its component.
+  mutable std::vector<std::optional<obs::Gauge>> staleness_metrics_;
   bool hardening_ = true;
   bool hierarchy_ = false;
   mutable std::optional<HierarchyTopology> view_topo_;

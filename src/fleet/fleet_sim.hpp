@@ -3,10 +3,11 @@
 // Tens of thousands of vehicles share a single discrete-event kernel;
 // each vehicle is pinned to one shard of the kernel's sharded pending-event
 // set (sim/event_queue.hpp), so its drive epochs push and pop on a
-// cache-local slab+heap and never allocate across shards. Because the
-// kernel's pop order is shard-assignment-invariant, the batch's tallies —
-// down to the append order of sparse module cells — are bit-identical for
-// every shard count; the tests pin that.
+// cache-local slab and run (they arrive in firing order, so none takes the
+// heap) and never allocate across shards. Because the kernel's pop order
+// is shard-assignment-invariant, the batch's tallies — down to the append
+// order of sparse module cells — are bit-identical for every shard count;
+// the tests pin that.
 #pragma once
 
 #include <cstdint>

@@ -55,9 +55,9 @@ class SpillArena {
 };
 
 /// Move-only `void()` callable with inline storage for small captures and
-/// arena-backed spill for large ones. Constructed only by the event queue
-/// (which supplies its arena); events and timers hand plain lambdas to
-/// Simulator::schedule_* exactly as before.
+/// arena-backed spill for large ones. Filled only by the event queue, in
+/// place via emplace() (which takes the shard's arena); events and timers
+/// hand plain lambdas to Simulator::schedule_* exactly as before.
 class EventFn {
  public:
   /// Inline capture budget. Covers every closure on the simulation hot
@@ -66,27 +66,6 @@ class EventFn {
   static constexpr std::size_t kInlineCapacity = 48;
 
   EventFn() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn>>>
-  EventFn(F&& f, SpillArena* arena) {
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_v<Fn&>,
-                  "event callable must be invocable with no arguments");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned event closures are not supported");
-    if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-    } else {
-      void* p = arena->allocate(sizeof(Fn));
-      ::new (p) Fn(std::forward<F>(f));
-      heap_ = p;
-      arena_ = arena;
-    }
-    ops_ = &OpsFor<Fn>::kOps;
-  }
 
   EventFn(EventFn&& other) noexcept { steal(other); }
 
@@ -102,6 +81,29 @@ class EventFn {
   EventFn& operator=(const EventFn&) = delete;
 
   ~EventFn() { reset(); }
+
+  /// Constructs the callable directly in this functor's storage (after
+  /// destroying any previous one), so an event node is filled without a
+  /// temporary EventFn and its relocate.
+  template <typename F>
+  void emplace(F&& f, SpillArena* arena) {
+    using Fn = std::decay_t<F>;
+    reset();
+    static_assert(std::is_invocable_v<Fn&>,
+                  "event callable must be invocable with no arguments");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "over-aligned event closures are not supported");
+    if constexpr (sizeof(Fn) <= kInlineCapacity &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    } else {
+      void* p = arena->allocate(sizeof(Fn));
+      ::new (p) Fn(std::forward<F>(f));
+      heap_ = p;
+      arena_ = arena;
+    }
+    ops_ = &OpsFor<Fn>::kOps;
+  }
 
   void operator()() { ops_->invoke(target()); }
 

@@ -43,13 +43,46 @@ EventId EventQueue::finish_push(std::uint32_t shard, std::uint32_t slot,
   n.seq = next_seq_++;
   n.prio = prio;
   n.cancelled = false;
-  sh.heap.push_back(HeapEntry{n.time, n.seq, slot, n.prio});
-  std::push_heap(sh.heap.begin(), sh.heap.end(), Later{});
+  const HeapEntry e{n.time, n.seq, slot, n.prio};
+  // Sequence numbers only grow, so this reads "(time, prio) not before the
+  // run's back": appending such an entry keeps the run sorted.
+  if (sh.run_len == 0 || !fires_before(e, sh.run_back())) {
+    run_push(sh, e);
+  } else {
+    sh.heap.push_back(e);
+    std::push_heap(sh.heap.begin(), sh.heap.end(), Later{});
+    ++heap_pushes_;
+  }
   ++live_;
   // The tree only needs a replay when this entry became the shard's head
   // (or the shard was empty): interior entries cannot affect any match.
-  if (shard_count() > 1 && sh.heap.front().seq == n.seq) replay(shard);
+  if (shard_count() > 1 && sh.head().seq == e.seq) replay(shard);
   return EventId{slot, n.gen, shard};
+}
+
+void EventQueue::run_push(Shard& sh, const HeapEntry& e) {
+  if (sh.run_len == sh.run_cap) {
+    // Unwrap into a ring twice the size. Capacity is kept when the run
+    // drains, so a warmed shard never comes back here.
+    const std::size_t cap = sh.run_cap == 0 ? 16 : 2 * sh.run_cap;
+    std::vector<HeapEntry> grown;
+    grown.reserve(cap);
+    for (std::size_t i = 0; i < sh.run_len; ++i) {
+      grown.push_back(sh.run[(sh.run_head + i) & (sh.run_cap - 1)]);
+    }
+    sh.run.swap(grown);
+    sh.run_cap = cap;
+    sh.run_head = 0;
+  }
+  // The write position only moves forward round the ring, so it is a slot
+  // written before or the first one never written.
+  const std::size_t at = (sh.run_head + sh.run_len) & (sh.run_cap - 1);
+  if (at == sh.run.size()) {
+    sh.run.push_back(e);
+  } else {
+    sh.run[at] = e;
+  }
+  ++sh.run_len;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -64,9 +97,11 @@ bool EventQueue::cancel(EventId id) {
   n.fn.reset();  // release the capture (and any spill block) right away
   assert(live_ > 0);
   --live_;
-  // Tombstoning the shard's head would leave the tournament tree comparing
-  // a dead entry — collect it (and any tombstones it uncovers) eagerly.
-  if (!sh.heap.empty() && sh.heap.front().slot == id.slot) {
+  // Tombstoning a lane front would leave next_time() or the tournament
+  // tree reading a dead entry — collect it (and any tombstones it
+  // uncovers) eagerly.
+  if ((!sh.heap.empty() && sh.heap.front().slot == id.slot) ||
+      (sh.run_len != 0 && sh.run_front().slot == id.slot)) {
     drop_dead(id.shard);
     if (shard_count() > 1) replay(id.shard);
   }
@@ -83,11 +118,15 @@ void EventQueue::free_slot(Shard& sh, std::uint32_t slot) {
 
 void EventQueue::drop_dead(std::uint32_t shard) {
   Shard& sh = shards_[shard];
-  while (!sh.heap.empty()) {
+  while (!sh.heap.empty() && sh.pool[sh.heap.front().slot].cancelled) {
     const std::uint32_t slot = sh.heap.front().slot;
-    if (!sh.pool[slot].cancelled) return;
     std::pop_heap(sh.heap.begin(), sh.heap.end(), Later{});
     sh.heap.pop_back();
+    free_slot(sh, slot);
+  }
+  while (sh.run_len != 0 && sh.pool[sh.run_front().slot].cancelled) {
+    const std::uint32_t slot = sh.run_front().slot;
+    run_pop(sh);
     free_slot(sh, slot);
   }
 }
@@ -95,16 +134,12 @@ void EventQueue::drop_dead(std::uint32_t shard) {
 bool EventQueue::head_before(std::uint32_t a, std::uint32_t b) const {
   if (b == kNoShard) return true;
   if (a == kNoShard) return false;
-  const HeapEntry& ha = shards_[a].heap.front();
-  const HeapEntry& hb = shards_[b].heap.front();
-  if (ha.time != hb.time) return ha.time < hb.time;
-  if (ha.prio != hb.prio) return ha.prio < hb.prio;
-  return ha.seq < hb.seq;
+  return fires_before(shards_[a].head(), shards_[b].head());
 }
 
 void EventQueue::replay(std::uint32_t shard) {
   std::size_t i = leaves_ + shard;
-  tree_[i] = shards_[shard].heap.empty() ? kNoShard : shard;
+  tree_[i] = shards_[shard].idle() ? kNoShard : shard;
   while (i > 1) {
     i >>= 1;
     const std::uint32_t l = tree_[2 * i];
@@ -114,22 +149,29 @@ void EventQueue::replay(std::uint32_t shard) {
 }
 
 SimTime EventQueue::next_time() const {
-  // The live-head invariant (drop_dead on every head mutation) means the
-  // winner's heap front is the earliest live event — no lazy collection
+  // The live-fronts invariant (drop_dead on every front mutation) means
+  // the winner's head is the earliest live event — no lazy collection
   // needed here.
   const std::uint32_t w = winner();
-  assert(w != kNoShard && !shards_[w].heap.empty());
-  return shards_[w].heap.front().time;
+  assert(w != kNoShard && !shards_[w].idle());
+  return shards_[w].head().time;
 }
 
 EventQueue::Fired EventQueue::pop() {
   const std::uint32_t w = winner();
   Shard& sh = shards_[w];
-  assert(!sh.heap.empty() && !sh.pool[sh.heap.front().slot].cancelled);
-  const std::uint32_t slot = sh.heap.front().slot;
-  std::pop_heap(sh.heap.begin(), sh.heap.end(), Later{});
-  sh.heap.pop_back();
+  assert(!sh.idle());
+  const bool from_run = sh.run_leads();
+  const std::uint32_t slot =
+      from_run ? sh.run_front().slot : sh.heap.front().slot;
+  if (from_run) {
+    run_pop(sh);
+  } else {
+    std::pop_heap(sh.heap.begin(), sh.heap.end(), Later{});
+    sh.heap.pop_back();
+  }
   Node& n = sh.pool[slot];
+  assert(!n.cancelled);
   Fired fired{n.time, std::move(n.fn), w};
   free_slot(sh, slot);
   --live_;

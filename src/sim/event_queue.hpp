@@ -6,22 +6,32 @@
 // the determinism tests both rely on.
 //
 // Storage is sharded: every shard owns a slab of free-listed event nodes, a
-// spill arena for oversized closures and a small binary heap of
-// (time, prio, seq, slot) entries, so the steady-state push/pop cycle
-// allocates nothing and never touches another shard's memory. A fleet
-// simulation gives each cluster its own shard: the cluster's events stay
-// cache-local while the queue still yields one globally ordered stream. The
-// shard heads are merged by a tournament (winner) tree — pop is
-// O(log n_shard + log shards) — and because the sequence counter is global,
-// the pop order is *identical for every shard assignment*: `shards = 1`
-// reproduces the historical single-slab kernel bit for bit.
+// spill arena for oversized closures and two lanes of (time, prio, seq,
+// slot) entries — a binary heap and a *run*, a power-of-two ring whose
+// entries are in firing order. A push that fires at or after the run's
+// back is appended to the run in O(1); only out-of-order pushes sift
+// through the heap. Self-rescheduling chains (a vehicle's next epoch, a
+// periodic tick) mostly arrive in firing order, so their entries never
+// touch the heap: the one-bucket case of a calendar queue (Brown, CACM
+// 31(10), 1988). The shard's head is the earlier of the run front and the
+// heap top; since (time, prio, seq) has no ties, that is the shard minimum
+// and the pop order is exactly a single heap's. Both lanes keep their
+// capacity when drained, so the steady-state push/pop cycle allocates
+// nothing and never touches another shard's memory.
+//
+// A fleet simulation gives each cluster its own shard: the cluster's
+// events stay cache-local while the queue still yields one globally
+// ordered stream. The shard heads are merged by a tournament (winner) tree
+// — pop is O(log n_shard + log shards) — and because the sequence counter
+// is global, the pop order is *identical for every shard assignment*:
+// `shards = 1` reproduces the historical single-slab kernel bit for bit.
 //
 // Handles are generation-tagged: cancelling an event that already fired,
 // was already cancelled, or whose slot has since been reused is a
 // detectable no-op, and cancellation itself is O(1) — the node is
-// tombstoned and its heap entry discarded lazily, except when it sits at
-// its shard's head, where it is collected eagerly so the tournament tree
-// only ever compares live heads.
+// tombstoned and its lane entry discarded lazily, except when it sits at
+// the run front or the heap top, where it is collected eagerly so both
+// fronts stay live and the tournament tree only ever compares live heads.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +66,8 @@ struct EventId {
 
 class EventQueue {
  public:
-  /// A queue with `shards` independent slab+heap pairs (>= 1). Shard
-  /// count is fixed for the queue's lifetime.
+  /// A queue with `shards` independent shards (>= 1). Shard count is
+  /// fixed for the queue's lifetime.
   explicit EventQueue(std::uint32_t shards = 1);
 
   [[nodiscard]] std::uint32_t shard_count() const {
@@ -78,12 +88,12 @@ class EventQueue {
                   F&& fn) {
     Shard& sh = shards_[shard];
     const std::uint32_t slot = acquire_slot(sh);
-    sh.pool[slot].fn = EventFn(std::forward<F>(fn), &sh.arena);
+    sh.pool[slot].fn.emplace(std::forward<F>(fn), &sh.arena);
     return finish_push(shard, slot, when, prio);
   }
 
   /// Cancels the event in O(1) (plus a tournament replay when the event
-  /// was its shard's head). Returns true iff the handle named a pending
+  /// sat at a lane front). Returns true iff the handle named a pending
   /// event; stale handles (already fired, already cancelled,
   /// default-constructed, or recycled slot) are rejected without touching
   /// any counter — empty()/size() stay truthful either way.
@@ -103,9 +113,13 @@ class EventQueue {
   };
   Fired pop();
 
+  /// Pushes so far that arrived out of firing order and took a shard's
+  /// heap lane instead of its run (a machine-independent work count).
+  [[nodiscard]] std::uint64_t heap_pushes() const { return heap_pushes_; }
+
  private:
   /// One slab slot. Either holds a pending event (its slot is referenced
-  /// by exactly one heap entry) or sits on the free list with its
+  /// by exactly one lane entry) or sits on the free list with its
   /// generation already bumped.
   struct Node {
     SimTime time;
@@ -121,16 +135,20 @@ class EventQueue {
     std::uint32_t slot;
     EventPriority prio;
   };
+  /// The total firing order (time, prio, seq).
+  static bool fires_before(const HeapEntry& a, const HeapEntry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.prio != b.prio) return a.prio < b.prio;
+    return a.seq < b.seq;
+  }
   /// Heap comparator: the entry that fires last sorts first-removed-last.
   struct Later {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.prio != b.prio) return a.prio > b.prio;
-      return a.seq > b.seq;
+      return fires_before(b, a);
     }
   };
-  /// One shard: slab + free list + heap + closure arena. Nothing in a
-  /// shard is ever touched by operations on another shard.
+  /// One shard: slab + free list + heap + run + closure arena. Nothing in
+  /// a shard is ever touched by operations on another shard.
   struct Shard {
     // Declared before pool: nodes release their spilled closures back
     // into the arena during pool's destruction.
@@ -138,6 +156,30 @@ class EventQueue {
     std::vector<Node> pool;
     std::vector<std::uint32_t> free;
     std::vector<HeapEntry> heap;
+    /// The run: a ring of run_cap (0 or a power of two) entries in firing
+    /// order, run_len of them live from run_head. A slot is appended to
+    /// `run` the first time the ring reaches it, so, like the heap vector,
+    /// the ring only touches memory it has used.
+    std::vector<HeapEntry> run;
+    std::size_t run_cap = 0;
+    std::size_t run_head = 0;
+    std::size_t run_len = 0;
+
+    [[nodiscard]] bool idle() const { return heap.empty() && run_len == 0; }
+    [[nodiscard]] const HeapEntry& run_front() const { return run[run_head]; }
+    [[nodiscard]] const HeapEntry& run_back() const {
+      return run[(run_head + run_len - 1) & (run_cap - 1)];
+    }
+    /// True iff the shard's head is the run front (false when the run is
+    /// empty): the earlier of the two lane fronts.
+    [[nodiscard]] bool run_leads() const {
+      return run_len != 0 &&
+             (heap.empty() || fires_before(run_front(), heap.front()));
+    }
+    /// The shard's earliest entry. Requires !idle().
+    [[nodiscard]] const HeapEntry& head() const {
+      return run_leads() ? run_front() : heap.front();
+    }
   };
 
   static constexpr std::uint32_t kNoShard = 0xFFFFFFFFu;
@@ -148,10 +190,17 @@ class EventQueue {
   /// Recycles a slot: bumps the generation (invalidating outstanding
   /// handles) and returns it to its shard's free list.
   void free_slot(Shard& sh, std::uint32_t slot);
-  /// Discards tombstoned entries at the head of `shard`'s heap, restoring
-  /// the live-head invariant the tournament tree relies on.
+  /// Appends to the run, doubling its ring when full.
+  static void run_push(Shard& sh, const HeapEntry& e);
+  static void run_pop(Shard& sh) {
+    sh.run_head = (sh.run_head + 1) & (sh.run_cap - 1);
+    --sh.run_len;
+  }
+  /// Discards tombstoned entries at the run front and the heap top of
+  /// `shard`, restoring the live-fronts invariant the tournament tree and
+  /// next_time() rely on.
   void drop_dead(std::uint32_t shard);
-  /// Re-seeds leaf `shard` of the tournament tree from its heap head and
+  /// Re-seeds leaf `shard` of the tournament tree from its head and
   /// replays the matches up to the root. No-op with a single shard.
   void replay(std::uint32_t shard);
   /// Shard whose head fires first (the tree root). Requires !empty().
@@ -163,14 +212,15 @@ class EventQueue {
 
   std::vector<Shard> shards_;
   /// Tournament winner tree over the shard heads: leaves_ + s holds shard
-  /// s (or kNoShard when its heap is empty); internal node i holds the
-  /// winner of its two children; tree_[1] is the overall winner. Sized
+  /// s (or kNoShard when both its lanes are empty); internal node i holds
+  /// the winner of its two children; tree_[1] is the overall winner. Sized
   /// once at construction — the merge allocates nothing. Empty when
   /// shard_count() == 1 (the degenerate case skips the tree entirely).
   std::vector<std::uint32_t> tree_;
   std::size_t leaves_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
+  std::uint64_t heap_pushes_ = 0;
 };
 
 }  // namespace decos::sim

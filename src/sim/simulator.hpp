@@ -27,7 +27,7 @@ namespace decos::sim {
 
 class Simulator {
  public:
-  /// A kernel with `shards` independent event-queue slab+heap pairs (see
+  /// A kernel with `shards` independent event-queue shards (see
   /// event_queue.hpp). The default single shard is the historical kernel;
   /// a fleet simulation gives each cluster instance its own shard so its
   /// events stay cache-local while the global (time, prio, seq) order —
@@ -96,6 +96,12 @@ class Simulator {
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
 
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }
+
+  /// Schedules that arrived out of firing order and took an event-queue
+  /// heap; the rest were O(1) appends to a run (see event_queue.hpp).
+  [[nodiscard]] std::uint64_t heap_pushes() const {
+    return queue_.heap_pushes();
+  }
 
   /// Metrics registry shared by every layer of this simulation: each
   /// subsystem registers its counters/histograms here at setup, so one

@@ -95,6 +95,22 @@ TEST(FleetSimulator, EventCountIsOneEventPerVehicleEpoch) {
   EXPECT_EQ(sim.simulator().events_executed(), 50u * 4u);
 }
 
+// Every vehicle schedules its next epoch in firing order, so each push is
+// an O(1) append to its shard's run and no push sifts through a heap.
+TEST(FleetSimulator, EpochPushesNeverTakeTheHeap) {
+  FleetBatchConfig cfg;
+  cfg.vehicles = 300;
+  cfg.epochs = 6;
+  for (std::uint32_t shards : {1u, 3u, 8u}) {
+    cfg.shards = shards;
+    FleetSimulator sim(cfg);
+    (void)sim.run();
+    (void)sim.run();  // a second pass continues from the drained clock
+    EXPECT_EQ(sim.simulator().events_executed(), 2u * 300u * 6u);
+    EXPECT_EQ(sim.simulator().heap_pushes(), 0u) << "shards=" << shards;
+  }
+}
+
 // --- campaign determinism --------------------------------------------------
 
 TEST(FleetCampaign, JobsDoNotChangeTheAggregate) {

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -14,6 +19,31 @@
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "sim/timer.hpp"
+
+namespace {
+// Counting global allocator hooks for the allocation-free refill test.
+// Every variant funnels through malloc/free so replaced and sanitizer
+// allocators never mix.
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace decos::sim {
 namespace {
@@ -520,6 +550,239 @@ TEST(Simulator, ReschedulesStayOnTheFiringShard) {
   sim.run_all();
   EXPECT_EQ(shard_of_fire,
             (std::vector<std::uint32_t>{0, 1, 2, 3, 0, 1, 2, 3}));
+}
+
+// --- run lane beside the heap ------------------------------------------------
+
+// Both lane fronts stay live: cancelling the run front or the heap top,
+// whether or not it is the shard's head, collects it eagerly.
+TEST(EventQueue, CancelAtEitherLaneFront) {
+  for (std::uint32_t shards : {1u, 3u}) {
+    EventQueue q(shards);
+    std::vector<int> order;
+    auto push = [&](std::uint32_t shard, std::int64_t t) {
+      return q.push_on(shard, SimTime{t}, EventPriority::kApplication,
+                       [&order, t] { order.push_back(static_cast<int>(t)); });
+    };
+    const std::uint32_t s = shards - 1;
+    const EventId r10 = push(s, 10);  // run: 10 20 30
+    const EventId r20 = push(s, 20);
+    push(s, 30);
+    const EventId h15 = push(s, 15);  // out of order, heap: 15 25
+    const EventId h25 = push(s, 25);
+    if (shards > 1) push(0, 100);     // another shard's run
+    EXPECT_EQ(q.heap_pushes(), 2u);
+    EXPECT_TRUE(q.cancel(r10));  // run front and shard head
+    EXPECT_EQ(q.next_time(), SimTime{15});
+    EXPECT_TRUE(q.cancel(h25));  // heap interior
+    EXPECT_TRUE(q.cancel(h15));  // heap top and shard head
+    EXPECT_EQ(q.next_time(), SimTime{20});
+    push(s, 17);                 // heap top ahead of the run front
+    EXPECT_TRUE(q.cancel(r20));  // run front behind the heap top
+    EXPECT_EQ(q.next_time(), SimTime{17});
+    EXPECT_FALSE(q.cancel(r10));  // stale: already cancelled
+    EXPECT_FALSE(q.cancel(h15));
+    EXPECT_EQ(q.size(), shards > 1 ? 3u : 2u);
+    while (!q.empty()) q.pop().fn();
+    EXPECT_EQ(order, shards > 1 ? (std::vector<int>{17, 30, 100})
+                                : (std::vector<int>{17, 30}));
+  }
+}
+
+// Each round pushes two in-order events and pops one, so the run's front
+// advances while its live set grows: every doubling unwraps a wrapped ring.
+TEST(EventQueue, RunGrowsWhileWrapped) {
+  EventQueue q;
+  std::vector<int> order;
+  int next = 0;
+  for (int round = 0; round < 300; ++round) {
+    for (int k = 0; k < 2; ++k) {
+      const int tag = next++;
+      q.push(SimTime{tag}, EventPriority::kApplication,
+             [&order, tag] { order.push_back(tag); });
+    }
+    q.pop().fn();
+  }
+  while (!q.empty()) q.pop().fn();
+  ASSERT_EQ(order.size(), 600u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<int>(i));
+  }
+  EXPECT_EQ(q.heap_pushes(), 0u);
+}
+
+// A drained run keeps its ring, as the slab keeps its nodes: refilling a
+// warmed queue to the same depth allocates nothing.
+TEST(EventQueue, DrainedRunRefillsWithoutAllocating) {
+  EventQueue q(2);
+  int fired = 0;
+  auto fill_and_drain = [&] {
+    for (std::int64_t t = 0; t < 500; ++t) {
+      q.push_on(static_cast<std::uint32_t>(t % 2), SimTime{t},
+                EventPriority::kApplication, [&fired] { ++fired; });
+    }
+    while (!q.empty()) q.pop().fn();
+  };
+  fill_and_drain();  // warm-up: ring, slab and free list at high water
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  fill_and_drain();
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(fired, 1000);
+  EXPECT_EQ(q.heap_pushes(), 0u);
+}
+
+/// Drives an EventQueue with a random mix of in-order runs, out-of-order
+/// pushes, pushes from inside callbacks and every kind of cancel, checking
+/// each pop against a reference multiset in the kernel's total order.
+class QueueModelCheck {
+ public:
+  QueueModelCheck(std::uint32_t shards, std::uint64_t seed)
+      : q_(shards), rng_(seed), cursor_(shards, 0) {}
+
+  void run(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const auto op = rng_.uniform_int(0, 9);
+      const auto shard = random_shard();
+      if (op <= 2) {
+        // An in-order run from the shard's cursor: the lane's common case.
+        const auto k = rng_.uniform_int(1, 6);
+        std::int64_t t = std::max(cursor_[shard], now_);
+        for (std::int64_t i = 0; i < k; ++i) {
+          t += rng_.uniform_int(0, 3);
+          push(shard, t, random_prio(), rng_.bernoulli(0.5));
+        }
+        cursor_[shard] = t;
+      } else if (op <= 4) {
+        push(shard, now_ + rng_.uniform_int(0, 40), random_prio(),
+             rng_.bernoulli(0.5));
+      } else if (op == 5) {
+        cancel_head_of(shard);
+      } else if (op == 6) {
+        cancel_any();
+      } else {
+        pop_one();
+      }
+      ASSERT_EQ(q_.size(), model_.size());
+      if (::testing::Test::HasFailure()) return;
+    }
+    draining_ = true;
+    while (!model_.empty() && !::testing::Test::HasFailure()) pop_one();
+    EXPECT_TRUE(q_.empty());
+    // Both lanes were exercised.
+    EXPECT_GT(q_.heap_pushes(), 0u);
+    EXPECT_LT(q_.heap_pushes(), events_.size());
+  }
+
+ private:
+  struct Event {
+    SimTime time;
+    EventPriority prio;
+    std::uint64_t seq;
+    std::uint32_t shard;
+    EventId id;
+    bool chain;  // pushes a follow-up from inside its callback
+    bool pending = true;
+  };
+  /// Model entry: an index into events_, ordered by (time, prio, seq).
+  struct ByFiring {
+    const std::vector<Event>* events;
+    bool operator()(std::size_t a, std::size_t b) const {
+      const Event& x = (*events)[a];
+      const Event& y = (*events)[b];
+      return std::tie(x.time, x.prio, x.seq) < std::tie(y.time, y.prio, y.seq);
+    }
+  };
+
+  std::uint32_t random_shard() {
+    return static_cast<std::uint32_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(q_.shard_count()) - 1));
+  }
+  EventPriority random_prio() {
+    return static_cast<EventPriority>(rng_.uniform_int(0, 4));
+  }
+
+  void push(std::uint32_t shard, std::int64_t t, EventPriority prio,
+            bool chain) {
+    const std::size_t tag = events_.size();
+    events_.push_back(Event{SimTime{t}, prio, seq_++, shard, {}, chain});
+    events_[tag].id =
+        q_.push_on(shard, SimTime{t}, prio, [this, tag] { fired(tag); });
+    model_.insert(tag);
+  }
+
+  void fired(std::size_t tag) {
+    last_fired_ = tag;
+    const Event& e = events_[tag];
+    if (e.chain && !draining_) {
+      // A self-rescheduling entity: the follow-up lands on its own shard.
+      push(e.shard, now_ + rng_.uniform_int(0, 5), e.prio,
+           rng_.bernoulli(0.7));
+    }
+  }
+
+  void pop_one() {
+    if (model_.empty()) return;
+    const std::size_t want = *model_.begin();
+    ASSERT_EQ(q_.next_time(), events_[want].time);
+    model_.erase(model_.begin());
+    events_[want].pending = false;
+    auto fired_event = q_.pop();
+    EXPECT_EQ(fired_event.time, events_[want].time);
+    EXPECT_EQ(fired_event.shard, events_[want].shard);
+    now_ = fired_event.time.ns();
+    fired_event.fn();
+    EXPECT_EQ(last_fired_, want);
+  }
+
+  void cancel(std::size_t tag) {
+    Event& e = events_[tag];
+    EXPECT_EQ(q_.cancel(e.id), e.pending) << "tag " << tag;
+    if (e.pending) {
+      model_.erase(tag);
+      e.pending = false;
+    }
+  }
+
+  /// The shard's head sits at one of its lane fronts.
+  void cancel_head_of(std::uint32_t shard) {
+    for (const std::size_t tag : model_) {
+      if (events_[tag].shard == shard) {
+        cancel(tag);
+        return;
+      }
+    }
+  }
+
+  /// Any handle ever issued: mostly interior entries, plus stale handles
+  /// of fired or cancelled events.
+  void cancel_any() {
+    if (events_.empty()) return;
+    cancel(static_cast<std::size_t>(rng_.uniform_int(
+        0, static_cast<std::int64_t>(events_.size()) - 1)));
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  std::vector<std::int64_t> cursor_;  // last in-order time per shard
+  std::vector<Event> events_;
+  std::multiset<std::size_t, ByFiring> model_{ByFiring{&events_}};
+  std::uint64_t seq_ = 0;
+  std::int64_t now_ = 0;
+  std::size_t last_fired_ = 0;
+  bool draining_ = false;
+};
+
+TEST(EventQueue, RunAndHeapPopInTheModelsOrder) {
+  for (std::uint32_t shards : {1u, 3u, 8u}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << shards << " seed=" << seed);
+      QueueModelCheck check(shards, seed);
+      check.run(4'000);
+    }
+  }
 }
 
 }  // namespace
