@@ -29,6 +29,7 @@
 // and `--wearout <profile>` (wearout curve). Reports per-archetype
 // taxonomy and bit-pattern accuracy plus the orphan-flip audit: every
 // logged flip must belong to a provenance journey.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -46,27 +47,29 @@
 #include "tta/tdma.hpp"
 
 namespace {
-unsigned long long g_allocs = 0;
+// Campaign worker threads allocate too, hence atomic; relaxed suffices,
+// since every measured window runs on one thread.
+std::atomic<unsigned long long> g_allocs{0};
 }
 
 // Counting global allocator hooks: every variant funnels through malloc so
 // the count covers array, nothrow and over-aligned forms alike.
 void* operator new(std::size_t n) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   const auto align = static_cast<std::size_t>(a);
   if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
     return p;
@@ -238,11 +241,11 @@ TransmitStats bench_transmit(tta::RoundId rounds, double rx_ber) {
   run_rounds(0, 256);  // warm-up: pool, kernel slab, payload capacity
   const std::uint64_t checks0 = bus.frame_pool()->crc_checks();
   const std::uint64_t sent0 = bus.frames_sent();
-  const auto a0 = g_allocs;
+  const auto a0 = g_allocs.load(std::memory_order_relaxed);
   const auto w0 = std::chrono::steady_clock::now();
   run_rounds(256, rounds);
   const auto w1 = std::chrono::steady_clock::now();
-  const auto allocs = g_allocs - a0;
+  const auto allocs = g_allocs.load(std::memory_order_relaxed) - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
 
   TransmitStats t;
@@ -286,11 +289,11 @@ ClusterStats bench_cluster(tta::RoundId rounds) {
   const std::uint64_t events0 = s.events_executed();
   const std::uint64_t sent0 = bus.frames_sent();
   const std::uint64_t checks0 = bus.frame_pool()->crc_checks();
-  const auto a0 = g_allocs;
+  const auto a0 = g_allocs.load(std::memory_order_relaxed);
   const auto w0 = std::chrono::steady_clock::now();
   s.run_until(edge(256 + rounds));
   const auto w1 = std::chrono::steady_clock::now();
-  const auto allocs = g_allocs - a0;
+  const auto allocs = g_allocs.load(std::memory_order_relaxed) - a0;
 
   const double sent = static_cast<double>(bus.frames_sent() - sent0);
   ClusterStats c;

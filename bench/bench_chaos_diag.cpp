@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
 
   // --trace arms provenance on the hardened sweep and dumps its merged
   // NDJSON journey record (bit-identical for every --jobs value).
-  chaos.provenance = reporter.trace_requested();
   scenario::Fig10Options hardened_base;
+  hardened_base.provenance = reporter.trace_requested();
   hardened_base.provenance_span_cap = reporter.trace_cap();
   const auto hardened = scenario::run_chaos_campaign(
       archetypes, seeds, chaos, hardened_base, reporter.jobs());
@@ -92,11 +92,10 @@ int main(int argc, char** argv) {
     reporter.set_info("orphaned_journeys",
                       static_cast<double>(hardened.orphaned_journeys));
   }
-  chaos.provenance = false;
-  scenario::ChaosOptions ablated_opts = chaos;
-  ablated_opts.hardening = false;
-  const auto ablated = scenario::run_chaos_campaign(archetypes, seeds,
-                                                    ablated_opts, {},
+  scenario::Fig10Options ablated_base;
+  ablated_base.assessor.hardening = false;
+  const auto ablated = scenario::run_chaos_campaign(archetypes, seeds, chaos,
+                                                    ablated_base,
                                                     reporter.jobs());
 
   analysis::Table t({"archetype", "baseline", "chaos hardened", "chaos ablated"});

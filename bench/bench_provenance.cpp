@@ -211,14 +211,13 @@ int main(int argc, char** argv) {
   const auto seeds =
       reporter.seeds_or(quick ? std::vector<std::uint64_t>{1}
                               : std::vector<std::uint64_t>{1, 2, 3});
-  scenario::ChaosOptions chaos;
-  chaos.provenance = true;
   auto archetypes = scenario::standard_archetypes();
   if (quick) archetypes.resize(3);
   scenario::Fig10Options base;
+  base.provenance = true;
   base.provenance_span_cap = reporter.trace_cap();
   const scenario::ChaosCampaignResult campaign = scenario::run_chaos_campaign(
-      archetypes, seeds, chaos, base, reporter.jobs());
+      archetypes, seeds, {}, base, reporter.jobs());
   std::printf(
       "journey audit: journeys=%llu classified=%llu orphans=%llu "
       "chaos_journeys=%llu spans=%llu dropped=%llu accuracy=%.3f\n",

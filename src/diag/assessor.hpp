@@ -214,6 +214,17 @@ class Assessor {
     std::uint64_t deltas_accepted = 0;
     std::uint64_t deltas_duplicate = 0;
     std::uint64_t deltas_rejected = 0;
+
+    HierarchyStats& operator+=(const HierarchyStats& other) {
+      symptoms_accepted += other.symptoms_accepted;
+      symptoms_filtered += other.symptoms_filtered;
+      deltas_emitted += other.deltas_emitted;
+      deltas_forwarded += other.deltas_forwarded;
+      deltas_accepted += other.deltas_accepted;
+      deltas_duplicate += other.deltas_duplicate;
+      deltas_rejected += other.deltas_rejected;
+      return *this;
+    }
   };
   [[nodiscard]] const HierarchyStats& hierarchy_stats() const { return hier_; }
 

@@ -280,16 +280,7 @@ std::optional<tta::RoundId> DiagnosticService::first_job_violation(
 
 Assessor::HierarchyStats DiagnosticService::hierarchy_stats() const {
   Assessor::HierarchyStats total;
-  for (const auto& a : assessors_) {
-    const Assessor::HierarchyStats& s = a->hierarchy_stats();
-    total.symptoms_accepted += s.symptoms_accepted;
-    total.symptoms_filtered += s.symptoms_filtered;
-    total.deltas_emitted += s.deltas_emitted;
-    total.deltas_forwarded += s.deltas_forwarded;
-    total.deltas_accepted += s.deltas_accepted;
-    total.deltas_duplicate += s.deltas_duplicate;
-    total.deltas_rejected += s.deltas_rejected;
-  }
+  for (const auto& a : assessors_) total += a->hierarchy_stats();
   return total;
 }
 

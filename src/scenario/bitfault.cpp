@@ -1,7 +1,7 @@
 #include "scenario/bitfault.hpp"
 
-#include "exec/runner.hpp"
 #include "obs/provenance.hpp"
+#include "scenario/campaign.hpp"
 
 namespace decos::scenario {
 namespace {
@@ -76,15 +76,10 @@ BitCampaignResult run_bitfault_campaign(
     row.name = spec.name;
     result.rows.push_back(std::move(row));
   }
-  if (seeds.empty()) return result;
 
-  // Archetype-major descriptors; the ordered merge keeps the result
-  // bit-identical for every job count.
-  std::vector<std::function<RunOutcome()>> runs;
-  runs.reserve(specs.size() * seeds.size());
-  for (const BitArchetypeSpec& spec : specs) {
-    for (const std::uint64_t seed : seeds) {
-      runs.push_back([&spec, seed, &base_options] {
+  run_grid(
+      specs, seeds, jobs,
+      [&base_options](const BitArchetypeSpec& spec, std::uint64_t seed) {
         Fig10Options opts = base_options;
         opts.seed = seed;
         // Every flip must be attributable to a journey; arm tracing so the
@@ -109,15 +104,10 @@ BitCampaignResult run_bitfault_campaign(
           }
         }
         return o;
-      });
-    }
-  }
-
-  exec::ExperimentRunner runner(jobs);
-  runner.run_and_merge<RunOutcome>(
-      std::move(runs), [&](std::size_t i, const RunOutcome& o) {
-        const BitArchetypeSpec& spec = specs[i / seeds.size()];
-        BitCampaignResult::Row& row = result.rows[i / seeds.size()];
+      },
+      [&](std::size_t i, const RunOutcome& o) {
+        const BitArchetypeSpec& spec = specs[i];
+        BitCampaignResult::Row& row = result.rows[i];
         ++row.runs;
         if (o.predicted == spec.truth) ++row.class_correct;
         if (o.bit == spec.bit_truth) ++row.bit_correct;

@@ -9,8 +9,9 @@
 // the campaign is the evidence that the Fig. 8 value signatures are
 // separable at bit granularity.
 //
-// Runs execute on the exec::ExperimentRunner with an ordered merge, so
-// the result is bit-identical for every job count.
+// Runs execute on the campaign grid (scenario/campaign.hpp: run_grid)
+// with an ordered merge, so the result is bit-identical for every job
+// count.
 #pragma once
 
 #include <functional>
@@ -71,8 +72,8 @@ struct BitCampaignResult {
   }
 };
 
-/// Runs every archetype across the seeds (one fresh, provenance-enabled
-/// Fig10System per run) on up to `jobs` workers.
+/// Runs every archetype across the seeds on run_grid (one fresh,
+/// provenance-enabled Fig10System per run) on up to `jobs` workers.
 [[nodiscard]] BitCampaignResult run_bitfault_campaign(
     const std::vector<BitArchetypeSpec>& specs,
     const std::vector<std::uint64_t>& seeds, Fig10Options base_options = {},

@@ -1,7 +1,5 @@
 #include "scenario/campaign.hpp"
 
-#include "exec/runner.hpp"
-
 namespace decos::scenario {
 namespace {
 
@@ -119,41 +117,39 @@ std::vector<Archetype> standard_archetypes() {
   return out;
 }
 
+void CampaignResult::open_rows(const std::vector<Archetype>& archetypes) {
+  per_archetype.reserve(archetypes.size());
+  for (const Archetype& arch : archetypes) {
+    per_archetype.push_back({arch.name, arch.truth, 0, 0});
+  }
+}
+
+bool CampaignResult::score(std::size_t row, fault::FaultClass predicted) {
+  PerArchetype& r = per_archetype[row];
+  confusion.add(r.truth, predicted);
+  ++r.runs;
+  const bool hit = predicted == r.truth;
+  if (hit) ++r.correct;
+  return hit;
+}
+
 CampaignResult run_campaign(const std::vector<Archetype>& archetypes,
                             const std::vector<std::uint64_t>& seeds,
                             Fig10Options base_options, unsigned jobs) {
   CampaignResult result;
-  result.per_archetype.reserve(archetypes.size());
-  for (const Archetype& arch : archetypes) {
-    result.per_archetype.push_back({arch.name, arch.truth, 0, 0});
-  }
-  if (seeds.empty()) return result;
-
-  // One descriptor per (archetype, seed), archetype-major — the order of
-  // the historical serial loop, which the ordered merge below replays.
-  std::vector<std::function<fault::FaultClass()>> runs;
-  runs.reserve(archetypes.size() * seeds.size());
-  for (const Archetype& arch : archetypes) {
-    for (const std::uint64_t seed : seeds) {
-      runs.push_back([&arch, seed, &base_options] {
+  result.open_rows(archetypes);
+  run_grid(
+      archetypes, seeds, jobs,
+      [&base_options](const Archetype& arch, std::uint64_t seed) {
         Fig10Options opts = base_options;
         opts.seed = seed;
         Fig10System rig(opts);
         arch.inject(rig);
         rig.run(arch.horizon);
         return arch.diagnose(rig).cls;
-      });
-    }
-  }
-
-  exec::ExperimentRunner runner(jobs);
-  runner.run_and_merge<fault::FaultClass>(
-      std::move(runs), [&](std::size_t i, fault::FaultClass predicted) {
-        const Archetype& arch = archetypes[i / seeds.size()];
-        auto& row = result.per_archetype[i / seeds.size()];
-        result.confusion.add(arch.truth, predicted);
-        ++row.runs;
-        if (predicted == arch.truth) ++row.correct;
+      },
+      [&result](std::size_t row, fault::FaultClass predicted) {
+        result.score(row, predicted);
       });
   return result;
 }

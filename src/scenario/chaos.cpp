@@ -2,44 +2,24 @@
 
 #include <string>
 
-#include "exec/runner.hpp"
-
 namespace decos::scenario {
 namespace {
 
 sim::SimTime ms(std::int64_t v) { return sim::SimTime{0} + sim::milliseconds(v); }
 
-/// Everything one chaos run hands back to the merge thread: the worker
-/// tears the rig down after harvesting, so the merged ChaosCampaignResult
-/// (confusion matrix, telemetry totals, snapshot union) is only ever
-/// touched on the calling thread.
-struct ChaosRun {
+/// What one chaos run hands back to the merge thread: the worker tears
+/// the rig down after harvesting, so the merged ChaosCampaignResult is
+/// only ever touched on the calling thread.
+struct ChaosOutcome {
   fault::FaultClass predicted = fault::FaultClass::kNone;
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
-  std::uint64_t symptom_gaps = 0;
-  std::uint64_t duplicates_dropped = 0;
-  std::uint64_t agent_drops_reported = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t heartbeats_sent = 0;
-  std::uint64_t heartbeats_received = 0;
-  std::uint64_t chaos_dropped = 0;
-  std::uint64_t chaos_corrupted = 0;
-  obs::Snapshot metrics;
-  obs::JourneyAudit audit;
-  std::string ndjson;
+  ChaosTally tally;
 };
 
-ChaosRun run_one_chaos(const Archetype& arch, std::uint64_t seed,
-                       const ChaosOptions& chaos,
-                       const Fig10Options& base_options) {
-  Fig10Options opts = base_options;
+ChaosOutcome run_one_chaos(const Archetype& arch, std::uint64_t seed,
+                           const ChaosOptions& chaos,
+                           const Fig10Options& base_options) {
+  Fig10Options opts = chaos_rig_options(base_options, chaos);
   opts.seed = seed;
-  opts.components = chaos.components;
-  opts.assessor_host = chaos.assessor_host;
-  opts.assessor_replicas = {chaos.replica_host};
-  opts.assessor.hardening = chaos.hardening;
-  opts.provenance = opts.provenance || chaos.provenance;
   Fig10System rig(opts);
   arch.inject(rig);
 
@@ -59,65 +39,102 @@ ChaosRun run_one_chaos(const Archetype& arch, std::uint64_t seed,
   // Diagnosing goes through DiagnosticService::assessor(), which
   // re-evaluates failover lazily — by now the revived primary has
   // reconciled from the replica that covered the outage.
-  ChaosRun out;
+  ChaosOutcome out;
   out.predicted = arch.diagnose(rig).cls;
 
+  ChaosTally& t = out.tally;
   auto& service = rig.diag();
-  out.failovers = service.failovers();
-  out.failbacks = service.failbacks();
+  t.failovers = service.failovers();
+  t.failbacks = service.failbacks();
   for (std::size_t i = 0; i < service.assessor_count(); ++i) {
     const auto& a = service.assessor(i);
-    out.symptom_gaps += a.symptom_gaps();
-    out.duplicates_dropped += a.duplicates_dropped();
-    out.agent_drops_reported += a.agent_drops_reported();
-    out.heartbeats_received += a.heartbeats_received();
+    t.symptom_gaps += a.symptom_gaps();
+    t.duplicates_dropped += a.duplicates_dropped();
+    t.agent_drops_reported += a.agent_drops_reported();
+    t.heartbeats_received += a.heartbeats_received();
   }
   for (platform::ComponentId c = 0; c < chaos.components; ++c) {
     const auto& agent = service.agent(c);
-    out.retransmissions += agent.retransmissions();
-    out.heartbeats_sent += agent.heartbeats_sent();
+    t.retransmissions += agent.retransmissions();
+    t.heartbeats_sent += agent.heartbeats_sent();
   }
-  out.chaos_dropped = storm.messages_dropped();
-  out.chaos_corrupted = storm.messages_corrupted();
-  out.metrics = rig.sim().metrics().snapshot();
+  t.chaos_dropped = storm.messages_dropped();
+  t.chaos_corrupted = storm.messages_corrupted();
+  t.metrics = rig.sim().metrics().snapshot();
 
   auto& tracer = rig.sim().provenance();
   if (tracer.enabled()) {
-    // The campaign's final diagnosis closes ledger journeys whose chain
-    // actually reached the verdict stage: those terminate kClassified
-    // (first terminal wins, so repaired/quarantined outcomes persist). A
-    // journey that never produced a verdict stays open and is counted as
-    // an orphan by the audit — the completeness criterion is earned, not
-    // declared.
-    const auto verdict_reached = [&](obs::ProvenanceId id) {
-      const obs::ProvJourney* jr = tracer.journey(id);
-      return jr != nullptr &&
-             jr->first_stage_ns[static_cast<int>(obs::ProvStage::kVerdict)] >=
-                 0;
-    };
-    for (const fault::InjectedFault& f : rig.injector().ledger()) {
-      bool discharged = verdict_reached(f.provenance);
-      if (!discharged) {
-        // Overlapping faults on one FRU: the latest injection takes over
-        // the FRU map, so downstream stages land on the owning journey.
-        // A verdict discharges the FRU as a whole — credit every ledger
-        // journey that fed the same evidence stream.
-        const obs::ProvenanceId owner =
-            f.job.has_value() ? tracer.journey_for_job(*f.job)
-                              : tracer.journey_for_component(f.component);
-        discharged = owner != f.provenance && verdict_reached(owner);
-      }
-      if (discharged) {
-        tracer.set_terminal(f.provenance, obs::ProvOutcome::kClassified);
-      }
-    }
-    out.audit = tracer.audit();
-    out.ndjson = tracer.ndjson();
+    // The campaign's final diagnosis closes the ledger journeys whose
+    // chain actually reached the verdict stage.
+    discharge_classified_journeys(tracer, rig.injector().ledger());
+    const obs::JourneyAudit audit = tracer.audit();
+    t.journeys = audit.journeys;
+    t.chaos_journeys = audit.chaos_journeys;
+    t.journeys_classified = audit.classified;
+    t.orphaned_journeys = audit.orphans;
+    t.spans = audit.spans;
+    t.spans_dropped = audit.spans_dropped;
+    t.provenance_ndjson = tracer.ndjson();
   }
   return out;
 }
 
 }  // namespace
+
+Fig10Options chaos_rig_options(Fig10Options base, const ChaosOptions& chaos) {
+  base.components = chaos.components;
+  base.assessor_host = chaos.assessor_host;
+  base.assessor_replicas = {chaos.replica_host};
+  return base;
+}
+
+void discharge_classified_journeys(
+    obs::ProvenanceTracer& tracer,
+    const std::vector<fault::InjectedFault>& ledger) {
+  const auto verdict_reached = [&tracer](obs::ProvenanceId id) {
+    const obs::ProvJourney* jr = tracer.journey(id);
+    return jr != nullptr &&
+           jr->first_stage_ns[static_cast<int>(obs::ProvStage::kVerdict)] >= 0;
+  };
+  for (const fault::InjectedFault& f : ledger) {
+    bool discharged = verdict_reached(f.provenance);
+    if (!discharged) {
+      // Overlapping faults on one FRU: the latest injection takes over
+      // the FRU map, so downstream stages land on the owning journey. A
+      // verdict discharges the FRU as a whole — credit every ledger
+      // journey that fed the same evidence stream.
+      const obs::ProvenanceId owner =
+          f.job.has_value() ? tracer.journey_for_job(*f.job)
+                            : tracer.journey_for_component(f.component);
+      discharged = owner != f.provenance && verdict_reached(owner);
+    }
+    if (discharged) {
+      tracer.set_terminal(f.provenance, obs::ProvOutcome::kClassified);
+    }
+  }
+}
+
+ChaosTally& ChaosTally::operator+=(const ChaosTally& other) {
+  failovers += other.failovers;
+  failbacks += other.failbacks;
+  symptom_gaps += other.symptom_gaps;
+  duplicates_dropped += other.duplicates_dropped;
+  agent_drops_reported += other.agent_drops_reported;
+  retransmissions += other.retransmissions;
+  heartbeats_sent += other.heartbeats_sent;
+  heartbeats_received += other.heartbeats_received;
+  chaos_dropped += other.chaos_dropped;
+  chaos_corrupted += other.chaos_corrupted;
+  metrics.merge(other.metrics);
+  journeys += other.journeys;
+  chaos_journeys += other.chaos_journeys;
+  journeys_classified += other.journeys_classified;
+  orphaned_journeys += other.orphaned_journeys;
+  spans += other.spans;
+  spans_dropped += other.spans_dropped;
+  provenance_ndjson += other.provenance_ndjson;
+  return *this;
+}
 
 ChaosCampaignResult run_chaos_campaign(const std::vector<Archetype>& archetypes,
                                        const std::vector<std::uint64_t>& seeds,
@@ -125,52 +142,16 @@ ChaosCampaignResult run_chaos_campaign(const std::vector<Archetype>& archetypes,
                                        Fig10Options base_options,
                                        unsigned jobs) {
   ChaosCampaignResult result;
-  result.per_archetype.reserve(archetypes.size());
-  for (const Archetype& arch : archetypes) {
-    result.per_archetype.push_back({arch.name, arch.truth, 0, 0});
-  }
-  if (seeds.empty()) return result;
-
-  std::vector<std::function<ChaosRun()>> runs;
-  runs.reserve(archetypes.size() * seeds.size());
-  for (const Archetype& arch : archetypes) {
-    for (const std::uint64_t seed : seeds) {
-      runs.push_back([&arch, seed, &chaos, &base_options] {
+  result.open_rows(archetypes);
+  run_grid(
+      archetypes, seeds, jobs,
+      [&chaos, &base_options](const Archetype& arch, std::uint64_t seed) {
         return run_one_chaos(arch, seed, chaos, base_options);
-      });
-    }
-  }
-
-  exec::ExperimentRunner runner(jobs);
-  runner.run_and_merge<ChaosRun>(
-      std::move(runs), [&](std::size_t i, ChaosRun& r) {
-        const Archetype& arch = archetypes[i / seeds.size()];
-        auto& row = result.per_archetype[i / seeds.size()];
-        result.confusion.add(arch.truth, r.predicted);
+      },
+      [&result](std::size_t row, const ChaosOutcome& r) {
         ++result.runs;
-        ++row.runs;
-        if (r.predicted == arch.truth) {
-          ++result.correct;
-          ++row.correct;
-        }
-        result.failovers += r.failovers;
-        result.failbacks += r.failbacks;
-        result.symptom_gaps += r.symptom_gaps;
-        result.duplicates_dropped += r.duplicates_dropped;
-        result.agent_drops_reported += r.agent_drops_reported;
-        result.retransmissions += r.retransmissions;
-        result.heartbeats_sent += r.heartbeats_sent;
-        result.heartbeats_received += r.heartbeats_received;
-        result.chaos_dropped += r.chaos_dropped;
-        result.chaos_corrupted += r.chaos_corrupted;
-        result.metrics.merge(r.metrics);
-        result.journeys += r.audit.journeys;
-        result.chaos_journeys += r.audit.chaos_journeys;
-        result.journeys_classified += r.audit.classified;
-        result.orphaned_journeys += r.audit.orphans;
-        result.spans += r.audit.spans;
-        result.spans_dropped += r.audit.spans_dropped;
-        result.provenance_ndjson += r.ndjson;
+        if (result.score(row, r.predicted)) ++result.correct;
+        result += r.tally;
       });
   return result;
 }
@@ -179,38 +160,28 @@ SilentAgentOutcome run_silent_agent_scenario(bool hardening,
                                              std::uint64_t seed,
                                              platform::ComponentId victim,
                                              sim::Duration horizon) {
-  // A single-descriptor sweep on the experiment engine, so the scenario
-  // shares the campaign's isolation contract (fresh rig, worker-side
-  // harvest) and its error reporting.
-  exec::ExperimentRunner runner(1);
+  Fig10Options opts;
+  opts.seed = seed;
+  opts.assessor.hardening = hardening;
+  Fig10System rig(opts);
+
+  fault::ChaosInjector storm(rig.sim(), rig.system());
+  storm.silence_job(rig.diag().agent_job(victim), ms(300));
+  rig.run(horizon);
+
   SilentAgentOutcome out;
-  runner.run_and_merge<SilentAgentOutcome>(
-      {[&] {
-        Fig10Options opts;
-        opts.seed = seed;
-        opts.assessor.hardening = hardening;
-        Fig10System rig(opts);
-
-        fault::ChaosInjector storm(rig.sim(), rig.system());
-        storm.silence_job(rig.diag().agent_job(victim), ms(300));
-        rig.run(horizon);
-
-        SilentAgentOutcome o;
-        o.trust = rig.diag().assessor().component_trust(victim);
-        const std::string fru = "component " + std::to_string(victim);
-        for (const diag::FruReport& r : rig.diag().report()) {
-          if (r.fru != fru) continue;
-          o.evidence_quality = r.evidence_quality;
-          o.evidence_age = r.evidence_age;
-          o.action_is_none = r.action == fault::MaintenanceAction::kNoAction;
-          for (const std::string& ona : r.asserted_onas) {
-            if (ona == "diagnostic-channel-degraded") o.channel_degraded_ona = true;
-          }
-          break;
-        }
-        return o;
-      }},
-      [&](std::size_t, const SilentAgentOutcome& o) { out = o; });
+  out.trust = rig.diag().assessor().component_trust(victim);
+  const std::string fru = "component " + std::to_string(victim);
+  for (const diag::FruReport& r : rig.diag().report()) {
+    if (r.fru != fru) continue;
+    out.evidence_quality = r.evidence_quality;
+    out.evidence_age = r.evidence_age;
+    out.action_is_none = r.action == fault::MaintenanceAction::kNoAction;
+    for (const std::string& ona : r.asserted_onas) {
+      if (ona == "diagnostic-channel-degraded") out.channel_degraded_ona = true;
+    }
+    break;
+  }
   return out;
 }
 

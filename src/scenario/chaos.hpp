@@ -1,32 +1,35 @@
 // Chaos campaign: diagnosis accuracy while the diagnostic path itself is
-// under attack.
+// under attack (E15).
 //
 // The standard campaign (scenario/campaign.hpp) scores the classifier
 // against injected application faults over a healthy diagnostic path.
-// This module re-runs the same archetype catalogue while a ChaosInjector
-// degrades the diagnostic virtual network (drop/corrupt), kills the
-// primary assessor's host mid-run and revives it later — exercising
-// heartbeats, retransmission, dedupe, staleness tracking, failover and
-// failback end to end. The headline numbers: hardened accuracy stays
-// close to the fault-free baseline, and a silenced agent is never
-// reported as verified-healthy.
+// This module re-runs the same archetype catalogue on the same campaign
+// grid (run_grid) while a ChaosInjector degrades the diagnostic virtual
+// network (drop/corrupt), kills the primary assessor's host mid-run and
+// revives it later — exercising heartbeats, retransmission, dedupe,
+// staleness tracking, failover and failback end to end. Each run yields a
+// ChaosTally, and the campaign sums them with its one operator+=. The
+// headline numbers: hardened accuracy stays close to the fault-free
+// baseline, and a silenced agent is never reported as verified-healthy.
+//
+// The hardening ablation and provenance tracing are rig options
+// (Fig10Options::assessor.hardening, Fig10Options::provenance): the
+// campaign applies only the chaos treatment and the geometry below.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "analysis/confusion.hpp"
 #include "fault/chaos.hpp"
+#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 #include "scenario/campaign.hpp"
 
 namespace decos::scenario {
 
 struct ChaosOptions {
-  /// Diagnostic-path hardening on/off (the ablation flag): agents'
-  /// heartbeats/resends, the assessor's staleness/dedupe machinery, and
-  /// the service's assessor failover.
-  bool hardening = true;
   /// Diagnostic-channel degradation, active from t = 0: per-message drop
   /// and corruption probabilities on virtual network 0.
   double drop_prob = 0.10;
@@ -43,19 +46,27 @@ struct ChaosOptions {
   std::uint32_t components = 7;
   platform::ComponentId assessor_host = 5;
   platform::ComponentId replica_host = 6;
-  /// Arms provenance tracing on every rig: each run closes its ledger
-  /// faults' journeys with a kClassified terminal after the final
-  /// diagnosis, and the campaign result carries the merged NDJSON dump
-  /// plus the journey-completeness audit totals.
-  bool provenance = false;
 };
 
-struct ChaosCampaignResult {
-  analysis::ConfusionMatrix confusion;
-  std::vector<CampaignResult::PerArchetype> per_archetype;
-  std::size_t runs = 0;
-  std::size_t correct = 0;
-  // Diagnostic-path health totals, summed over all runs.
+/// `base` on the chaos-rig geometry of `chaos` (components, primary and
+/// replica assessor hosts); every other option is left as given.
+[[nodiscard]] Fig10Options chaos_rig_options(Fig10Options base,
+                                             const ChaosOptions& chaos = {});
+
+/// The journey-discharge rule: closes with a kClassified terminal every
+/// ledger fault whose journey — or, for overlapping faults on one FRU, the
+/// journey that owns the FRU's evidence stream — reached the verdict stage
+/// (first terminal wins, so repaired/quarantined outcomes persist). A
+/// journey that never produced a verdict stays open and counts as an
+/// orphan in the audit: completeness is earned, not declared.
+void discharge_classified_journeys(
+    obs::ProvenanceTracer& tracer,
+    const std::vector<fault::InjectedFault>& ledger);
+
+/// Diagnostic-path health and provenance totals: what one chaos run
+/// harvests from its rig and, summed by operator+= in submission order,
+/// what a chaos campaign reports.
+struct ChaosTally {
   std::uint64_t failovers = 0;
   std::uint64_t failbacks = 0;
   std::uint64_t symptom_gaps = 0;
@@ -66,23 +77,30 @@ struct ChaosCampaignResult {
   std::uint64_t heartbeats_received = 0;
   std::uint64_t chaos_dropped = 0;
   std::uint64_t chaos_corrupted = 0;
-  /// Union of every run's metrics registry (counters add across runs), so
+  /// Union of the runs' metrics registries (counters add across runs), so
   /// the native diagnostic-path metrics — `diag.agent.retransmissions`,
   /// `diag.assessor.symptom_gaps`, `diag.assessor.failovers`,
   /// `diag.evidence_staleness{fru=...}` — survive into bench exports.
   obs::Snapshot metrics;
-  // Journey-completeness audit totals (provenance option only). Orphans
-  // are non-chaos journeys that never reached a terminal outcome — faults
-  // the diagnostic/maintenance pipeline lost track of.
+  // Journey-completeness audit totals (provenance-armed rigs only).
+  // Orphans are non-chaos journeys that never reached a terminal outcome —
+  // faults the diagnostic/maintenance pipeline lost track of.
   std::uint64_t journeys = 0;
   std::uint64_t chaos_journeys = 0;
   std::uint64_t journeys_classified = 0;
   std::uint64_t orphaned_journeys = 0;
   std::uint64_t spans = 0;
   std::uint64_t spans_dropped = 0;
-  /// Concatenated per-run NDJSON journey dumps, folded in submission
-  /// order: bit-identical for every --jobs value (simulated time only).
+  /// Concatenated per-run NDJSON journey dumps: bit-identical for every
+  /// --jobs value (simulated time only).
   std::string provenance_ndjson;
+
+  ChaosTally& operator+=(const ChaosTally& other);
+};
+
+struct ChaosCampaignResult : CampaignResult, ChaosTally {
+  std::size_t runs = 0;
+  std::size_t correct = 0;
 
   [[nodiscard]] double accuracy() const {
     return runs == 0 ? 0.0
@@ -90,15 +108,10 @@ struct ChaosCampaignResult {
   }
 };
 
-/// Runs every archetype across the seeds with the chaos treatment applied
-/// to each fresh rig. The diagnosis is taken from the *active* assessor,
+/// Runs every archetype across the seeds on run_grid with the chaos
+/// treatment applied to each fresh rig (`base_options` on the chaos
+/// geometry). The diagnosis is taken from the *active* assessor,
 /// whichever that is after failover/failback.
-///
-/// Like run_campaign, executes on the exec::ExperimentRunner: up to
-/// `jobs` parallel workers (0 = hardware concurrency), results — the
-/// confusion matrix, telemetry totals and the merged metrics snapshot —
-/// folded in submission order so every job count produces identical
-/// output.
 [[nodiscard]] ChaosCampaignResult run_chaos_campaign(
     const std::vector<Archetype>& archetypes,
     const std::vector<std::uint64_t>& seeds, ChaosOptions chaos = {},

@@ -1,10 +1,9 @@
 #include "scenario/hierarchy.hpp"
 
 #include <cassert>
-#include <functional>
 #include <string>
 
-#include "exec/runner.hpp"
+#include "scenario/campaign.hpp"
 
 namespace decos::scenario {
 namespace {
@@ -122,7 +121,7 @@ struct HierarchyRun {
   obs::Snapshot metrics;
 };
 
-HierarchyRun run_one(std::uint64_t seed, const HierarchyOptions& base) {
+HierarchyRun run_one(const HierarchyOptions& base, std::uint64_t seed) {
   HierarchyOptions opts = base;
   opts.seed = seed;
   HierarchySystem rig(opts);
@@ -163,29 +162,14 @@ HierarchyCampaignResult run_hierarchy_campaign(
     const std::vector<std::uint64_t>& seeds, HierarchyOptions base,
     unsigned jobs) {
   HierarchyCampaignResult result;
-  if (seeds.empty()) return result;
-
-  std::vector<std::function<HierarchyRun()>> runs;
-  runs.reserve(seeds.size());
-  for (const std::uint64_t seed : seeds) {
-    runs.push_back([seed, &base] { return run_one(seed, base); });
-  }
-
-  exec::ExperimentRunner runner(jobs);
-  runner.run_and_merge<HierarchyRun>(
-      std::move(runs), [&](std::size_t, HierarchyRun& r) {
-        result.confusion.add(r.truth, r.predicted);
-        ++result.runs;
-        if (r.predicted == r.truth) ++result.correct;
-        result.symptoms_accepted += r.stats.symptoms_accepted;
-        result.symptoms_filtered += r.stats.symptoms_filtered;
-        result.deltas_emitted += r.stats.deltas_emitted;
-        result.deltas_forwarded += r.stats.deltas_forwarded;
-        result.deltas_accepted += r.stats.deltas_accepted;
-        result.deltas_duplicate += r.stats.deltas_duplicate;
-        result.deltas_rejected += r.stats.deltas_rejected;
-        result.metrics.merge(r.metrics);
-      });
+  run_grid(std::vector<HierarchyOptions>{base}, seeds, jobs, run_one,
+           [&result](std::size_t, const HierarchyRun& r) {
+             result.confusion.add(r.truth, r.predicted);
+             ++result.runs;
+             if (r.predicted == r.truth) ++result.correct;
+             result += r.stats;
+             result.metrics.merge(r.metrics);
+           });
   return result;
 }
 

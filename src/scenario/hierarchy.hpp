@@ -66,18 +66,12 @@ class HierarchySystem {
   std::vector<std::vector<platform::JobId>> ring_jobs_;  // [ring][component]
 };
 
-struct HierarchyCampaignResult {
+/// The base holds the dissemination counters summed over all runs
+/// (traffic accounting).
+struct HierarchyCampaignResult : diag::Assessor::HierarchyStats {
   analysis::ConfusionMatrix confusion;
   std::size_t runs = 0;
   std::size_t correct = 0;
-  /// Summed dissemination counters over all runs (traffic accounting).
-  std::uint64_t symptoms_accepted = 0;
-  std::uint64_t symptoms_filtered = 0;
-  std::uint64_t deltas_emitted = 0;
-  std::uint64_t deltas_forwarded = 0;
-  std::uint64_t deltas_accepted = 0;
-  std::uint64_t deltas_duplicate = 0;
-  std::uint64_t deltas_rejected = 0;
   obs::Snapshot metrics;
 
   [[nodiscard]] double accuracy() const {
@@ -90,8 +84,9 @@ struct HierarchyCampaignResult {
 /// deterministic victim component receives a deterministic archetype
 /// (cycling connector / permanent / wearout), the run is diagnosed through
 /// the composed service accessors, and the result is scored against the
-/// injector's ground truth. Executes on the exec::ExperimentRunner and
-/// merges in submission order — bit-identical for every `jobs` value.
+/// injector's ground truth. Runs on the campaign grid (run_grid, one spec
+/// x the seeds) and merges in submission order — bit-identical for every
+/// `jobs` value.
 [[nodiscard]] HierarchyCampaignResult run_hierarchy_campaign(
     const std::vector<std::uint64_t>& seeds, HierarchyOptions base = {},
     unsigned jobs = 0);

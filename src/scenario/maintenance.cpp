@@ -1,17 +1,17 @@
 #include "scenario/maintenance.hpp"
 
-#include <functional>
-
-#include "exec/runner.hpp"
-
 namespace decos::scenario {
 namespace {
 
 /// Runs one archetype x seed with a live executor and harvests everything
 /// on the worker — the rig dies here, the merge thread only sees values.
+/// `directed`, when given, also receives the subject's
+/// `maintenance-degraded` ONA and the degraded jobs, read from the live
+/// rig before the metrics snapshot.
 MaintenanceRun run_one(const Archetype& arch, std::uint64_t seed,
                        const MaintenanceOptions& options,
-                       const Fig10Options& base_options) {
+                       const Fig10Options& base_options,
+                       MaintenanceScenarioOutcome* directed = nullptr) {
   Fig10Options opts = base_options;
   opts.seed = seed;
   Fig10System rig(opts);
@@ -50,11 +50,31 @@ MaintenanceRun run_one(const Archetype& arch, std::uint64_t seed,
       out.ttr_us = (o.closed - o.opened).ns() / 1000;
     }
   }
+  if (directed != nullptr) {
+    for (const diag::FruReport& row : rig.diag().report()) {
+      if (row.job || row.component != subject.component) continue;
+      for (const std::string& ona : row.asserted_onas) {
+        if (ona == "maintenance-degraded") directed->degraded_ona = true;
+      }
+    }
+    directed->degraded_jobs = executor.degraded_jobs();
+  }
   out.metrics = rig.sim().metrics().snapshot();
   return out;
 }
 
 }  // namespace
+
+RepairTally& RepairTally::operator+=(const RepairTally& other) {
+  repairs_attempted += other.repairs_attempted;
+  repairs_verified += other.repairs_verified;
+  repairs_failed += other.repairs_failed;
+  retries += other.retries;
+  nff_removals += other.nff_removals;
+  spares_consumed += other.spares_consumed;
+  quarantines += other.quarantines;
+  return *this;
+}
 
 MaintenanceCampaignResult run_maintenance_campaign(
     const std::vector<Archetype>& archetypes,
@@ -68,45 +88,25 @@ MaintenanceCampaignResult run_maintenance_campaign(
     row.truth = arch.truth;
     result.per_archetype.push_back(std::move(row));
   }
-  if (seeds.empty()) return result;
-
-  std::vector<std::function<MaintenanceRun()>> runs;
-  runs.reserve(archetypes.size() * seeds.size());
-  for (const Archetype& arch : archetypes) {
-    for (const std::uint64_t seed : seeds) {
-      runs.push_back([&arch, seed, &options, &base_options] {
+  run_grid(
+      archetypes, seeds, jobs,
+      [&options, &base_options](const Archetype& arch, std::uint64_t seed) {
         return run_one(arch, seed, options, base_options);
-      });
-    }
-  }
-
-  exec::ExperimentRunner runner(jobs);
-  runner.run_and_merge<MaintenanceRun>(
-      std::move(runs), [&](std::size_t i, MaintenanceRun& r) {
-        auto& row = result.per_archetype[i / seeds.size()];
+      },
+      [&result](std::size_t i, const MaintenanceRun& r) {
+        auto& row = result.per_archetype[i];
         ++result.runs;
         ++row.runs;
         if (r.recovered) {
           ++result.recovered;
           ++row.recovered;
         }
-        row.repairs_attempted += r.repairs_attempted;
-        row.repairs_verified += r.repairs_verified;
-        row.retries += r.retries;
-        row.nff_removals += r.nff_removals;
-        row.spares_consumed += r.spares_consumed;
-        row.quarantines += r.quarantines;
+        row += r;
+        result += r;
         if (r.ttr_us >= 0) {
           row.ttr_us_total += r.ttr_us;
           ++row.ttr_samples;
         }
-        result.repairs_attempted += r.repairs_attempted;
-        result.repairs_verified += r.repairs_verified;
-        result.repairs_failed += r.repairs_failed;
-        result.retries += r.retries;
-        result.nff_removals += r.nff_removals;
-        result.spares_consumed += r.spares_consumed;
-        result.quarantines += r.quarantines;
         result.metrics.merge(r.metrics);
       });
   return result;
@@ -115,62 +115,8 @@ MaintenanceCampaignResult run_maintenance_campaign(
 MaintenanceScenarioOutcome run_maintenance_scenario(
     const Archetype& archetype, std::uint64_t seed, MaintenanceOptions options,
     Fig10Options base_options) {
-  // A single-descriptor sweep on the experiment engine, sharing the
-  // campaign's isolation contract and error reporting.
-  exec::ExperimentRunner runner(1);
   MaintenanceScenarioOutcome out;
-  runner.run_and_merge<MaintenanceScenarioOutcome>(
-      {[&] {
-        Fig10Options opts = base_options;
-        opts.seed = seed;
-        Fig10System rig(opts);
-        maintenance::MaintenanceExecutor executor(
-            rig.system(), rig.diag(), rig.injector(), options.executor);
-        executor.start();
-        archetype.inject(rig);
-        rig.run(archetype.horizon + options.repair_grace);
-
-        MaintenanceScenarioOutcome o;
-        const fault::InjectedFault& subject = rig.injector().ledger().front();
-        const diag::Assessor& assessor = rig.diag().assessor();
-        o.run.truth = archetype.truth;
-        o.run.final_trust = subject.job
-                                ? assessor.job_trust(*subject.job)
-                                : assessor.component_trust(subject.component);
-        o.run.recovered = o.run.final_trust >= options.executor.verify_trust;
-        o.run.repairs_attempted = executor.repairs_attempted();
-        o.run.repairs_verified = executor.repairs_verified();
-        o.run.repairs_failed = executor.repairs_failed();
-        o.run.retries = executor.retries();
-        o.run.nff_removals = executor.nff_removals();
-        o.run.spares_consumed = executor.spares_consumed();
-        o.run.quarantines = executor.quarantines();
-        for (const maintenance::WorkOrder& order : executor.work_orders()) {
-          const bool on_subject =
-              subject.job ? (order.job && *order.job == *subject.job)
-                          : (!order.job && order.component == subject.component);
-          if (!on_subject) continue;
-          o.run.trajectory.insert(o.run.trajectory.end(),
-                                  order.actions.begin(), order.actions.end());
-          if (order.nff) o.run.nff_on_subject = true;
-          if (order.state == maintenance::WorkOrderState::kVerified &&
-              o.run.ttr_us < 0) {
-            o.run.ttr_us = (order.closed - order.opened).ns() / 1000;
-          }
-        }
-        for (const diag::FruReport& row : rig.diag().report()) {
-          if (row.job || row.component != subject.component) continue;
-          for (const std::string& ona : row.asserted_onas) {
-            if (ona == "maintenance-degraded") o.degraded_ona = true;
-          }
-        }
-        o.degraded_jobs = executor.degraded_jobs();
-        o.run.metrics = rig.sim().metrics().snapshot();
-        return o;
-      }},
-      [&](std::size_t, MaintenanceScenarioOutcome& harvested) {
-        out = std::move(harvested);
-      });
+  out.run = run_one(archetype, seed, options, base_options, &out);
   return out;
 }
 

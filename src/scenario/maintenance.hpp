@@ -7,8 +7,11 @@
 // recovery (time-to-recovery, repairs attempted/verified, measured NFF
 // removals, spares consumed) instead of classification accuracy alone.
 //
-// Runs execute on the exec::ExperimentRunner with worker-side harvesting
-// and ordered merging: `--jobs N` output is bit-identical to serial.
+// Campaigns run on the campaign grid (run_grid) with worker-side
+// harvesting and ordered merging: `--jobs N` output is bit-identical to
+// serial. The executor's seven repair counters are one RepairTally, summed
+// per archetype and per campaign by its one operator+=. The directed
+// single-run scenario runs the campaign's own per-run body.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +32,9 @@ struct MaintenanceOptions {
   sim::Duration repair_grace = sim::seconds(4);
 };
 
-/// Everything one closed-loop run hands back to the merge thread.
-struct MaintenanceRun {
-  /// True class of the first injected fault (the run's subject).
-  fault::FaultClass truth = fault::FaultClass::kNone;
-  /// Final trust of the true FRU, and whether it ended above the
-  /// executor's conformance threshold (recovered — by repair or, for
-  /// transient faults with kNoAction, by itself).
-  double final_trust = 1.0;
-  bool recovered = false;
+/// The MaintenanceExecutor's repair counters: harvested per run and summed
+/// per archetype and per campaign.
+struct RepairTally {
   std::uint64_t repairs_attempted = 0;
   std::uint64_t repairs_verified = 0;
   std::uint64_t repairs_failed = 0;
@@ -45,6 +42,19 @@ struct MaintenanceRun {
   std::uint64_t nff_removals = 0;
   std::uint64_t spares_consumed = 0;
   std::uint64_t quarantines = 0;
+
+  RepairTally& operator+=(const RepairTally& other);
+};
+
+/// Everything one closed-loop run hands back to the merge thread.
+struct MaintenanceRun : RepairTally {
+  /// True class of the first injected fault (the run's subject).
+  fault::FaultClass truth = fault::FaultClass::kNone;
+  /// Final trust of the true FRU, and whether it ended above the
+  /// executor's conformance threshold (recovered — by repair or, for
+  /// transient faults with kNoAction, by itself).
+  double final_trust = 1.0;
+  bool recovered = false;
   /// Time-to-recovery of the true FRU's first verified work order,
   /// microseconds (order opened -> repair verified); -1 if none closed.
   std::int64_t ttr_us = -1;
@@ -56,18 +66,12 @@ struct MaintenanceRun {
   obs::Snapshot metrics;
 };
 
-struct MaintenanceCampaignResult {
-  struct PerArchetype {
+struct MaintenanceCampaignResult : RepairTally {
+  struct PerArchetype : RepairTally {
     std::string name;
     fault::FaultClass truth = fault::FaultClass::kNone;
     std::size_t runs = 0;
     std::size_t recovered = 0;
-    std::uint64_t repairs_attempted = 0;
-    std::uint64_t repairs_verified = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t nff_removals = 0;
-    std::uint64_t spares_consumed = 0;
-    std::uint64_t quarantines = 0;
     std::int64_t ttr_us_total = 0;
     std::size_t ttr_samples = 0;
 
@@ -80,18 +84,11 @@ struct MaintenanceCampaignResult {
   std::vector<PerArchetype> per_archetype;
   std::size_t runs = 0;
   std::size_t recovered = 0;
-  std::uint64_t repairs_attempted = 0;
-  std::uint64_t repairs_verified = 0;
-  std::uint64_t repairs_failed = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t nff_removals = 0;
-  std::uint64_t spares_consumed = 0;
-  std::uint64_t quarantines = 0;
   obs::Snapshot metrics;
 };
 
-/// Sweeps archetypes x seeds, each run a fresh Fig. 10 rig with a live
-/// MaintenanceExecutor closing the loop.
+/// Sweeps archetypes x seeds on run_grid, each run a fresh Fig. 10 rig
+/// with a live MaintenanceExecutor closing the loop.
 [[nodiscard]] MaintenanceCampaignResult run_maintenance_campaign(
     const std::vector<Archetype>& archetypes,
     const std::vector<std::uint64_t>& seeds, MaintenanceOptions options = {},
@@ -100,7 +97,8 @@ struct MaintenanceCampaignResult {
 /// One directed closed-loop run, for the failure modes a statistics-only
 /// campaign cannot assert: pass the naive garage strategy to force a
 /// measured NFF removal followed by a model-guided retry, or spares = 0 to
-/// force quarantine and the `maintenance-degraded` meta-ONA.
+/// force quarantine and the `maintenance-degraded` meta-ONA. `run` is the
+/// campaign's per-run harvest: it equals the one-run campaign's tallies.
 struct MaintenanceScenarioOutcome {
   MaintenanceRun run;
   /// `maintenance-degraded` asserted on the subject's component row.

@@ -1,10 +1,10 @@
 #include "scenario/sweep.hpp"
 
-#include <functional>
 #include <optional>
 #include <utility>
 
-#include "exec/runner.hpp"
+#include "scenario/campaign.hpp"
+#include "scenario/chaos.hpp"
 #include "scenario/fig10.hpp"
 #include "scenario/hierarchy.hpp"
 
@@ -17,11 +17,7 @@ Fig10Options rig_options(const SweepOptions& opts) {
   // The no-orphans leg of the oracle audits the provenance ledger, so
   // every sweep run traces.
   fo.provenance = true;
-  if (opts.rig == SweepOptions::Rig::kChaosRig) {
-    fo.components = 7;
-    fo.assessor_host = 5;
-    fo.assessor_replicas = {6};
-  }
+  if (opts.rig == SweepOptions::Rig::kChaosRig) return chaos_rig_options(fo);
   return fo;
 }
 
@@ -141,27 +137,11 @@ PointRun run_body(Rig& rig, const SweepOptions& opts,
   v.detected =
       victim_order || service.first_component_violation(victim).has_value();
 
-  // Close ledger journeys whose chain reached the verdict stage (same
-  // discharge rule as the chaos campaign), then audit: any remaining
-  // orphan is an injected fault the pipeline lost track of.
+  // Close ledger journeys whose chain reached the verdict stage, then
+  // audit: any remaining orphan is an injected fault the pipeline lost
+  // track of.
   obs::ProvenanceTracer& tracer = rig.sim().provenance();
-  const auto verdict_reached = [&tracer](obs::ProvenanceId id) {
-    const obs::ProvJourney* jr = tracer.journey(id);
-    return jr != nullptr &&
-           jr->first_stage_ns[static_cast<int>(obs::ProvStage::kVerdict)] >= 0;
-  };
-  for (const fault::InjectedFault& f : rig.injector().ledger()) {
-    bool discharged = verdict_reached(f.provenance);
-    if (!discharged) {
-      const obs::ProvenanceId owner =
-          f.job.has_value() ? tracer.journey_for_job(*f.job)
-                            : tracer.journey_for_component(f.component);
-      discharged = owner != f.provenance && verdict_reached(owner);
-    }
-    if (discharged) {
-      tracer.set_terminal(f.provenance, obs::ProvOutcome::kClassified);
-    }
-  }
+  discharge_classified_journeys(tracer, rig.injector().ledger());
   v.no_orphans = tracer.audit().orphans == 0;
 
   for (int i = 0; i < fault::kFaultSiteCount; ++i) {
@@ -246,21 +226,18 @@ SweepResult run_fault_space_sweep(const SweepOptions& opts,
   result.truncated = points.size() < result.space_size;
   result.verdicts.reserve(points.size());
 
-  std::vector<std::function<ConvergenceVerdict()>> runs;
-  runs.reserve(points.size());
-  for (const fault::FaultPoint& p : points) {
-    runs.push_back([&opts, p] { return run_one(opts, p).verdict; });
-  }
-
-  exec::ExperimentRunner runner(jobs);
-  runner.run_and_merge<ConvergenceVerdict>(
-      std::move(runs),
+  // One grid row per fault point, each run on the sweep's one seed.
+  run_grid(
+      points, {opts.seed}, jobs,
+      [&opts](const fault::FaultPoint& p, std::uint64_t) {
+        return run_one(opts, p).verdict;
+      },
       [&result](std::size_t, const ConvergenceVerdict& v) {
         result.verdicts.push_back(v);
         if (!v.converged()) result.counterexamples.push_back(v);
         ++result.executed;
       },
-      [&points](std::size_t i) { return points[i].token(); });
+      [&points](std::size_t row) { return points[row].token(); });
   return result;
 }
 

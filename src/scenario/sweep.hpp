@@ -23,8 +23,9 @@
 // A point whose run violates the oracle is a *counterexample*, carrying
 // a one-line replay token "site:occurrence" — re-running the bench with
 // `--replay site:occurrence` reproduces exactly that run. Runs execute
-// on the exec::ExperimentRunner with ordered merging, so `--jobs N`
-// output is bit-identical to serial.
+// on the campaign grid (scenario/campaign.hpp: run_grid), one row per
+// fault point, with ordered merging, so `--jobs N` output is
+// bit-identical to serial.
 #pragma once
 
 #include <array>

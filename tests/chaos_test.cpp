@@ -16,11 +16,8 @@ namespace {
 sim::SimTime ms(std::int64_t v) { return sim::SimTime{0} + sim::milliseconds(v); }
 
 scenario::Fig10Options chaos_rig_options(std::uint64_t seed, bool hardening) {
-  scenario::Fig10Options opts;
+  scenario::Fig10Options opts = scenario::chaos_rig_options({});
   opts.seed = seed;
-  opts.components = 7;
-  opts.assessor_host = 5;
-  opts.assessor_replicas = {6};
   opts.assessor.hardening = hardening;
   return opts;
 }

@@ -202,6 +202,39 @@ TEST(ExperimentRunner, ParallelCampaignIsBitIdenticalToSerial) {
   }
 }
 
+/// Every member of two chaos campaign results, field by field (the merged
+/// snapshot modulo its one wall-clock gauge).
+void expect_same_chaos(const scenario::ChaosCampaignResult& a,
+                       const scenario::ChaosCampaignResult& b) {
+  expect_same_confusion(a.confusion, b.confusion);
+  ASSERT_EQ(a.per_archetype.size(), b.per_archetype.size());
+  for (std::size_t i = 0; i < a.per_archetype.size(); ++i) {
+    EXPECT_EQ(a.per_archetype[i].name, b.per_archetype[i].name);
+    EXPECT_EQ(a.per_archetype[i].runs, b.per_archetype[i].runs);
+    EXPECT_EQ(a.per_archetype[i].correct, b.per_archetype[i].correct);
+  }
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.correct, b.correct);
+  EXPECT_EQ(a.failovers, b.failovers);
+  EXPECT_EQ(a.failbacks, b.failbacks);
+  EXPECT_EQ(a.symptom_gaps, b.symptom_gaps);
+  EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped);
+  EXPECT_EQ(a.agent_drops_reported, b.agent_drops_reported);
+  EXPECT_EQ(a.retransmissions, b.retransmissions);
+  EXPECT_EQ(a.heartbeats_sent, b.heartbeats_sent);
+  EXPECT_EQ(a.heartbeats_received, b.heartbeats_received);
+  EXPECT_EQ(a.chaos_dropped, b.chaos_dropped);
+  EXPECT_EQ(a.chaos_corrupted, b.chaos_corrupted);
+  EXPECT_EQ(a.journeys, b.journeys);
+  EXPECT_EQ(a.chaos_journeys, b.chaos_journeys);
+  EXPECT_EQ(a.journeys_classified, b.journeys_classified);
+  EXPECT_EQ(a.orphaned_journeys, b.orphaned_journeys);
+  EXPECT_EQ(a.spans, b.spans);
+  EXPECT_EQ(a.spans_dropped, b.spans_dropped);
+  EXPECT_EQ(a.provenance_ndjson, b.provenance_ndjson);
+  expect_same_snapshot(a.metrics, b.metrics);
+}
+
 TEST(ExperimentRunner, ParallelChaosCampaignMergesIdenticalSnapshot) {
   // One archetype x three seeds through the full chaos treatment: the
   // merged snapshot union exercises ordered Snapshot::merge across runs.
@@ -215,20 +248,43 @@ TEST(ExperimentRunner, ParallelChaosCampaignMergesIdenticalSnapshot) {
       scenario::run_chaos_campaign(subset, seeds, {}, {}, 1);
   const auto parallel =
       scenario::run_chaos_campaign(subset, seeds, {}, {}, 4);
+  expect_same_chaos(serial, parallel);
 
-  expect_same_confusion(serial.confusion, parallel.confusion);
-  EXPECT_EQ(serial.runs, parallel.runs);
-  EXPECT_EQ(serial.correct, parallel.correct);
-  EXPECT_EQ(serial.failovers, parallel.failovers);
-  EXPECT_EQ(serial.failbacks, parallel.failbacks);
-  EXPECT_EQ(serial.symptom_gaps, parallel.symptom_gaps);
-  EXPECT_EQ(serial.duplicates_dropped, parallel.duplicates_dropped);
-  EXPECT_EQ(serial.retransmissions, parallel.retransmissions);
-  EXPECT_EQ(serial.heartbeats_sent, parallel.heartbeats_sent);
-  EXPECT_EQ(serial.heartbeats_received, parallel.heartbeats_received);
-  EXPECT_EQ(serial.chaos_dropped, parallel.chaos_dropped);
-  EXPECT_EQ(serial.chaos_corrupted, parallel.chaos_corrupted);
-  expect_same_snapshot(serial.metrics, parallel.metrics);
+  // Two archetypes x two seeds at jobs 1 and 3 against the in-order fold
+  // of one-archetype, one-seed campaigns — the shape each perfbench unit
+  // runs. Provenance is armed so the journey totals and NDJSON fold too.
+  const auto grid = cheap_archetypes();
+  ASSERT_EQ(grid.size(), 2u);
+  const std::vector<std::uint64_t> grid_seeds = {21, 22};
+  scenario::Fig10Options traced;
+  traced.provenance = true;
+
+  scenario::ChaosCampaignResult fold;
+  fold.open_rows(grid);
+  for (std::size_t a = 0; a < grid.size(); ++a) {
+    for (const std::uint64_t seed : grid_seeds) {
+      const auto one =
+          scenario::run_chaos_campaign({grid[a]}, {seed}, {}, traced, 1);
+      ASSERT_EQ(one.runs, 1u);
+      for (std::size_t t = 0; t < analysis::ConfusionMatrix::kClasses; ++t) {
+        for (std::size_t p = 0; p < analysis::ConfusionMatrix::kClasses; ++p) {
+          const auto truth = static_cast<fault::FaultClass>(t);
+          const auto predicted = static_cast<fault::FaultClass>(p);
+          if (one.confusion.count(truth, predicted) == 0) continue;
+          ++fold.runs;
+          if (fold.score(a, predicted)) ++fold.correct;
+        }
+      }
+      fold += one;
+    }
+  }
+  EXPECT_GT(fold.journeys, 0u);
+  for (const unsigned jobs : {1u, 3u}) {
+    SCOPED_TRACE(jobs);
+    expect_same_chaos(
+        scenario::run_chaos_campaign(grid, grid_seeds, {}, traced, jobs),
+        fold);
+  }
 }
 
 }  // namespace

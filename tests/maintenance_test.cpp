@@ -155,6 +155,39 @@ void expect_same_snapshot(const obs::Snapshot& a, const obs::Snapshot& b) {
   }
 }
 
+void expect_same_repairs(const scenario::RepairTally& a,
+                         const scenario::RepairTally& b) {
+  EXPECT_EQ(a.repairs_attempted, b.repairs_attempted);
+  EXPECT_EQ(a.repairs_verified, b.repairs_verified);
+  EXPECT_EQ(a.repairs_failed, b.repairs_failed);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.nff_removals, b.nff_removals);
+  EXPECT_EQ(a.spares_consumed, b.spares_consumed);
+  EXPECT_EQ(a.quarantines, b.quarantines);
+}
+
+/// Every member of two maintenance campaign results, field by field (the
+/// merged snapshot modulo its one wall-clock gauge).
+void expect_same_campaign(const scenario::MaintenanceCampaignResult& a,
+                          const scenario::MaintenanceCampaignResult& b) {
+  ASSERT_EQ(a.per_archetype.size(), b.per_archetype.size());
+  for (std::size_t i = 0; i < a.per_archetype.size(); ++i) {
+    const auto& s = a.per_archetype[i];
+    const auto& p = b.per_archetype[i];
+    SCOPED_TRACE(s.name);
+    EXPECT_EQ(s.name, p.name);
+    EXPECT_EQ(s.runs, p.runs);
+    EXPECT_EQ(s.recovered, p.recovered);
+    expect_same_repairs(s, p);
+    EXPECT_EQ(s.ttr_us_total, p.ttr_us_total);
+    EXPECT_EQ(s.ttr_samples, p.ttr_samples);
+  }
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.recovered, b.recovered);
+  expect_same_repairs(a, b);
+  expect_same_snapshot(a.metrics, b.metrics);
+}
+
 TEST(MaintenanceExecutor, ParallelCampaignIsBitIdenticalToSerial) {
   const std::vector<scenario::Archetype> subset = {find_archetype("permanent"),
                                                    find_archetype("sw-crash")};
@@ -163,24 +196,46 @@ TEST(MaintenanceExecutor, ParallelCampaignIsBitIdenticalToSerial) {
       scenario::run_maintenance_campaign(subset, seeds, {}, {}, 1);
   const auto parallel =
       scenario::run_maintenance_campaign(subset, seeds, {}, {}, 4);
+  expect_same_campaign(serial, parallel);
 
-  ASSERT_EQ(serial.per_archetype.size(), parallel.per_archetype.size());
-  for (std::size_t i = 0; i < serial.per_archetype.size(); ++i) {
-    const auto& s = serial.per_archetype[i];
-    const auto& p = parallel.per_archetype[i];
-    EXPECT_EQ(s.name, p.name);
-    EXPECT_EQ(s.recovered, p.recovered) << s.name;
-    EXPECT_EQ(s.repairs_attempted, p.repairs_attempted) << s.name;
-    EXPECT_EQ(s.repairs_verified, p.repairs_verified) << s.name;
-    EXPECT_EQ(s.retries, p.retries) << s.name;
-    EXPECT_EQ(s.nff_removals, p.nff_removals) << s.name;
-    EXPECT_EQ(s.spares_consumed, p.spares_consumed) << s.name;
-    EXPECT_EQ(s.quarantines, p.quarantines) << s.name;
-    EXPECT_EQ(s.ttr_us_total, p.ttr_us_total) << s.name;
+  // The same grid at jobs 1 and 3 is the in-order fold of its
+  // one-archetype, one-seed campaigns — the shape each perfbench unit
+  // runs — and each of those is the directed scenario's run.
+  scenario::MaintenanceCampaignResult fold;
+  for (std::size_t a = 0; a < subset.size(); ++a) {
+    for (const std::uint64_t seed : seeds) {
+      const auto one =
+          scenario::run_maintenance_campaign({subset[a]}, {seed}, {}, {}, 1);
+      ASSERT_EQ(one.per_archetype.size(), 1u);
+      const auto directed = scenario::run_maintenance_scenario(subset[a], seed);
+      EXPECT_EQ(directed.run.recovered ? 1u : 0u, one.recovered);
+      expect_same_repairs(directed.run, one);
+      EXPECT_EQ(directed.run.ttr_us >= 0 ? 1u : 0u,
+                one.per_archetype.front().ttr_samples);
+      EXPECT_EQ(std::max<std::int64_t>(directed.run.ttr_us, 0),
+                one.per_archetype.front().ttr_us_total);
+      if (fold.per_archetype.size() == a) {
+        fold.per_archetype.push_back(one.per_archetype.front());
+      } else {
+        auto& row = fold.per_archetype[a];
+        const auto& r = one.per_archetype.front();
+        row.runs += r.runs;
+        row.recovered += r.recovered;
+        row += r;
+        row.ttr_us_total += r.ttr_us_total;
+        row.ttr_samples += r.ttr_samples;
+      }
+      fold.runs += one.runs;
+      fold.recovered += one.recovered;
+      fold += one;
+      fold.metrics.merge(one.metrics);
+    }
   }
-  EXPECT_EQ(serial.recovered, parallel.recovered);
-  EXPECT_EQ(serial.repairs_attempted, parallel.repairs_attempted);
-  expect_same_snapshot(serial.metrics, parallel.metrics);
+  for (const unsigned jobs : {1u, 3u}) {
+    SCOPED_TRACE(jobs);
+    expect_same_campaign(
+        scenario::run_maintenance_campaign(subset, seeds, {}, {}, jobs), fold);
+  }
 }
 
 }  // namespace

@@ -239,13 +239,13 @@ TEST(ProvenanceCampaign, NdjsonBitIdenticalAcrossJobCounts) {
   auto archetypes = scenario::standard_archetypes();
   archetypes.resize(2);  // keep the test quick; the bench runs the full set
   const std::vector<std::uint64_t> seeds{1};
-  scenario::ChaosOptions chaos;
-  chaos.provenance = true;
+  scenario::Fig10Options traced;
+  traced.provenance = true;
 
-  const auto serial = scenario::run_chaos_campaign(archetypes, seeds, chaos,
-                                                   scenario::Fig10Options{}, 1);
-  const auto parallel = scenario::run_chaos_campaign(
-      archetypes, seeds, chaos, scenario::Fig10Options{}, 4);
+  const auto serial =
+      scenario::run_chaos_campaign(archetypes, seeds, {}, traced, 1);
+  const auto parallel =
+      scenario::run_chaos_campaign(archetypes, seeds, {}, traced, 4);
 
   EXPECT_FALSE(serial.provenance_ndjson.empty());
   EXPECT_EQ(serial.provenance_ndjson, parallel.provenance_ndjson);
