@@ -10,18 +10,14 @@
 // Plus the silent-agent scenario both ways: the ablated architecture
 // reports a component with a crashed diagnostic agent as verified
 // healthy; the hardened one flags the missing evidence.
-// The chaos-rig geometry is also an enumerable fault space (DESIGN.md
-// §14): `--replay <site:occurrence>` re-executes one enumerated point on
-// the chaos-rig sweep configuration, and `--max-points <n>` appends a
-// bounded fault-space sweep to the campaign output. bench_fault_space
-// owns the exhaustive enumeration.
+// The chaos rig's fault space (replay of one point, bounded sweeps) is
+// bench_fault_space's (E20); bit-error-rate and wearout overrides are
+// bench_bitfault's (E22).
 #include <cstdio>
 
 #include "analysis/table.hpp"
 #include "obs/bench_io.hpp"
-#include "scenario/bitfault.hpp"
 #include "scenario/chaos.hpp"
-#include "scenario/sweep.hpp"
 
 using namespace decos;
 
@@ -42,29 +38,6 @@ double accuracy(const scenario::CampaignResult& r) {
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_chaos_diag", argc, argv);
   std::printf("== E15 / chaos campaign: the diagnostic path under attack ==\n\n");
-
-  if (reporter.replay_requested()) {
-    const auto point = fault::parse_fault_point(reporter.replay_token());
-    if (!point) {
-      std::fprintf(stderr, "error: unknown fault site in '%s'\n",
-                   reporter.replay_token().c_str());
-      return 1;
-    }
-    scenario::SweepOptions sweep_opts;
-    sweep_opts.rig = scenario::SweepOptions::Rig::kChaosRig;
-    const scenario::ConvergenceVerdict v =
-        scenario::replay_fault_point(sweep_opts, *point);
-    std::printf("replay %s on rig %s: fired=%d detected=%d classified=%d "
-                "reconverged=%d terminal=%d no-orphans=%d trust=%.3f -> %s\n",
-                v.replay_token().c_str(), scenario::to_string(sweep_opts.rig),
-                v.fired ? 1 : 0, v.detected ? 1 : 0, v.classified ? 1 : 0,
-                v.trust_reconverged ? 1 : 0, v.terminal_outcome ? 1 : 0,
-                v.no_orphans ? 1 : 0, v.final_trust,
-                v.converged() ? "converged" : "COUNTEREXAMPLE");
-    reporter.set_info("replay_converged", v.converged() ? 1.0 : 0.0);
-    const int rc = reporter.finish();
-    return rc != 0 ? rc : (v.converged() ? 0 : 1);
-  }
 
   const auto archetypes = scenario::standard_archetypes();
   const auto seeds = reporter.seeds_or({901, 902, 903});
@@ -156,64 +129,6 @@ int main(int argc, char** argv) {
   std::printf("  expected: only the ablated architecture conflates the "
               "silenced agent with verified health\n");
 
-  // --ber / --wearout: rides the bit-granular value-fault campaign (E22)
-  // along on the same 7-component geometry, so the chaos bench doubles as
-  // a quick probe of how a nonstandard bit-error rate or aging profile
-  // lands in the taxonomy.
-  if (reporter.has_ber() || reporter.has_wearout_profile()) {
-    const auto curve = fault::WearoutCurve::profile(
-        reporter.wearout_profile_or("bathtub"));
-    const auto bit = scenario::run_bitfault_campaign(
-        scenario::bitfault_archetypes(reporter.ber_or(2e-3),
-                                      curve ? *curve : fault::WearoutCurve{},
-                                      reporter.ber_or(5e-3)),
-        seeds, base, reporter.jobs());
-    std::printf("\nbit-fault campaign (ber/wearout overrides):\n");
-    for (const auto& row : bit.rows) {
-      const double n = row.runs == 0 ? 1.0 : static_cast<double>(row.runs);
-      std::printf("  %-14s class-acc %.2f bit-acc %.2f flips %llu "
-                  "orphans %llu\n",
-                  row.name.c_str(),
-                  static_cast<double>(row.class_correct) / n,
-                  static_cast<double>(row.bit_correct) / n,
-                  static_cast<unsigned long long>(row.flips),
-                  static_cast<unsigned long long>(row.orphan_flips));
-      reporter.set_info(
-          "bit_class_acc_" + row.name,
-          static_cast<double>(row.class_correct) / n);
-    }
-    reporter.set_info("bit_orphan_flips",
-                      static_cast<double>(bit.total_orphans()));
-  }
-
-  // --max-points: bounded chaos-rig fault-space sweep riding along with
-  // the campaign (the smoke-test hook; the exhaustive sweep lives in
-  // bench_fault_space). Oracle violations fail the bench.
-  std::size_t sweep_violations = 0;
-  if (reporter.has_max_points()) {
-    scenario::SweepOptions sweep_opts;
-    sweep_opts.rig = scenario::SweepOptions::Rig::kChaosRig;
-    const scenario::SweepResult sweep = scenario::run_fault_space_sweep(
-        sweep_opts, reporter.max_points(), reporter.jobs());
-    sweep_violations = sweep.counterexamples.size();
-    if (!sweep.baseline.converged()) ++sweep_violations;
-    std::printf("\nchaos-rig fault-space smoke: %zu/%llu points executed, "
-                "%zu counterexamples\n",
-                sweep.executed,
-                static_cast<unsigned long long>(sweep.space_size),
-                sweep.counterexamples.size());
-    for (const scenario::ConvergenceVerdict& v : sweep.counterexamples) {
-      std::printf("  COUNTEREXAMPLE %s (replay: bench_chaos_diag --replay "
-                  "%s)\n",
-                  v.replay_token().c_str(), v.replay_token().c_str());
-    }
-    metrics.counter("sweep.chaos-rig.executed").inc(sweep.executed);
-    metrics.counter("sweep.chaos-rig.counterexamples").inc(sweep_violations);
-    reporter.set_info("sweep_executed", static_cast<double>(sweep.executed));
-    reporter.set_info("sweep_counterexamples",
-                      static_cast<double>(sweep_violations));
-  }
-
   reporter.absorb(metrics);
   reporter.absorb(hardened.metrics);
   reporter.set_info("baseline_accuracy", base_acc);
@@ -224,6 +139,5 @@ int main(int argc, char** argv) {
                     on.false_healthy() ? 1.0 : 0.0);
   reporter.set_info("silent_agent_false_healthy_ablated",
                     off.false_healthy() ? 1.0 : 0.0);
-  const int rc = reporter.finish();
-  return rc != 0 ? rc : (sweep_violations != 0 ? 1 : 0);
+  return reporter.finish();
 }

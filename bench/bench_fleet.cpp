@@ -3,7 +3,7 @@
 // operator-new hook proving the steady-state stepping path allocation-free.
 //
 // Section 1 (steady) runs one FleetSimulator batch twice on the same
-// kernel: the first pass grows every per-shard slab, run and arena to its
+// kernel: the first pass grows every per-shard slab and run to its
 // high-water mark, the second pass is the measured window — with the
 // sparse module cells pre-reserved it must allocate *nothing*, which is
 // also the proof that no event crosses shards (a cross-shard push would
@@ -120,7 +120,7 @@ void bench_steady(obs::BenchReporter& reporter, std::uint32_t vehicles,
   // past any plausible two-pass count so the window sees no vector growth.
   tally.module_failures.reserve(2 * vehicles);
 
-  sim.run_into(tally);  // warm-up: slabs, runs, arenas, tallies at HWM
+  sim.run_into(tally);  // warm-up: slabs, runs, tallies at HWM
 
   const auto h0 = sim.simulator().heap_pushes();
   const auto a0 = g_allocs.load(std::memory_order_relaxed);

@@ -9,7 +9,7 @@
 // self-rescheduling chains (frame deliveries), and watchdog cancel/re-arm
 // loops (the assessor failover detector). The mux section runs the
 // per-round message path on caller-provided reusable buffers. Both
-// sections warm up first so slab/arena/buffer high-water marks are
+// sections warm up first so slab/ring/buffer high-water marks are
 // reached, then assert nothing about the numbers — they are *reported*
 // (stdout + --json) so the experiment table stays measured, not asserted;
 // sanitizer builds interpose operator new and would skew any hard zero.
@@ -91,11 +91,12 @@ struct SectionResult {
 SectionResult bench_scheduling(int horizon_seconds) {
   sim::Simulator s(42);
 
-  std::array<sim::PeriodicTimer, 16> timers;
+  std::array<sim::Timer, 16> timers;
   for (int i = 0; i < 16; ++i) {
     timers[static_cast<std::size_t>(i)].start(
         s, sim::SimTime::zero() + sim::microseconds(i * 61),
-        sim::milliseconds(1), [] { return true; }, sim::EventPriority::kClock);
+        []() -> std::optional<sim::Duration> { return sim::milliseconds(1); },
+        sim::EventPriority::kClock);
   }
 
   struct Chain {

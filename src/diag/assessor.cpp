@@ -332,8 +332,7 @@ void Assessor::process(platform::JobContext& ctx) {
   // An observer flagging most of its peers at once is itself the suspect
   // (connector/EMI on its receive path): charge the observer, not the
   // blameless senders — mirroring the classifier's credibility rule.
-  const std::size_t spread_bar =
-      std::max<std::size_t>(2, (3 * (component_count_ - 1)) / 4);
+  const std::size_t spread_bar = auto_sender_spread(component_count_);
   for (platform::ComponentId observer = 0; observer < component_count_;
        ++observer) {
     const std::uint64_t* mask = &transport_masks_[observer * mask_words_];

@@ -49,10 +49,7 @@ class Classifier {
     std::uint32_t observer_quorum = 2;
     /// Senders an observer must flag in one round to be considered
     /// self-suspect (its own receive path, not all those senders, is the
-    /// likely culprit). 0 = auto: max(2, 3/4 of the other components).
-    /// The bar must scale with cluster size — with a fixed bar of 2, two
-    /// *concurrent* genuine sender faults would discredit every observer
-    /// and blind the sender-side analysis entirely.
+    /// likely culprit). 0 = auto_sender_spread() of the cluster size.
     std::uint32_t sender_spread = 0;
     tta::RoundId episode_gap = 25;
     std::size_t min_episodes_for_trend = 4;
@@ -101,8 +98,7 @@ class Classifier {
                                           std::uint32_t component_count) const {
     FeatureParams fp = p_.features();
     if (fp.sender_spread == 0) {
-      fp.sender_spread =
-          std::max(2u, (3u * std::max(component_count, 2u) - 3u) / 4u);
+      fp.sender_spread = auto_sender_spread(component_count);
     }
     return EvidenceSummary(&ev, fp, p_.alpha_decay, component_count, layout_);
   }

@@ -68,11 +68,7 @@ void EvidenceStore::prune(tta::RoundId now) {
   if (now <= p_.window_rounds) return;
   const tta::RoundId cutoff = now - p_.window_rounds;
   for (auto& [c, rounds] : about_) {
-    auto it = rounds.begin();
-    while (it != rounds.end() && it->first < cutoff) {
-      if (it->second.observers.size() >= 2) ++subject_round_totals_[c];
-      it = rounds.erase(it);
-    }
+    rounds.erase(rounds.begin(), rounds.lower_bound(cutoff));
   }
   for (auto& [c, rounds] : by_observer_) {
     rounds.erase(rounds.begin(), rounds.lower_bound(cutoff));
@@ -101,17 +97,6 @@ const std::map<tta::RoundId, SubjectRound>& EvidenceStore::about(
     platform::ComponentId c) const {
   auto it = about_.find(c);
   return it == about_.end() ? kEmptySubject : it->second;
-}
-
-std::uint64_t EvidenceStore::total_subject_rounds(platform::ComponentId c) const {
-  std::uint64_t total = 0;
-  if (auto it = subject_round_totals_.find(c); it != subject_round_totals_.end()) {
-    total = it->second;
-  }
-  for (const auto& [round, sr] : about(c)) {
-    if (sr.observers.size() >= 2) ++total;
-  }
-  return total;
 }
 
 const std::map<tta::RoundId, ObserverRound>& EvidenceStore::reported_by(

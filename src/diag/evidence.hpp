@@ -66,8 +66,6 @@ class EvidenceStore {
   // --- subject view -------------------------------------------------------
   [[nodiscard]] const std::map<tta::RoundId, SubjectRound>& about(
       platform::ComponentId c) const;
-  /// Total rounds (including pruned) in which >= quorum observers reported c.
-  [[nodiscard]] std::uint64_t total_subject_rounds(platform::ComponentId c) const;
 
   // --- observer view --------------------------------------------------------
   [[nodiscard]] const std::map<tta::RoundId, ObserverRound>& reported_by(
@@ -90,7 +88,6 @@ class EvidenceStore {
   Params p_;
   std::map<platform::ComponentId, std::map<tta::RoundId, SubjectRound>> about_;
   std::map<platform::ComponentId, std::map<tta::RoundId, ObserverRound>> by_observer_;
-  std::map<platform::ComponentId, std::uint64_t> subject_round_totals_;
   std::map<platform::ComponentId, std::vector<tta::RoundId>> guardian_blocks_;
   std::map<platform::JobId, JobEvidence> jobs_;
   std::uint64_t ingested_ = 0;

@@ -12,6 +12,7 @@
 // over a fault::BitFaultLog slice.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -55,6 +56,17 @@ struct FeatureParams {
 
   bool operator==(const FeatureParams&) const = default;
 };
+
+/// The auto-scaled sender-spread bar for a cluster of `component_count`
+/// components: max(2, 3/4 of the other components). An observer flagging
+/// that many senders in one round is itself the suspect. The bar must
+/// scale with cluster size — with a fixed bar of 2, two *concurrent*
+/// genuine sender faults would discredit every observer and blind the
+/// sender-side analysis entirely.
+[[nodiscard]] constexpr std::uint32_t auto_sender_spread(
+    std::uint32_t component_count) {
+  return std::max(2u, 3u * (std::max(component_count, 2u) - 1u) / 4u);
+}
 
 /// Late-vs-early mean episode gap shrinks below the wearout ratio.
 [[nodiscard]] bool rate_increasing(const std::vector<Episode>& eps,

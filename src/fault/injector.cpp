@@ -77,8 +77,8 @@ void FaultInjector::manifest_job(platform::JobId j, std::string_view detail) {
              detail);
 }
 
-sim::AperiodicTimer& FaultInjector::new_chain() {
-  chains_.push_back(std::make_unique<sim::AperiodicTimer>());
+sim::Timer& FaultInjector::new_chain() {
+  chains_.push_back(std::make_unique<sim::Timer>());
   return *chains_.back();
 }
 
@@ -86,31 +86,39 @@ FaultId FaultInjector::inject_emi_burst(double center, double radius,
                                         sim::SimTime start,
                                         sim::Duration duration,
                                         double corrupt_prob) {
-  const auto affected = layout_.within(center, radius);
-  auto rng = std::make_shared<sim::Rng>(
-      sim_.fork_rng("emi." + std::to_string(ledger_.size())));
+  // The activation event and the channel hook share one coupling record,
+  // which keeps the event's capture inline (see sim/event_fn.hpp).
+  struct Coupling {
+    std::vector<platform::ComponentId> affected;
+    double corrupt_prob;
+    sim::Rng rng;
+  };
+  const auto burst = std::make_shared<Coupling>(Coupling{
+      layout_.within(center, radius), corrupt_prob,
+      sim_.fork_rng("emi." + std::to_string(ledger_.size()))});
+  const auto& affected = burst->affected;
   const sim::SimTime end = start + duration;
 
-  sim_.schedule_at(start, [this, affected, corrupt_prob, rng, end] {
-    for (auto c : affected) manifest(c, "emi burst coupling");
+  sim_.schedule_at(start, [this, burst, end] {
+    for (auto c : burst->affected) manifest(c, "emi burst coupling");
     auto hook_id = std::make_shared<std::uint64_t>(0);
     *hook_id = system_.cluster().bus().add_channel_fault(
-        [affected, corrupt_prob, rng](tta::Delivery& d, tta::NodeId receiver,
-                                      sim::SimTime) {
+        [burst](tta::Delivery& d, tta::NodeId receiver, sim::SimTime) {
           // The burst couples into the harness near the affected nodes:
           // frames *arriving at* an affected receiver get bit flips
           // (multiple flips per frame — Fig. 8's value signature). Only a
           // delivery that actually takes flips is privatized; everyone
           // else keeps reading the shared pooled frame.
-          for (auto c : affected) {
-            if (c == receiver && rng->bernoulli(corrupt_prob)) {
+          sim::Rng& rng = burst->rng;
+          for (auto c : burst->affected) {
+            if (c == receiver && rng.bernoulli(burst->corrupt_prob)) {
               if (d.frame().payload.empty()) return false;  // frame lost entirely
               tta::Frame& copy = d.corrupt();
               for (int flip = 0; flip < 3; ++flip) {
-                const auto idx = static_cast<std::size_t>(rng->uniform_int(
+                const auto idx = static_cast<std::size_t>(rng.uniform_int(
                     0, static_cast<std::int64_t>(copy.payload.size()) - 1));
                 copy.payload[idx] ^= static_cast<std::uint8_t>(
-                    1u << rng->uniform_int(0, 7));
+                    1u << rng.uniform_int(0, 7));
               }
             }
           }
@@ -197,7 +205,9 @@ FaultId FaultInjector::inject_emi_bit_burst(double center, double radius,
                                             sim::SimTime start,
                                             sim::Duration duration,
                                             double ber) {
-  const auto affected = layout_.within(center, radius);
+  // Not const: the events below capture copies, and a const vector's
+  // "move" is a copy that may throw, which an event closure must not.
+  auto affected = layout_.within(center, radius);
   const sim::SimTime end = start + duration;
   (void)bitfault_plane();
 

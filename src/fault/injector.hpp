@@ -235,7 +235,7 @@ class FaultInjector {
   FaultId record(InjectedFault f);
   /// Creates a new owned episode-chain timer with a stable address (the
   /// injector outlives every chain; a repaired fault just stops firing).
-  sim::AperiodicTimer& new_chain();
+  sim::Timer& new_chain();
   /// Records a kManifestation provenance event for the journey owning the
   /// FRU — called from episode chains / activation events at fire time, so
   /// the journey map is already populated. No-ops when tracing is off.
@@ -247,7 +247,7 @@ class FaultInjector {
   SpatialLayout layout_;
   std::vector<InjectedFault> ledger_;
   /// Ongoing episode chains (connector, wearout, babbling, brownout).
-  std::vector<std::unique_ptr<sim::AperiodicTimer>> chains_;
+  std::vector<std::unique_ptr<sim::Timer>> chains_;
   /// Bit-fault runtime, lazily constructed (see bitfault_plane()).
   std::unique_ptr<BitFaultPlane> bitplane_;
 };

@@ -43,7 +43,7 @@ class FleetSimulator {
 
   /// run() into a caller-owned tally (grid must match; throws otherwise).
   /// Adds one full pass of counts — callable repeatedly on the same
-  /// simulator, where later passes reuse the warmed slabs/heaps/arenas and
+  /// simulator, where later passes reuse the warmed slabs/heaps/runs and
   /// continue each vehicle's life from its current age. The allocation
   /// gate (bench_fleet, E23) relies on a second pass being steady-state:
   /// with `out`'s sparse cells pre-reserved it must allocate nothing.

@@ -29,10 +29,10 @@ void MaintenanceExecutor::start() {
   if (started_) return;
   started_ = true;
   sim_.metrics().gauge("maint.spare_pool").set(static_cast<double>(spares_));
-  poll_timer_.start(sim_, sim_.now() + p_.poll_period, p_.poll_period,
-                    [this] {
+  poll_timer_.start(sim_, sim_.now() + p_.poll_period,
+                    [this]() -> std::optional<sim::Duration> {
                       poll();
-                      return true;
+                      return p_.poll_period;
                     });
 }
 

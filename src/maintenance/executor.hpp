@@ -193,7 +193,7 @@ class MaintenanceExecutor {
   bool started_ = false;
   /// Maintenance-report polling loop (intrusive: must outlive its pending
   /// tick, which holding it as a member guarantees).
-  sim::PeriodicTimer poll_timer_;
+  sim::Timer poll_timer_;
 };
 
 }  // namespace decos::maintenance

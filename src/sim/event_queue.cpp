@@ -46,8 +46,8 @@ EventId EventQueue::finish_push(std::uint32_t shard, std::uint32_t slot,
   const HeapEntry e{n.time, n.seq, slot, n.prio};
   // Sequence numbers only grow, so this reads "(time, prio) not before the
   // run's back": appending such an entry keeps the run sorted.
-  if (sh.run_len == 0 || !fires_before(e, sh.run_back())) {
-    run_push(sh, e);
+  if (sh.run.empty() || !fires_before(e, sh.run.back())) {
+    sh.run.push_back(e);
   } else {
     sh.heap.push_back(e);
     std::push_heap(sh.heap.begin(), sh.heap.end(), Later{});
@@ -60,31 +60,6 @@ EventId EventQueue::finish_push(std::uint32_t shard, std::uint32_t slot,
   return EventId{slot, n.gen, shard};
 }
 
-void EventQueue::run_push(Shard& sh, const HeapEntry& e) {
-  if (sh.run_len == sh.run_cap) {
-    // Unwrap into a ring twice the size. Capacity is kept when the run
-    // drains, so a warmed shard never comes back here.
-    const std::size_t cap = sh.run_cap == 0 ? 16 : 2 * sh.run_cap;
-    std::vector<HeapEntry> grown;
-    grown.reserve(cap);
-    for (std::size_t i = 0; i < sh.run_len; ++i) {
-      grown.push_back(sh.run[(sh.run_head + i) & (sh.run_cap - 1)]);
-    }
-    sh.run.swap(grown);
-    sh.run_cap = cap;
-    sh.run_head = 0;
-  }
-  // The write position only moves forward round the ring, so it is a slot
-  // written before or the first one never written.
-  const std::size_t at = (sh.run_head + sh.run_len) & (sh.run_cap - 1);
-  if (at == sh.run.size()) {
-    sh.run.push_back(e);
-  } else {
-    sh.run[at] = e;
-  }
-  ++sh.run_len;
-}
-
 bool EventQueue::cancel(EventId id) {
   if (!id.valid() || id.shard >= shard_count()) return false;
   Shard& sh = shards_[id.shard];
@@ -94,14 +69,14 @@ bool EventQueue::cancel(EventId id) {
   // mismatch; an already-cancelled node is tombstoned exactly once.
   if (n.gen != id.gen || n.cancelled) return false;
   n.cancelled = true;
-  n.fn.reset();  // release the capture (and any spill block) right away
+  n.fn.reset();  // release the capture right away
   assert(live_ > 0);
   --live_;
   // Tombstoning a lane front would leave next_time() or the tournament
   // tree reading a dead entry — collect it (and any tombstones it
   // uncovers) eagerly.
   if ((!sh.heap.empty() && sh.heap.front().slot == id.slot) ||
-      (sh.run_len != 0 && sh.run_front().slot == id.slot)) {
+      (!sh.run.empty() && sh.run.front().slot == id.slot)) {
     drop_dead(id.shard);
     if (shard_count() > 1) replay(id.shard);
   }
@@ -124,9 +99,9 @@ void EventQueue::drop_dead(std::uint32_t shard) {
     sh.heap.pop_back();
     free_slot(sh, slot);
   }
-  while (sh.run_len != 0 && sh.pool[sh.run_front().slot].cancelled) {
-    const std::uint32_t slot = sh.run_front().slot;
-    run_pop(sh);
+  while (!sh.run.empty() && sh.pool[sh.run.front().slot].cancelled) {
+    const std::uint32_t slot = sh.run.front().slot;
+    sh.run.pop_front();
     free_slot(sh, slot);
   }
 }
@@ -163,9 +138,9 @@ EventQueue::Fired EventQueue::pop() {
   assert(!sh.idle());
   const bool from_run = sh.run_leads();
   const std::uint32_t slot =
-      from_run ? sh.run_front().slot : sh.heap.front().slot;
+      from_run ? sh.run.front().slot : sh.heap.front().slot;
   if (from_run) {
-    run_pop(sh);
+    sh.run.pop_front();
   } else {
     std::pop_heap(sh.heap.begin(), sh.heap.end(), Later{});
     sh.heap.pop_back();

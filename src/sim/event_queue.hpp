@@ -5,19 +5,19 @@
 // fire in the order they were scheduled — a property the TDMA bus model and
 // the determinism tests both rely on.
 //
-// Storage is sharded: every shard owns a slab of free-listed event nodes, a
-// spill arena for oversized closures and two lanes of (time, prio, seq,
-// slot) entries — a binary heap and a *run*, a power-of-two ring whose
-// entries are in firing order. A push that fires at or after the run's
-// back is appended to the run in O(1); only out-of-order pushes sift
-// through the heap. Self-rescheduling chains (a vehicle's next epoch, a
-// periodic tick) mostly arrive in firing order, so their entries never
-// touch the heap: the one-bucket case of a calendar queue (Brown, CACM
-// 31(10), 1988). The shard's head is the earlier of the run front and the
-// heap top; since (time, prio, seq) has no ties, that is the shard minimum
-// and the pop order is exactly a single heap's. Both lanes keep their
-// capacity when drained, so the steady-state push/pop cycle allocates
-// nothing and never touches another shard's memory.
+// Storage is sharded: every shard owns a slab of free-listed event nodes
+// and two lanes of (time, prio, seq, slot) entries — a binary heap and a
+// *run*, a sim::Ring whose entries are in firing order. A push that fires
+// at or after the run's back is appended to the run in O(1); only
+// out-of-order pushes sift through the heap. Self-rescheduling chains (a
+// vehicle's next epoch, a periodic tick) mostly arrive in firing order, so
+// their entries never touch the heap: the one-bucket case of a calendar
+// queue (Brown, CACM 31(10), 1988). The shard's head is the earlier of the
+// run front and the heap top; since (time, prio, seq) has no ties, that is
+// the shard minimum and the pop order is exactly a single heap's. Both
+// lanes keep their capacity when drained, and every closure lives inline
+// in its node (see event_fn.hpp), so the steady-state push/pop cycle
+// allocates nothing and never touches another shard's memory.
 //
 // A fleet simulation gives each cluster its own shard: the cluster's
 // events stay cache-local while the queue still yields one globally
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "sim/event_fn.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace decos::sim {
@@ -75,8 +76,7 @@ class EventQueue {
   }
 
   /// Adds an event to shard 0; returns its id. The callable's capture is
-  /// stored inline in the event node (or in the shard's spill arena when
-  /// oversized) — no heap allocation in steady state.
+  /// stored inline in the event node — no heap allocation in steady state.
   template <typename F>
   EventId push(SimTime when, EventPriority prio, F&& fn) {
     return push_on(0, when, prio, std::forward<F>(fn));
@@ -88,7 +88,7 @@ class EventQueue {
                   F&& fn) {
     Shard& sh = shards_[shard];
     const std::uint32_t slot = acquire_slot(sh);
-    sh.pool[slot].fn.emplace(std::forward<F>(fn), &sh.arena);
+    sh.pool[slot].fn.emplace(std::forward<F>(fn));
     return finish_push(shard, slot, when, prio);
   }
 
@@ -147,38 +147,25 @@ class EventQueue {
       return fires_before(b, a);
     }
   };
-  /// One shard: slab + free list + heap + run + closure arena. Nothing in
-  /// a shard is ever touched by operations on another shard.
+  /// One shard: slab + free list + heap + run. Nothing in a shard is ever
+  /// touched by operations on another shard.
   struct Shard {
-    // Declared before pool: nodes release their spilled closures back
-    // into the arena during pool's destruction.
-    SpillArena arena;
     std::vector<Node> pool;
     std::vector<std::uint32_t> free;
     std::vector<HeapEntry> heap;
-    /// The run: a ring of run_cap (0 or a power of two) entries in firing
-    /// order, run_len of them live from run_head. A slot is appended to
-    /// `run` the first time the ring reaches it, so, like the heap vector,
-    /// the ring only touches memory it has used.
-    std::vector<HeapEntry> run;
-    std::size_t run_cap = 0;
-    std::size_t run_head = 0;
-    std::size_t run_len = 0;
+    /// Entries in firing order (see the file comment).
+    Ring<HeapEntry> run;
 
-    [[nodiscard]] bool idle() const { return heap.empty() && run_len == 0; }
-    [[nodiscard]] const HeapEntry& run_front() const { return run[run_head]; }
-    [[nodiscard]] const HeapEntry& run_back() const {
-      return run[(run_head + run_len - 1) & (run_cap - 1)];
-    }
+    [[nodiscard]] bool idle() const { return heap.empty() && run.empty(); }
     /// True iff the shard's head is the run front (false when the run is
     /// empty): the earlier of the two lane fronts.
     [[nodiscard]] bool run_leads() const {
-      return run_len != 0 &&
-             (heap.empty() || fires_before(run_front(), heap.front()));
+      return !run.empty() &&
+             (heap.empty() || fires_before(run.front(), heap.front()));
     }
     /// The shard's earliest entry. Requires !idle().
     [[nodiscard]] const HeapEntry& head() const {
-      return run_leads() ? run_front() : heap.front();
+      return run_leads() ? run.front() : heap.front();
     }
   };
 
@@ -190,12 +177,6 @@ class EventQueue {
   /// Recycles a slot: bumps the generation (invalidating outstanding
   /// handles) and returns it to its shard's free list.
   void free_slot(Shard& sh, std::uint32_t slot);
-  /// Appends to the run, doubling its ring when full.
-  static void run_push(Shard& sh, const HeapEntry& e);
-  static void run_pop(Shard& sh) {
-    sh.run_head = (sh.run_head + 1) & (sh.run_cap - 1);
-    --sh.run_len;
-  }
   /// Discards tombstoned entries at the run front and the heap top of
   /// `shard`, restoring the live-fronts invariant the tournament tree and
   /// next_time() rely on.

@@ -5,61 +5,14 @@
 
 namespace decos::sim {
 
-void PeriodicTimer::start(Simulator& sim, SimTime first, Duration period,
-                          TickFn fn, EventPriority prio) {
-  assert(period.ns() > 0);
-  cancel();
-  sim_ = &sim;
-  period_ = period;
-  prio_ = prio;
-  if (in_tick_) {
-    // The executing tick callback owns fn_'s frame right now; stage the
-    // replacement and let on_tick() install it at the new first tick.
-    staged_fn_ = std::move(fn);
-  } else {
-    fn_ = std::move(fn);
-    staged_fn_.reset();
-  }
-  pending_ = sim_->schedule_at(first, [this] { on_tick(); }, prio_);
-}
-
-bool PeriodicTimer::cancel() {
-  if (!sim_) return false;
-  // fn_ is deliberately left alone: cancel() may run from inside the tick
-  // callback, and destroying the currently-executing std::function would
-  // pull the frame out from under it. It is released on restart/dtor.
-  const bool had = pending_.valid() && sim_->cancel(pending_);
-  sim_ = nullptr;
-  pending_ = {};
-  return had;
-}
-
-void PeriodicTimer::on_tick() {
-  if (staged_fn_) {
-    fn_ = std::move(*staged_fn_);
-    staged_fn_.reset();
-  }
-  pending_ = {};
-  in_tick_ = true;
-  const bool keep = fn_();
-  in_tick_ = false;
-  // The callback may have cancelled or restarted this timer from within;
-  // in either case the re-arm is no longer ours to do (and a restart
-  // overrides the old callback's return value).
-  if (staged_fn_ || pending_.valid() || !sim_) return;
-  if (!keep) {
-    sim_ = nullptr;
-    return;
-  }
-  pending_ = sim_->schedule_after(period_, [this] { on_tick(); }, prio_);
-}
-
-void AperiodicTimer::start(Simulator& sim, SimTime first, NextFn fn,
-                           EventPriority prio) {
+void Timer::start(Simulator& sim, SimTime first, NextFn fn,
+                  EventPriority prio) {
   cancel();
   sim_ = &sim;
   prio_ = prio;
   if (in_tick_) {
+    // The executing callback owns fn_'s frame right now; stage the
+    // replacement and let on_fire() install it at the new first firing.
     staged_fn_ = std::move(fn);
   } else {
     fn_ = std::move(fn);
@@ -68,15 +21,18 @@ void AperiodicTimer::start(Simulator& sim, SimTime first, NextFn fn,
   pending_ = sim_->schedule_at(first, [this] { on_fire(); }, prio_);
 }
 
-bool AperiodicTimer::cancel() {
+bool Timer::cancel() {
   if (!sim_) return false;
+  // fn_ is deliberately left alone: cancel() may run from inside the
+  // callback, and destroying the currently-executing std::function would
+  // pull the frame out from under it. It is released on restart/dtor.
   const bool had = pending_.valid() && sim_->cancel(pending_);
   sim_ = nullptr;
   pending_ = {};
   return had;
 }
 
-void AperiodicTimer::on_fire() {
+void Timer::on_fire() {
   if (staged_fn_) {
     fn_ = std::move(*staged_fn_);
     staged_fn_.reset();
@@ -85,6 +41,9 @@ void AperiodicTimer::on_fire() {
   in_tick_ = true;
   const std::optional<Duration> next = fn_();
   in_tick_ = false;
+  // The callback may have cancelled or restarted this timer from within;
+  // in either case the re-arm is no longer ours to do (and a restart
+  // overrides the old callback's return value).
   if (staged_fn_ || pending_.valid() || !sim_) return;
   if (!next) {
     sim_ = nullptr;

@@ -1,11 +1,11 @@
-// First-class simulation timers.
+// First-class simulation timer.
 //
-// These replace the old `schedule_periodic` free function, whose repeating
+// It replaces the old `schedule_periodic` free function, whose repeating
 // tick was a shared_ptr-owned closure chain: every tick heap-allocated a
 // fresh wrapper around the shared callback. A timer object owns its
-// callback once; the event scheduled per tick captures only `this`
+// callback once; the event scheduled per firing captures only `this`
 // (8 bytes, inline in the event node), so re-arming is allocation-free and
-// the pending tick is cancellable at any time through the owning object —
+// the pending firing is cancellable at any time through the owning object —
 // including from inside its own callback.
 //
 // Timers are intrusive: the object must outlive its pending event, which
@@ -22,66 +22,30 @@
 
 namespace decos::sim {
 
-/// Fixed-period repeating timer. The callback returns true to keep
-/// ticking, false to stop. start() on a running timer restarts it.
-class PeriodicTimer {
- public:
-  using TickFn = std::function<bool()>;
-
-  PeriodicTimer() = default;
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-  ~PeriodicTimer() { cancel(); }
-
-  /// Arms the timer: first tick at `first`, then every `period` until the
-  /// callback returns false or cancel() is called. Restarting from inside
-  /// the tick callback is safe: the replacement callback is staged and
-  /// swapped in at its first tick (the executing closure stays intact),
-  /// and the restart overrides the old callback's return value.
-  void start(Simulator& sim, SimTime first, Duration period, TickFn fn,
-             EventPriority prio = EventPriority::kApplication);
-
-  /// Stops the timer. Returns true iff a pending tick was cancelled.
-  /// Safe to call from inside the tick callback (the re-arm is skipped).
-  bool cancel();
-
-  [[nodiscard]] bool active() const { return sim_ != nullptr; }
-
- private:
-  void on_tick();
-
-  Simulator* sim_ = nullptr;
-  Duration period_{};
-  TickFn fn_;
-  /// Replacement callback from a start() issued inside the running tick;
-  /// installed at the next tick so the executing closure is never
-  /// destroyed under its own frame.
-  std::optional<TickFn> staged_fn_;
-  EventPriority prio_ = EventPriority::kApplication;
-  EventId pending_{};
-  bool in_tick_ = false;
-};
-
-/// Repeating timer with a callback-chosen gap between firings — the shape
-/// of the fault injector's episode chains (work now, come back after a
-/// fault-specific interval). The callback returns the delay to the next
-/// firing, or nullopt to stop.
-class AperiodicTimer {
+/// Repeating timer whose callback chooses the gap to its next firing —
+/// a fixed period (the maintenance executor's poll loop, E18's ticks) or
+/// a fault-specific interval (the fault injector's episode chains). The
+/// callback returns the delay to the next firing, or nullopt to stop.
+/// start() on a running timer restarts it.
+class Timer {
  public:
   using NextFn = std::function<std::optional<Duration>()>;
 
-  AperiodicTimer() = default;
-  AperiodicTimer(const AperiodicTimer&) = delete;
-  AperiodicTimer& operator=(const AperiodicTimer&) = delete;
-  ~AperiodicTimer() { cancel(); }
+  Timer() = default;
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  ~Timer() { cancel(); }
 
   /// Arms the timer: first firing at `first`; each firing schedules the
-  /// next after the returned delay. Restart-from-within-callback is safe
-  /// (same staging rule as PeriodicTimer).
+  /// next after the returned delay. Restarting from inside the callback is
+  /// safe: the replacement callback is staged and swapped in at its first
+  /// firing (the executing closure stays intact), and the restart
+  /// overrides the old callback's return value.
   void start(Simulator& sim, SimTime first, NextFn fn,
              EventPriority prio = EventPriority::kApplication);
 
   /// Stops the timer. Returns true iff a pending firing was cancelled.
+  /// Safe to call from inside the callback (the re-arm is skipped).
   bool cancel();
 
   [[nodiscard]] bool active() const { return sim_ != nullptr; }
@@ -91,6 +55,9 @@ class AperiodicTimer {
 
   Simulator* sim_ = nullptr;
   NextFn fn_;
+  /// Replacement callback from a start() issued inside the running
+  /// callback; installed at the next firing so the executing closure is
+  /// never destroyed under its own frame.
   std::optional<NextFn> staged_fn_;
   EventPriority prio_ = EventPriority::kApplication;
   EventId pending_{};

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "sim/ring.hpp"
 #include "vnet/message.hpp"
 #include "vnet/network_plan.hpp"
-#include "vnet/ring.hpp"
 
 namespace decos::vnet {
 
@@ -84,8 +84,8 @@ class Multiplexer {
   struct PortQueue {
     platform::PortId id;
     /// Ring, not deque: the steady send/drain cycle must not trickle
-    /// block allocations (see vnet/ring.hpp).
-    Ring<Message> queue;
+    /// block allocations (see sim/ring.hpp).
+    sim::Ring<Message> queue;
     std::uint64_t overflows = 0;
     std::uint32_t next_seq = 0;
     /// Per-port labelled overflow counter ("port=<vnet>/<port>"), so obs

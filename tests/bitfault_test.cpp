@@ -375,16 +375,20 @@ TEST(Bus, ChannelFaultCorruptsOnlyTheHookedReceiver) {
         return true;
       });
 
+  // The frames outlive the run, so each send event captures a pointer to
+  // its frame and stays inline in its event node.
+  std::vector<tta::Frame> frames;
+  frames.reserve(10 * kNodes);
   for (tta::RoundId r = 0; r < 10; ++r) {
     for (std::uint32_t node = 0; node < kNodes; ++node) {
-      tta::Frame f;
+      tta::Frame& f = frames.emplace_back();
       f.sender = node;
       f.slot = node;
       f.round = r;
       f.payload = {static_cast<std::uint8_t>(r), 7, 7};
       f.seal();
-      s.schedule_at(sched.send_instant(r, node), [&bus, node, f] {
-        (void)bus.transmit(node, bus.frame_pool()->acquire(f));
+      s.schedule_at(sched.send_instant(r, node), [&bus, node, frame = &f] {
+        (void)bus.transmit(node, bus.frame_pool()->acquire(*frame));
       });
     }
   }

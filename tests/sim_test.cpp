@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <new>
 #include <optional>
 #include <set>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/ring.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -244,10 +246,11 @@ TEST(Simulator, EventsScheduledDuringRunExecute) {
 TEST(Simulator, PeriodicRunsUntilFalse) {
   Simulator sim(1);
   int count = 0;
-  PeriodicTimer timer;
-  timer.start(sim, SimTime{0}, Duration{10}, [&] {
+  Timer timer;
+  timer.start(sim, SimTime{0}, [&]() -> std::optional<Duration> {
     ++count;
-    return count < 5;
+    if (count < 5) return Duration{10};
+    return std::nullopt;
   });
   sim.run_all();
   EXPECT_EQ(count, 5);
@@ -258,8 +261,9 @@ TEST(Simulator, PeriodicRunsUntilFalse) {
 TEST(Simulator, EventLimitThrows) {
   Simulator sim(1);
   sim.set_event_limit(100);
-  PeriodicTimer timer;
-  timer.start(sim, SimTime{0}, Duration{1}, [] { return true; });
+  Timer timer;
+  timer.start(sim, SimTime{0},
+              []() -> std::optional<Duration> { return Duration{1}; });
   EXPECT_THROW(sim.run_until(SimTime{10'000}), std::runtime_error);
 }
 
@@ -324,20 +328,37 @@ TEST(EventQueue, DefaultHandleIsInvalidAndSafeToCancel) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(EventQueue, OversizedClosureSpillsAndRuns) {
-  EventQueue q;
-  // Capture well beyond the inline buffer so the closure takes the
-  // arena-spill path, then verify the payload survives the round trip.
-  std::array<std::uint8_t, 128> blob{};
-  for (std::size_t i = 0; i < blob.size(); ++i) {
-    blob[i] = static_cast<std::uint8_t>(i);
+// Every closure lives inline in its event node: one that does not fit the
+// buffer, or whose move can throw, is a compile error, not a heap spill.
+TEST(EventQueue, OnlyInlineNothrowClosuresCompile) {
+  std::array<std::uint8_t, EventFn::kInlineCapacity> fits{};
+  std::array<std::uint8_t, EventFn::kInlineCapacity + 1> too_big{};
+  const std::vector<int> frozen{1, 2, 3};
+  auto at_capacity = [fits] { (void)fits; };
+  auto over_capacity = [too_big] { (void)too_big; };
+  auto throwing_move = [frozen] { (void)frozen; };
+  static_assert(sizeof(at_capacity) == 48);
+  static_assert(sizeof(over_capacity) == 49);
+  static_assert(EventFn::fits_inline<decltype(at_capacity)>);
+  static_assert(!EventFn::fits_inline<decltype(over_capacity)>);
+  // A const vector's "move" is a copy, which can throw.
+  static_assert(!EventFn::fits_inline<decltype(throwing_move)>);
+
+  // A closure filling the buffer exactly keeps its payload through the
+  // event node.
+  std::array<std::uint8_t, EventFn::kInlineCapacity - sizeof(int*)> payload{};
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i);
   }
   int sum = 0;
-  q.push(SimTime{1}, EventPriority::kApplication, [blob, &sum] {
-    for (const auto b : blob) sum += b;
-  });
+  auto full = [payload, &sum] {
+    for (const auto b : payload) sum += b;
+  };
+  static_assert(sizeof(full) == EventFn::kInlineCapacity);
+  EventQueue q;
+  q.push(SimTime{1}, EventPriority::kApplication, std::move(full));
   q.pop().fn();
-  EXPECT_EQ(sum, 127 * 128 / 2);
+  EXPECT_EQ(sum, 39 * 40 / 2);
 }
 
 TEST(Simulator, DoubleCancelViaSimulatorKeepsQueueTruthful) {
@@ -355,13 +376,15 @@ TEST(Simulator, DoubleCancelViaSimulatorKeepsQueueTruthful) {
 
 // --- timers ----------------------------------------------------------------
 
+// A Timer whose callback always returns the same gap is a periodic timer.
+
 TEST(PeriodicTimer, CancelStopsFutureTicks) {
   Simulator sim(1);
   int count = 0;
-  PeriodicTimer timer;
-  timer.start(sim, SimTime{0}, Duration{10}, [&] {
+  Timer timer;
+  timer.start(sim, SimTime{0}, [&]() -> std::optional<Duration> {
     ++count;
-    return true;
+    return Duration{10};
   });
   sim.run_until(SimTime{25});  // ticks at 0, 10, 20
   EXPECT_EQ(count, 3);
@@ -376,11 +399,11 @@ TEST(PeriodicTimer, CancelStopsFutureTicks) {
 TEST(PeriodicTimer, CancelFromWithinCallback) {
   Simulator sim(1);
   int count = 0;
-  PeriodicTimer timer;
-  timer.start(sim, SimTime{0}, Duration{10}, [&] {
+  Timer timer;
+  timer.start(sim, SimTime{0}, [&]() -> std::optional<Duration> {
     ++count;
-    timer.cancel();  // stop from inside the executing tick
-    return true;     // return value must lose against the explicit cancel
+    timer.cancel();       // stop from inside the executing tick
+    return Duration{10};  // return value must lose against the explicit cancel
   });
   sim.run_all();
   EXPECT_EQ(count, 1);
@@ -391,18 +414,20 @@ TEST(PeriodicTimer, CancelFromWithinCallback) {
 TEST(PeriodicTimer, RestartFromWithinCallbackTakesNewPeriod) {
   Simulator sim(1);
   std::vector<std::int64_t> ticks;
-  PeriodicTimer timer;
-  timer.start(sim, SimTime{0}, Duration{10}, [&] {
+  Timer timer;
+  timer.start(sim, SimTime{0}, [&]() -> std::optional<Duration> {
     ticks.push_back(sim.now().ns());
     if (ticks.size() == 2) {
       // Re-arm with a different phase and period mid-tick; the old chain
       // must not double-schedule.
-      timer.start(sim, sim.now() + Duration{3}, Duration{100}, [&] {
-        ticks.push_back(sim.now().ns());
-        return ticks.size() < 5;
-      });
+      timer.start(sim, sim.now() + Duration{3},
+                  [&]() -> std::optional<Duration> {
+                    ticks.push_back(sim.now().ns());
+                    if (ticks.size() < 5) return Duration{100};
+                    return std::nullopt;
+                  });
     }
-    return true;
+    return Duration{10};
   });
   sim.run_all();
   EXPECT_EQ(ticks, (std::vector<std::int64_t>{0, 10, 13, 113, 213}));
@@ -413,10 +438,10 @@ TEST(PeriodicTimer, DestructionCancelsPendingTick) {
   Simulator sim(1);
   int count = 0;
   {
-    PeriodicTimer timer;
-    timer.start(sim, SimTime{0}, Duration{10}, [&] {
+    Timer timer;
+    timer.start(sim, SimTime{0}, [&]() -> std::optional<Duration> {
       ++count;
-      return true;
+      return Duration{10};
     });
   }  // timer destroyed with a tick pending
   sim.run_until(SimTime{100});
@@ -426,7 +451,7 @@ TEST(PeriodicTimer, DestructionCancelsPendingTick) {
 TEST(AperiodicTimer, StopsWhenCallbackReturnsNullopt) {
   Simulator sim(1);
   std::vector<std::int64_t> fires;
-  AperiodicTimer timer;
+  Timer timer;
   timer.start(sim, SimTime{5}, [&]() -> std::optional<Duration> {
     fires.push_back(sim.now().ns());
     if (fires.size() >= 3) return std::nullopt;
@@ -631,6 +656,83 @@ TEST(EventQueue, DrainedRunRefillsWithoutAllocating) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(fired, 1000);
   EXPECT_EQ(q.heap_pushes(), 0u);
+}
+
+// --- the shared FIFO ring (run lane and mux port queues) -------------------
+
+// Model check against std::deque. A fixed prologue grows the ring while it
+// is wrapped (head mid-buffer when the push finds it full); random
+// push/pop runs then fill, drain and refill it across several doublings.
+TEST(Ring, MatchesDequeAcrossGrowthWhileWrapped) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Ring<std::uint64_t> ring;
+    std::deque<std::uint64_t> model;
+    std::uint64_t next = 0;
+    auto push = [&] {
+      ring.push_back(next);
+      model.push_back(next);
+      ++next;
+    };
+    auto pop = [&] {
+      ASSERT_FALSE(ring.empty());
+      EXPECT_EQ(ring.front(), model.front());
+      ring.pop_front();
+      model.pop_front();
+    };
+    auto check = [&] {
+      ASSERT_EQ(ring.size(), model.size());
+      EXPECT_EQ(ring.empty(), model.empty());
+      if (!model.empty()) {
+        EXPECT_EQ(ring.front(), model.front());
+        EXPECT_EQ(ring.back(), model.back());
+      }
+    };
+    while (ring.size() < 8 || ring.size() < ring.capacity()) push();
+    for (int i = 0; i < 3; ++i) pop();
+    while (ring.size() < ring.capacity()) push();  // full and wrapped
+    const std::size_t cap = ring.capacity();
+    push();
+    EXPECT_EQ(ring.capacity(), 2 * cap);
+    check();
+
+    Rng rng(seed);
+    std::size_t high_water = 0;
+    for (int step = 0; step < 20'000; ++step) {
+      // Push-heavy and pop-heavy phases alternate, so the ring grows,
+      // drains to empty and refills many times over.
+      const double p_push = (step / 2'500) % 2 == 0 ? 0.6 : 0.35;
+      if (model.empty() || rng.bernoulli(p_push)) {
+        push();
+      } else {
+        pop();
+      }
+      check();
+      high_water = std::max(high_water, model.size());
+      EXPECT_GE(ring.capacity(), ring.size());
+    }
+    EXPECT_GE(ring.capacity(), high_water);
+  }
+}
+
+// A drained ring keeps its capacity, and refilling it to that capacity,
+// wrapped or not, allocates nothing.
+TEST(Ring, DrainedRingKeepsCapacityAndRefillsWithoutAllocating) {
+  Ring<std::uint64_t> ring;
+  for (std::uint64_t i = 0; i < 100; ++i) ring.push_back(i);
+  const std::size_t cap = ring.capacity();
+  EXPECT_EQ(cap, 128u);
+  while (!ring.empty()) ring.pop_front();
+  EXPECT_EQ(ring.capacity(), cap);
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::uint64_t i = 0; i < cap; ++i) ring.push_back(i);
+    for (std::uint64_t i = 0; i < cap / 3; ++i) ring.pop_front();
+    for (std::uint64_t i = 0; i < cap / 3; ++i) ring.push_back(i);
+    while (!ring.empty()) ring.pop_front();
+  }
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(ring.capacity(), cap);
 }
 
 /// Drives an EventQueue with a random mix of in-order runs, out-of-order
