@@ -34,6 +34,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -311,10 +313,20 @@ ClusterStats bench_cluster(tta::RoundId rounds) {
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_bitfault", argc, argv);
-
-  bool quick = false;
-  for (int i = 1; i < reporter.argc(); ++i) {
-    if (std::string_view(reporter.argv()[i]) == "--quick") quick = true;
+  const bool quick = reporter.flag("--quick");
+  const std::optional<double> ber = reporter.number("--ber", 0.0, 1.0);
+  const std::optional<std::string> profile = reporter.value("--wearout");
+  const std::optional<fault::WearoutCurve> curve =
+      fault::WearoutCurve::profile(profile.value_or("bathtub"));
+  if (!curve) {
+    std::string known;
+    for (const std::string_view name : fault::WearoutCurve::profile_names()) {
+      known += known.empty() ? "" : ", ";
+      known += name;
+    }
+    std::fprintf(stderr, "error: --wearout wants one of {%s}, got '%s'\n",
+                 known.c_str(), profile->c_str());
+    return 1;
   }
 
   bench_sampler(reporter, quick ? 200'000 : 2'000'000);
@@ -351,15 +363,9 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> seeds =
       reporter.seeds_or(quick ? std::vector<std::uint64_t>{1}
                               : std::vector<std::uint64_t>{1, 2, 3, 4, 5});
-  const double emi_ber = reporter.ber_or(2e-3);
-  const double seu_ber = reporter.ber_or(5e-3);
-  const auto curve = fault::WearoutCurve::profile(
-      reporter.wearout_profile_or("bathtub"));
-
   const scenario::BitCampaignResult campaign = scenario::run_bitfault_campaign(
-      scenario::bitfault_archetypes(emi_ber,
-                                    curve ? *curve : fault::WearoutCurve{},
-                                    seu_ber),
+      scenario::bitfault_archetypes(ber.value_or(2e-3), *curve,
+                                    ber.value_or(5e-3)),
       seeds, {}, reporter.jobs());
 
   std::printf(

@@ -140,18 +140,20 @@ int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_fault_space", argc, argv);
   std::printf("== E20 / systematic fault-space enumeration ==\n\n");
 
-  if (reporter.replay_requested()) {
-    const auto point = fault::parse_fault_point(reporter.replay_token());
+  if (const auto token = reporter.value("--replay")) {
+    const auto point = fault::parse_fault_point(*token);
     if (!point) {
-      std::fprintf(stderr, "error: unknown fault site in '%s'\n",
-                   reporter.replay_token().c_str());
+      std::fprintf(stderr,
+                   "error: --replay wants '<site>:<occurrence>' "
+                   "(e.g. heartbeat-send:17), got '%s'\n",
+                   token->c_str());
       return 1;
     }
     return replay(reporter, *point);
   }
 
-  const std::size_t max_points =
-      reporter.has_max_points() ? reporter.max_points() : 0;
+  // 0 = the whole enumeration.
+  const std::size_t max_points = reporter.count("--max-points").value_or(0);
   obs::Registry metrics;
   std::size_t violations = 0;
   violations += sweep_rig(reporter, metrics, scenario::SweepOptions::Rig::kFig10,

@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <string_view>
 
 #include "analysis/fleet.hpp"
 #include "fleet/campaign.hpp"
@@ -236,20 +235,11 @@ int main(int argc, char** argv) {
 
   // `--quick` is the ctest smoke shape; `--full` is the 100k-vehicle run;
   // `--vehicles N` overrides the campaign size outright.
-  bool quick = false;
-  bool full = false;
-  std::uint32_t vehicles_override = 0;
-  for (int i = 1; i < reporter.argc(); ++i) {
-    const std::string_view arg(reporter.argv()[i]);
-    if (arg == "--quick") quick = true;
-    if (arg == "--full") full = true;
-    if (arg == "--vehicles" && i + 1 < reporter.argc()) {
-      vehicles_override = static_cast<std::uint32_t>(
-          std::strtoul(reporter.argv()[i + 1], nullptr, 10));
-    }
-  }
-  std::uint32_t vehicles = quick ? 2'000 : full ? 100'000 : 10'000;
-  if (vehicles_override != 0) vehicles = vehicles_override;
+  const bool quick = reporter.flag("--quick");
+  const bool full = reporter.flag("--full");
+  const auto vehicles = static_cast<std::uint32_t>(
+      reporter.count("--vehicles")
+          .value_or(quick ? 2'000 : full ? 100'000 : 10'000));
   const std::uint32_t shards = 8;
 
   bench_steady(reporter, quick ? 2'000 : 10'000, shards);

@@ -26,7 +26,6 @@
 // tolerance on throughput-like ones).
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -148,10 +147,7 @@ int main(int argc, char** argv) {
   // `--smoke`: the ctest/sanitizer entry point — small cubes only, no
   // 512-FRU flagship, so the sanitized run stays in CI budget. The full
   // bench (and the baseline gate) runs in the perf-smoke job.
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") smoke = true;
-  }
+  const bool smoke = reporter.flag("--smoke");
 
   // --- 1. scaling sweep --------------------------------------------------
   std::vector<std::pair<std::uint32_t, std::uint32_t>> sizes = {

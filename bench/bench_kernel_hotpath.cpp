@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <string_view>
 
 #include "diag/evidence.hpp"
 #include "diag/symptom.hpp"
@@ -276,10 +275,7 @@ int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_kernel_hotpath", argc, argv);
 
   // `--quick` shrinks both sections for the ctest smoke run.
-  bool quick = false;
-  for (int i = 1; i < reporter.argc(); ++i) {
-    if (std::string_view(reporter.argv()[i]) == "--quick") quick = true;
-  }
+  const bool quick = reporter.flag("--quick");
 
   const SectionResult sched = bench_scheduling(quick ? 1 : 10);
   const SectionResult mux = bench_mux_round(quick ? 20'000 : 200'000);

@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <string_view>
 
 #include "obs/bench_io.hpp"
 #include "obs/provenance.hpp"
@@ -184,10 +183,7 @@ double bench_rig(bool provenance, sim::Duration horizon) {
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_provenance", argc, argv);
 
-  bool quick = false;
-  for (int i = 1; i < reporter.argc(); ++i) {
-    if (std::string_view(reporter.argv()[i]) == "--quick") quick = true;
-  }
+  const bool quick = reporter.flag("--quick");
   const tta::RoundId rounds = quick ? 20'000 : 200'000;
 
   // 1+2a. Instrumented-API cost on the E18 mux spine.

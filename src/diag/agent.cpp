@@ -6,16 +6,11 @@ namespace decos::diag {
 
 Agent::Agent(platform::System& system, platform::DasId diag_das,
              platform::ComponentId component, const SpecTable& specs,
-             const std::vector<platform::JobId>& assessors)
-    : Agent(system, diag_das, component, specs, assessors, Params{}) {}
-
-Agent::Agent(platform::System& system, platform::DasId diag_das,
-             platform::ComponentId component, const SpecTable& specs,
-             const std::vector<platform::JobId>& assessors, Params params)
+             const std::vector<platform::JobId>& assessors, bool hardening)
     : system_(system),
       component_(component),
       specs_(specs),
-      p_(params),
+      hardening_(hardening),
       prov_(&system.simulator().provenance()),
       entity_("agent." + std::to_string(component)),
       heartbeats_metric_(
@@ -217,7 +212,8 @@ void Agent::flush(platform::JobContext& ctx) {
   // Heartbeat first: the assessor's staleness watchdog must keep being
   // fed even when the component is perfectly healthy — its absence is the
   // one signal that survives every agent-death mode.
-  if (p_.hardening && (last_heartbeat_ == 0 || round >= last_heartbeat_ + p_.heartbeat_period)) {
+  if (hardening_ &&
+      (last_heartbeat_ == 0 || round >= last_heartbeat_ + kHeartbeatPeriod)) {
     if (fp_ && fp_->hit(fault::FaultSite::kHeartbeatSend)) {
       // Heartbeat lost at the send instant: the agent believes it fed the
       // watchdog (the period restarts) but nothing reaches the wire.
@@ -264,10 +260,9 @@ void Agent::flush(platform::JobContext& ctx) {
     }
     // Resend-push fault site: firing means this symptom never enters the
     // retransmission buffer — its original send is its only chance.
-    if (p_.hardening && p_.max_resends > 0 &&
-        !(fp_ && fp_->hit(fault::FaultSite::kResendPush))) {
-      resend_.push_back(Resend{s, round + p_.resend_backoff, 1});
-      while (resend_.size() > p_.resend_buffer) resend_.pop_front();
+    if (hardening_ && !(fp_ && fp_->hit(fault::FaultSite::kResendPush))) {
+      resend_.push_back(Resend{s, round + kResendBackoff, 1});
+      while (resend_.size() > kResendBuffer) resend_.pop_front();
     }
     pending_.pop_front();
   }
@@ -275,10 +270,10 @@ void Agent::flush(platform::JobContext& ctx) {
   // Retransmissions with exponential backoff: a lost original becomes a
   // duplicate at the assessor (deduplicated there by observation key)
   // instead of a hole in the evidence. Spare bandwidth only.
-  if (p_.hardening) {
+  if (hardening_) {
     for (auto& r : resend_) {
       if (sent >= 16) break;
-      if (r.sends > p_.max_resends || round < r.due) continue;
+      if (r.sends > kMaxResends || round < r.due) continue;
       const vnet::Message m = encode(r.s, round);
       if (hierarchical()) {
         // Resends re-route through the *current* tester set, so a symptom
@@ -294,10 +289,10 @@ void Agent::flush(platform::JobContext& ctx) {
       ++sent;
       ++resent_;
       retransmissions_metric_.inc();
-      r.due = round + (p_.resend_backoff << r.sends);
+      r.due = round + (kResendBackoff << r.sends);
       ++r.sends;
     }
-    while (!resend_.empty() && resend_.front().sends > p_.max_resends) {
+    while (!resend_.empty() && resend_.front().sends > kMaxResends) {
       resend_.pop_front();
     }
   }

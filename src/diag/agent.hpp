@@ -19,6 +19,8 @@
 // and a small bounded resend buffer retransmits recent symptoms with
 // exponential backoff — loss on the diagnostic vnet becomes duplicates
 // (deduplicated at the assessor) instead of silently missing evidence.
+// The heartbeat period and the resend schedule are constants; the one
+// setting is the hardening switch, which mirrors the assessor's.
 #pragma once
 
 #include <deque>
@@ -37,30 +39,27 @@ namespace decos::diag {
 
 class Agent {
  public:
-  struct Params {
-    /// Master switch for the channel hardening (heartbeats + resends).
-    /// Off reproduces the pre-hardening agent, for ablation runs.
-    bool hardening = true;
-    /// Rounds between heartbeats on the symptom port.
-    tta::RoundId heartbeat_period = 8;
-    /// Recently sent symptoms retained for retransmission.
-    std::size_t resend_buffer = 32;
-    /// Retransmissions per symptom beyond the first send.
-    std::uint32_t max_resends = 2;
-    /// Rounds until the first retransmission; doubles per resend.
-    tta::RoundId resend_backoff = 8;
-  };
+  /// Rounds between heartbeats on the symptom port.
+  static constexpr tta::RoundId kHeartbeatPeriod = 8;
+  /// Recently sent symptoms retained for retransmission.
+  static constexpr std::size_t kResendBuffer = 32;
+  /// Retransmissions per symptom beyond the first send.
+  static constexpr std::uint32_t kMaxResends = 2;
+  /// Rounds until the first retransmission; doubles per resend.
+  static constexpr tta::RoundId kResendBackoff = 8;
+  /// Rounds from a symptom's first send to its last retransmission's due
+  /// round: the sum of the doubling backoffs, so at least the largest one.
+  static constexpr tta::RoundId kResendSpan =
+      kResendBackoff * ((tta::RoundId{1} << kMaxResends) - 1);
 
   /// Creates the agent job on `component` inside `diag_das` and installs
   /// all hooks. `assessors` are the jobs subscribed to this agent's
-  /// symptom port.
+  /// symptom port. `hardening` switches the channel hardening (heartbeats
+  /// + resends); off reproduces the pre-hardening agent, for ablation
+  /// runs.
   Agent(platform::System& system, platform::DasId diag_das,
         platform::ComponentId component, const SpecTable& specs,
-        const std::vector<platform::JobId>& assessors, Params params);
-  /// Default-parameter convenience (hardening on).
-  Agent(platform::System& system, platform::DasId diag_das,
-        platform::ComponentId component, const SpecTable& specs,
-        const std::vector<platform::JobId>& assessors);
+        const std::vector<platform::JobId>& assessors, bool hardening);
 
   [[nodiscard]] platform::ComponentId component() const { return component_; }
   [[nodiscard]] platform::JobId job_id() const { return job_id_; }
@@ -73,7 +72,6 @@ class Agent {
   [[nodiscard]] std::uint64_t symptoms_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t heartbeats_sent() const { return heartbeats_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return resent_; }
-  [[nodiscard]] const Params& params() const { return p_; }
 
   /// Attaches the fault-point registry (not owned; nullptr detaches): the
   /// heartbeat-send and resend-push edges become enumerable injection
@@ -106,7 +104,7 @@ class Agent {
   platform::System& system_;
   platform::ComponentId component_;
   const SpecTable& specs_;
-  Params p_;
+  bool hardening_;
   obs::ProvenanceTracer* prov_ = nullptr;
   fault::FaultPointRegistry* fp_ = nullptr;
   /// Cached span entity label ("agent.N") so the hot path never builds it.

@@ -4,16 +4,27 @@
 #include <bit>
 #include <string>
 
+#include "diag/agent.hpp"
+
 namespace decos::diag {
+
+// The assessor's horizons against the agents' channel timing (agent.hpp).
+// A retransmission still folds into the summary as a late arrival instead
+// of forcing a rebuild: the fold lag covers the symptom age field's
+// 255-round saturation plus the resend span.
+static_assert(EvidenceSummary::kFoldLag > 255 + Agent::kResendSpan);
+// A retransmission still meets its original's dedupe key.
+static_assert(Assessor::kDedupeWindow > Agent::kResendSpan);
+// One or two lost heartbeats must not read as agent silence.
+static_assert(Assessor::kStaleAfter >= 4 * Agent::kHeartbeatPeriod);
 
 Assessor::Assessor(Params p, fault::SpatialLayout layout,
                    std::uint32_t component_count, std::uint32_t job_count)
     : p_(p),
       classifier_(p.classifier, std::move(layout)),
-      store_(p.evidence),
       component_count_(component_count),
       summary_(classifier_.summarize(store_, component_count)),
-      component_trust_(component_count, p.trust.initial),
+      component_trust_(component_count, TrustParams::kInitial),
       jobs_(job_count),
       component_trajectories_(component_count),
       was_stale_(component_count, false),
@@ -72,7 +83,7 @@ Assessor::JobState& Assessor::enrol(platform::JobId j) {
   JobState& js = jobs_[j];
   if (!js.enrolled) {
     js.enrolled = true;
-    js.trust = p_.trust.initial;
+    js.trust = TrustParams::kInitial;
     subjects_.insert(std::lower_bound(subjects_.begin(), subjects_.end(), j),
                      j);
   }
@@ -108,7 +119,7 @@ obs::ProvenanceId Assessor::journey_for(const Symptom& s) const {
 }
 
 void Assessor::note_component_trust(platform::ComponentId c) {
-  if (component_trust_[c] < p_.trust.violation_threshold &&
+  if (component_trust_[c] < TrustParams::kViolationThreshold &&
       !component_violation_round_.contains(c)) {
     component_violation_round_[c] = round_;
     violations_metric_.inc();
@@ -120,7 +131,7 @@ void Assessor::note_component_trust(platform::ComponentId c) {
 }
 
 void Assessor::note_job_trust(platform::JobId j) {
-  if (jobs_[j].trust < p_.trust.violation_threshold &&
+  if (jobs_[j].trust < TrustParams::kViolationThreshold &&
       !job_violation_round_.contains(j)) {
     job_violation_round_[j] = round_;
     violations_metric_.inc();
@@ -153,11 +164,11 @@ tta::RoundId Assessor::evidence_age(platform::ComponentId c) const {
 double Assessor::evidence_quality(platform::ComponentId c) const {
   if (!p_.hardening) return 1.0;
   const tta::RoundId age = evidence_age(c);
-  if (age <= p_.stale_after) return 1.0;
+  if (age <= kStaleAfter) return 1.0;
   // Linear decay after the staleness threshold; floor at 0 once silence
   // reaches five thresholds.
-  const double excess = static_cast<double>(age - p_.stale_after);
-  return std::max(0.0, 1.0 - excess / static_cast<double>(4 * p_.stale_after));
+  const double excess = static_cast<double>(age - kStaleAfter);
+  return std::max(0.0, 1.0 - excess / static_cast<double>(4 * kStaleAfter));
 }
 
 double Assessor::job_evidence_quality(platform::JobId j) const {
@@ -331,8 +342,8 @@ void Assessor::process(platform::JobContext& ctx) {
 
   // An observer flagging most of its peers at once is itself the suspect
   // (connector/EMI on its receive path): charge the observer, not the
-  // blameless senders — mirroring the classifier's credibility rule.
-  const std::size_t spread_bar = auto_sender_spread(component_count_);
+  // blameless senders — the classifier's credibility rule, at its bar.
+  const std::size_t spread_bar = summary_.feature_params().sender_spread;
   for (platform::ComponentId observer = 0; observer < component_count_;
        ++observer) {
     const std::uint64_t* mask = &transport_masks_[observer * mask_words_];
@@ -359,7 +370,7 @@ void Assessor::process(platform::JobContext& ctx) {
   // so trust keeps recovering on absent evidence.
   if (fp_ && p_.hardening) {
     for (platform::ComponentId c = 0; c < component_count_; ++c) {
-      bool stale = evidence_age(c) > p_.stale_after;
+      bool stale = evidence_age(c) > kStaleAfter;
       if (stale && !was_stale_[c] &&
           fp_->hit(fault::FaultSite::kStalenessExpiry)) {
         channels_[c].last_heard = round_;
@@ -378,7 +389,7 @@ void Assessor::process(platform::JobContext& ctx) {
     if (hits == 0) {
       if (!channel_degraded(c)) {
         component_trust_[c] =
-            std::min(1.0, component_trust_[c] + p_.trust.recovery);
+            std::min(1.0, component_trust_[c] + TrustParams::kRecovery);
       }
     } else {
       const double scale = static_cast<double>(std::min(hits, 4u));
@@ -393,7 +404,7 @@ void Assessor::process(platform::JobContext& ctx) {
     if (hits == 0) {
       const platform::ComponentId host = jobs_[j].host;
       if (host == kNoHost || !channel_degraded(host)) {
-        trust = std::min(1.0, trust + p_.trust.recovery);
+        trust = std::min(1.0, trust + TrustParams::kRecovery);
       }
     } else {
       const double scale = static_cast<double>(std::min(hits, 4u));
@@ -405,7 +416,7 @@ void Assessor::process(platform::JobContext& ctx) {
   if (hierarchical()) emit_deltas(ctx);
 
   // Trajectory sampling (Fig. 9).
-  if (round_ >= last_sample_ + p_.sample_period) {
+  if (round_ >= last_sample_ + kSamplePeriod) {
     last_sample_ = round_;
     for (platform::ComponentId c = 0; c < component_count_; ++c) {
       component_trajectories_[c].push_back(TrustSample{round_, component_trust_[c]});
@@ -415,19 +426,16 @@ void Assessor::process(platform::JobContext& ctx) {
 
   // Dedupe keys older than the window can never be duplicated again (the
   // resend buffer is far shorter); drop them to stay bounded.
-  if (p_.hardening && round_ >= last_dedupe_prune_ + p_.dedupe_window) {
+  if (p_.hardening && round_ >= last_dedupe_prune_ + kDedupeWindow) {
     last_dedupe_prune_ = round_;
     const tta::RoundId horizon =
-        round_ > p_.dedupe_window ? round_ - p_.dedupe_window : 0;
+        round_ > kDedupeWindow ? round_ - kDedupeWindow : 0;
     std::erase_if(seen_,
                   [horizon](const DedupKey& k) { return k.round < horizon; });
   }
 
   summary_.fold(round_);
-  store_.prune(round_);
-  summary_.note_prune(
-      round_ > p_.evidence.window_rounds ? round_ - p_.evidence.window_rounds
-                                         : 0);
+  summary_.note_prune(store_.prune(round_));
 }
 
 void Assessor::handle_delta(const vnet::Message& m) {
@@ -517,7 +525,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
   // A standing suspicion is re-emitted every refresh period so late
   // joiners and lossy paths converge without any retransmission protocol.
   const bool refresh =
-      round_ >= last_delta_refresh_ + p_.delta_refresh_period;
+      round_ >= last_delta_refresh_ + kDeltaRefreshPeriod;
   if (refresh) last_delta_refresh_ = round_;
   auto emit = [&](bool job_level, std::uint32_t fru, double trust) {
     VerdictDelta d;
@@ -537,7 +545,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
     if (!topo_->is_tester(position_, c)) continue;
     const bool suspect =
-        component_trust_[c] < p_.trust.violation_threshold;
+        component_trust_[c] < TrustParams::kViolationThreshold;
     if (suspect && (!comp_delta_active_[c] || refresh)) {
       comp_delta_active_[c] = true;
       emit(false, c, component_trust_[c]);
@@ -551,7 +559,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
     if (js.host == kNoHost) continue;
     if (!topo_->is_tester(position_, js.host)) continue;
     const double trust = js.trust;
-    const bool suspect = trust < p_.trust.violation_threshold;
+    const bool suspect = trust < TrustParams::kViolationThreshold;
     bool& active = js.delta_active;
     if (suspect && (!active || refresh)) {
       active = true;
@@ -564,7 +572,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
   // Budgeted drain: own emissions and forwards share the per-round send
   // allowance; leftovers stay queued (FIFO) for the next round.
   std::size_t sent = 0;
-  while (!dissem_out_.empty() && sent < p_.dissem_budget) {
+  while (!dissem_out_.empty() && sent < kDissemBudget) {
     const PendingDelta pd = dissem_out_.front();
     dissem_out_.pop_front();
     if (pd.forward && fp_ && fp_->hit(fault::FaultSite::kDissemForward)) {
@@ -618,26 +626,26 @@ void Assessor::export_staleness() {
 }
 
 void Assessor::reset_component_trust(platform::ComponentId c) {
-  component_trust_.at(c) = p_.trust.initial;
+  component_trust_.at(c) = TrustParams::kInitial;
   component_violation_round_.erase(c);
   if (hierarchical()) {
     delta_cache_.erase(DeltaKey{false, c});
     if (comp_delta_active_[c]) {
       comp_delta_active_[c] = false;
-      queue_clear_delta(false, c, p_.trust.initial);
+      queue_clear_delta(false, c, TrustParams::kInitial);
     }
   }
 }
 
 void Assessor::reset_job_trust(platform::JobId j) {
   JobState& js = enrol(j);
-  js.trust = p_.trust.initial;
+  js.trust = TrustParams::kInitial;
   job_violation_round_.erase(j);
   if (hierarchical()) {
     delta_cache_.erase(DeltaKey{true, j});
     if (js.delta_active) {
       js.delta_active = false;
-      queue_clear_delta(true, j, p_.trust.initial);
+      queue_clear_delta(true, j, TrustParams::kInitial);
     }
   }
 }

@@ -20,6 +20,12 @@
 // the monitored. Retransmitted symptoms are deduplicated on their
 // observation key so resends never double-charge trust.
 //
+// Params hold only what an experiment turns: the classifier's two
+// thresholds, the trust drop (E13) and the hardening switch (E15). The
+// trust levels and the assessor's horizons (sampling, staleness, dedupe,
+// dissemination) are constants; assessor.cpp static_asserts how the
+// horizons relate to the agents' heartbeat and resend timing.
+//
 // Per-FRU state is dense: component state in vectors indexed by
 // ComponentId, per-job trust, host and dissemination flag in one vector
 // indexed by JobId (sized from the job count, grown on enrolment). The
@@ -52,18 +58,20 @@
 namespace decos::diag {
 
 struct TrustParams {
-  double initial = 1.0;
+  /// Trust of a FRU never charged, and after a repair reset.
+  static constexpr double kInitial = 1.0;
   /// Recovery per healthy assessment round.
-  double recovery = 0.001;
-  /// Drop per symptomatic round (scaled by min(symptoms, 4)).
-  double drop = 0.02;
+  static constexpr double kRecovery = 0.001;
   /// Trust below which the FRU is reported to the maintenance engineer.
-  double report_threshold = 0.5;
+  static constexpr double kReportThreshold = 0.5;
   /// Trust below which the FRU counts as *suspected* — the detection
   /// instant of the detection-latency metric (injection -> first trust
-  /// violation). Above report_threshold on purpose: suspicion is the
+  /// violation). Above kReportThreshold on purpose: suspicion is the
   /// early signal, the report threshold drives maintenance decisions.
-  double violation_threshold = 0.9;
+  static constexpr double kViolationThreshold = 0.9;
+  /// Drop per symptomatic round (scaled by min(symptoms, 4)); E13 sweeps
+  /// it.
+  double drop = 0.02;
 };
 
 struct TrustSample {
@@ -87,28 +95,26 @@ class Assessor {
  public:
   struct Params {
     Classifier::Params classifier{};
-    EvidenceStore::Params evidence{};
     TrustParams trust{};
-    /// Trajectory sampling period in rounds (Fig. 9 resolution).
-    tta::RoundId sample_period = 50;
     /// Master switch for channel hardening (staleness watchdog, dedupe,
     /// gap tracking, recovery gating). Off reproduces the pre-hardening
     /// assessor, for ablation runs.
     bool hardening = true;
-    /// Rounds of agent silence before the FRU's evidence counts stale
-    /// (should cover several agent heartbeat periods).
-    tta::RoundId stale_after = 32;
-    /// Observation-key dedupe horizon in rounds (must exceed the agents'
-    /// largest resend backoff).
-    tta::RoundId dedupe_window = 512;
-    /// Hierarchy mode: rounds between periodic re-emissions of a still-
-    /// standing verdict delta (edge-triggered emissions happen at the
-    /// violation instant regardless).
-    tta::RoundId delta_refresh_period = 16;
-    /// Hierarchy mode: verdict deltas handed to the dissemination port
-    /// per assessment round (own emissions + forwards; leftovers queue).
-    std::size_t dissem_budget = 16;
   };
+
+  /// Trajectory sampling period in rounds (Fig. 9 resolution).
+  static constexpr tta::RoundId kSamplePeriod = 50;
+  /// Rounds of agent silence before the FRU's evidence counts stale.
+  static constexpr tta::RoundId kStaleAfter = 32;
+  /// Observation-key dedupe horizon in rounds.
+  static constexpr tta::RoundId kDedupeWindow = 512;
+  /// Hierarchy mode: rounds between periodic re-emissions of a still-
+  /// standing verdict delta (edge-triggered emissions happen at the
+  /// violation instant regardless).
+  static constexpr tta::RoundId kDeltaRefreshPeriod = 16;
+  /// Hierarchy mode: verdict deltas handed to the dissemination port
+  /// per assessment round (own emissions + forwards; leftovers queue).
+  static constexpr std::size_t kDissemBudget = 16;
 
   Assessor(Params p, fault::SpatialLayout layout, std::uint32_t component_count,
            std::uint32_t job_count);
@@ -281,7 +287,7 @@ class Assessor {
   /// from component `c`'s agent.
   [[nodiscard]] tta::RoundId evidence_age(platform::ComponentId c) const;
   /// Evidence quality in [0,1]: 1.0 while the agent is fresh, decaying
-  /// linearly once its silence exceeds `stale_after`. Always 1.0 with
+  /// linearly once its silence exceeds kStaleAfter. Always 1.0 with
   /// hardening off (the pre-hardening blind spot, by construction).
   [[nodiscard]] double evidence_quality(platform::ComponentId c) const;
   /// Quality of the evidence about job `j` = quality of its host
@@ -293,7 +299,7 @@ class Assessor {
   /// Always fresh with hardening off (the ablated assessor is blind to
   /// silence by construction).
   [[nodiscard]] bool evidence_fresh(platform::ComponentId c) const {
-    return !p_.hardening || evidence_age(c) <= p_.stale_after;
+    return !p_.hardening || evidence_age(c) <= kStaleAfter;
   }
   [[nodiscard]] bool channel_degraded(platform::ComponentId c) const {
     return !evidence_fresh(c);
@@ -323,7 +329,6 @@ class Assessor {
   [[nodiscard]] std::uint64_t symptoms_processed() const {
     return store_.symptoms_ingested();
   }
-  [[nodiscard]] const Params& params() const { return p_; }
 
  private:
   Params p_;

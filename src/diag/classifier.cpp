@@ -3,6 +3,19 @@
 namespace decos::diag {
 namespace {
 
+/// Episode count at which recurrence alone implies an internal
+/// intermittent fault even without a clean rising trend.
+constexpr std::size_t kRecurrenceThreshold = 8;
+/// Alpha-count threshold (the §V-C discriminator): a decayed sum over the
+/// component's credible symptomatic rounds above this also marks the
+/// fault internal intermittent. Catches dense recurrence that the episode
+/// counter under-counts when episodes merge.
+constexpr double kAlphaThreshold = 40.0;
+/// Job value-error rounds needed before judging a job at all.
+constexpr std::size_t kMinValueRounds = 3;
+/// Queue overflows needed to call a configuration fault.
+constexpr std::uint64_t kOverflowThreshold = 10;
+
 /// Severity rank used when sender-side and observer-side analyses both
 /// produce a candidate: replacement-relevant classes win.
 int rank(fault::FaultClass c) {
@@ -18,9 +31,6 @@ int rank(fault::FaultClass c) {
 
 Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
                                tta::RoundId now) const {
-  // The time-dimension parameters read here need no resolution.
-  const FeatureParams fp = p_.features();
-
   // Star-coupler evidence first: recurring guardian blocks mean the
   // component attempts transmissions outside its windows — a babbling
   // controller defect that the containment makes invisible in the
@@ -38,8 +48,7 @@ Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
   Diagnosis sender_diag;  // defaults to kNone
   if (!sender_eps.empty()) {
     const VerdictTotals& vt = f.totals;
-    const bool dense_tail = f.sender_dense_tail(
-        now, p_.permanent_omission_rounds, fp.episode_gap);
+    const bool dense_tail = f.sender_dense_tail(now);
 
     if (dense_tail && vt.omission_dominant()) {
       sender_diag = {fault::FaultClass::kComponentInternal,
@@ -50,17 +59,17 @@ Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kPermanent, 0.9,
                      "persistent timing violations (clock/oscillator defect)"};
-    } else if (rate_increasing(sender_eps, fp)) {
+    } else if (rate_increasing(sender_eps)) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kIntermittent, 0.85,
                      "transient episodes with increasing frequency at one "
                      "component (wearout signature)"};
-    } else if (sender_eps.size() >= p_.recurrence_threshold) {
+    } else if (sender_eps.size() >= kRecurrenceThreshold) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kIntermittent, 0.7,
                      "recurring transient episodes at the same component "
                      "(internal intermittent fault)"};
-    } else if (f.alpha >= p_.alpha_threshold) {
+    } else if (f.alpha >= kAlphaThreshold) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kIntermittent, 0.7,
                      "alpha-count over threshold: transient failures recur "
@@ -111,8 +120,8 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
                                    const std::vector<platform::JobId>& siblings,
                                    tta::RoundId now) const {
   const JobEvidence& je = ev.job(j);
-  const bool has_value = je.value_rounds.size() >= p_.min_value_rounds;
-  const bool has_overflow = je.overflow_count >= p_.overflow_threshold;
+  const bool has_value = je.value_rounds.size() >= kMinValueRounds;
+  const bool has_overflow = je.overflow_count >= kOverflowThreshold;
   const bool has_gap = !je.gap_rounds.empty();
 
   if (!has_value && !has_overflow && !has_gap) {
@@ -138,7 +147,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
     std::size_t symptomatic_siblings = 0;
     for (platform::JobId s : siblings) {
       if (s == j) continue;
-      if (ev.job(s).value_rounds.size() >= p_.min_value_rounds) {
+      if (ev.job(s).value_rounds.size() >= kMinValueRounds) {
         ++symptomatic_siblings;
       }
     }
@@ -152,7 +161,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
     // Job-internal evidence first (Section III-D: transducer vs software
     // cannot be told apart from the interface alone — but a model-based
     // application assertion is exactly the internal information that can).
-    if (je.transducer_suspect_rounds.size() >= p_.min_value_rounds) {
+    if (je.transducer_suspect_rounds.size() >= kMinValueRounds) {
       return {fault::FaultClass::kJobInherentTransducer,
               fault::Persistence::kPermanent, 0.9,
               "the job's own model-based plausibility check indicts its "
@@ -178,7 +187,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
   }
 
   // Gaps only: the job went silent while its component stayed healthy.
-  const bool recent = je.gap_rounds.back() + 4 * p_.episode_gap >= now;
+  const bool recent = je.gap_rounds.back() + 4 * kEpisodeGap >= now;
   return {fault::FaultClass::kJobInherentSoftware,
           recent ? fault::Persistence::kPermanent
                  : fault::Persistence::kTransient,

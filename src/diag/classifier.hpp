@@ -17,6 +17,11 @@
 // the decision rules. Each rule produces the class plus a human-readable
 // rationale — what a service technician's display shows next to the
 // trust level.
+//
+// The rules are one fixed reading of Fig. 8: every threshold is a constant
+// beside the code that reads it (features.hpp, summary.hpp,
+// classifier.cpp). Params keep the two an experiment turns: the
+// sender-spread bar (E13) and the spatial radius (E3).
 #pragma once
 
 #include <algorithm>
@@ -44,39 +49,16 @@ struct Diagnosis {
 
 class Classifier {
  public:
+  /// The two thresholds an experiment turns; every other threshold is a
+  /// constant beside the code that reads it.
   struct Params {
-    // Feature-extraction thresholds (see FeatureParams for semantics).
-    std::uint32_t observer_quorum = 2;
     /// Senders an observer must flag in one round to be considered
     /// self-suspect (its own receive path, not all those senders, is the
     /// likely culprit). 0 = auto_sender_spread() of the cluster size.
     std::uint32_t sender_spread = 0;
-    tta::RoundId episode_gap = 25;
-    std::size_t min_episodes_for_trend = 4;
-    double wearout_gap_ratio = 0.7;
-    tta::RoundId correlation_delta = 10;
+    /// Spatial distance within which correlated components count as
+    /// proximate.
     double spatial_radius = 1.6;
-    /// Rounds of continuous omission that mean a dead (permanent) FRU.
-    tta::RoundId permanent_omission_rounds = 200;
-    /// Episode count at which recurrence alone implies an internal
-    /// intermittent fault even without a clean rising trend.
-    std::size_t recurrence_threshold = 8;
-    /// Alpha-count threshold (the §V-C discriminator): a decayed sum over
-    /// the component's credible symptomatic rounds above this also marks
-    /// the fault internal intermittent. Catches dense recurrence that the
-    /// episode counter under-counts when episodes merge.
-    double alpha_threshold = 40.0;
-    double alpha_decay = 0.999;
-    /// Job value-error rounds needed before judging a job at all.
-    std::size_t min_value_rounds = 3;
-    /// Queue overflows needed to call a configuration fault.
-    std::uint64_t overflow_threshold = 10;
-
-    [[nodiscard]] FeatureParams features() const {
-      return FeatureParams{observer_quorum, sender_spread,    episode_gap,
-                           min_episodes_for_trend, wearout_gap_ratio,
-                           correlation_delta,      spatial_radius};
-    }
   };
 
   Classifier(Params p, fault::SpatialLayout layout)
@@ -91,16 +73,16 @@ class Classifier {
   /// The evidence summary this classifier reads for a cluster of
   /// `component_count` components over `ev` (not owned; must outlive the
   /// summary): feature parameters fully resolved (sender_spread
-  /// auto-scaling applied), alpha decay and spatial layout from here.
-  /// The one place feature parameters are resolved; the ONAs read the
+  /// auto-scaling applied) and spatial layout from here. The one place
+  /// feature parameters are resolved; the assessor and the ONAs read the
   /// summary's.
   [[nodiscard]] EvidenceSummary summarize(const EvidenceStore& ev,
                                           std::uint32_t component_count) const {
-    FeatureParams fp = p_.features();
-    if (fp.sender_spread == 0) {
-      fp.sender_spread = auto_sender_spread(component_count);
-    }
-    return EvidenceSummary(&ev, fp, p_.alpha_decay, component_count, layout_);
+    const FeatureParams fp{p_.sender_spread == 0
+                               ? auto_sender_spread(component_count)
+                               : p_.sender_spread,
+                           p_.spatial_radius};
+    return EvidenceSummary(&ev, fp, component_count, layout_);
   }
 
   /// Classifies one job FRU. Needs the host component's diagnosis (a
@@ -111,7 +93,6 @@ class Classifier {
       const Diagnosis& host_diagnosis,
       const std::vector<platform::JobId>& siblings, tta::RoundId now) const;
 
-  [[nodiscard]] const Params& params() const { return p_; }
   [[nodiscard]] const fault::SpatialLayout& layout() const { return layout_; }
 
  private:

@@ -64,8 +64,8 @@ void EvidenceStore::ingest(const Symptom& s) {
   }
 }
 
-void EvidenceStore::prune(tta::RoundId now) {
-  if (now <= p_.window_rounds) return;
+tta::RoundId EvidenceStore::prune(tta::RoundId now) {
+  if (now <= p_.window_rounds) return 0;
   const tta::RoundId cutoff = now - p_.window_rounds;
   for (auto& [c, rounds] : about_) {
     rounds.erase(rounds.begin(), rounds.lower_bound(cutoff));
@@ -91,6 +91,7 @@ void EvidenceStore::prune(tta::RoundId now) {
     trim(je.gap_rounds, nullptr);
     trim(je.transducer_suspect_rounds, nullptr);
   }
+  return cutoff;
 }
 
 const std::map<tta::RoundId, SubjectRound>& EvidenceStore::about(

@@ -60,8 +60,9 @@ class EvidenceStore {
   /// Ingests one decoded symptom.
   void ingest(const Symptom& s);
 
-  /// Drops per-round detail older than `now - window`.
-  void prune(tta::RoundId now);
+  /// Drops per-round detail older than `now - window`; returns that
+  /// cutoff (0 while nothing is old enough).
+  tta::RoundId prune(tta::RoundId now);
 
   // --- subject view -------------------------------------------------------
   [[nodiscard]] const std::map<tta::RoundId, SubjectRound>& about(

@@ -7,19 +7,19 @@ namespace decos::diag {
 std::vector<Episode> episodes_of(const std::vector<tta::RoundId>& rounds,
                                  tta::RoundId gap) {
   std::vector<Episode> eps;
-  for (tta::RoundId r : rounds) {
-    if (!eps.empty() && r <= eps.back().last + gap) {
-      eps.back().last = r;
-      ++eps.back().rounds;
-    } else {
-      eps.push_back(Episode{r, r, 1});
-    }
-  }
+  for (tta::RoundId r : rounds) extend_episodes(eps, r, gap);
   return eps;
 }
 
-bool rate_increasing(const std::vector<Episode>& eps, const FeatureParams& p) {
-  if (eps.size() < p.min_episodes_for_trend) return false;
+namespace {
+/// Episodes needed before a rate-trend test is meaningful.
+constexpr std::size_t kMinEpisodesForTrend = 4;
+/// Mean-gap shrink factor (late vs early) that indicates wearout.
+constexpr double kWearoutGapRatio = 0.7;
+}  // namespace
+
+bool rate_increasing(const std::vector<Episode>& eps) {
+  if (eps.size() < kMinEpisodesForTrend) return false;
   std::vector<double> gaps;
   for (std::size_t i = 1; i < eps.size(); ++i) {
     gaps.push_back(static_cast<double>(eps[i].first - eps[i - 1].last));
@@ -31,7 +31,7 @@ bool rate_increasing(const std::vector<Episode>& eps, const FeatureParams& p) {
   for (std::size_t i = gaps.size() - half; i < gaps.size(); ++i) late += gaps[i];
   early /= static_cast<double>(half);
   late /= static_cast<double>(half);
-  return early > 0 && late < early * p.wearout_gap_ratio;
+  return early > 0 && late < early * kWearoutGapRatio;
 }
 
 bool magnitudes_drifting(const std::vector<double>& mags) {

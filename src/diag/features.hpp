@@ -8,7 +8,8 @@
 //
 // The per-component features themselves are computed in one place, the
 // incremental EvidenceSummary (diag/summary.hpp); this header holds the
-// value types and the pure tests over them, plus the bit-level features
+// value types, the fixed thresholds the summary, the classifier and the
+// ONAs share, and the pure tests over them, plus the bit-level features
 // over a fault::BitFaultLog slice.
 #pragma once
 
@@ -31,30 +32,42 @@ struct Episode {
   bool operator==(const Episode&) const = default;
 };
 
+/// Adds symptomatic round `r`, not before the last round of `eps`: it
+/// extends the last episode when within `gap` of it, else opens a new one.
+inline void extend_episodes(std::vector<Episode>& eps, tta::RoundId r,
+                            tta::RoundId gap) {
+  if (!eps.empty() && r <= eps.back().last + gap) {
+    eps.back().last = r;
+    ++eps.back().rounds;
+  } else {
+    eps.push_back(Episode{r, r, 1});
+  }
+}
+
 /// Groups symptomatic rounds (ascending) into episodes separated by > gap.
 [[nodiscard]] std::vector<Episode> episodes_of(
     const std::vector<tta::RoundId>& symptomatic_rounds, tta::RoundId gap);
 
+// The fixed Fig. 8 thresholds: one reading of the patterns, not a family
+// of tunings, so no experiment varies them.
+
+/// Distinct credible observers required before the *sender* is the
+/// suspect side.
+inline constexpr std::uint32_t kObserverQuorum = 2;
+/// Rounds of silence separating two episodes.
+inline constexpr tta::RoundId kEpisodeGap = 25;
+/// Rounds of tolerance when matching episodes across components.
+inline constexpr tta::RoundId kCorrelationDelta = 10;
+
+/// The two feature parameters an experiment turns (E13 the sender-spread
+/// bar, E3 the spatial radius), as Classifier::summarize resolves them.
 struct FeatureParams {
-  /// Distinct credible observers required before the *sender* is the
-  /// suspect side.
-  std::uint32_t observer_quorum = 2;
   /// Senders an observer must flag in one round for a receive-path
   /// (observer-side) round; also the self-suspicion bar for credibility.
-  std::uint32_t sender_spread = 2;
-  /// Rounds of silence separating two episodes.
-  tta::RoundId episode_gap = 25;
-  /// Episodes needed before a rate-trend test is meaningful.
-  std::size_t min_episodes_for_trend = 4;
-  /// Mean-gap shrink factor (late vs early) that indicates wearout.
-  double wearout_gap_ratio = 0.7;
-  /// Rounds of tolerance when matching episodes across components.
-  tta::RoundId correlation_delta = 10;
+  std::uint32_t sender_spread;
   /// Spatial distance within which correlated components count as
   /// proximate.
-  double spatial_radius = 1.6;
-
-  bool operator==(const FeatureParams&) const = default;
+  double spatial_radius;
 };
 
 /// The auto-scaled sender-spread bar for a cluster of `component_count`
@@ -69,8 +82,7 @@ struct FeatureParams {
 }
 
 /// Late-vs-early mean episode gap shrinks below the wearout ratio.
-[[nodiscard]] bool rate_increasing(const std::vector<Episode>& eps,
-                                   const FeatureParams& p);
+[[nodiscard]] bool rate_increasing(const std::vector<Episode>& eps);
 
 /// Per-verdict totals over the quorum rounds about one component.
 struct VerdictTotals {

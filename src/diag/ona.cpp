@@ -18,14 +18,13 @@ OnaCondition sender_episode_count_at_most(std::size_t n) {
 
 OnaCondition sender_rate_increasing() {
   return [](const OnaContext& ctx) {
-    return rate_increasing(ctx.features.sender_eps, ctx.params);
+    return rate_increasing(ctx.features.sender_eps);
   };
 }
 
-OnaCondition sender_dense_tail(tta::RoundId rounds) {
-  return [rounds](const OnaContext& ctx) {
-    return ctx.features.sender_dense_tail(ctx.now, rounds,
-                                          ctx.params.episode_gap);
+OnaCondition sender_dense_tail() {
+  return [](const OnaContext& ctx) {
+    return ctx.features.sender_dense_tail(ctx.now);
   };
 }
 
@@ -106,11 +105,11 @@ OnaEngine OnaEngine::standard_rules() {
   // Permanent hardware death: a dense continuous omission tail.
   engine.add(OutOfNormAssertion(
       "permanent-silence", fault::FaultClass::kComponentInternal,
-      {sender_dense_tail(200), dominant_omission()}));
+      {sender_dense_tail(), dominant_omission()}));
   // Oscillator defect: persistent timing violations.
   engine.add(OutOfNormAssertion(
       "clock-defect", fault::FaultClass::kComponentInternal,
-      {sender_dense_tail(200), dominant_timing()}));
+      {sender_dense_tail(), dominant_timing()}));
   // Single external hit (SEU-like): brief sender-side episode(s) without
   // recurrence.
   engine.add(OutOfNormAssertion(

@@ -11,10 +11,10 @@
 // (and the rest of the taxonomy) as ONA objects. The OnaEngine evaluates
 // the whole rule base for a subject FRU and reports every triggered
 // assertion — the DECOS architecture's explainable front-end to the rule
-// classifier. The conditions read the same EvidenceSummary features, under
-// the same resolved parameters, as the classifier's verdict, and share its
-// Fig. 8 predicates, so an asserted pattern and the verdict next to it
-// never rest on different evidence.
+// classifier. The conditions read the same EvidenceSummary features as the
+// classifier's verdict, and share its Fig. 8 predicates and thresholds, so
+// an asserted pattern and the verdict next to it never rest on different
+// evidence.
 #pragma once
 
 #include <functional>
@@ -27,14 +27,12 @@
 
 namespace decos::diag {
 
-/// Everything a condition may look at: the subject FRU, its features as
-/// the evidence summary reads them at the sparse-time "now", and the
-/// summary's resolved feature parameters (EvidenceSummary::feature_params).
+/// Everything a condition may look at: the subject FRU and its features
+/// as the evidence summary reads them at the sparse-time "now".
 struct OnaContext {
   platform::ComponentId subject;
   const EvidenceSummary::ComponentFeatures& features;
   tta::RoundId now;
-  const FeatureParams& params;
 };
 
 using OnaCondition = std::function<bool(const OnaContext&)>;
@@ -76,8 +74,9 @@ namespace conditions {
 /// Episode rate increasing (wearout time signature).
 [[nodiscard]] OnaCondition sender_rate_increasing();
 /// The latest sender episode is a dense, still-ongoing run of at least
-/// `rounds` rounds (permanent fault time signature).
-[[nodiscard]] OnaCondition sender_dense_tail(tta::RoundId rounds);
+/// EvidenceSummary::kPermanentOmissionRounds rounds (permanent fault time
+/// signature).
+[[nodiscard]] OnaCondition sender_dense_tail();
 /// At least `n` observer-side (receive-path) episodes.
 [[nodiscard]] OnaCondition observer_episode_count_at_least(std::size_t n);
 

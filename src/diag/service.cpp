@@ -5,6 +5,16 @@
 namespace decos::diag {
 namespace {
 
+/// How long a revived higher-priority host must stay continuously alive
+/// before the service hands back to it. A restarted node can briefly drop
+/// out of sync again while its clock reintegrates; the hold keeps that
+/// flap from causing failover churn.
+constexpr sim::Duration kFailbackHold = sim::milliseconds(50);
+/// Dissemination vnet budget (messages per round per node) and queue
+/// depth, hierarchy mode only.
+constexpr std::uint16_t kDissemMsgsPerRound = 16;
+constexpr std::uint16_t kDissemQueueDepth = 128;
+
 /// A verdict served second-hand from the dissemination cache.
 Diagnosis disseminated(const VerdictDelta& d) {
   Diagnosis out;
@@ -22,8 +32,7 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
                                      fault::SpatialLayout layout, Params params)
     : system_(system), specs_(std::move(specs)),
       hardening_(params.assessor.hardening),
-      hierarchy_(params.hierarchy),
-      failback_hold_(params.failback_hold) {
+      hierarchy_(params.hierarchy) {
   // Application jobs existing now are the diagnosis subjects; everything
   // created below belongs to the diagnostic DAS.
   for (platform::JobId j = 0; j < static_cast<platform::JobId>(system_.job_count());
@@ -77,11 +86,9 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
 
   // Agents mirror the assessor's hardening switch so one Params flag
   // ablates the whole diagnostic-path hardening end to end.
-  Agent::Params agent_params;
-  agent_params.hardening = params.assessor.hardening;
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
     agents_.push_back(std::make_unique<Agent>(system_, das_, c, specs_,
-                                              assessor_jobs_, agent_params));
+                                              assessor_jobs_, hardening_));
     for (auto& assessor : assessors_) {
       assessor->register_agent(agents_.back()->job_id(), c);
     }
@@ -108,8 +115,7 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
     // for bandwidth like everything else, but never with the symptom
     // stream it summarises.
     const platform::VnetId dissem = system_.add_vnet(
-        "vn.diag.dissem", params.dissem_msgs_per_round,
-        params.dissem_queue_depth);
+        "vn.diag.dissem", kDissemMsgsPerRound, kDissemQueueDepth);
     for (std::size_t i = 0; i < assessors_.size(); ++i) {
       // Cube edges are fixed by position (p <-> p xor 2^s); only liveness
       // changes at runtime, so the port's receiver set never needs rewiring.
@@ -331,7 +337,7 @@ void DiagnosticService::check_failover() const {
       failback_candidate_since_ = now;
       return;
     }
-    if ((now - failback_candidate_since_).ns() < failback_hold_.ns()) return;
+    if ((now - failback_candidate_since_).ns() < kFailbackHold.ns()) return;
   }
   // Failover/failback fault sites: firing defers the transition by one
   // evaluation (the decision logic glitches, the next assessment round
@@ -459,8 +465,7 @@ std::vector<FruReport> DiagnosticService::report() const {
     row.evidence_quality = delta ? 0.0 : a->evidence_quality(c);
     row.evidence_age = a->evidence_age(c);
     row.evidence_fresh = delta ? false : a->evidence_fresh(c);
-    const OnaContext ctx{c, feat, a->current_round(),
-                         a->summary().feature_params()};
+    const OnaContext ctx{c, feat, a->current_round()};
     for (const auto* hit : kOnaRules.evaluate(ctx)) {
       row.asserted_onas.push_back(hit->name());
     }

@@ -16,6 +16,10 @@
 // state from the one that stayed alive (max-staleness merge) before
 // taking back over. Every report row carries an evidence-quality field so
 // "verified healthy" and "no recent evidence" are never conflated.
+//
+// Params place the assessors (primary and replica hosts), carry the
+// assessor's settings and select the hierarchy overlay; the failback hold
+// and the dissemination vnet's sizing are constants in service.cpp.
 #pragma once
 
 #include <map>
@@ -80,11 +84,6 @@ class DiagnosticService {
     /// maintenance view alive when the primary's component dies. Agents
     /// multicast their symptom stream to every assessor.
     std::vector<platform::ComponentId> replica_hosts;
-    /// How long a revived higher-priority host must stay continuously
-    /// alive before the service hands back to it. A restarted node can
-    /// briefly drop out of sync again while its clock reintegrates; the
-    /// hold keeps that flap from causing failover churn.
-    sim::Duration failback_hold = sim::milliseconds(50);
     Assessor::Params assessor{};
     /// Hierarchical diagnosis: the assessor hosts (primary + replicas)
     /// form a VCube overlay instead of an all-watch-all replica set. Each
@@ -95,10 +94,6 @@ class DiagnosticService {
     /// recomputation, and every query composes the per-slice partial
     /// views (use the service-level accessors, not assessor()).
     bool hierarchy = false;
-    /// Dissemination vnet budget (messages per round per node) and queue
-    /// depth, hierarchy mode only.
-    std::uint16_t dissem_msgs_per_round = 16;
-    std::uint16_t dissem_queue_depth = 128;
   };
 
   DiagnosticService(platform::System& system, SpecTable specs,
@@ -254,7 +249,6 @@ class DiagnosticService {
   bool hierarchy_ = false;
   mutable std::optional<HierarchyTopology> view_topo_;
   mutable std::vector<bool> alive_scratch_;
-  sim::Duration failback_hold_ = sim::milliseconds(50);
   fault::FaultPointRegistry* fp_ = nullptr;
   mutable std::size_t active_ = 0;
   mutable std::size_t failback_candidate_ = SIZE_MAX;

@@ -4,18 +4,31 @@
 
 namespace decos::diag {
 
+namespace {
+
+// A closed episode's correlation window [first - delta, last + delta] must
+// be final at close time (last + gap <= the fold horizon), so every folded
+// observer episode can freeze its verdict.
+static_assert(kCorrelationDelta < kEpisodeGap);
+
+/// Adds one subject round to the verdict totals if it met the quorum.
+void add_quorum_round(VerdictTotals& t, const SubjectRound& sr) {
+  if (sr.observers.size() < kObserverQuorum) return;
+  ++t.quorum_rounds;
+  t.crc += sr.crc;
+  t.timing += sr.timing;
+  t.omission += sr.omission;
+}
+
+}  // namespace
+
 EvidenceSummary::EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
-                                 double alpha_decay,
                                  std::uint32_t component_count,
                                  fault::SpatialLayout layout)
     : store_(store),
       fp_(fp),
-      decay_(alpha_decay),
       component_count_(component_count),
       layout_(std::move(layout)),
-      // A closed episode's correlation window [first - delta, last + delta]
-      // must be final at close time; delta < gap guarantees it.
-      lag_(fp.correlation_delta < fp.episode_gap ? kFoldLag : 0),
       folds_(component_count) {}
 
 bool EvidenceSummary::credible_round(tta::RoundId r,
@@ -28,7 +41,7 @@ bool EvidenceSummary::credible_round(tta::RoundId r,
         it == reported.end() ? 0 : it->second.senders_reported.size();
     if (spread < fp_.sender_spread) ++credible;
   }
-  return credible >= fp_.observer_quorum;
+  return credible >= kObserverQuorum;
 }
 
 bool EvidenceSummary::episode_correlated(platform::ComponentId c,
@@ -41,9 +54,8 @@ bool EvidenceSummary::episode_correlated(platform::ComponentId c,
     }
     const auto& reported = store_->reported_by(o);
     auto it = reported.lower_bound(
-        e.first > fp_.correlation_delta ? e.first - fp_.correlation_delta : 0);
-    for (; it != reported.end() &&
-           it->first <= e.last + fp_.correlation_delta;
+        e.first > kCorrelationDelta ? e.first - kCorrelationDelta : 0);
+    for (; it != reported.end() && it->first <= e.last + kCorrelationDelta;
          ++it) {
       if (it->second.senders_reported.size() >= fp_.sender_spread) return true;
     }
@@ -63,25 +75,14 @@ void EvidenceSummary::fold_component(platform::ComponentId c,
        it != about.end() && it->first <= to; ++it) {
     const tta::RoundId r = it->first;
     const SubjectRound& sr = it->second;
-    if (sr.observers.size() >= fp_.observer_quorum) {
-      ++f.totals.quorum_rounds;
-      f.totals.crc += sr.crc;
-      f.totals.timing += sr.timing;
-      f.totals.omission += sr.omission;
-    }
+    add_quorum_round(f.totals, sr);
     if (!credible_round(r, sr)) continue;
-    tail_alpha += std::pow(decay_, static_cast<double>(to - r));
-    if (!f.sender_eps.empty() &&
-        r <= f.sender_eps.back().last + fp_.episode_gap) {
-      f.sender_eps.back().last = r;
-      ++f.sender_eps.back().rounds;
-    } else {
-      f.sender_eps.push_back(Episode{r, r, 1});
-    }
+    tail_alpha += std::pow(kAlphaDecay, static_cast<double>(to - r));
+    extend_episodes(f.sender_eps, r, kEpisodeGap);
   }
   f.alpha_at_horizon =
       f.alpha_at_horizon *
-          std::pow(decay_, static_cast<double>(to - horizon_)) +
+          std::pow(kAlphaDecay, static_cast<double>(to - horizon_)) +
       tail_alpha;
 
   // Observer side.
@@ -89,25 +90,18 @@ void EvidenceSummary::fold_component(platform::ComponentId c,
   for (auto it = reported.lower_bound(tail_start());
        it != reported.end() && it->first <= to; ++it) {
     if (it->second.senders_reported.size() < fp_.sender_spread) continue;
-    const tta::RoundId r = it->first;
-    if (!f.observer_eps.empty() &&
-        r <= f.observer_eps.back().last + fp_.episode_gap) {
-      f.observer_eps.back().last = r;
-      ++f.observer_eps.back().rounds;
-    } else {
-      f.observer_eps.push_back(Episode{r, r, 1});
-    }
+    extend_episodes(f.observer_eps, it->first, kEpisodeGap);
   }
 
   // Close every episode that no round after `to` can extend, and freeze
   // the correlation verdict of newly closed observer episodes — their
   // correlation window ends before `to`, so the data it reads is final.
   while (f.sender_closed < f.sender_eps.size() &&
-         f.sender_eps[f.sender_closed].last + fp_.episode_gap <= to) {
+         f.sender_eps[f.sender_closed].last + kEpisodeGap <= to) {
     ++f.sender_closed;
   }
   while (f.observer_closed < f.observer_eps.size() &&
-         f.observer_eps[f.observer_closed].last + fp_.episode_gap <= to) {
+         f.observer_eps[f.observer_closed].last + kEpisodeGap <= to) {
     f.observer_hit.push_back(
         episode_correlated(c, f.observer_eps[f.observer_closed]));
     ++f.observer_closed;
@@ -115,12 +109,11 @@ void EvidenceSummary::fold_component(platform::ComponentId c,
 }
 
 void EvidenceSummary::fold(tta::RoundId now) {
-  if (lag_ == 0) return;
   if (dirty_) {
     rebuild(now);
     return;
   }
-  const tta::RoundId h1 = now > lag_ ? now - lag_ : 0;
+  const tta::RoundId h1 = now > kFoldLag ? now - kFoldLag : 0;
   if (h1 <= horizon_) return;
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
     fold_component(c, h1);
@@ -133,8 +126,7 @@ void EvidenceSummary::rebuild(tta::RoundId now) const {
   horizon_ = 0;
   dirty_ = false;
   ++rebuilds_;
-  if (lag_ == 0) return;
-  const tta::RoundId h1 = now > lag_ ? now - lag_ : 0;
+  const tta::RoundId h1 = now > kFoldLag ? now - kFoldLag : 0;
   if (h1 == 0) return;
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
     fold_component(c, h1);
@@ -151,12 +143,12 @@ void EvidenceSummary::component_features(platform::ComponentId c,
   out.observer_eps = f.observer_eps;
   out.totals = f.totals;
   out.alpha = f.alpha_at_horizon *
-              std::pow(decay_, static_cast<double>(now - horizon_));
+              std::pow(kAlphaDecay, static_cast<double>(now - horizon_));
   // The guardian-block list is capped (EvidenceStore keeps at most 10,000
   // rounds), so it is read exactly.
   const std::vector<tta::RoundId>& blocks = store_->guardian_blocks(c);
   out.guardian_blocks = blocks.size();
-  out.guardian_episodes = episodes_of(blocks, fp_.episode_gap).size();
+  out.guardian_episodes = episodes_of(blocks, kEpisodeGap).size();
 
   // Exact tail walk over the unfolded rounds from tail_start() on — the
   // short, still-mutable recent window. The folded lists end in (at most
@@ -166,36 +158,18 @@ void EvidenceSummary::component_features(platform::ComponentId c,
   for (auto it = about.lower_bound(tail_start()); it != about.end(); ++it) {
     const tta::RoundId r = it->first;
     const SubjectRound& sr = it->second;
-    if (sr.observers.size() >= fp_.observer_quorum) {
-      ++out.totals.quorum_rounds;
-      out.totals.crc += sr.crc;
-      out.totals.timing += sr.timing;
-      out.totals.omission += sr.omission;
-    }
+    add_quorum_round(out.totals, sr);
     if (!credible_round(r, sr)) continue;
     if (r <= now) {
-      out.alpha += std::pow(decay_, static_cast<double>(now - r));
+      out.alpha += std::pow(kAlphaDecay, static_cast<double>(now - r));
     }
-    if (!out.sender_eps.empty() &&
-        r <= out.sender_eps.back().last + fp_.episode_gap) {
-      out.sender_eps.back().last = r;
-      ++out.sender_eps.back().rounds;
-    } else {
-      out.sender_eps.push_back(Episode{r, r, 1});
-    }
+    extend_episodes(out.sender_eps, r, kEpisodeGap);
   }
   const auto& reported = store_->reported_by(c);
   for (auto it = reported.lower_bound(tail_start()); it != reported.end();
        ++it) {
     if (it->second.senders_reported.size() < fp_.sender_spread) continue;
-    const tta::RoundId r = it->first;
-    if (!out.observer_eps.empty() &&
-        r <= out.observer_eps.back().last + fp_.episode_gap) {
-      out.observer_eps.back().last = r;
-      ++out.observer_eps.back().rounds;
-    } else {
-      out.observer_eps.push_back(Episode{r, r, 1});
-    }
+    extend_episodes(out.observer_eps, it->first, kEpisodeGap);
   }
 
   // Correlation verdicts: frozen for closed episodes, judged live for the

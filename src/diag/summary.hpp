@@ -18,7 +18,9 @@
 // O(tail + episodes) instead of O(window).
 //
 // Correctness hinges on finality: a round is folded only once no future
-// ingest can still mention it. The fold lag therefore exceeds the oldest
+// ingest can still mention it, and an observer episode's correlation
+// verdict is frozen only once its window is final (kCorrelationDelta <
+// kEpisodeGap, a static_assert in summary.cpp). The fold lag therefore exceeds the oldest
 // observation the wire format can deliver (the symptom age field saturates
 // at 255 rounds) plus the agents' largest resend backoff. Should an older
 // observation arrive anyway — or the store prune folded detail — the
@@ -43,23 +45,23 @@ namespace decos::diag {
 class EvidenceSummary {
  public:
   /// Rounds between now and the fold horizon: above the symptom age
-  /// field's 255-round saturation plus the agents' largest resend backoff.
+  /// field's 255-round saturation plus the agents' resend span (checked
+  /// where both meet, in assessor.cpp).
   static constexpr tta::RoundId kFoldLag = 320;
+  /// Per-round decay of the alpha-count score.
+  static constexpr double kAlphaDecay = 0.999;
+  /// Rounds of continuous sender trouble that mean a dead (permanent) FRU.
+  static constexpr tta::RoundId kPermanentOmissionRounds = 200;
 
   /// `store` is not owned and must outlive the summary (or be re-pointed
   /// with rebind after a wholesale copy). `fp` must be the fully resolved
   /// feature parameters the classifier uses — sender_spread already
   /// scaled to the component count (Classifier::summarize builds it so).
-  /// With correlation_delta >= episode_gap a closed episode's correlation
-  /// window is not final at close time, so the summary never folds and
-  /// every read walks the detail.
   EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
-                  double alpha_decay, std::uint32_t component_count,
-                  fault::SpatialLayout layout);
+                  std::uint32_t component_count, fault::SpatialLayout layout);
 
   [[nodiscard]] const EvidenceStore& evidence() const { return *store_; }
   [[nodiscard]] const FeatureParams& feature_params() const { return fp_; }
-  [[nodiscard]] double alpha_decay() const { return decay_; }
   /// Last folded round; 0 while nothing is folded (a fold always moves
   /// the horizon to round 1 or later, so round 0 is never lost).
   [[nodiscard]] tta::RoundId horizon() const { return horizon_; }
@@ -89,35 +91,35 @@ class EvidenceSummary {
   /// one round: folded state merged with an exact walk over
   /// (horizon, now].
   struct ComponentFeatures {
-    /// Episodes of credible sender rounds (>= quorum observers that are
-    /// not themselves self-suspect).
+    /// Episodes of credible sender rounds (>= kObserverQuorum observers
+    /// that are not themselves self-suspect).
     std::vector<Episode> sender_eps;
     /// Episodes of observer rounds (the component flagged >=
     /// sender_spread senders).
     std::vector<Episode> observer_eps;
-    /// Per observer episode: coincides (within correlation_delta) with an
+    /// Per observer episode: coincides (within kCorrelationDelta) with an
     /// observer-round of a spatially proximate component.
     std::vector<bool> observer_hit;
     VerdictTotals totals;
     /// Alpha-count score (Bondavalli et al., the paper's §V-C
     /// discriminator) over the credible sender rounds: each contributes
-    /// decay^(now - round).
+    /// kAlphaDecay^(now - round).
     double alpha = 0.0;
     /// Rounds in which the bus guardian blocked the component, and the
     /// episodes they form.
     std::size_t guardian_blocks = 0;
     std::size_t guardian_episodes = 0;
 
-    /// The latest sender episode is a dense run of at least `rounds`
-    /// rounds, >= 80 % of them symptomatic, still ongoing at `now` (the
-    /// permanent-fault time signature).
-    [[nodiscard]] bool sender_dense_tail(tta::RoundId now, tta::RoundId rounds,
-                                         tta::RoundId episode_gap) const {
+    /// The latest sender episode is a dense run of at least
+    /// kPermanentOmissionRounds rounds, >= 80 % of them symptomatic, still
+    /// ongoing at `now` (the permanent-fault time signature).
+    [[nodiscard]] bool sender_dense_tail(tta::RoundId now) const {
       if (sender_eps.empty()) return false;
       const Episode& last = sender_eps.back();
-      return last.last + episode_gap >= now &&
-             last.last - last.first >= rounds &&
-             last.rounds >= static_cast<std::uint32_t>(rounds * 8 / 10);
+      return last.last + kEpisodeGap >= now &&
+             last.last - last.first >= kPermanentOmissionRounds &&
+             last.rounds >=
+                 static_cast<std::uint32_t>(kPermanentOmissionRounds * 8 / 10);
     }
     /// A majority of the observer episodes coincides with receive-path
     /// trouble at proximate components (the massive-transient space
@@ -154,8 +156,8 @@ class EvidenceSummary {
   [[nodiscard]] tta::RoundId tail_start() const {
     return horizon_ == 0 ? 0 : horizon_ + 1;
   }
-  /// True when >= quorum credible observers reported the subject of `sr`
-  /// in round `r`.
+  /// True when >= kObserverQuorum credible observers reported the subject
+  /// of `sr` in round `r`.
   [[nodiscard]] bool credible_round(tta::RoundId r,
                                     const SubjectRound& sr) const;
   /// Whether one observer episode of `c` coincides with an observer-round
@@ -169,11 +171,8 @@ class EvidenceSummary {
 
   const EvidenceStore* store_;
   FeatureParams fp_;
-  double decay_;
   std::uint32_t component_count_;
   fault::SpatialLayout layout_;
-  /// kFoldLag, or 0 when the summary never folds.
-  tta::RoundId lag_;
   mutable tta::RoundId horizon_ = 0;
   mutable bool dirty_ = false;
   mutable std::uint64_t rebuilds_ = 0;

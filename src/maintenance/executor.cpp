@@ -58,10 +58,8 @@ fault::FaultClass MaintenanceExecutor::rediagnose(const WorkOrder& o) const {
 }
 
 void MaintenanceExecutor::poll() {
-  const double threshold =
-      service_.assessor().params().trust.report_threshold;
   for (const diag::FruReport& row : service_.report()) {
-    if (row.trust >= threshold) continue;
+    if (row.trust >= diag::TrustParams::kReportThreshold) continue;
     // Quarantined hardware is retired: neither the component row nor the
     // rows of jobs stranded on it can be serviced any more.
     if (quarantined_components_.contains(row.component)) continue;

@@ -37,17 +37,14 @@ bool parse_seed_list(std::string_view text, std::vector<std::uint64_t>& out) {
   return true;
 }
 
-/// Shape check for a replay token: `<nonempty-name>:<integer>`. The site
-/// name's validity is the sweep layer's business.
-bool replay_token_shape_ok(std::string_view token) {
-  const std::size_t colon = token.find(':');
-  if (colon == 0 || colon == std::string_view::npos ||
-      colon + 1 >= token.size()) {
-    return false;
-  }
-  for (std::size_t i = colon + 1; i < token.size(); ++i) {
-    if (token[i] < '0' || token[i] > '9') return false;
-  }
+/// Parses a whole decimal number; false on empty, malformed or
+/// out-of-range text.
+bool parse_whole(const char* text, unsigned long& out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long v = std::strtoul(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
+  out = v;
   return true;
 }
 
@@ -57,50 +54,37 @@ BenchReporter::BenchReporter(std::string bench_name, int argc, char** argv)
     : bench_(std::move(bench_name)) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--json" || arg == "--csv" || arg == "--trace") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %.*s requires a path\n",
-                     static_cast<int>(arg.size()), arg.data());
-        bad_args_ = true;
-        continue;
-      }
-      (arg == "--json" ? json_path_ : arg == "--csv" ? csv_path_
-                                                     : trace_path_) =
-          argv[i + 1];
-      ++i;
+    const bool known = arg == "--json" || arg == "--csv" ||
+                       arg == "--trace" || arg == "--trace-cap" ||
+                       arg == "--jobs" || arg == "--seed" || arg == "--seeds";
+    if (!known) {
+      args_.push_back(argv[i]);
       continue;
     }
-    if (arg == "--trace-cap") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --trace-cap requires a value\n");
-        bad_args_ = true;
-        continue;
-      }
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long v = std::strtoul(argv[i + 1], &end, 10);
-      if (end == argv[i + 1] || *end != '\0' || errno == ERANGE || v == 0) {
-        std::fprintf(stderr, "error: --trace-cap wants a number >= 1, got '%s'\n",
-                     argv[i + 1]);
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: %.*s requires a value\n",
+                   static_cast<int>(arg.size()), arg.data());
+      bad_args_ = true;
+      continue;
+    }
+    const char* value = argv[++i];
+    unsigned long v = 0;
+    if (arg == "--json" || arg == "--csv" || arg == "--trace") {
+      (arg == "--json" ? json_path_ : arg == "--csv" ? csv_path_
+                                                     : trace_path_) = value;
+    } else if (arg == "--trace-cap") {
+      if (!parse_whole(value, v) || v == 0) {
+        std::fprintf(stderr,
+                     "error: --trace-cap wants a number >= 1, got '%s'\n",
+                     value);
         bad_args_ = true;
       } else {
         trace_cap_ = static_cast<std::size_t>(v);
       }
-      ++i;
-      continue;
-    }
-    if (arg == "--jobs") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --jobs requires a value\n");
-        bad_args_ = true;
-        continue;
-      }
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long v = std::strtoul(argv[i + 1], &end, 10);
-      if (end == argv[i + 1] || *end != '\0' || errno == ERANGE) {
+    } else if (arg == "--jobs") {
+      if (!parse_whole(value, v)) {
         std::fprintf(stderr, "error: --jobs wants a number, got '%s'\n",
-                     argv[i + 1]);
+                     value);
         bad_args_ = true;
       } else if (v == 0) {
         std::fprintf(stderr,
@@ -110,119 +94,88 @@ BenchReporter::BenchReporter(std::string bench_name, int argc, char** argv)
       } else {
         jobs_ = static_cast<unsigned>(v);
       }
-      ++i;
-      continue;
+    } else if (!parse_seed_list(value, seeds_)) {
+      std::fprintf(stderr,
+                   "error: %.*s wants a non-empty list of distinct "
+                   "integers (N or N,N,...), got '%s'\n",
+                   static_cast<int>(arg.size()), arg.data(), value);
+      bad_args_ = true;
     }
-    if (arg == "--replay") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --replay requires a fault point\n");
-        bad_args_ = true;
-        continue;
-      }
-      if (!replay_token_shape_ok(argv[i + 1])) {
-        std::fprintf(stderr,
-                     "error: --replay wants '<site>:<occurrence>' "
-                     "(e.g. heartbeat-send:17), got '%s'\n",
-                     argv[i + 1]);
-        bad_args_ = true;
-      } else {
-        replay_token_ = argv[i + 1];
-      }
-      ++i;
-      continue;
-    }
-    if (arg == "--max-points") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --max-points requires a value\n");
-        bad_args_ = true;
-        continue;
-      }
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long v = std::strtoul(argv[i + 1], &end, 10);
-      if (end == argv[i + 1] || *end != '\0' || errno == ERANGE || v == 0) {
-        std::fprintf(stderr,
-                     "error: --max-points wants a number >= 1, got '%s'\n",
-                     argv[i + 1]);
-        bad_args_ = true;
-      } else {
-        max_points_ = static_cast<std::size_t>(v);
-      }
-      ++i;
-      continue;
-    }
-    if (arg == "--ber") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --ber requires a value\n");
-        bad_args_ = true;
-        continue;
-      }
-      char* end = nullptr;
-      errno = 0;
-      const double v = std::strtod(argv[i + 1], &end);
-      if (end == argv[i + 1] || *end != '\0' || errno == ERANGE ||
-          !(v >= 0.0 && v <= 1.0)) {
-        std::fprintf(stderr,
-                     "error: --ber wants a bit-error rate in [0, 1], got "
-                     "'%s'\n",
-                     argv[i + 1]);
-        bad_args_ = true;
-      } else {
-        ber_ = v;
-      }
-      ++i;
-      continue;
-    }
-    if (arg == "--wearout") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --wearout requires a profile name\n");
-        bad_args_ = true;
-        continue;
-      }
-      const auto& known = known_wearout_profiles();
-      if (std::find(known.begin(), known.end(), argv[i + 1]) == known.end()) {
-        std::string list;
-        for (const std::string& p : known) {
-          if (!list.empty()) list += ", ";
-          list += p;
-        }
-        std::fprintf(stderr, "error: --wearout wants one of {%s}, got '%s'\n",
-                     list.c_str(), argv[i + 1]);
-        bad_args_ = true;
-      } else {
-        wearout_ = argv[i + 1];
-      }
-      ++i;
-      continue;
-    }
-    if (arg == "--seed" || arg == "--seeds") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %.*s requires a value\n",
-                     static_cast<int>(arg.size()), arg.data());
-        bad_args_ = true;
-        continue;
-      }
-      if (!parse_seed_list(argv[i + 1], seeds_)) {
-        std::fprintf(stderr,
-                     "error: %.*s wants a non-empty list of distinct "
-                     "integers (N or N,N,...), got '%s'\n",
-                     static_cast<int>(arg.size()), arg.data(), argv[i + 1]);
-        bad_args_ = true;
-      }
-      ++i;
-      continue;
-    }
-    args_.push_back(argv[i]);
   }
   args_.push_back(nullptr);
 }
 
-const std::vector<std::string>& BenchReporter::known_wearout_profiles() {
-  // Mirror of fault::WearoutCurve::profile_names(); a test cross-checks
-  // the two lists stay identical.
-  static const std::vector<std::string> kProfiles = {"bathtub", "infant",
-                                                     "aged"};
-  return kProfiles;
+std::optional<std::string> BenchReporter::take(std::string_view name,
+                                               bool has_value) {
+  // args_[0] is the program name and args_.back() the terminating nullptr.
+  for (std::size_t i = 1; i + 1 < args_.size(); ++i) {
+    if (name != args_[i]) continue;
+    if (!has_value) {
+      args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
+      return std::string();
+    }
+    if (i + 2 >= args_.size()) {
+      std::fprintf(stderr, "error: %.*s requires a value\n",
+                   static_cast<int>(name.size()), name.data());
+      bad_args_ = true;
+      args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
+      return std::nullopt;
+    }
+    std::string value = args_[i + 1];
+    args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
+                args_.begin() + static_cast<std::ptrdiff_t>(i + 2));
+    return value;
+  }
+  return std::nullopt;
+}
+
+void BenchReporter::echo(std::string_view name, std::string json_value) {
+  std::string key(name.substr(name.find_first_not_of('-')));
+  std::replace(key.begin(), key.end(), '-', '_');
+  echoes_.emplace_back(std::move(key), std::move(json_value));
+}
+
+bool BenchReporter::flag(std::string_view name) {
+  return take(name, false).has_value();
+}
+
+std::optional<std::string> BenchReporter::value(std::string_view name) {
+  auto v = take(name, true);
+  if (v) echo(name, std::string("\"").append(json_escape(*v)).append("\""));
+  return v;
+}
+
+std::optional<std::size_t> BenchReporter::count(std::string_view name) {
+  const auto text = take(name, true);
+  if (!text) return std::nullopt;
+  unsigned long v = 0;
+  if (!parse_whole(text->c_str(), v) || v == 0) {
+    std::fprintf(stderr, "error: %.*s wants a number >= 1, got '%s'\n",
+                 static_cast<int>(name.size()), name.data(), text->c_str());
+    bad_args_ = true;
+    return std::nullopt;
+  }
+  echo(name, std::to_string(v));
+  return static_cast<std::size_t>(v);
+}
+
+std::optional<double> BenchReporter::number(std::string_view name, double lo,
+                                            double hi) {
+  const auto text = take(name, true);
+  if (!text) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text->c_str(), &end);
+  if (end == text->c_str() || *end != '\0' || errno == ERANGE ||
+      !(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "error: %.*s wants a number in [%g, %g], got '%s'\n",
+                 static_cast<int>(name.size()), name.data(), lo, hi,
+                 text->c_str());
+    bad_args_ = true;
+    return std::nullopt;
+  }
+  echo(name, json_number(v));
+  return v;
 }
 
 unsigned BenchReporter::jobs() const {
@@ -248,6 +201,15 @@ void BenchReporter::set_info(std::string key, double value) {
 
 int BenchReporter::finish() const {
   bool ok = !bad_args_;
+  if (!forwarded_ && args_.size() > 2) {
+    std::string rest;
+    for (std::size_t i = 1; i + 1 < args_.size(); ++i) {
+      rest += std::string(" ") + args_[i];
+    }
+    std::fprintf(stderr, "error: %s does not take:%s\n", bench_.c_str(),
+                 rest.c_str());
+    ok = false;
+  }
   if (!json_path_.empty()) {
     std::string json = "{\"bench\":\"" + json_escape(bench_) + "\",\"info\":{";
     bool first = true;
@@ -266,17 +228,8 @@ int BenchReporter::finish() const {
       json += ",\"trace\":\"" + json_escape(trace_path_) +
               "\",\"trace_cap\":" + std::to_string(trace_cap_);
     }
-    if (!replay_token_.empty()) {
-      json += ",\"replay\":\"" + json_escape(replay_token_) + "\"";
-    }
-    if (max_points_ != 0) {
-      json += ",\"max_points\":" + std::to_string(max_points_);
-    }
-    if (has_ber()) {
-      json += ",\"ber\":" + json_number(ber_);
-    }
-    if (!wearout_.empty()) {
-      json += ",\"wearout\":\"" + json_escape(wearout_) + "\"";
+    for (const auto& [key, value] : echoes_) {
+      json += ",\"" + key + "\":" + value;
     }
     json += ",\"metrics\":" + to_json(snapshot_) + "}\n";
     if (!write_file(json_path_, json)) {

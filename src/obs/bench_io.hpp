@@ -1,6 +1,8 @@
-// Shared bench harness I/O: --json snapshot export.
+// Shared bench harness I/O: command-line flags and the --json snapshot
+// export.
 //
-// Every bench constructs a BenchReporter from argv, absorbs the metrics
+// Every bench constructs a BenchReporter from argv, takes the flags it
+// serves itself (a flag no one takes fails the run), absorbs the metrics
 // registries of the simulations it ran (snapshots merge: counters and
 // histograms add across runs), tags headline scalars with set_info(),
 // and returns finish() from main. When the user passed `--json <path>`
@@ -12,7 +14,9 @@
 // human-readable tables the benches keep printing.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,11 +27,10 @@ namespace decos::obs {
 class BenchReporter {
  public:
   /// Parses and strips `--json <path>`, `--csv <path>`, `--seed <n>`,
-  /// `--seeds <n,n,...>`, `--jobs <n>`, `--trace <path>`,
-  /// `--trace-cap <n>`, `--replay <site:occurrence>` and
-  /// `--max-points <n>` from argv. The remaining arguments stay visible
-  /// through argc()/argv() for benches that forward them
-  /// (google-benchmark).
+  /// `--seeds <n,n,...>`, `--jobs <n>`, `--trace <path>` and
+  /// `--trace-cap <n>` from argv. The bench takes its own flags from the
+  /// rest with flag()/value()/count()/number(), or hands the rest on with
+  /// argv(); finish() fails the run on any argument left untaken.
   BenchReporter(std::string bench_name, int argc, char** argv);
 
   /// Folds a registry (or pre-built snapshot) into the bench snapshot.
@@ -68,46 +71,31 @@ class BenchReporter {
     trace_payload_ = std::move(ndjson);
   }
 
-  /// Fault-space sweep controls (bench_fault_space, bench_chaos_diag):
-  /// `--replay <site:occurrence>` asks the bench to re-execute exactly one
-  /// enumerated fault point, `--max-points <n>` caps the sweep at the
-  /// first n discovered points. The reporter validates only the token
-  /// *shape* (`name:integer`) — site-name resolution lives with the
-  /// sweep's fault::parse_fault_point, which knows the registry. Both
-  /// values are echoed in the --json export.
-  [[nodiscard]] bool replay_requested() const { return !replay_token_.empty(); }
-  [[nodiscard]] const std::string& replay_token() const {
-    return replay_token_;
-  }
-  [[nodiscard]] bool has_max_points() const { return max_points_ != 0; }
-  [[nodiscard]] std::size_t max_points() const { return max_points_; }
+  /// The bench's own flags. Each call takes its flag out of the remaining
+  /// arguments: flag() a bare `name`, the others `name <value>`, returning
+  /// nullopt when the flag is absent. A missing or malformed value fails
+  /// the run. Taken values are echoed in the --json export, keyed by the
+  /// flag name without its dashes (`--max-points` -> "max_points").
+  [[nodiscard]] bool flag(std::string_view name);
+  [[nodiscard]] std::optional<std::string> value(std::string_view name);
+  /// A whole number >= 1.
+  [[nodiscard]] std::optional<std::size_t> count(std::string_view name);
+  /// A number in [lo, hi].
+  [[nodiscard]] std::optional<double> number(std::string_view name, double lo,
+                                             double hi);
 
-  /// Bit-fault workload controls (bench_bitfault, bench_chaos_diag):
-  /// `--ber <float>` overrides a campaign's bit-error rate — rejected
-  /// outside [0, 1]; `--wearout <profile>` picks a wearout curve by name,
-  /// rejected unless the name is in known_wearout_profiles(). Both are
-  /// echoed in the --json export ("ber"/"wearout").
-  [[nodiscard]] bool has_ber() const { return ber_ >= 0.0; }
-  [[nodiscard]] double ber_or(double fallback) const {
-    return has_ber() ? ber_ : fallback;
-  }
-  [[nodiscard]] bool has_wearout_profile() const { return !wearout_.empty(); }
-  [[nodiscard]] std::string wearout_profile_or(std::string fallback) const {
-    return has_wearout_profile() ? wearout_ : std::move(fallback);
-  }
-  /// The profile names --wearout accepts. Mirrors
-  /// fault::WearoutCurve::profile_names() — obs cannot depend on the
-  /// fault layer, so the list is duplicated here and a test cross-checks
-  /// the two stay identical.
-  [[nodiscard]] static const std::vector<std::string>& known_wearout_profiles();
-
-  /// argv with the reporter's own flags removed (argv()[argc()] == nullptr).
+  /// The remaining arguments, for a bench that forwards them
+  /// (google-benchmark), which then owns their validation:
+  /// argv()[argc()] == nullptr.
   [[nodiscard]] int argc() const { return static_cast<int>(args_.size()) - 1; }
-  [[nodiscard]] char** argv() { return args_.data(); }
+  [[nodiscard]] char** argv() {
+    forwarded_ = true;
+    return args_.data();
+  }
 
   /// Writes the requested exports. Returns 0 on success (also when no
-  /// export was requested), 1 on write failure or a malformed --json/--csv
-  /// flag — i.e. main's exit code.
+  /// export was requested), 1 on write failure, a malformed flag or an
+  /// argument the bench did not take — i.e. main's exit code.
   [[nodiscard]] int finish() const;
 
  private:
@@ -117,16 +105,20 @@ class BenchReporter {
   std::string trace_path_;
   std::string trace_payload_;
   std::size_t trace_cap_ = 1 << 16;
-  std::string replay_token_;
-  std::size_t max_points_ = 0;  // 0 = unbounded
-  double ber_ = -1.0;           // < 0 = not given
-  std::string wearout_;         // empty = not given
   std::vector<char*> args_;  // non-owning views into the original argv
+  bool forwarded_ = false;   // argv() handed the rest on
+  /// Taken bench flags for the --json export: key, JSON-encoded value.
+  std::vector<std::pair<std::string, std::string>> echoes_;
   std::vector<std::uint64_t> seeds_;  // resolved by seeds_or()
   unsigned jobs_ = 0;  // 0 = hardware concurrency
   Snapshot snapshot_;
   std::vector<std::pair<std::string, double>> info_;
   bool bad_args_ = false;  // malformed flag (missing path, bad list, --jobs 0)
+
+  /// Takes `name` (and its value when `has_value`) out of args_; nullopt
+  /// when absent or its value is missing.
+  std::optional<std::string> take(std::string_view name, bool has_value);
+  void echo(std::string_view name, std::string json_value);
 };
 
 }  // namespace decos::obs

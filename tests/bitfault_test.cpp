@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fault/bitfault.hpp"
-#include "obs/bench_io.hpp"
 #include "scenario/bitfault.hpp"
 #include "scenario/fig10.hpp"
 #include "sim/rng.hpp"
@@ -114,17 +113,6 @@ TEST(WearoutCurve, AgedProfileWearsFromStart) {
   ASSERT_TRUE(aged.has_value());
   EXPECT_GT(aged->ber_at(0.5), aged->ber_at(0.0));
   EXPECT_GT(aged->ber_at(0.0), fault::WearoutCurve{}.ber_at(0.7));
-}
-
-/// The --wearout flag's validation list lives in obs (which cannot see
-/// the fault layer); this pins the two lists together.
-TEST(WearoutCurve, ProfileNamesMatchBenchReporterFlagList) {
-  const auto& flag_list = obs::BenchReporter::known_wearout_profiles();
-  const auto names = fault::WearoutCurve::profile_names();
-  ASSERT_EQ(flag_list.size(), names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(flag_list[i], names[i]);
-  }
 }
 
 // --- FramePool copy-on-corrupt ----------------------------------------------

@@ -230,7 +230,7 @@ TEST(AssessorJobState, OutOfOrderRegistrationKeepsAscendingJobOrder) {
   // The periodic refresh re-emits the standing suspicions in the same
   // order; healthy rounds in between emit nothing about jobs.
   d.sent.clear();
-  for (tta::RoundId r = 2; r <= 1 + p.delta_refresh_period; ++r) {
+  for (tta::RoundId r = 2; r <= 1 + Assessor::kDeltaRefreshPeriod; ++r) {
     d.round(a, r, {});
   }
   EXPECT_EQ(d.job_delta_frus(), (std::vector<std::uint32_t>{2, 5, 9}));
@@ -238,9 +238,12 @@ TEST(AssessorJobState, OutOfOrderRegistrationKeepsAscendingJobOrder) {
 
 TEST(AssessorJobState, UnregisteredJobReadsFullTrust) {
   Assessor::Params p;
-  p.trust.initial = 0.7;
+  p.trust.drop = 0.3;
   Assessor a = make_assessor(p, /*job_count=*/3);
+  register_agents(a);
   a.register_subject_job(1, 0);
+  AssessorHarness d;
+  d.round(a, 1, {job_symptom(1, 0, 1)});
   EXPECT_DOUBLE_EQ(a.job_trust(1), 0.7);
   EXPECT_DOUBLE_EQ(a.job_trust(0), 1.0);      // inside job_count
   EXPECT_DOUBLE_EQ(a.job_trust(2), 1.0);
@@ -250,19 +253,22 @@ TEST(AssessorJobState, UnregisteredJobReadsFullTrust) {
 
 TEST(AssessorJobState, ResetEnrolsNeverRegisteredJob) {
   Assessor::Params p;
-  p.trust.initial = 0.5;
+  p.trust.drop = 0.5;
   Assessor a = make_assessor(p, /*job_count=*/3);
   register_agents(a);
   EXPECT_DOUBLE_EQ(a.job_trust(7), 1.0);
   a.reset_job_trust(7);
-  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5);
-  // Enrolled without a host: it recovers on every round (no agent channel
-  // can be stale for it) and classifies against component 0.
+  EXPECT_DOUBLE_EQ(a.job_trust(7), TrustParams::kInitial);
+  // Enrolled without a host: one symptom charges it, then it recovers on
+  // every round (no agent channel can be stale for it) and classifies
+  // against component 0.
   AssessorHarness d;
-  d.round(a, 1, {});
-  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5 + p.trust.recovery);
+  d.round(a, 1, {job_symptom(7, 0, 1)});
+  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5);
   d.round(a, 2, {});
-  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5 + 2 * p.trust.recovery);
+  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5 + TrustParams::kRecovery);
+  d.round(a, 3, {});
+  EXPECT_DOUBLE_EQ(a.job_trust(7), 0.5 + 2 * TrustParams::kRecovery);
   EXPECT_EQ(a.diagnose_job(7).cls, fault::FaultClass::kNone);
   EXPECT_DOUBLE_EQ(a.job_evidence_quality(7), a.evidence_quality(0));
 }

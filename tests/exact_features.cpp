@@ -17,7 +17,7 @@ std::vector<tta::RoundId> credible_sender_rounds(const EvidenceStore& ev,
           it == reported.end() ? 0 : it->second.senders_reported.size();
       if (spread < p.sender_spread) ++credible;
     }
-    if (credible >= p.observer_quorum) rounds.push_back(r);
+    if (credible >= kObserverQuorum) rounds.push_back(r);
   }
   return rounds;
 }
@@ -25,7 +25,7 @@ std::vector<tta::RoundId> credible_sender_rounds(const EvidenceStore& ev,
 std::vector<Episode> sender_episodes(const EvidenceStore& ev,
                                      platform::ComponentId c,
                                      const FeatureParams& p) {
-  return episodes_of(credible_sender_rounds(ev, c, p), p.episode_gap);
+  return episodes_of(credible_sender_rounds(ev, c, p), kEpisodeGap);
 }
 
 std::vector<tta::RoundId> observer_rounds(const EvidenceStore& ev,
@@ -41,7 +41,7 @@ std::vector<tta::RoundId> observer_rounds(const EvidenceStore& ev,
 std::vector<Episode> observer_episodes(const EvidenceStore& ev,
                                        platform::ComponentId c,
                                        const FeatureParams& p) {
-  return episodes_of(observer_rounds(ev, c, p), p.episode_gap);
+  return episodes_of(observer_rounds(ev, c, p), kEpisodeGap);
 }
 
 bool episode_correlated(const EvidenceStore& ev, platform::ComponentId c,
@@ -56,8 +56,8 @@ bool episode_correlated(const EvidenceStore& ev, platform::ComponentId c,
     }
     const auto& reported = ev.reported_by(o);
     auto it = reported.lower_bound(
-        e.first > p.correlation_delta ? e.first - p.correlation_delta : 0);
-    for (; it != reported.end() && it->first <= e.last + p.correlation_delta;
+        e.first > kCorrelationDelta ? e.first - kCorrelationDelta : 0);
+    for (; it != reported.end() && it->first <= e.last + kCorrelationDelta;
          ++it) {
       if (it->second.senders_reported.size() >= p.sender_spread) return true;
     }
@@ -79,11 +79,10 @@ bool spatially_correlated(const EvidenceStore& ev, platform::ComponentId c,
   return 2 * correlated > eps.size();
 }
 
-VerdictTotals verdict_totals(const EvidenceStore& ev, platform::ComponentId c,
-                             const FeatureParams& p) {
+VerdictTotals verdict_totals(const EvidenceStore& ev, platform::ComponentId c) {
   VerdictTotals vt;
   for (const auto& [r, sr] : ev.about(c)) {
-    if (sr.observers.size() < p.observer_quorum) continue;
+    if (sr.observers.size() < kObserverQuorum) continue;
     ++vt.quorum_rounds;
     vt.crc += sr.crc;
     vt.timing += sr.timing;
@@ -93,18 +92,19 @@ VerdictTotals verdict_totals(const EvidenceStore& ev, platform::ComponentId c,
 }
 
 double alpha_score(const EvidenceStore& ev, platform::ComponentId c,
-                   tta::RoundId now, const FeatureParams& p, double decay) {
+                   tta::RoundId now, const FeatureParams& p) {
   double alpha = 0.0;
   for (tta::RoundId r : credible_sender_rounds(ev, c, p)) {
     if (r > now) continue;
-    alpha += std::pow(decay, static_cast<double>(now - r));
+    alpha +=
+        std::pow(EvidenceSummary::kAlphaDecay, static_cast<double>(now - r));
   }
   return alpha;
 }
 
 EvidenceSummary::ComponentFeatures exact_component_features(
     const EvidenceStore& ev, platform::ComponentId c, tta::RoundId now,
-    const FeatureParams& p, double decay, const fault::SpatialLayout& layout,
+    const FeatureParams& p, const fault::SpatialLayout& layout,
     std::uint32_t component_count) {
   EvidenceSummary::ComponentFeatures f;
   f.sender_eps = sender_episodes(ev, c, p);
@@ -113,11 +113,11 @@ EvidenceSummary::ComponentFeatures exact_component_features(
     f.observer_hit.push_back(
         episode_correlated(ev, c, e, layout, component_count, p));
   }
-  f.totals = verdict_totals(ev, c, p);
-  f.alpha = alpha_score(ev, c, now, p, decay);
+  f.totals = verdict_totals(ev, c);
+  f.alpha = alpha_score(ev, c, now, p);
   f.guardian_blocks = ev.guardian_blocks(c).size();
   f.guardian_episodes =
-      episodes_of(ev.guardian_blocks(c), p.episode_gap).size();
+      episodes_of(ev.guardian_blocks(c), kEpisodeGap).size();
   return f;
 }
 

@@ -16,9 +16,9 @@
 
 namespace decos::diag {
 
-/// Rounds in which >= quorum *credible* observers reported component `c`
-/// as a faulty sender. An observer flagging >= sender_spread senders in
-/// the same round is self-suspect and does not count.
+/// Rounds in which >= kObserverQuorum *credible* observers reported
+/// component `c` as a faulty sender. An observer flagging >= sender_spread
+/// senders in the same round is self-suspect and does not count.
 [[nodiscard]] std::vector<tta::RoundId> credible_sender_rounds(
     const EvidenceStore& ev, platform::ComponentId c, const FeatureParams& p);
 
@@ -36,7 +36,7 @@ namespace decos::diag {
                                                      platform::ComponentId c,
                                                      const FeatureParams& p);
 
-/// Whether episode `e` of `c` coincides (within correlation_delta) with an
+/// Whether episode `e` of `c` coincides (within kCorrelationDelta) with an
 /// observer-round of a spatially proximate component.
 [[nodiscard]] bool episode_correlated(const EvidenceStore& ev,
                                       platform::ComponentId c,
@@ -55,21 +55,20 @@ namespace decos::diag {
 
 /// Per-verdict totals over quorum rounds about `c`.
 [[nodiscard]] VerdictTotals verdict_totals(const EvidenceStore& ev,
-                                           platform::ComponentId c,
-                                           const FeatureParams& p);
+                                           platform::ComponentId c);
 
 /// Alpha-count score over the credible sender rounds of `c`: each round
-/// at or before `now` contributes decay^(now - round).
+/// at or before `now` contributes EvidenceSummary::kAlphaDecay^(now -
+/// round).
 [[nodiscard]] double alpha_score(const EvidenceStore& ev,
                                  platform::ComponentId c, tta::RoundId now,
-                                 const FeatureParams& p,
-                                 double decay = 0.999);
+                                 const FeatureParams& p);
 
 /// Every field of EvidenceSummary::ComponentFeatures, computed by the
 /// walks above.
 [[nodiscard]] EvidenceSummary::ComponentFeatures exact_component_features(
     const EvidenceStore& ev, platform::ComponentId c, tta::RoundId now,
-    const FeatureParams& p, double decay, const fault::SpatialLayout& layout,
+    const FeatureParams& p, const fault::SpatialLayout& layout,
     std::uint32_t component_count);
 
 }  // namespace decos::diag

@@ -51,8 +51,7 @@ std::vector<FruReport> expect_rows_follow_features(
     EvidenceSummary::ComponentFeatures f;
     a.summary().component_features(row.component, a.current_round(), f);
 
-    const OnaContext ctx{row.component, f, a.current_round(),
-                         a.summary().feature_params()};
+    const OnaContext ctx{row.component, f, a.current_round()};
     std::vector<std::string> asserted;
     for (const std::string& name : row.asserted_onas) {
       if (is_pattern_ona(engine, name)) asserted.push_back(name);
@@ -62,12 +61,10 @@ std::vector<FruReport> expect_rows_follow_features(
     // parameters.
     const EvidenceSummary::ComponentFeatures walked = exact_component_features(
         a.evidence(), row.component, a.current_round(),
-        a.summary().feature_params(), a.summary().alpha_decay(),
-        a.classifier().layout(), rig.options().components);
-    EXPECT_EQ(asserted,
-              names_of(engine.evaluate({row.component, walked,
-                                        a.current_round(),
-                                        a.summary().feature_params()})));
+        a.summary().feature_params(), a.classifier().layout(),
+        rig.options().components);
+    EXPECT_EQ(asserted, names_of(engine.evaluate(
+                            {row.component, walked, a.current_round()})));
 
     const Diagnosis d = a.classifier().classify(f, a.current_round());
     EXPECT_EQ(row.diagnosis.cls, d.cls);

@@ -35,9 +35,8 @@ TEST(Features, SelfSuspectObserverDoesNotCountTowardQuorum) {
   ev.ingest(transport(10, SymptomType::kSlotCrcError, 1, 0));
   ev.ingest(transport(10, SymptomType::kSlotCrcError, 1, 2));
   ev.ingest(transport(10, SymptomType::kSlotCrcError, 3, 0));
-  FeatureParams p;
-  p.observer_quorum = 2;
-  p.sender_spread = 2;
+  const FeatureParams p{.sender_spread = 2, .spatial_radius = 1.6};
+  static_assert(kObserverQuorum == 2);
   // Subject 0 has observers {1 (suspect), 3 (credible)}: 1 credible < 2.
   EXPECT_TRUE(credible_sender_rounds(ev, 0, p).empty());
   // Add a second credible observer.
@@ -48,8 +47,7 @@ TEST(Features, SelfSuspectObserverDoesNotCountTowardQuorum) {
 TEST(Features, ObserverRoundsNeedSpread) {
   EvidenceStore ev;
   ev.ingest(transport(5, SymptomType::kSlotOmission, 2, 0));
-  FeatureParams p;
-  p.sender_spread = 2;
+  const FeatureParams p{.sender_spread = 2, .spatial_radius = 1.6};
   EXPECT_TRUE(observer_rounds(ev, 2, p).empty());  // only one sender flagged
   ev.ingest(transport(5, SymptomType::kSlotOmission, 2, 1));
   EXPECT_EQ(observer_rounds(ev, 2, p).size(), 1u);
@@ -78,8 +76,7 @@ TEST(Features, VerdictTotalsCountOnlyQuorumRounds) {
   ev.ingest(transport(1, SymptomType::kSlotCrcError, 1, 0));
   ev.ingest(transport(1, SymptomType::kSlotOmission, 2, 0));
   ev.ingest(transport(2, SymptomType::kSlotTimingError, 1, 0));
-  FeatureParams p;
-  const auto vt = verdict_totals(ev, 0, p);
+  const auto vt = verdict_totals(ev, 0);
   EXPECT_EQ(vt.quorum_rounds, 1u);
   EXPECT_EQ(vt.crc, 1u);
   EXPECT_EQ(vt.omission, 1u);
@@ -105,10 +102,7 @@ TEST(Features, DominantVerdictNeedsAQuorumRound) {
 // --- spatial correlation geometry ----------------------------------------------------
 
 TEST(Features, SpatialCorrelationRespectsRadiusAndDelta) {
-  FeatureParams p;
-  p.sender_spread = 2;
-  p.spatial_radius = 1.5;
-  p.correlation_delta = 5;
+  const FeatureParams p{.sender_spread = 2, .spatial_radius = 1.5};
   const auto layout = fault::SpatialLayout::linear(5);
 
   auto make_ev = [&](platform::ComponentId other, tta::RoundId other_round) {
@@ -126,9 +120,15 @@ TEST(Features, SpatialCorrelationRespectsRadiusAndDelta) {
 
   // Neighbour (distance 1) within delta: correlated.
   {
-    const auto ev = make_ev(2, 104);
+    const auto ev = make_ev(2, 102 + kCorrelationDelta);
     const auto eps = observer_episodes(ev, 1, p);
     EXPECT_TRUE(spatially_correlated(ev, 1, eps, layout, 5, p));
+  }
+  // Neighbour one round past delta: not correlated.
+  {
+    const auto ev = make_ev(2, 103 + kCorrelationDelta);
+    const auto eps = observer_episodes(ev, 1, p);
+    EXPECT_FALSE(spatially_correlated(ev, 1, eps, layout, 5, p));
   }
   // Neighbour but far in time: not correlated.
   {
@@ -175,29 +175,29 @@ TEST(Features, DriftNeedsMonotoneGrowth) {
 // --- alpha score ----------------------------------------------------------------------
 
 TEST(Features, AlphaScoreDecaysAndAccumulates) {
-  FeatureParams p;
+  const FeatureParams p{.sender_spread = 2, .spatial_radius = 1.6};
   EvidenceStore ev;
   // One old symptomatic round: nearly fully decayed after 5000 rounds.
   ev.ingest(transport(100, SymptomType::kSlotCrcError, 1, 0));
   ev.ingest(transport(100, SymptomType::kSlotCrcError, 2, 0));
-  EXPECT_LT(alpha_score(ev, 0, 5100, p, 0.999), 0.01);
+  EXPECT_LT(alpha_score(ev, 0, 5100, p), 0.01);
 
   // A dense recent run accumulates toward its length.
   for (tta::RoundId r = 5000; r < 5050; ++r) {
     ev.ingest(transport(r, SymptomType::kSlotCrcError, 1, 0));
     ev.ingest(transport(r, SymptomType::kSlotCrcError, 2, 0));
   }
-  const double a = alpha_score(ev, 0, 5050, p, 0.999);
+  const double a = alpha_score(ev, 0, 5050, p);
   EXPECT_GT(a, 45.0);
   EXPECT_LT(a, 51.0);
 }
 
 TEST(Features, AlphaScoreIgnoresFutureRounds) {
-  FeatureParams p;
+  const FeatureParams p{.sender_spread = 2, .spatial_radius = 1.6};
   EvidenceStore ev;
   ev.ingest(transport(200, SymptomType::kSlotCrcError, 1, 0));
   ev.ingest(transport(200, SymptomType::kSlotCrcError, 2, 0));
-  EXPECT_DOUBLE_EQ(alpha_score(ev, 0, 100, p, 0.999), 0.0);
+  EXPECT_DOUBLE_EQ(alpha_score(ev, 0, 100, p), 0.0);
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ TEST(HierarchyRig, StalenessGaugesFollowTheServingTester) {
     ASSERT_NE(gauge, nullptr);
     EXPECT_EQ(gauge->gauge, static_cast<double>(row.evidence_age));
     // Undisturbed run: every FRU is healthy and its agent fresh.
-    EXPECT_LE(gauge->gauge, static_cast<double>(opts.assessor.stale_after));
+    EXPECT_LE(gauge->gauge, static_cast<double>(diag::Assessor::kStaleAfter));
     ++checked;
   }
   EXPECT_EQ(checked, 8u);

@@ -181,7 +181,7 @@ TEST(TechnicianReport, OnaFindingsRendered) {
   const EvidenceSummary& summary = rig.diag().assessor().summary();
   EvidenceSummary::ComponentFeatures features;
   summary.component_features(1, rig.round(), features);
-  const OnaContext ctx{1, features, rig.round(), summary.feature_params()};
+  const OnaContext ctx{1, features, rig.round()};
   const auto text = analysis::render_ona_findings(engine, ctx);
   EXPECT_NE(text.find("wearout"), std::string::npos);
   EXPECT_NE(text.find("component-internal"), std::string::npos);

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "diag/service.hpp"
+#include "fault/bitfault.hpp"
+#include "fault/faultpoint.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -447,9 +449,9 @@ TEST(DetectionLatency, HealthyRunRecordsNothing) {
 // --- BenchReporter flag parsing --------------------------------------------
 //
 // The bench harness is the repo's outermost CLI; a silently mis-parsed
-// flag skews a whole campaign. Malformed input must flag the run as
-// failed (finish() != 0) and must never half-apply: a bad --seeds list
-// leaves the fallback seeds in force.
+// flag skews a whole campaign. Malformed input, or a flag the bench does
+// not take, must flag the run as failed (finish() != 0) and must never
+// half-apply: a bad --seeds list leaves the fallback seeds in force.
 
 /// Builds a mutable argv from string literals (BenchReporter wants char**).
 class FakeArgv {
@@ -529,27 +531,27 @@ TEST(BenchReporter, MissingFlagValuesAreRejected) {
 TEST(BenchReporter, ReplayTokenParses) {
   FakeArgv args({"bench", "--replay", "heartbeat-send:17"});
   BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_TRUE(reporter.replay_requested());
-  EXPECT_EQ(reporter.replay_token(), "heartbeat-send:17");
+  EXPECT_EQ(reporter.value("--replay"), "heartbeat-send:17");
   EXPECT_EQ(reporter.finish(), 0);
 }
 
 TEST(BenchReporter, MalformedReplayTokenIsRejected) {
-  // The reporter checks the token *shape* (name:integer); site-name
-  // resolution belongs to fault::parse_fault_point downstream.
+  // The reporter hands the token over as given; bench_fault_space rejects
+  // it through fault::parse_fault_point, which knows the site names.
   for (const char* token : {"heartbeat-send", ":17", "heartbeat-send:",
                             "heartbeat-send:x", "heartbeat-send:1x"}) {
     FakeArgv args({"bench", "--replay", token});
     BenchReporter reporter("t", args.argc(), args.argv());
-    EXPECT_NE(reporter.finish(), 0) << token;
+    const auto taken = reporter.value("--replay");
+    ASSERT_TRUE(taken.has_value()) << token;
+    EXPECT_FALSE(fault::parse_fault_point(*taken).has_value()) << token;
   }
 }
 
 TEST(BenchReporter, MaxPointsParses) {
   FakeArgv args({"bench", "--max-points", "50"});
   BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_TRUE(reporter.has_max_points());
-  EXPECT_EQ(reporter.max_points(), 50u);
+  EXPECT_EQ(reporter.count("--max-points"), 50u);
   EXPECT_EQ(reporter.finish(), 0);
 }
 
@@ -559,6 +561,7 @@ TEST(BenchReporter, MaxPointsZeroOrMalformedIsRejected) {
   for (const char* value : {"0", "many", "12x"}) {
     FakeArgv args({"bench", "--max-points", value});
     BenchReporter reporter("t", args.argc(), args.argv());
+    EXPECT_FALSE(reporter.count("--max-points").has_value()) << value;
     EXPECT_NE(reporter.finish(), 0) << value;
   }
 }
@@ -566,8 +569,7 @@ TEST(BenchReporter, MaxPointsZeroOrMalformedIsRejected) {
 TEST(BenchReporter, BerFlagParsesInRange) {
   FakeArgv args({"bench", "--ber", "0.25"});
   BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_TRUE(reporter.has_ber());
-  EXPECT_EQ(reporter.ber_or(0.9), 0.25);
+  EXPECT_EQ(reporter.number("--ber", 0.0, 1.0), 0.25);
   EXPECT_EQ(reporter.finish(), 0);
 }
 
@@ -575,7 +577,7 @@ TEST(BenchReporter, BerBoundariesAreAccepted) {
   for (const char* value : {"0", "1", "0.0", "1.0", "5e-3"}) {
     FakeArgv args({"bench", "--ber", value});
     BenchReporter reporter("t", args.argc(), args.argv());
-    EXPECT_TRUE(reporter.has_ber()) << value;
+    EXPECT_TRUE(reporter.number("--ber", 0.0, 1.0).has_value()) << value;
     EXPECT_EQ(reporter.finish(), 0) << value;
   }
 }
@@ -584,8 +586,8 @@ TEST(BenchReporter, BerOutsideUnitIntervalIsRejected) {
   for (const char* value : {"1.5", "-0.1", "nan", "rate", "2e3"}) {
     FakeArgv args({"bench", "--ber", value});
     BenchReporter reporter("t", args.argc(), args.argv());
-    EXPECT_FALSE(reporter.has_ber()) << value;
-    EXPECT_EQ(reporter.ber_or(0.5), 0.5) << value;
+    EXPECT_EQ(reporter.number("--ber", 0.0, 1.0).value_or(0.5), 0.5)
+        << value;
     EXPECT_NE(reporter.finish(), 0) << value;
   }
 }
@@ -593,23 +595,26 @@ TEST(BenchReporter, BerOutsideUnitIntervalIsRejected) {
 TEST(BenchReporter, WearoutProfileParses) {
   FakeArgv args({"bench", "--wearout", "aged"});
   BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_TRUE(reporter.has_wearout_profile());
-  EXPECT_EQ(reporter.wearout_profile_or("bathtub"), "aged");
+  EXPECT_EQ(reporter.value("--wearout").value_or("bathtub"), "aged");
   EXPECT_EQ(reporter.finish(), 0);
 }
 
 TEST(BenchReporter, UnknownWearoutProfileIsRejected) {
+  // bench_bitfault resolves the taken name through
+  // fault::WearoutCurve::profile and exits 1 when it does not resolve.
   FakeArgv args({"bench", "--wearout", "granite"});
   BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_FALSE(reporter.has_wearout_profile());
-  EXPECT_EQ(reporter.wearout_profile_or("bathtub"), "bathtub");
-  EXPECT_NE(reporter.finish(), 0);
+  const auto taken = reporter.value("--wearout");
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_FALSE(fault::WearoutCurve::profile(*taken).has_value());
 }
 
 TEST(BenchReporter, BerAndWearoutMissingValuesAreRejected) {
   for (const char* flag : {"--ber", "--wearout"}) {
     FakeArgv args({"bench", flag});
     BenchReporter reporter("t", args.argc(), args.argv());
+    EXPECT_FALSE(reporter.number("--ber", 0.0, 1.0).has_value()) << flag;
+    EXPECT_FALSE(reporter.value("--wearout").has_value()) << flag;
     EXPECT_NE(reporter.finish(), 0) << flag;
   }
 }
@@ -620,6 +625,8 @@ TEST(BenchReporter, BerAndWearoutAreEchoedInJson) {
   FakeArgv args({"bench", "--ber", "0.125", "--wearout", "infant", "--json",
                  path});
   BenchReporter reporter("t", args.argc(), args.argv());
+  ASSERT_TRUE(reporter.number("--ber", 0.0, 1.0).has_value());
+  ASSERT_TRUE(reporter.value("--wearout").has_value());
   ASSERT_EQ(reporter.finish(), 0);
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -636,6 +643,25 @@ TEST(BenchReporter, UnknownArgumentsPassThrough) {
   ASSERT_EQ(reporter.argc(), 2);
   EXPECT_STREQ(reporter.argv()[1], "--benchmark_filter=x");
   EXPECT_EQ(reporter.finish(), 0);
+}
+
+TEST(BenchReporter, FlagTheBenchDoesNotTakeFailsTheRun) {
+  // A bench that does not serve --replay or --max-points must not run as
+  // if they were absent.
+  FakeArgv args({"bench", "--seeds", "1", "--quick", "--replay",
+                 "resend-push:7", "--max-points", "5"});
+  BenchReporter reporter("t", args.argc(), args.argv());
+  EXPECT_TRUE(reporter.flag("--quick"));
+  EXPECT_EQ(reporter.seeds_or({42}), (std::vector<std::uint64_t>{1}));
+  EXPECT_NE(reporter.finish(), 0);
+  // Once the bench takes them, the same arguments run clean.
+  FakeArgv again({"bench", "--quick", "--replay", "resend-push:7",
+                  "--max-points", "5"});
+  BenchReporter served("t", again.argc(), again.argv());
+  EXPECT_TRUE(served.flag("--quick"));
+  EXPECT_EQ(served.value("--replay"), "resend-push:7");
+  EXPECT_EQ(served.count("--max-points"), 5u);
+  EXPECT_EQ(served.finish(), 0);
 }
 
 }  // namespace

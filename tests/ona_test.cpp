@@ -44,21 +44,22 @@ EvidenceStore synthetic_sender_evidence(platform::ComponentId subject,
 }
 
 /// The ONA context of `subject` at `now` over synthetic evidence: its
-/// features read through an EvidenceSummary with the default feature
-/// parameters on a 5-component cluster. Converts to the OnaContext, which
+/// features read through an EvidenceSummary with sender-spread bar 2 and
+/// the default spatial radius on a 5-component cluster. Converts to the OnaContext, which
 /// refers into this object.
 class SyntheticContext {
  public:
   SyntheticContext(const EvidenceStore& ev, platform::ComponentId subject,
                    tta::RoundId now, const fault::SpatialLayout& layout)
-      : summary_(&ev, FeatureParams{}, 0.999, 5, layout),
+      : summary_(&ev, FeatureParams{.sender_spread = 2, .spatial_radius = 1.6},
+                 5, layout),
         subject_(subject),
         now_(now) {
     summary_.component_features(subject, now, features_);
   }
   // NOLINTNEXTLINE(google-explicit-constructor): stands in for the context
   operator OnaContext() const {
-    return {subject_, features_, now_, summary_.feature_params()};
+    return {subject_, features_, now_};
   }
 
  private:
@@ -75,8 +76,7 @@ std::vector<std::string> live_onas(scenario::Fig10System& rig,
   const EvidenceSummary& summary = rig.diag().assessor().summary();
   EvidenceSummary::ComponentFeatures features;
   summary.component_features(subject, rig.round(), features);
-  const OnaContext ctx{subject, features, rig.round(),
-                       summary.feature_params()};
+  const OnaContext ctx{subject, features, rig.round()};
   const OnaEngine engine = OnaEngine::standard_rules();
   std::vector<std::string> names;
   for (const auto* h : engine.evaluate(ctx)) names.push_back(h->name());
@@ -121,12 +121,12 @@ TEST(OnaConditions, DenseTailDetectsContinuousRun) {
     }
   }
   const SyntheticContext ctx(ev, 0, 405, layout);
-  EXPECT_TRUE(conditions::sender_dense_tail(200)(ctx));
+  EXPECT_TRUE(conditions::sender_dense_tail()(ctx));
   EXPECT_TRUE(conditions::dominant_omission()(ctx));
   EXPECT_FALSE(conditions::dominant_timing()(ctx));
   // A run that ended long ago is not a dense *tail*.
   const SyntheticContext stale(ev, 0, 2000, layout);
-  EXPECT_FALSE(conditions::sender_dense_tail(200)(stale));
+  EXPECT_FALSE(conditions::sender_dense_tail()(stale));
 }
 
 TEST(OnaConditions, ObserverSideAndIsolation) {

@@ -2,8 +2,8 @@
 // (diag/summary.hpp): its folded component features must equal the exact
 // O(window) walks of tests/exact_features.hpp, and the classifier must
 // reach the same verdict from either — on every fault archetype of the
-// Fig. 10 rig, on a synthetic stream with late arrivals, after a forced
-// rebuild, and in the regime where the summary does not fold at all.
+// Fig. 10 rig, on a synthetic stream with late arrivals, and after a
+// forced rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,7 +59,7 @@ void expect_matches_exact(const Classifier& classifier,
     EXPECT_EQ(f.sender_eps, sender_episodes(ev, c, fp));
     const std::vector<Episode> observer_eps = observer_episodes(ev, c, fp);
     EXPECT_EQ(f.observer_eps, observer_eps);
-    EXPECT_EQ(f.totals, verdict_totals(ev, c, fp));
+    EXPECT_EQ(f.totals, verdict_totals(ev, c));
 
     ASSERT_EQ(f.observer_hit.size(), f.observer_eps.size());
     const auto hits = static_cast<std::size_t>(
@@ -68,12 +68,12 @@ void expect_matches_exact(const Classifier& classifier,
               spatially_correlated(ev, c, observer_eps, layout, components,
                                    fp));
 
-    const double exact = alpha_score(ev, c, now, fp, s.alpha_decay());
+    const double exact = alpha_score(ev, c, now, fp);
     EXPECT_LE(std::abs(f.alpha - exact), 1e-9 * exact)
         << "summary alpha " << f.alpha << " vs exact " << exact;
 
-    const EvidenceSummary::ComponentFeatures walked = exact_component_features(
-        ev, c, now, fp, s.alpha_decay(), layout, components);
+    const EvidenceSummary::ComponentFeatures walked =
+        exact_component_features(ev, c, now, fp, layout, components);
     EXPECT_EQ(f.observer_hit, walked.observer_hit);
     EXPECT_EQ(f.guardian_blocks, walked.guardian_blocks);
     EXPECT_EQ(f.guardian_episodes, walked.guardian_episodes);
@@ -237,23 +237,6 @@ TEST(EvidenceSummary, ArrivalAtOrBeforeHorizonForcesRebuild) {
   expect_matches_exact(classifier, summary, now, kComponents);
   EXPECT_EQ(summary.rebuilds(), 1u);
   EXPECT_EQ(summary.horizon(), horizon);
-}
-
-TEST(EvidenceSummary, DoesNotFoldWhenCorrelationDeltaReachesEpisodeGap) {
-  // With correlation_delta >= episode_gap a closed episode's correlation
-  // window is not final at close time: the summary keeps everything in
-  // the tail walk and still equals the exact walks.
-  const auto layout = fault::SpatialLayout::linear(kComponents);
-  Classifier::Params p;
-  p.episode_gap = 12;
-  p.correlation_delta = 12;
-  const Classifier classifier(p, layout);
-  EvidenceStore store;
-  EvidenceSummary summary = classifier.summarize(store, kComponents);
-  Coverage cov;
-  drive_synthetic(classifier, store, summary, 1500, 149, &cov);
-  EXPECT_EQ(summary.horizon(), 0u);
-  EXPECT_EQ(summary.rebuilds(), 0u);
 }
 
 }  // namespace
