@@ -117,7 +117,8 @@ int main(int argc, char** argv) {
     rig.run(sim::seconds(4));
     const auto d = rig.diag().assessor().diagnose_component(1);
     std::printf("  space %-3s -> component 1 judged %-22s (%s)\n",
-                spatial ? "ON" : "OFF", fault::to_string(d.cls), d.rationale.c_str());
+                spatial ? "ON" : "OFF", fault::to_string(d.cls),
+                diag::rationale(d).c_str());
     reporter.absorb(rig.sim().metrics());
   }
   std::printf("expected: with space ON the repeated EMI stays external "

@@ -133,11 +133,11 @@ int main() {
   std::printf("front-left wheel node : %-22s -> %s\n",
               fault::to_string(d_wheel.cls),
               fault::to_string(d_wheel.action()));
-  std::printf("                        %s\n", d_wheel.rationale.c_str());
+  std::printf("                        %s\n", diag::rationale(d_wheel).c_str());
   const auto d_body = assessor.diagnose_job(window_lifter.id());
   std::printf("body.window job       : %-22s -> %s\n",
               fault::to_string(d_body.cls), fault::to_string(d_body.action()));
-  std::printf("                        %s\n", d_body.rationale.c_str());
+  std::printf("                        %s\n", diag::rationale(d_body).c_str());
 
   std::printf("\ntakeaway: the technician inspects the FL connector instead "
               "of swapping the wheel node (NFF avoided), and the window-"

@@ -55,7 +55,7 @@ int main() {
   const auto d = rig.diag().assessor().diagnose_component(lru);
   std::printf("  diagnosis at t=%.2fs: %s\n", rig.sim().now().sec(),
               fault::to_string(d.cls));
-  std::printf("  rationale: %s\n", d.rationale.c_str());
+  std::printf("  rationale: %s\n", diag::rationale(d).c_str());
   std::printf("  fitted episode-gap shrink: %.3f per episode\n",
               prognosis->shrink);
   std::printf("  predicted end of life: round %llu (now: %llu)\n",

@@ -52,7 +52,8 @@ int main() {
     std::printf("%-34s trust=%.2f  %-22s -> %s\n", row.fru.c_str(), row.trust,
                 fault::to_string(row.diagnosis.cls),
                 fault::to_string(row.action));
-    std::printf("%-34s   rationale: %s\n", "", row.diagnosis.rationale.c_str());
+    std::printf("%-34s   rationale: %s\n", "",
+                diag::rationale(row.diagnosis).c_str());
   }
 
   std::printf("\nground truth (the injector's ledger):\n");

@@ -30,39 +30,19 @@ std::string render_technician_report(const std::vector<diag::FruReport>& rows,
     out += buf;
     if (row.diagnosis.cls != fault::FaultClass::kNone) {
       std::snprintf(buf, sizeof buf, "%-36s   \"%s\"\n", "",
-                    row.diagnosis.rationale.c_str());
+                    diag::rationale(row.diagnosis).c_str());
       out += buf;
     }
     if (!row.asserted_onas.empty()) {
       std::string onas;
-      for (const auto& name : row.asserted_onas) {
+      for (const diag::Ona ona : row.asserted_onas) {
         if (!onas.empty()) onas += ", ";
-        onas += name;
+        onas += diag::to_string(ona);
       }
       std::snprintf(buf, sizeof buf, "%-36s   ONAs asserted: %s\n", "",
                     onas.c_str());
       out += buf;
     }
-  }
-  return out;
-}
-
-std::string render_ona_findings(const diag::OnaEngine& engine,
-                                const diag::OnaContext& ctx) {
-  std::string out;
-  char buf[256];
-  const auto hits = engine.evaluate(ctx);
-  if (hits.empty()) {
-    std::snprintf(buf, sizeof buf,
-                  "component %u: no out-of-norm assertion triggered\n",
-                  ctx.subject);
-    return buf;
-  }
-  for (const auto* hit : hits) {
-    std::snprintf(buf, sizeof buf,
-                  "component %u: ONA \"%s\" asserted -> %s\n", ctx.subject,
-                  hit->name().c_str(), fault::to_string(hit->indicates()));
-    out += buf;
   }
   return out;
 }

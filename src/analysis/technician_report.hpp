@@ -1,14 +1,14 @@
 // The service technician's report — the human-facing end of the pipeline.
 //
 // Renders the per-FRU maintenance rows (trust level as a bar, diagnosis,
-// recommended action, rationale) plus the triggered Out-of-Norm
-// Assertions into the fixed-width text a workshop terminal would show.
+// recommended action, the rationale of the verdict's rule) plus the
+// asserted Out-of-Norm Assertions into the fixed-width text a workshop
+// terminal would show.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "diag/ona.hpp"
 #include "diag/service.hpp"
 
 namespace decos::analysis {
@@ -24,10 +24,5 @@ struct TechnicianReportOptions {
 [[nodiscard]] std::string render_technician_report(
     const std::vector<diag::FruReport>& rows,
     const TechnicianReportOptions& options = {});
-
-/// Renders the ONA evaluation for one component: which fault patterns of
-/// the standard rule base are currently asserted on the distributed state.
-[[nodiscard]] std::string render_ona_findings(
-    const diag::OnaEngine& engine, const diag::OnaContext& ctx);
 
 }  // namespace decos::analysis

@@ -1,5 +1,7 @@
 #include "diag/classifier.hpp"
 
+#include <iterator>
+
 namespace decos::diag {
 namespace {
 
@@ -16,18 +18,53 @@ constexpr std::size_t kMinValueRounds = 3;
 /// Queue overflows needed to call a configuration fault.
 constexpr std::uint64_t kOverflowThreshold = 10;
 
-/// Severity rank used when sender-side and observer-side analyses both
-/// produce a candidate: replacement-relevant classes win.
-int rank(fault::FaultClass c) {
-  switch (c) {
-    case fault::FaultClass::kComponentInternal: return 3;
-    case fault::FaultClass::kComponentBorderline: return 2;
-    case fault::FaultClass::kComponentExternal: return 1;
-    default: return 0;
-  }
-}
+/// The rationale of every rule but kDisseminated, indexed by Rule.
+constexpr const char* kRationales[] = {
+    "recurring out-of-window transmission attempts blocked by the bus "
+    "guardian (babbling controller)",
+    "continuous omission: component silent (permanent hardware failure)",
+    "persistent timing violations (clock/oscillator defect)",
+    "transient episodes with increasing frequency at one component "
+    "(wearout signature)",
+    "recurring transient episodes at the same component (internal "
+    "intermittent fault)",
+    "alpha-count over threshold: transient failures recur at this "
+    "component far above the ambient rate",
+    "isolated transient episode(s), no recurrence trend (external "
+    "disturbance)",
+    "receive-path disturbance correlated with spatially proximate "
+    "components (massive transient / EMI)",
+    "recurring receive-path errors on this component only "
+    "(connector/harness fault)",
+    "isolated receive-path episode on this component (external transient)",
+    "no out-of-norm evidence",
+    "job conforms to its LIF specification",
+    "job-external: symptoms explained by host component hardware fault",
+    "multiple jobs of this component emit out-of-spec values "
+    "(component-internal hardware fault)",
+    "the job's own model-based plausibility check indicts its transducer "
+    "(application assertion)",
+    "increasing deviation from specified value range (sensor drift/wearout "
+    "signature)",
+    "erratic out-of-spec values from one job only (software design fault)",
+    "queue overflows while the job meets its value spec (virtual-network "
+    "configuration fault)",
+    "job stopped sending although its component is operational (software "
+    "crash)",
+};
+static_assert(std::size(kRationales) ==
+              static_cast<std::size_t>(Rule::kDisseminated));
 
 }  // namespace
+
+std::string rationale(const Diagnosis& d) {
+  if (d.rule == Rule::kDisseminated) {
+    return "disseminated verdict (origin position " +
+           std::to_string(d.origin) + ", round " + std::to_string(d.round) +
+           ")";
+  }
+  return kRationales[static_cast<std::size_t>(d.rule)];
+}
 
 Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
                                tta::RoundId now) const {
@@ -37,9 +74,7 @@ Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
   // transport verdicts.
   if (f.guardian_episodes >= 3 || f.guardian_blocks >= 20) {
     return {fault::FaultClass::kComponentInternal,
-            fault::Persistence::kPermanent, 0.9,
-            "recurring out-of-window transmission attempts blocked by the "
-            "bus guardian (babbling controller)"};
+            fault::Persistence::kPermanent, 0.9, Rule::kGuardian};
   }
 
   const auto& sender_eps = f.sender_eps;
@@ -53,32 +88,23 @@ Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
     if (dense_tail && vt.omission_dominant()) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kPermanent, 0.95,
-                     "continuous omission: component silent (permanent "
-                     "hardware failure)"};
+                     Rule::kPermanentOmission};
     } else if (dense_tail && vt.timing_dominant()) {
       sender_diag = {fault::FaultClass::kComponentInternal,
-                     fault::Persistence::kPermanent, 0.9,
-                     "persistent timing violations (clock/oscillator defect)"};
+                     fault::Persistence::kPermanent, 0.9, Rule::kTiming};
     } else if (rate_increasing(sender_eps)) {
       sender_diag = {fault::FaultClass::kComponentInternal,
-                     fault::Persistence::kIntermittent, 0.85,
-                     "transient episodes with increasing frequency at one "
-                     "component (wearout signature)"};
+                     fault::Persistence::kIntermittent, 0.85, Rule::kWearout};
     } else if (sender_eps.size() >= kRecurrenceThreshold) {
       sender_diag = {fault::FaultClass::kComponentInternal,
-                     fault::Persistence::kIntermittent, 0.7,
-                     "recurring transient episodes at the same component "
-                     "(internal intermittent fault)"};
+                     fault::Persistence::kIntermittent, 0.7, Rule::kRecurrence};
     } else if (f.alpha >= kAlphaThreshold) {
       sender_diag = {fault::FaultClass::kComponentInternal,
-                     fault::Persistence::kIntermittent, 0.7,
-                     "alpha-count over threshold: transient failures recur "
-                     "at this component far above the ambient rate"};
+                     fault::Persistence::kIntermittent, 0.7, Rule::kAlpha};
     } else {
       sender_diag = {fault::FaultClass::kComponentExternal,
                      fault::Persistence::kTransient, 0.6,
-                     "isolated transient episode(s), no recurrence trend "
-                     "(external disturbance)"};
+                     Rule::kIsolatedSenderTransient};
     }
   }
 
@@ -87,32 +113,27 @@ Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
     if (f.observers_correlated()) {
       observer_diag = {fault::FaultClass::kComponentExternal,
                        fault::Persistence::kTransient, 0.85,
-                       "receive-path disturbance correlated with spatially "
-                       "proximate components (massive transient / EMI)"};
+                       Rule::kMassiveTransient};
     } else if (observer_eps.size() >= 3) {
       observer_diag = {fault::FaultClass::kComponentBorderline,
                        fault::Persistence::kIntermittent, 0.8,
-                       "recurring receive-path errors on this component only "
-                       "(connector/harness fault)"};
+                       Rule::kConnector};
     } else {
       observer_diag = {fault::FaultClass::kComponentExternal,
                        fault::Persistence::kTransient, 0.5,
-                       "isolated receive-path episode on this component "
-                       "(external transient)"};
+                       Rule::kIsolatedObserverTransient};
     }
   }
 
-  if (rank(sender_diag.cls) >= rank(observer_diag.cls) &&
+  if (fault::replacement_severity(sender_diag.cls) >=
+          fault::replacement_severity(observer_diag.cls) &&
       sender_diag.cls != fault::FaultClass::kNone) {
     return sender_diag;
   }
   if (observer_diag.cls != fault::FaultClass::kNone) return observer_diag;
 
-  Diagnosis none;
-  none.cls = fault::FaultClass::kNone;
-  none.confidence = 1.0;
-  none.rationale = "no out-of-norm evidence";
-  return none;
+  return {fault::FaultClass::kNone, fault::Persistence::kTransient, 1.0,
+          Rule::kNoEvidence};
 }
 
 Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
@@ -125,11 +146,8 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
   const bool has_gap = !je.gap_rounds.empty();
 
   if (!has_value && !has_overflow && !has_gap) {
-    Diagnosis none;
-    none.cls = fault::FaultClass::kNone;
-    none.confidence = 1.0;
-    none.rationale = "job conforms to its LIF specification";
-    return none;
+    return {fault::FaultClass::kNone, fault::Persistence::kTransient, 1.0,
+            Rule::kJobConforms};
   }
 
   // Fig. 10: if the hosting component is internally faulty, every job on
@@ -137,9 +155,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
   // act on is the component.
   if (host_diagnosis.cls == fault::FaultClass::kComponentInternal) {
     return {fault::FaultClass::kComponentInternal, host_diagnosis.persistence,
-            host_diagnosis.confidence,
-            "job-external: symptoms explained by host component hardware "
-            "fault"};
+            host_diagnosis.confidence, Rule::kJobHostFault};
   }
 
   if (has_value) {
@@ -153,9 +169,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
     }
     if (symptomatic_siblings >= 1) {
       return {fault::FaultClass::kComponentInternal,
-              fault::Persistence::kIntermittent, 0.75,
-              "multiple jobs of this component emit out-of-spec values "
-              "(component-internal hardware fault)"};
+              fault::Persistence::kIntermittent, 0.75, Rule::kJobSiblings};
     }
 
     // Job-internal evidence first (Section III-D: transducer vs software
@@ -164,26 +178,19 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
     if (je.transducer_suspect_rounds.size() >= kMinValueRounds) {
       return {fault::FaultClass::kJobInherentTransducer,
               fault::Persistence::kPermanent, 0.9,
-              "the job's own model-based plausibility check indicts its "
-              "transducer (application assertion)"};
+              Rule::kJobTransducerAssertion};
     }
     if (magnitudes_drifting(je.value_magnitudes)) {
       return {fault::FaultClass::kJobInherentTransducer,
-              fault::Persistence::kPermanent, 0.8,
-              "increasing deviation from specified value range (sensor "
-              "drift/wearout signature)"};
+              fault::Persistence::kPermanent, 0.8, Rule::kJobDrift};
     }
     return {fault::FaultClass::kJobInherentSoftware,
-            fault::Persistence::kIntermittent, 0.75,
-            "erratic out-of-spec values from one job only (software design "
-            "fault)"};
+            fault::Persistence::kIntermittent, 0.75, Rule::kJobSoftware};
   }
 
   if (has_overflow) {
     return {fault::FaultClass::kJobBorderline, fault::Persistence::kPermanent,
-            0.8,
-            "queue overflows while the job meets its value spec "
-            "(virtual-network configuration fault)"};
+            0.8, Rule::kJobConfiguration};
   }
 
   // Gaps only: the job went silent while its component stayed healthy.
@@ -191,9 +198,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
   return {fault::FaultClass::kJobInherentSoftware,
           recent ? fault::Persistence::kPermanent
                  : fault::Persistence::kTransient,
-          0.7,
-          "job stopped sending although its component is operational "
-          "(software crash)"};
+          0.7, Rule::kJobCrash};
 }
 
 }  // namespace decos::diag

@@ -12,11 +12,11 @@
 //
 // A component verdict is a pure function of one
 // EvidenceSummary::ComponentFeatures value (diag/summary.hpp), the same
-// value the declarative ONA library evaluates, and its Fig. 8 tests are
+// value the pattern ONAs read (diag/ona.hpp), and its Fig. 8 tests are
 // the predicates that value and VerdictTotals carry; this class applies
-// the decision rules. Each rule produces the class plus a human-readable
-// rationale — what a service technician's display shows next to the
-// trust level.
+// the decision rules. Each verdict names the Rule that produced it, and
+// rationale() renders that rule as the text a service technician's
+// display shows next to the trust level.
 //
 // The rules are one fixed reading of Fig. 8: every threshold is a constant
 // beside the code that reads it (features.hpp, summary.hpp,
@@ -25,7 +25,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "diag/evidence.hpp"
@@ -37,15 +39,54 @@
 
 namespace decos::diag {
 
+/// The decision rule behind a verdict: one per return of
+/// Classifier::classify (component rules) and Classifier::classify_job
+/// (job rules), plus the verdict served second-hand from the
+/// dissemination cache.
+enum class Rule : std::uint8_t {
+  // --- component rules ---
+  kGuardian,
+  kPermanentOmission,
+  kTiming,
+  kWearout,
+  kRecurrence,
+  kAlpha,
+  kIsolatedSenderTransient,
+  kMassiveTransient,
+  kConnector,
+  kIsolatedObserverTransient,
+  kNoEvidence,
+  // --- job rules ---
+  kJobConforms,
+  kJobHostFault,
+  kJobSiblings,
+  kJobTransducerAssertion,
+  kJobDrift,
+  kJobSoftware,
+  kJobConfiguration,
+  kJobCrash,
+  // --- service ---
+  kDisseminated,
+};
+
 struct Diagnosis {
   fault::FaultClass cls = fault::FaultClass::kNone;
   fault::Persistence persistence = fault::Persistence::kTransient;
   double confidence = 0.0;  // 0..1
-  std::string rationale;
+  Rule rule = Rule::kNoEvidence;
+  /// Cube position of the tester whose verdict this is, and the round it
+  /// was emitted in; set for Rule::kDisseminated only.
+  std::uint32_t origin = 0;
+  tta::RoundId round = 0;
   [[nodiscard]] fault::MaintenanceAction action() const {
     return fault::action_for(cls);
   }
+  bool operator==(const Diagnosis&) const = default;
 };
+static_assert(std::is_trivially_copyable_v<Diagnosis>);
+
+/// The technician-facing text of the verdict's rule.
+[[nodiscard]] std::string rationale(const Diagnosis& d);
 
 class Classifier {
  public:

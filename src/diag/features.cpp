@@ -20,15 +20,16 @@ constexpr double kWearoutGapRatio = 0.7;
 
 bool rate_increasing(const std::vector<Episode>& eps) {
   if (eps.size() < kMinEpisodesForTrend) return false;
-  std::vector<double> gaps;
-  for (std::size_t i = 1; i < eps.size(); ++i) {
-    gaps.push_back(static_cast<double>(eps[i].first - eps[i - 1].last));
-  }
-  const std::size_t half = gaps.size() / 2;
+  // Gap i separates episodes i and i + 1.
+  const std::size_t gaps = eps.size() - 1;
+  auto gap = [&eps](std::size_t i) {
+    return static_cast<double>(eps[i + 1].first - eps[i].last);
+  };
+  const std::size_t half = gaps / 2;
   if (half == 0) return false;
   double early = 0, late = 0;
-  for (std::size_t i = 0; i < half; ++i) early += gaps[i];
-  for (std::size_t i = gaps.size() - half; i < gaps.size(); ++i) late += gaps[i];
+  for (std::size_t i = 0; i < half; ++i) early += gap(i);
+  for (std::size_t i = gaps - half; i < gaps; ++i) late += gap(i);
   early /= static_cast<double>(half);
   late /= static_cast<double>(half);
   return early > 0 && late < early * kWearoutGapRatio;

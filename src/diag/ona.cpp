@@ -1,121 +1,67 @@
 #include "diag/ona.hpp"
 
+#include <iterator>
+
 namespace decos::diag {
-namespace conditions {
+namespace {
 
-OnaCondition sender_episode_count_at_least(std::size_t n) {
-  return [n](const OnaContext& ctx) {
-    return ctx.features.sender_eps.size() >= n;
-  };
+struct OnaInfo {
+  const char* name;
+  fault::FaultClass indicates;
+};
+
+constexpr OnaInfo kOnas[] = {
+    {"wearout", fault::FaultClass::kComponentInternal},
+    {"massive-transient", fault::FaultClass::kComponentExternal},
+    {"connector", fault::FaultClass::kComponentBorderline},
+    {"permanent-silence", fault::FaultClass::kComponentInternal},
+    {"clock-defect", fault::FaultClass::kComponentInternal},
+    {"isolated-transient", fault::FaultClass::kComponentExternal},
+    {"diagnostic-channel-degraded", fault::FaultClass::kNone},
+    {"tmr-redundancy-lost", fault::FaultClass::kNone},
+    {"maintenance-degraded", fault::FaultClass::kNone},
+};
+static_assert(std::size(kOnas) == kOnaCount);
+
+}  // namespace
+
+const char* to_string(Ona o) { return kOnas[static_cast<std::size_t>(o)].name; }
+
+fault::FaultClass indicates(Ona o) {
+  return kOnas[static_cast<std::size_t>(o)].indicates;
 }
 
-OnaCondition sender_episode_count_at_most(std::size_t n) {
-  return [n](const OnaContext& ctx) {
-    const auto& eps = ctx.features.sender_eps;
-    return !eps.empty() && eps.size() <= n;
-  };
-}
-
-OnaCondition sender_rate_increasing() {
-  return [](const OnaContext& ctx) {
-    return rate_increasing(ctx.features.sender_eps);
-  };
-}
-
-OnaCondition sender_dense_tail() {
-  return [](const OnaContext& ctx) {
-    return ctx.features.sender_dense_tail(ctx.now);
-  };
-}
-
-OnaCondition observer_episode_count_at_least(std::size_t n) {
-  return [n](const OnaContext& ctx) {
-    return ctx.features.observer_eps.size() >= n;
-  };
-}
-
-OnaCondition observers_spatially_correlated() {
-  return [](const OnaContext& ctx) {
-    return ctx.features.observers_correlated();
-  };
-}
-
-OnaCondition observers_isolated() {
-  return [](const OnaContext& ctx) {
-    return !ctx.features.observer_eps.empty() &&
-           !ctx.features.observers_correlated();
-  };
-}
-
-OnaCondition no_sender_evidence() {
-  return [](const OnaContext& ctx) {
-    return ctx.features.sender_eps.empty();
-  };
-}
-
-OnaCondition dominant_omission() {
-  return [](const OnaContext& ctx) {
-    return ctx.features.totals.omission_dominant();
-  };
-}
-
-OnaCondition dominant_timing() {
-  return [](const OnaContext& ctx) {
-    return ctx.features.totals.timing_dominant();
-  };
-}
-
-OnaCondition dominant_corruption() {
-  return [](const OnaContext& ctx) {
-    return ctx.features.totals.corruption_dominant();
-  };
-}
-
-}  // namespace conditions
-
-std::vector<const OutOfNormAssertion*> OnaEngine::evaluate(
-    const OnaContext& ctx) const {
-  std::vector<const OutOfNormAssertion*> out;
-  for (const auto& rule : rules_) {
-    if (rule.triggered(ctx)) out.push_back(&rule);
+std::vector<Ona> pattern_onas(const EvidenceSummary::ComponentFeatures& f,
+                              tta::RoundId now) {
+  const VerdictTotals& vt = f.totals;
+  const bool senders = !f.sender_eps.empty();
+  const bool tail = f.sender_dense_tail(now);
+  std::vector<Ona> out;
+  // Fig. 8 column 1: increasing episode frequency, one component, value
+  // corruption.
+  if (rate_increasing(f.sender_eps) && vt.corruption_dominant()) {
+    out.push_back(Ona::kWearout);
   }
-  return out;
-}
-
-OnaEngine OnaEngine::standard_rules() {
-  using namespace conditions;
-  OnaEngine engine;
-  // Fig. 8 column 1: wearout — increasing episode frequency, one
-  // component, value corruption.
-  engine.add(OutOfNormAssertion(
-      "wearout", fault::FaultClass::kComponentInternal,
-      {sender_rate_increasing(), dominant_corruption()}));
-  // Fig. 8 column 2: massive transient — multiple proximate components'
-  // receive paths disturbed at (about) the same time, sender side clean.
-  engine.add(OutOfNormAssertion(
-      "massive-transient", fault::FaultClass::kComponentExternal,
-      {observer_episode_count_at_least(1), observers_spatially_correlated(),
-       no_sender_evidence()}));
-  // Fig. 8 column 3: connector — recurring receive-path errors on exactly
-  // one component, arbitrary in time.
-  engine.add(OutOfNormAssertion(
-      "connector", fault::FaultClass::kComponentBorderline,
-      {observer_episode_count_at_least(3), observers_isolated(),
-       no_sender_evidence()}));
+  // Fig. 8 column 2: proximate components' receive paths disturbed at
+  // (about) the same time, sender side clean.
+  if (!f.observer_eps.empty() && f.observers_correlated() && !senders) {
+    out.push_back(Ona::kMassiveTransient);
+  }
+  // Fig. 8 column 3: recurring receive-path errors on exactly one
+  // component, arbitrary in time.
+  if (f.observer_eps.size() >= 3 && !f.observers_correlated() && !senders) {
+    out.push_back(Ona::kConnector);
+  }
   // Permanent hardware death: a dense continuous omission tail.
-  engine.add(OutOfNormAssertion(
-      "permanent-silence", fault::FaultClass::kComponentInternal,
-      {sender_dense_tail(), dominant_omission()}));
+  if (tail && vt.omission_dominant()) out.push_back(Ona::kPermanentSilence);
   // Oscillator defect: persistent timing violations.
-  engine.add(OutOfNormAssertion(
-      "clock-defect", fault::FaultClass::kComponentInternal,
-      {sender_dense_tail(), dominant_timing()}));
+  if (tail && vt.timing_dominant()) out.push_back(Ona::kClockDefect);
   // Single external hit (SEU-like): brief sender-side episode(s) without
   // recurrence.
-  engine.add(OutOfNormAssertion(
-      "isolated-transient", fault::FaultClass::kComponentExternal,
-      {sender_episode_count_at_most(2)}));
-  return engine;
+  if (senders && f.sender_eps.size() <= 2) {
+    out.push_back(Ona::kIsolatedTransient);
+  }
+  return out;
 }
 
 }  // namespace decos::diag

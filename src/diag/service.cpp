@@ -17,13 +17,9 @@ constexpr std::uint16_t kDissemQueueDepth = 128;
 
 /// A verdict served second-hand from the dissemination cache.
 Diagnosis disseminated(const VerdictDelta& d) {
-  Diagnosis out;
-  out.cls = d.cls;
-  out.confidence = 0.5;  // no local evidence behind it
-  out.rationale = "disseminated verdict (origin position " +
-                  std::to_string(d.origin) + ", round " +
-                  std::to_string(d.round) + ")";
-  return out;
+  // Confidence 0.5: no local evidence behind it.
+  return {d.cls, fault::Persistence::kTransient, 0.5, Rule::kDisseminated,
+          d.origin, d.round};
 }
 
 }  // namespace
@@ -366,31 +362,26 @@ void DiagnosticService::check_failover() const {
   active_ = chosen;
 }
 
-void DiagnosticService::assert_external_ona(platform::ComponentId c,
-                                            const std::string& name) {
-  auto& names = external_onas_[c];
-  if (std::find(names.begin(), names.end(), name) == names.end()) {
-    names.push_back(name);
+void DiagnosticService::assert_external_ona(platform::ComponentId c, Ona ona) {
+  auto& onas = external_onas_[c];
+  if (std::find(onas.begin(), onas.end(), ona) == onas.end()) {
+    onas.push_back(ona);
   }
 }
 
-void DiagnosticService::retract_external_ona(platform::ComponentId c,
-                                             const std::string& name) {
+void DiagnosticService::retract_external_ona(platform::ComponentId c, Ona ona) {
   auto it = external_onas_.find(c);
   if (it == external_onas_.end()) return;
-  std::erase(it->second, name);
+  std::erase(it->second, ona);
 }
 
-void DiagnosticService::count_ona(std::string_view name) const {
-  auto it = ona_metrics_.find(name);
-  if (it == ona_metrics_.end()) {
-    it = ona_metrics_
-             .emplace(name, system_.simulator().metrics().counter(
-                                "diag.ona_assertions",
-                                "ona=" + std::string(name)))
-             .first;
+void DiagnosticService::count_ona(Ona ona) const {
+  auto& metric = ona_metrics_[static_cast<std::size_t>(ona)];
+  if (!metric) {
+    metric = system_.simulator().metrics().counter(
+        "diag.ona_assertions", std::string("ona=") + to_string(ona));
   }
-  it->second.inc();
+  metric->inc();
 }
 
 void DiagnosticService::reset_component_trust(platform::ComponentId c) {
@@ -422,8 +413,6 @@ std::size_t DiagnosticService::record_detection_latency(
     std::optional<tta::RoundId> violation =
         f.job ? first_job_violation(*f.job)
               : first_component_violation(f.component);
-    std::string fru_label = f.job ? "fru=job." + std::to_string(*f.job)
-                                  : "fru=component." + std::to_string(f.component);
     if (!violation) continue;
     // Rounds open at round * round_length on the reference base; the
     // violation instant is the end of the assessment round that tripped.
@@ -432,6 +421,9 @@ std::size_t DiagnosticService::record_detection_latency(
     if (detected < f.start) continue;  // suspected before this injection
     const std::int64_t latency_us = (detected - f.start).ns() / 1000;
     aggregate.record(latency_us);
+    const std::string fru_label =
+        f.job ? "fru=job." + std::to_string(*f.job)
+              : "fru=component." + std::to_string(f.component);
     metrics.histogram("diag.detection_latency_us", fru_label).record(latency_us);
     ++recorded;
   }
@@ -445,7 +437,6 @@ std::vector<FruReport> DiagnosticService::report() const {
   // fallback), so no single assessor ever needs the whole cluster's
   // evidence in memory. Failover is evaluated once per report, not per row.
   check_failover();
-  static const OnaEngine kOnaRules = OnaEngine::standard_rules();
   obs::Registry& metrics = system_.simulator().metrics();
   std::vector<FruReport> rows;
   EvidenceSummary::ComponentFeatures feat;
@@ -465,21 +456,18 @@ std::vector<FruReport> DiagnosticService::report() const {
     row.evidence_quality = delta ? 0.0 : a->evidence_quality(c);
     row.evidence_age = a->evidence_age(c);
     row.evidence_fresh = delta ? false : a->evidence_fresh(c);
-    const OnaContext ctx{c, feat, a->current_round()};
-    for (const auto* hit : kOnaRules.evaluate(ctx)) {
-      row.asserted_onas.push_back(hit->name());
-    }
+    row.asserted_onas = pattern_onas(feat, a->current_round());
     // Meta-ONA: the diagnostic channel itself is out of norm — the FRU's
     // agent has gone silent and this row's verdict rests on stale data.
     if (a->channel_degraded(c)) {
-      row.asserted_onas.emplace_back("diagnostic-channel-degraded");
+      row.asserted_onas.push_back(Ona::kChannelDegraded);
     }
     auto ext = external_onas_.find(c);
     if (ext != external_onas_.end()) {
       row.asserted_onas.insert(row.asserted_onas.end(), ext->second.begin(),
                                ext->second.end());
     }
-    for (const std::string& name : row.asserted_onas) count_ona(name);
+    for (const Ona ona : row.asserted_onas) count_ona(ona);
     // The staleness gauges track the *serving* assessor's view, so the
     // exported metrics survive a primary death and cover FRUs outside the
     // primary's tester slice.

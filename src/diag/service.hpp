@@ -9,6 +9,10 @@
 // level, fault class, recommended action — is what the paper hands to the
 // service technician (Fig. 11).
 //
+// Each row names the Out-of-Norm Assertions (diag/ona.hpp) asserted on
+// its FRU: the pattern ONAs its features yield, the channel meta-ONA, and
+// the ONAs other modules assert through assert_external_ona.
+//
 // The diagnostic DAS is itself safety-relevant, so the service survives
 // faults in its own path: when the primary assessor's host component dies
 // the lowest-indexed replica on a live host is promoted deterministically,
@@ -22,11 +26,11 @@
 // and the dissemination vnet's sizing are constants in service.cpp.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "diag/agent.hpp"
@@ -51,10 +55,11 @@ struct FruReport {
   double trust = 1.0;
   Diagnosis diagnosis;
   fault::MaintenanceAction action = fault::MaintenanceAction::kNoAction;
-  /// Names of the standard Out-of-Norm Assertions currently asserted for
-  /// this FRU (component rows only; the declarative cross-check of the
-  /// rule classifier's verdict).
-  std::vector<std::string> asserted_onas;
+  /// Out-of-Norm Assertions currently asserted for this FRU (component
+  /// rows only): the pattern ONAs (the cross-check of the rule
+  /// classifier's verdict), then Ona::kChannelDegraded, then external
+  /// ONAs in the order they were asserted.
+  std::vector<Ona> asserted_onas;
   /// Confidence in this row's evidence, in [0,1]: 1.0 means the FRU's
   /// diagnostic agent is fresh; lower values mean the assessor has not
   /// heard the agent recently and the verdict rests on stale evidence.
@@ -137,12 +142,12 @@ class DiagnosticService {
     return agents_.at(c)->job_id();
   }
 
-  /// Asserts an ONA on a component from outside the evidence-store rule
-  /// base (e.g. the TMR gateway's redundancy-loss transition). The name
-  /// appears in the component's report row and in the
-  /// `diag.ona_assertions` counter; `retract_external_ona` clears it.
-  void assert_external_ona(platform::ComponentId c, const std::string& name);
-  void retract_external_ona(platform::ComponentId c, const std::string& name);
+  /// Asserts an ONA on a component from outside its features (e.g. the
+  /// TMR gateway's redundancy-loss transition). It appears in the
+  /// component's report row and in the `diag.ona_assertions` counter;
+  /// `retract_external_ona` clears it.
+  void assert_external_ona(platform::ComponentId c, Ona ona);
+  void retract_external_ona(platform::ComponentId c, Ona ona);
 
   /// Maintenance reset after an *executed* repair of the FRU: every
   /// assessor — active and replicas alike — restarts the FRU's trust at
@@ -237,11 +242,11 @@ class DiagnosticService {
   std::vector<std::unique_ptr<Assessor>> assessors_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<platform::JobId> subject_jobs_;
-  std::map<platform::ComponentId, std::vector<std::string>> external_onas_;
-  /// `diag.ona_assertions` cells by ONA name, each registered on the
-  /// first assertion of its name.
-  mutable std::map<std::string, obs::Counter, std::less<>> ona_metrics_;
-  void count_ona(std::string_view name) const;
+  std::map<platform::ComponentId, std::vector<Ona>> external_onas_;
+  /// `diag.ona_assertions` cells by ONA, each registered on the ONA's
+  /// first assertion.
+  mutable std::array<std::optional<obs::Counter>, kOnaCount> ona_metrics_;
+  void count_ona(Ona ona) const;
   /// `diag.evidence_staleness` cells by component, each registered on the
   /// first report row of its component.
   mutable std::vector<std::optional<obs::Gauge>> staleness_metrics_;

@@ -649,21 +649,13 @@ FaultClass FaultInjector::truth_for_component(platform::ComponentId c) const {
   // Component-level truth: the most replacement-relevant class wins if
   // several faults touch the same FRU (internal > borderline > external).
   FaultClass best = FaultClass::kNone;
-  auto rank = [](FaultClass fc) {
-    switch (fc) {
-      case FaultClass::kComponentInternal: return 3;
-      case FaultClass::kComponentBorderline: return 2;
-      case FaultClass::kComponentExternal: return 1;
-      default: return 0;
-    }
-  };
   for (const auto& f : ledger_) {
     if (f.job.has_value()) continue;  // job-level faults judged per job
     const bool touches =
         f.component == c ||
         std::find(f.affected.begin(), f.affected.end(), c) != f.affected.end();
     if (!touches) continue;
-    if (rank(f.cls) > rank(best)) best = f.cls;
+    if (replacement_severity(f.cls) > replacement_severity(best)) best = f.cls;
   }
   return best;
 }

@@ -15,6 +15,15 @@ const char* to_string(FaultClass c) {
   return "?";
 }
 
+int replacement_severity(FaultClass c) {
+  switch (c) {
+    case FaultClass::kComponentInternal: return 3;
+    case FaultClass::kComponentBorderline: return 2;
+    case FaultClass::kComponentExternal: return 1;
+    default: return 0;
+  }
+}
+
 const char* to_string(Persistence p) {
   switch (p) {
     case Persistence::kTransient: return "transient";

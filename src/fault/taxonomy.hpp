@@ -38,6 +38,11 @@ enum class FaultClass : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FaultClass c);
 
+/// Replacement severity of a component-level class: internal 3,
+/// borderline 2, external 1, anything else 0. Where several candidate
+/// classes touch one hardware FRU, the most replacement-relevant wins.
+[[nodiscard]] int replacement_severity(FaultClass c);
+
 /// Temporal persistence of the fault's manifestation.
 enum class Persistence : std::uint8_t {
   kTransient,     // single bounded episode

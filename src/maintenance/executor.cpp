@@ -292,7 +292,7 @@ void MaintenanceExecutor::quarantine(WorkOrder& o) {
   sim_.provenance().set_terminal(o.provenance, obs::ProvOutcome::kQuarantined);
   ++quarantines_;
   sim_.metrics().counter("maint.quarantined").inc();
-  service_.assert_external_ona(o.component, "maintenance-degraded");
+  service_.assert_external_ona(o.component, diag::Ona::kMaintenanceDegraded);
   if (o.job) {
     quarantined_jobs_.insert(*o.job);
     degraded_jobs_.push_back(*o.job);

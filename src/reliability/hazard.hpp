@@ -1,13 +1,11 @@
 // Hazard-rate models: exponential, Weibull, and the composite bathtub curve
 // of Fig. 7 (infant mortality + useful life + wearout).
 //
-// A HazardModel answers h(t) — the instantaneous failure rate at device age
+// Each model answers h(t) — the instantaneous failure rate at device age
 // t — and can sample a time-to-failure given an Rng. Fault sources use the
 // sampled TTF to schedule activations; bench E1 integrates h(t) over a
 // population to regenerate the bathtub curve.
 #pragma once
-
-#include <memory>
 
 #include "reliability/fit.hpp"
 #include "sim/rng.hpp"
@@ -15,29 +13,17 @@
 
 namespace decos::reliability {
 
-class HazardModel {
- public:
-  virtual ~HazardModel() = default;
-
-  /// Instantaneous hazard rate at age `t`, in failures per hour.
-  [[nodiscard]] virtual double hazard_per_hour(sim::Duration age) const = 0;
-
-  /// Samples a time-to-failure for a device of age `age` (memory of the
-  /// model's shape is preserved — i.e. conditional on survival to `age`).
-  [[nodiscard]] virtual sim::Duration sample_ttf(sim::Rng& rng,
-                                                 sim::Duration age) const = 0;
-};
-
 /// Constant-rate (exponential) model — the useful-life floor of the bathtub.
-class ExponentialHazard final : public HazardModel {
+class ExponentialHazard {
  public:
   explicit ExponentialHazard(FitRate rate) : rate_(rate) {}
 
-  [[nodiscard]] double hazard_per_hour(sim::Duration) const override {
+  /// Instantaneous hazard rate at any age, in failures per hour.
+  [[nodiscard]] double hazard_per_hour(sim::Duration) const {
     return rate_.per_hour();
   }
-  [[nodiscard]] sim::Duration sample_ttf(sim::Rng& rng,
-                                         sim::Duration) const override;
+  /// Samples a time-to-failure; memoryless, so the age does not matter.
+  [[nodiscard]] sim::Duration sample_ttf(sim::Rng& rng, sim::Duration) const;
 
   [[nodiscard]] FitRate rate() const { return rate_; }
 
@@ -48,13 +34,16 @@ class ExponentialHazard final : public HazardModel {
 /// Weibull model. shape < 1 gives decreasing hazard (infant mortality),
 /// shape > 1 increasing hazard (wearout). `scale` is the characteristic
 /// life in hours.
-class WeibullHazard final : public HazardModel {
+class WeibullHazard {
  public:
   WeibullHazard(double shape, double scale_hours);
 
-  [[nodiscard]] double hazard_per_hour(sim::Duration age) const override;
+  /// Instantaneous hazard rate at age `age`, in failures per hour.
+  [[nodiscard]] double hazard_per_hour(sim::Duration age) const;
+  /// Samples a time-to-failure for a device of age `age`, conditional on
+  /// its survival to `age`.
   [[nodiscard]] sim::Duration sample_ttf(sim::Rng& rng,
-                                         sim::Duration age) const override;
+                                         sim::Duration age) const;
 
   [[nodiscard]] double shape() const { return shape_; }
   [[nodiscard]] double scale_hours() const { return scale_hours_; }
@@ -68,7 +57,7 @@ class WeibullHazard final : public HazardModel {
 /// (shape < 1), a constant useful-life rate, and a wearout Weibull
 /// (shape > 1). Hazards add; TTF is sampled by competing risks (minimum of
 /// the three arms' samples).
-class BathtubHazard final : public HazardModel {
+class BathtubHazard {
  public:
   struct Params {
     double infant_shape = 0.5;
@@ -84,12 +73,12 @@ class BathtubHazard final : public HazardModel {
   explicit BathtubHazard(Params p) : p_(p) {}
 
   /// Population-average hazard (infant arm weighted by its fraction).
-  [[nodiscard]] double hazard_per_hour(sim::Duration age) const override;
+  [[nodiscard]] double hazard_per_hour(sim::Duration age) const;
 
   /// Samples TTF for one device; whether the device belongs to the infant
   /// subpopulation is itself drawn from `rng`.
   [[nodiscard]] sim::Duration sample_ttf(sim::Rng& rng,
-                                         sim::Duration age) const override;
+                                         sim::Duration age) const;
 
   [[nodiscard]] const Params& params() const { return p_; }
 

@@ -177,8 +177,8 @@ SilentAgentOutcome run_silent_agent_scenario(bool hardening,
     out.evidence_quality = r.evidence_quality;
     out.evidence_age = r.evidence_age;
     out.action_is_none = r.action == fault::MaintenanceAction::kNoAction;
-    for (const std::string& ona : r.asserted_onas) {
-      if (ona == "diagnostic-channel-degraded") out.channel_degraded_ona = true;
+    for (const diag::Ona ona : r.asserted_onas) {
+      if (ona == diag::Ona::kChannelDegraded) out.channel_degraded_ona = true;
     }
     break;
   }

@@ -166,9 +166,9 @@ Fig10System::Fig10System(Fig10Options opts)
         .inc();
     const auto host = static_cast<platform::ComponentId>(replica);
     if (lost) {
-      diag_->assert_external_ona(host, "tmr-redundancy-lost");
+      diag_->assert_external_ona(host, diag::Ona::kTmrRedundancyLost);
     } else {
-      diag_->retract_external_ona(host, "tmr-redundancy-lost");
+      diag_->retract_external_ona(host, diag::Ona::kTmrRedundancyLost);
     }
   };
 

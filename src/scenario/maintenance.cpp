@@ -53,8 +53,10 @@ MaintenanceRun run_one(const Archetype& arch, std::uint64_t seed,
   if (directed != nullptr) {
     for (const diag::FruReport& row : rig.diag().report()) {
       if (row.job || row.component != subject.component) continue;
-      for (const std::string& ona : row.asserted_onas) {
-        if (ona == "maintenance-degraded") directed->degraded_ona = true;
+      for (const diag::Ona ona : row.asserted_onas) {
+        if (ona == diag::Ona::kMaintenanceDegraded) {
+          directed->degraded_ona = true;
+        }
       }
     }
     directed->degraded_jobs = executor.degraded_jobs();

@@ -146,7 +146,7 @@ TEST(ActuatorLoop, StuckActuatorDiagnosedAsTransducerFault) {
   const auto d = service.assessor().diagnose_job(controller.id());
   EXPECT_TRUE(d.cls == fault::FaultClass::kJobInherentTransducer ||
               d.cls == fault::FaultClass::kJobInherentSoftware)
-      << d.rationale;
+      << diag::rationale(d);
   EXPECT_EQ(service.assessor().diagnose_component(0).cls,
             fault::FaultClass::kNone);
   EXPECT_EQ(injector.truth_for_job(controller.id()),
@@ -224,7 +224,8 @@ TEST(ActuatorLoop, ModelBasedAssertionPinsTheTransducer) {
   simulator.run_until(simulator.now() + sim::seconds(8));
 
   const auto d = service.assessor().diagnose_job(controller.id());
-  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentTransducer) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentTransducer)
+      << diag::rationale(d);
   EXPECT_EQ(d.action(), fault::MaintenanceAction::kInspectTransducer);
 }
 

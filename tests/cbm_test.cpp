@@ -109,7 +109,7 @@ TEST(NewFaults, TransientOutageRecoversAndClassifiesExternal) {
   // The component recovered: it is back in everyone's membership.
   EXPECT_NE(rig.system().cluster().node(0).membership() & (1u << 2), 0u);
   const auto d = rig.diag().assessor().diagnose_component(2);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentExternal) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kComponentExternal) << diag::rationale(d);
 }
 
 TEST(NewFaults, BabblingIsContainedAndClassifiedInternal) {
@@ -129,7 +129,7 @@ TEST(NewFaults, BabblingIsContainedAndClassifiedInternal) {
   }
   // The babbler itself shows recurring in-slot interference.
   const auto d = rig.diag().assessor().diagnose_component(1);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal) << diag::rationale(d);
 }
 
 TEST(NewFaults, BrownoutClassifiedInternalIntermittent) {
@@ -139,7 +139,7 @@ TEST(NewFaults, BrownoutClassifiedInternalIntermittent) {
                                  sim::milliseconds(400));
   rig.run(sim::seconds(6));
   const auto d = rig.diag().assessor().diagnose_component(4);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal) << diag::rationale(d);
   EXPECT_EQ(d.persistence, fault::Persistence::kIntermittent);
 }
 

@@ -143,7 +143,7 @@ TEST(TmrRedundancy, LostReplicaAssertsExternalOnaOnItsHost) {
   for (const auto& row : rig.diag().report()) {
     if (row.fru != "component 0") continue;
     for (const auto& ona : row.asserted_onas) {
-      if (ona == "tmr-redundancy-lost") ona_seen = true;
+      if (ona == diag::Ona::kTmrRedundancyLost) ona_seen = true;
     }
   }
   EXPECT_TRUE(ona_seen);

@@ -323,12 +323,12 @@ TEST(EndToEnd, HealthySystemReportsNoFaults) {
   for (platform::ComponentId c = 0; c < 5; ++c) {
     EXPECT_EQ(assessor.diagnose_component(c).cls, fault::FaultClass::kNone)
         << "component " << c << ": "
-        << assessor.diagnose_component(c).rationale;
+        << rationale(assessor.diagnose_component(c));
     EXPECT_GT(assessor.component_trust(c), 0.9);
   }
   for (platform::JobId j : rig.app_jobs()) {
     EXPECT_EQ(assessor.diagnose_job(j).cls, fault::FaultClass::kNone)
-        << "job " << j << ": " << assessor.diagnose_job(j).rationale;
+        << "job " << j << ": " << rationale(assessor.diagnose_job(j));
   }
 }
 
@@ -337,7 +337,7 @@ TEST(EndToEnd, PermanentFailureClassifiedInternal) {
   rig.injector().inject_permanent_failure(2, ms(500));
   rig.run(sim::seconds(4));
   const auto d = rig.diag().assessor().diagnose_component(2);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal) << rationale(d);
   EXPECT_EQ(d.persistence, fault::Persistence::kPermanent);
   EXPECT_EQ(d.action(), fault::MaintenanceAction::kReplaceComponent);
   EXPECT_LT(rig.diag().assessor().component_trust(2), 0.1);
@@ -352,7 +352,7 @@ TEST(EndToEnd, WearoutClassifiedInternalWithRisingRate) {
                                 sim::milliseconds(10));
   rig.run(sim::seconds(5));
   const auto d = rig.diag().assessor().diagnose_component(1);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal) << rationale(d);
   EXPECT_EQ(d.persistence, fault::Persistence::kIntermittent);
 }
 
@@ -361,7 +361,7 @@ TEST(EndToEnd, SeuClassifiedExternal) {
   rig.injector().inject_seu(3, ms(500));
   rig.run(sim::seconds(3));
   const auto d = rig.diag().assessor().diagnose_component(3);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentExternal) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kComponentExternal) << rationale(d);
   EXPECT_EQ(d.action(), fault::MaintenanceAction::kNoAction);
 }
 
@@ -374,7 +374,7 @@ TEST(EndToEnd, EmiBurstClassifiedExternalOnAllAffected) {
   for (platform::ComponentId c = 0; c <= 2; ++c) {
     const auto d = assessor.diagnose_component(c);
     EXPECT_EQ(d.cls, fault::FaultClass::kComponentExternal)
-        << "component " << c << ": " << d.rationale;
+        << "component " << c << ": " << rationale(d);
   }
   EXPECT_EQ(assessor.diagnose_component(3).cls, fault::FaultClass::kNone);
   EXPECT_EQ(assessor.diagnose_component(4).cls, fault::FaultClass::kNone);
@@ -386,7 +386,7 @@ TEST(EndToEnd, ConnectorFaultClassifiedBorderline) {
                                         sim::milliseconds(10), 0.8);
   rig.run(sim::seconds(5));
   const auto d = rig.diag().assessor().diagnose_component(3);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentBorderline) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kComponentBorderline) << rationale(d);
   EXPECT_EQ(d.action(), fault::MaintenanceAction::kInspectConnector);
 }
 
@@ -395,7 +395,7 @@ TEST(EndToEnd, HeisenbugClassifiedJobSoftware) {
   rig.injector().inject_heisenbug(rig.a(1), ms(300), 0.08);
   rig.run(sim::seconds(4));
   const auto d = rig.diag().assessor().diagnose_job(rig.a(1));
-  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentSoftware) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentSoftware) << rationale(d);
   EXPECT_EQ(d.action(), fault::MaintenanceAction::kSoftwareUpdate);
   // Host component must not be condemned.
   const auto host = rig.system().job(rig.a(1)).host();
@@ -408,7 +408,7 @@ TEST(EndToEnd, BohrbugClassifiedJobSoftware) {
   rig.injector().inject_bohrbug(rig.b(0), ms(300), 40, 3);
   rig.run(sim::seconds(4));
   const auto d = rig.diag().assessor().diagnose_job(rig.b(0));
-  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentSoftware) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentSoftware) << rationale(d);
 }
 
 TEST(EndToEnd, SensorDriftClassifiedTransducer) {
@@ -417,7 +417,7 @@ TEST(EndToEnd, SensorDriftClassifiedTransducer) {
                                      platform::SensorFaultMode::kDrift, ms(300));
   rig.run(sim::seconds(10));
   const auto d = rig.diag().assessor().diagnose_job(rig.c(0));
-  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentTransducer) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentTransducer) << rationale(d);
   EXPECT_EQ(d.action(), fault::MaintenanceAction::kInspectTransducer);
 }
 
@@ -429,7 +429,7 @@ TEST(EndToEnd, ConfigFaultClassifiedJobBorderline) {
   const auto& f = rig.injector().ledger().front();
   ASSERT_TRUE(f.job.has_value());
   const auto d = rig.diag().assessor().diagnose_job(*f.job);
-  EXPECT_EQ(d.cls, fault::FaultClass::kJobBorderline) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kJobBorderline) << rationale(d);
   EXPECT_EQ(d.action(), fault::MaintenanceAction::kUpdateConfiguration);
 }
 
@@ -438,7 +438,7 @@ TEST(EndToEnd, SoftwareCrashClassifiedJobSoftware) {
   rig.injector().inject_software_crash(rig.b(2), ms(500));
   rig.run(sim::seconds(3));
   const auto d = rig.diag().assessor().diagnose_job(rig.b(2));
-  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentSoftware) << d.rationale;
+  EXPECT_EQ(d.cls, fault::FaultClass::kJobInherentSoftware) << rationale(d);
   // The hosting component stays trusted: its other jobs behave.
   const auto host = rig.system().job(rig.b(2)).host();
   EXPECT_EQ(rig.diag().assessor().diagnose_component(host).cls,
@@ -463,10 +463,10 @@ TEST(EndToEnd, ComponentFaultExplainsAwayJobSymptoms) {
     if (rig.system().job(j).host() == 1) {
       EXPECT_TRUE(d.cls == fault::FaultClass::kComponentInternal ||
                   d.cls == fault::FaultClass::kNone)
-          << "job " << j << ": " << d.rationale;
+          << "job " << j << ": " << rationale(d);
     } else {
       EXPECT_EQ(d.cls, fault::FaultClass::kNone)
-          << "job " << j << ": " << d.rationale;
+          << "job " << j << ": " << rationale(d);
     }
   }
 }
@@ -581,8 +581,8 @@ TEST(EndToEnd, ReplicatedAssessorsAgree) {
   ASSERT_EQ(service.assessor_count(), 2u);
   const auto d0 = service.assessor(0).diagnose_component(1);
   const auto d1 = service.assessor(1).diagnose_component(1);
-  EXPECT_EQ(d0.cls, fault::FaultClass::kComponentInternal) << d0.rationale;
-  EXPECT_EQ(d1.cls, d0.cls) << d1.rationale;
+  EXPECT_EQ(d0.cls, fault::FaultClass::kComponentInternal) << rationale(d0);
+  EXPECT_EQ(d1.cls, d0.cls) << rationale(d1);
 }
 
 TEST(EndToEnd, ReplicaSurvivesPrimaryHostFailure) {
@@ -612,8 +612,8 @@ TEST(EndToEnd, ReplicaSurvivesPrimaryHostFailure) {
   // both the dead primary host and the wearing component.
   const auto d_dead = service.assessor(1).diagnose_component(3);
   const auto d_wear = service.assessor(1).diagnose_component(1);
-  EXPECT_EQ(d_dead.cls, fault::FaultClass::kComponentInternal) << d_dead.rationale;
-  EXPECT_EQ(d_wear.cls, fault::FaultClass::kComponentInternal) << d_wear.rationale;
+  EXPECT_EQ(d_dead.cls, fault::FaultClass::kComponentInternal) << rationale(d_dead);
+  EXPECT_EQ(d_wear.cls, fault::FaultClass::kComponentInternal) << rationale(d_wear);
 }
 
 }  // namespace

@@ -28,13 +28,13 @@ TEST(Integration, ThreeConcurrentFaultsOfDifferentClasses) {
   auto& assessor = rig.diag().assessor();
   EXPECT_EQ(assessor.diagnose_component(1).cls,
             fault::FaultClass::kComponentInternal)
-      << assessor.diagnose_component(1).rationale;
+      << diag::rationale(assessor.diagnose_component(1));
   EXPECT_EQ(assessor.diagnose_component(3).cls,
             fault::FaultClass::kComponentBorderline)
-      << assessor.diagnose_component(3).rationale;
+      << diag::rationale(assessor.diagnose_component(3));
   EXPECT_EQ(assessor.diagnose_job(rig.b(2)).cls,
             fault::FaultClass::kJobInherentSoftware)
-      << assessor.diagnose_job(rig.b(2)).rationale;
+      << diag::rationale(assessor.diagnose_job(rig.b(2)));
   // The untouched FRUs stay clean.
   EXPECT_EQ(assessor.diagnose_component(0).cls, fault::FaultClass::kNone);
   EXPECT_EQ(assessor.diagnose_component(2).cls, fault::FaultClass::kNone);
@@ -53,7 +53,7 @@ TEST(Integration, WearoutDiagnosedDespiteEmiStorm) {
   auto& assessor = rig.diag().assessor();
   EXPECT_EQ(assessor.diagnose_component(4).cls,
             fault::FaultClass::kComponentInternal)
-      << assessor.diagnose_component(4).rationale;
+      << diag::rationale(assessor.diagnose_component(4));
   // The EMI victims are not condemned to replacement.
   for (platform::ComponentId c : {0u, 1u}) {
     EXPECT_NE(assessor.diagnose_component(c).cls,
@@ -122,7 +122,7 @@ TEST(Integration, SequentialFaultsAcrossVehicleLife) {
   rig.run(sim::seconds(6));
   EXPECT_EQ(rig.diag().assessor().diagnose_component(1).cls,
             fault::FaultClass::kComponentInternal)
-      << rig.diag().assessor().diagnose_component(1).rationale;
+      << diag::rationale(rig.diag().assessor().diagnose_component(1));
 }
 
 // --- queueing dimensioning validated in-sim ------------------------------------

@@ -141,7 +141,7 @@ TEST(DiagnosticLog, ReplayReproducesClassificationOffBoard) {
   EvidenceSummary::ComponentFeatures features;
   summary.component_features(1, rig.round(), features);
   const auto offboard = classifier.classify(features, rig.round());
-  EXPECT_EQ(offboard.cls, onboard.cls) << offboard.rationale;
+  EXPECT_EQ(offboard.cls, onboard.cls) << rationale(offboard);
 }
 
 TEST(TechnicianReport, RendersBarsAndRationales) {
@@ -154,7 +154,7 @@ TEST(TechnicianReport, RendersBarsAndRationales) {
   bad.fru = "component 1";
   bad.trust = 0.3;
   bad.diagnosis = {fault::FaultClass::kComponentInternal,
-                   fault::Persistence::kIntermittent, 0.8, "wearing out"};
+                   fault::Persistence::kIntermittent, 0.85, Rule::kWearout};
   bad.action = fault::MaintenanceAction::kReplaceComponent;
   rows.push_back(bad);
 
@@ -162,7 +162,7 @@ TEST(TechnicianReport, RendersBarsAndRationales) {
   EXPECT_EQ(text.find("component 0"), std::string::npos);  // hidden healthy
   EXPECT_NE(text.find("component 1"), std::string::npos);
   EXPECT_NE(text.find("###......."), std::string::npos);  // 30% bar
-  EXPECT_NE(text.find("wearing out"), std::string::npos);
+  EXPECT_NE(text.find("(wearout signature)"), std::string::npos);
   EXPECT_NE(text.find("replace-component"), std::string::npos);
 
   analysis::TechnicianReportOptions show_all;
@@ -177,14 +177,13 @@ TEST(TechnicianReport, OnaFindingsRendered) {
                                 sim::milliseconds(600), 0.7,
                                 sim::milliseconds(10));
   rig.run(sim::seconds(5));
-  const auto engine = OnaEngine::standard_rules();
-  const EvidenceSummary& summary = rig.diag().assessor().summary();
-  EvidenceSummary::ComponentFeatures features;
-  summary.component_features(1, rig.round(), features);
-  const OnaContext ctx{1, features, rig.round()};
-  const auto text = analysis::render_ona_findings(engine, ctx);
-  EXPECT_NE(text.find("wearout"), std::string::npos);
+  const std::vector<FruReport> rows = rig.diag().report();
+  ASSERT_GT(rows.size(), 1u);
+  ASSERT_EQ(rows[1].fru, "component 1");
+  const auto text = analysis::render_technician_report({rows[1]});
   EXPECT_NE(text.find("component-internal"), std::string::npos);
+  // The wearout ONA, first in table order, heads the row's ONA line.
+  EXPECT_NE(text.find("ONAs asserted: wearout"), std::string::npos);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// Tests for the declarative Out-of-Norm Assertion framework: condition
-// primitives on synthetic evidence, the standard rule base against the
-// Fig. 8 archetypes (unit level), and agreement between the triggered
+// Tests for the Out-of-Norm Assertion table: the feature predicates the
+// pattern ONAs conjoin, on synthetic evidence; the pattern ONAs against
+// the Fig. 8 archetypes (unit level); and agreement between the asserted
 // ONAs and the rule classifier on live end-to-end scenarios. Every
-// context is built from an EvidenceSummary, the ONAs' one feature source.
+// feature value is read from an EvidenceSummary, the ONAs' one feature
+// source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "diag/classifier.hpp"
@@ -43,68 +43,53 @@ EvidenceStore synthetic_sender_evidence(platform::ComponentId subject,
   return ev;
 }
 
-/// The ONA context of `subject` at `now` over synthetic evidence: its
-/// features read through an EvidenceSummary with sender-spread bar 2 and
-/// the default spatial radius on a 5-component cluster. Converts to the OnaContext, which
-/// refers into this object.
-class SyntheticContext {
- public:
-  SyntheticContext(const EvidenceStore& ev, platform::ComponentId subject,
-                   tta::RoundId now, const fault::SpatialLayout& layout)
-      : summary_(&ev, FeatureParams{.sender_spread = 2, .spatial_radius = 1.6},
-                 5, layout),
-        subject_(subject),
-        now_(now) {
-    summary_.component_features(subject, now, features_);
+/// The features of `subject` at `now` over synthetic evidence, read
+/// through an EvidenceSummary with sender-spread bar 2 and the default
+/// spatial radius on a 5-component cluster.
+struct Synthetic {
+  Synthetic(const EvidenceStore& ev, platform::ComponentId subject,
+            tta::RoundId at, const fault::SpatialLayout& layout)
+      : summary(&ev, FeatureParams{.sender_spread = 2, .spatial_radius = 1.6},
+                5, layout),
+        now(at) {
+    summary.component_features(subject, now, f);
   }
-  // NOLINTNEXTLINE(google-explicit-constructor): stands in for the context
-  operator OnaContext() const {
-    return {subject_, features_, now_};
-  }
+  [[nodiscard]] std::vector<Ona> onas() const { return pattern_onas(f, now); }
 
- private:
-  EvidenceSummary summary_;
-  EvidenceSummary::ComponentFeatures features_;
-  platform::ComponentId subject_;
-  tta::RoundId now_;
+  EvidenceSummary summary;
+  EvidenceSummary::ComponentFeatures f;
+  tta::RoundId now;
 };
 
-/// The names of the standard ONAs the live rig's assessor asserts on
-/// `subject`, from its summary's features at the rig's current round.
-std::vector<std::string> live_onas(scenario::Fig10System& rig,
-                                   platform::ComponentId subject) {
+/// The pattern ONAs the live rig's assessor asserts on `subject`, from
+/// its summary's features at the rig's current round.
+std::vector<Ona> live_onas(scenario::Fig10System& rig,
+                           platform::ComponentId subject) {
   const EvidenceSummary& summary = rig.diag().assessor().summary();
   EvidenceSummary::ComponentFeatures features;
   summary.component_features(subject, rig.round(), features);
-  const OnaContext ctx{subject, features, rig.round()};
-  const OnaEngine engine = OnaEngine::standard_rules();
-  std::vector<std::string> names;
-  for (const auto* h : engine.evaluate(ctx)) names.push_back(h->name());
-  return names;
+  return pattern_onas(features, rig.round());
 }
 
-bool contains(const std::vector<std::string>& names, const std::string& n) {
-  return std::find(names.begin(), names.end(), n) != names.end();
+bool contains(const std::vector<Ona>& onas, Ona o) {
+  return std::find(onas.begin(), onas.end(), o) != onas.end();
 }
 
 TEST(OnaConditions, SenderEpisodeCountAtLeast) {
   const auto layout = fault::SpatialLayout::linear(5);
   const auto ev = synthetic_sender_evidence(0, 5, 200.0, 1.0);
-  const SyntheticContext ctx(ev, 0, 2000, layout);
-  EXPECT_TRUE(conditions::sender_episode_count_at_least(5)(ctx));
-  EXPECT_FALSE(conditions::sender_episode_count_at_least(6)(ctx));
-  EXPECT_FALSE(conditions::sender_episode_count_at_most(4)(ctx));
-  EXPECT_TRUE(conditions::sender_episode_count_at_most(5)(ctx));
+  const Synthetic s(ev, 0, 2000, layout);
+  EXPECT_GE(s.f.sender_eps.size(), 5u);
+  EXPECT_LT(s.f.sender_eps.size(), 6u);
 }
 
 TEST(OnaConditions, RateIncreasingDetectsAcceleration) {
   const auto layout = fault::SpatialLayout::linear(5);
   const auto accel = synthetic_sender_evidence(0, 8, 400.0, 0.6);
   const auto steady = synthetic_sender_evidence(0, 8, 400.0, 1.0);
-  EXPECT_TRUE(conditions::sender_rate_increasing()(
-      SyntheticContext(accel, 0, 5000, layout)));
-  EXPECT_FALSE(conditions::sender_rate_increasing()(
-      SyntheticContext(steady, 0, 5000, layout)));
+  EXPECT_TRUE(rate_increasing(Synthetic(accel, 0, 5000, layout).f.sender_eps));
+  EXPECT_FALSE(
+      rate_increasing(Synthetic(steady, 0, 5000, layout).f.sender_eps));
 }
 
 TEST(OnaConditions, DenseTailDetectsContinuousRun) {
@@ -120,13 +105,13 @@ TEST(OnaConditions, DenseTailDetectsContinuousRun) {
       ev.ingest(s);
     }
   }
-  const SyntheticContext ctx(ev, 0, 405, layout);
-  EXPECT_TRUE(conditions::sender_dense_tail()(ctx));
-  EXPECT_TRUE(conditions::dominant_omission()(ctx));
-  EXPECT_FALSE(conditions::dominant_timing()(ctx));
+  const Synthetic s(ev, 0, 405, layout);
+  EXPECT_TRUE(s.f.sender_dense_tail(s.now));
+  EXPECT_TRUE(s.f.totals.omission_dominant());
+  EXPECT_FALSE(s.f.totals.timing_dominant());
   // A run that ended long ago is not a dense *tail*.
-  const SyntheticContext stale(ev, 0, 2000, layout);
-  EXPECT_FALSE(conditions::sender_dense_tail()(stale));
+  const Synthetic stale(ev, 0, 2000, layout);
+  EXPECT_FALSE(stale.f.sender_dense_tail(stale.now));
 }
 
 TEST(OnaConditions, ObserverSideAndIsolation) {
@@ -145,57 +130,46 @@ TEST(OnaConditions, ObserverSideAndIsolation) {
       }
     }
   }
-  const SyntheticContext ctx(ev, 3, 1000, layout);
-  EXPECT_TRUE(conditions::observer_episode_count_at_least(3)(ctx));
-  EXPECT_TRUE(conditions::observers_isolated()(ctx));
-  EXPECT_FALSE(conditions::observers_spatially_correlated()(ctx));
-  EXPECT_TRUE(conditions::no_sender_evidence()(ctx));
+  const Synthetic s(ev, 3, 1000, layout);
+  EXPECT_GE(s.f.observer_eps.size(), 3u);
+  EXPECT_FALSE(s.f.observers_correlated());
+  EXPECT_TRUE(s.f.sender_eps.empty());
 }
 
 TEST(OnaEngine, StandardRulesMatchSyntheticArchetypes) {
   const auto layout = fault::SpatialLayout::linear(5);
-  const auto engine = OnaEngine::standard_rules();
 
   // Wearout: accelerating CRC episodes.
   {
     const auto ev = synthetic_sender_evidence(0, 8, 400.0, 0.6);
-    const auto hits = engine.evaluate(SyntheticContext(ev, 0, 5000, layout));
-    ASSERT_FALSE(hits.empty());
-    bool wearout = false;
-    for (const auto* h : hits) wearout |= (h->name() == "wearout");
-    EXPECT_TRUE(wearout);
+    EXPECT_TRUE(contains(Synthetic(ev, 0, 5000, layout).onas(), Ona::kWearout));
   }
   // Isolated transient: one short burst.
   {
     const auto ev = synthetic_sender_evidence(0, 1, 200.0, 1.0);
-    const auto hits = engine.evaluate(SyntheticContext(ev, 0, 5000, layout));
+    const auto hits = Synthetic(ev, 0, 5000, layout).onas();
     ASSERT_EQ(hits.size(), 1u);
-    EXPECT_EQ(hits[0]->name(), "isolated-transient");
-    EXPECT_EQ(hits[0]->indicates(), fault::FaultClass::kComponentExternal);
+    EXPECT_EQ(hits[0], Ona::kIsolatedTransient);
+    EXPECT_STREQ(to_string(hits[0]), "isolated-transient");
+    EXPECT_EQ(indicates(hits[0]), fault::FaultClass::kComponentExternal);
   }
   // No evidence: nothing triggers.
   {
     EvidenceStore ev;
-    EXPECT_TRUE(engine.evaluate(SyntheticContext(ev, 0, 100, layout)).empty());
+    EXPECT_TRUE(Synthetic(ev, 0, 100, layout).onas().empty());
   }
 }
 
 TEST(OnaEngine, UntriggeredRuleRequiresAllConditions) {
-  OutOfNormAssertion ona(
-      "test", fault::FaultClass::kComponentInternal,
-      {conditions::sender_episode_count_at_least(1),
-       conditions::dominant_timing()});
+  // Accelerating timing-error episodes: the wearout time signature holds,
+  // its value signature (corruption dominant) does not, so no wearout.
   const auto layout = fault::SpatialLayout::linear(5);
-  // CRC-dominant evidence: first condition holds, second does not.
-  const auto ev = synthetic_sender_evidence(0, 3, 200.0, 1.0);
-  EXPECT_FALSE(ona.triggered(SyntheticContext(ev, 0, 2000, layout)));
-}
-
-TEST(OnaEngine, EmptyConditionListNeverTriggers) {
-  OutOfNormAssertion ona("empty", fault::FaultClass::kNone, {});
-  EvidenceStore ev;
-  const auto layout = fault::SpatialLayout::linear(5);
-  EXPECT_FALSE(ona.triggered(SyntheticContext(ev, 0, 0, layout)));
+  const auto ev = synthetic_sender_evidence(0, 8, 400.0, 0.6,
+                                            SymptomType::kSlotTimingError);
+  const Synthetic s(ev, 0, 5000, layout);
+  ASSERT_TRUE(rate_increasing(s.f.sender_eps));
+  ASSERT_FALSE(s.f.totals.corruption_dominant());
+  EXPECT_FALSE(contains(s.onas(), Ona::kWearout));
 }
 
 // --- live agreement with the classifier -----------------------------------------
@@ -206,7 +180,7 @@ TEST(OnaLive, WearoutScenarioTriggersWearoutOna) {
                                 sim::milliseconds(600), 0.7,
                                 sim::milliseconds(10));
   rig.run(sim::seconds(5));
-  EXPECT_TRUE(contains(live_onas(rig, 1), "wearout"));
+  EXPECT_TRUE(contains(live_onas(rig, 1), Ona::kWearout));
   // And the rule classifier agrees with the ONA's indicated class.
   EXPECT_EQ(rig.diag().assessor().diagnose_component(1).cls,
             fault::FaultClass::kComponentInternal);
@@ -217,7 +191,7 @@ TEST(OnaLive, EmiScenarioTriggersMassiveTransientOna) {
   rig.injector().inject_emi_burst(1.0, 1.1, sim::SimTime{0} + sim::milliseconds(600),
                                   sim::milliseconds(12));
   rig.run(sim::seconds(3));
-  EXPECT_TRUE(contains(live_onas(rig, 1), "massive-transient"));
+  EXPECT_TRUE(contains(live_onas(rig, 1), Ona::kMassiveTransient));
 }
 
 TEST(OnaLive, ConnectorScenarioTriggersConnectorOna) {
@@ -226,7 +200,7 @@ TEST(OnaLive, ConnectorScenarioTriggersConnectorOna) {
                                         sim::milliseconds(250),
                                         sim::milliseconds(10), 0.8);
   rig.run(sim::seconds(5));
-  EXPECT_TRUE(contains(live_onas(rig, 3), "connector"));
+  EXPECT_TRUE(contains(live_onas(rig, 3), Ona::kConnector));
 }
 
 }  // namespace

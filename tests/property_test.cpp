@@ -256,7 +256,7 @@ TEST_P(ClassifierProperty, ArchetypeClassifiedCorrectly) {
   const auto d = job_level
                      ? rig.diag().assessor().diagnose_job(subject_j)
                      : rig.diag().assessor().diagnose_component(subject_c);
-  EXPECT_EQ(d.cls, expected) << d.rationale;
+  EXPECT_EQ(d.cls, expected) << diag::rationale(d);
 }
 
 INSTANTIATE_TEST_SUITE_P(

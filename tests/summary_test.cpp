@@ -77,10 +77,7 @@ void expect_matches_exact(const Classifier& classifier,
     EXPECT_EQ(f.observer_hit, walked.observer_hit);
     EXPECT_EQ(f.guardian_blocks, walked.guardian_blocks);
     EXPECT_EQ(f.guardian_episodes, walked.guardian_episodes);
-    const Diagnosis from_summary = classifier.classify(f, now);
-    const Diagnosis from_walks = classifier.classify(walked, now);
-    EXPECT_EQ(from_summary.cls, from_walks.cls);
-    EXPECT_EQ(from_summary.rationale, from_walks.rationale);
+    EXPECT_EQ(classifier.classify(f, now), classifier.classify(walked, now));
 
     if (cov != nullptr) {
       for (const Episode& e : f.sender_eps) {
