@@ -78,10 +78,11 @@ void BM_ClassifyComponent(benchmark::State& state) {
       }
     }
   }
-  diag::Classifier classifier({}, fault::SpatialLayout::linear(5));
+  diag::Classifier classifier({});
   // Folded up to `rounds` as the assessor's per-round fold leaves it: each
   // classification merges the folded state with the short tail walk.
-  diag::EvidenceSummary summary = classifier.summarize(store, 5);
+  diag::EvidenceSummary summary(&store, classifier.feature_params(5), 5,
+                                fault::SpatialLayout::linear(5));
   summary.fold(rounds);
   for (auto _ : state) {
     diag::EvidenceSummary::ComponentFeatures f;

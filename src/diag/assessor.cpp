@@ -21,9 +21,10 @@ static_assert(Assessor::kStaleAfter >= 4 * Agent::kHeartbeatPeriod);
 Assessor::Assessor(Params p, fault::SpatialLayout layout,
                    std::uint32_t component_count, std::uint32_t job_count)
     : p_(p),
-      classifier_(p.classifier, std::move(layout)),
+      classifier_(p.classifier),
       component_count_(component_count),
-      summary_(classifier_.summarize(store_, component_count)),
+      summary_(&store_, classifier_.feature_params(component_count),
+               component_count, std::move(layout)),
       component_trust_(component_count, TrustParams::kInitial),
       jobs_(job_count),
       component_trajectories_(component_count),
@@ -173,14 +174,6 @@ double Assessor::evidence_quality(platform::ComponentId c) const {
 
 double Assessor::job_evidence_quality(platform::JobId j) const {
   return evidence_quality(host_or_zero(j));
-}
-
-std::vector<platform::ComponentId> Assessor::stale_components() const {
-  std::vector<platform::ComponentId> out;
-  for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    if (channel_degraded(c)) out.push_back(c);
-  }
-  return out;
 }
 
 void Assessor::track_channel(platform::ComponentId agent,
@@ -720,13 +713,24 @@ Diagnosis Assessor::diagnose_component(
 }
 
 Diagnosis Assessor::diagnose_job(platform::JobId j) const {
-  const platform::ComponentId host = host_or_zero(j);
-  const Diagnosis host_diag = diagnose_component(host);
-  static const std::vector<platform::JobId> kNoSiblings;
-  const auto sib_it = jobs_by_host_.find(host);
-  const auto& siblings =
-      sib_it == jobs_by_host_.end() ? kNoSiblings : sib_it->second;
-  Diagnosis d = classifier_.classify_job(store_, j, host_diag, siblings, round_);
+  EvidenceSummary::ComponentFeatures f;
+  summary_.component_features(host_or_zero(j), round_, f);
+  return diagnose_job(j, classifier_.classify(f, round_));
+}
+
+Diagnosis Assessor::diagnose_job(platform::JobId j,
+                                 const Diagnosis& host) const {
+  std::size_t symptomatic_siblings = 0;
+  const auto sib_it = jobs_by_host_.find(host_or_zero(j));
+  if (sib_it != jobs_by_host_.end()) {
+    for (const platform::JobId s : sib_it->second) {
+      if (s != j && summary_.job_features(s).value_symptomatic()) {
+        ++symptomatic_siblings;
+      }
+    }
+  }
+  Diagnosis d = classifier_.classify_job(summary_.job_features(j), host,
+                                         symptomatic_siblings, round_);
   count_classification(d.cls);
   if (prov_ && prov_->enabled() && d.cls != fault::FaultClass::kNone) {
     prov_->event(prov_->journey_for_job(j), obs::ProvStage::kVerdict,

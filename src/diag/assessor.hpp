@@ -5,7 +5,9 @@
 // (the distributed state) and a *trust level* per FRU — the paper's output
 // to the maintenance engineer (Section II-D, Fig. 9). Classification into
 // the maintenance-oriented fault classes is performed on demand by the
-// Classifier over the accumulated evidence.
+// Classifier over the features the evidence summary reads. A job verdict
+// takes its host's verdict as an input (Fig. 10), so each FRU diagnosed
+// counts and traces one verdict.
 //
 // Trust is an evidence accumulator in [0,1]: it recovers slowly through
 // healthy rounds and drops with each symptomatic round, so a healthy FRU's
@@ -261,6 +263,12 @@ class Assessor {
   [[nodiscard]] Diagnosis diagnose_component(
       platform::ComponentId c,
       const EvidenceSummary::ComponentFeatures& f) const;
+  /// The verdict on job `j` given its host's verdict `host`: an input,
+  /// not a verdict served, so only the job's verdict is counted in
+  /// `diag.classifications` and traced.
+  [[nodiscard]] Diagnosis diagnose_job(platform::JobId j,
+                                       const Diagnosis& host) const;
+  /// The same, classifying the host from its features first.
   [[nodiscard]] Diagnosis diagnose_job(platform::JobId j) const;
 
   [[nodiscard]] double component_trust(platform::ComponentId c) const {
@@ -304,8 +312,6 @@ class Assessor {
   [[nodiscard]] bool channel_degraded(platform::ComponentId c) const {
     return !evidence_fresh(c);
   }
-  /// Components whose agent channel is currently degraded.
-  [[nodiscard]] std::vector<platform::ComponentId> stale_components() const;
   [[nodiscard]] const AgentChannel& channel(platform::ComponentId c) const {
     return channels_.at(c);
   }

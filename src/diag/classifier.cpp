@@ -13,8 +13,6 @@ constexpr std::size_t kRecurrenceThreshold = 8;
 /// fault internal intermittent. Catches dense recurrence that the episode
 /// counter under-counts when episodes merge.
 constexpr double kAlphaThreshold = 40.0;
-/// Job value-error rounds needed before judging a job at all.
-constexpr std::size_t kMinValueRounds = 3;
 /// Queue overflows needed to call a configuration fault.
 constexpr std::uint64_t kOverflowThreshold = 10;
 
@@ -136,16 +134,14 @@ Diagnosis Classifier::classify(const EvidenceSummary::ComponentFeatures& f,
           Rule::kNoEvidence};
 }
 
-Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
+Diagnosis Classifier::classify_job(const EvidenceSummary::JobFeatures& f,
                                    const Diagnosis& host_diagnosis,
-                                   const std::vector<platform::JobId>& siblings,
+                                   std::size_t symptomatic_siblings,
                                    tta::RoundId now) const {
-  const JobEvidence& je = ev.job(j);
-  const bool has_value = je.value_rounds.size() >= kMinValueRounds;
-  const bool has_overflow = je.overflow_count >= kOverflowThreshold;
-  const bool has_gap = !je.gap_rounds.empty();
+  const bool has_value = f.value_symptomatic();
+  const bool has_overflow = f.overflow_count >= kOverflowThreshold;
 
-  if (!has_value && !has_overflow && !has_gap) {
+  if (!has_value && !has_overflow && !f.last_gap) {
     return {fault::FaultClass::kNone, fault::Persistence::kTransient, 1.0,
             Rule::kJobConforms};
   }
@@ -160,13 +156,6 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
 
   if (has_value) {
     // Correlated siblings on the same component => hardware, not this job.
-    std::size_t symptomatic_siblings = 0;
-    for (platform::JobId s : siblings) {
-      if (s == j) continue;
-      if (ev.job(s).value_rounds.size() >= kMinValueRounds) {
-        ++symptomatic_siblings;
-      }
-    }
     if (symptomatic_siblings >= 1) {
       return {fault::FaultClass::kComponentInternal,
               fault::Persistence::kIntermittent, 0.75, Rule::kJobSiblings};
@@ -175,12 +164,12 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
     // Job-internal evidence first (Section III-D: transducer vs software
     // cannot be told apart from the interface alone — but a model-based
     // application assertion is exactly the internal information that can).
-    if (je.transducer_suspect_rounds.size() >= kMinValueRounds) {
+    if (f.transducer_suspect_rounds >= EvidenceSummary::kMinValueRounds) {
       return {fault::FaultClass::kJobInherentTransducer,
               fault::Persistence::kPermanent, 0.9,
               Rule::kJobTransducerAssertion};
     }
-    if (magnitudes_drifting(je.value_magnitudes)) {
+    if (f.drifting) {
       return {fault::FaultClass::kJobInherentTransducer,
               fault::Persistence::kPermanent, 0.8, Rule::kJobDrift};
     }
@@ -194,7 +183,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
   }
 
   // Gaps only: the job went silent while its component stayed healthy.
-  const bool recent = je.gap_rounds.back() + 4 * kEpisodeGap >= now;
+  const bool recent = *f.last_gap + 4 * kEpisodeGap >= now;
   return {fault::FaultClass::kJobInherentSoftware,
           recent ? fault::Persistence::kPermanent
                  : fault::Persistence::kTransient,

@@ -13,8 +13,11 @@
 // A component verdict is a pure function of one
 // EvidenceSummary::ComponentFeatures value (diag/summary.hpp), the same
 // value the pattern ONAs read (diag/ona.hpp), and its Fig. 8 tests are
-// the predicates that value and VerdictTotals carry; this class applies
-// the decision rules. Each verdict names the Rule that produced it, and
+// the predicates that value and VerdictTotals carry. A job verdict is a
+// pure function of one EvidenceSummary::JobFeatures value, its host
+// component's verdict and the count of symptomatic sibling jobs on that
+// host (Fig. 10). This class applies the decision rules and reads no
+// evidence store. Each verdict names the Rule that produced it, and
 // rationale() renders that rule as the text a service technician's
 // display shows next to the trust level.
 //
@@ -24,16 +27,13 @@
 // sender-spread bar (E13) and the spatial radius (E3).
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <type_traits>
-#include <vector>
 
-#include "diag/evidence.hpp"
 #include "diag/features.hpp"
 #include "diag/summary.hpp"
-#include "fault/injector.hpp"
 #include "fault/taxonomy.hpp"
 #include "platform/types.hpp"
 
@@ -102,43 +102,36 @@ class Classifier {
     double spatial_radius = 1.6;
   };
 
-  Classifier(Params p, fault::SpatialLayout layout)
-      : p_(p), layout_(std::move(layout)) {}
+  explicit Classifier(Params p) : p_(p) {}
 
   /// Classifies one component FRU from its features at `now`, as read
-  /// from a summary this classifier built (summarize()). Reads nothing
-  /// else: no evidence store, no walk.
+  /// from a summary built with feature_params(). Reads nothing else: no
+  /// evidence store, no walk.
   [[nodiscard]] Diagnosis classify(
       const EvidenceSummary::ComponentFeatures& f, tta::RoundId now) const;
 
-  /// The evidence summary this classifier reads for a cluster of
-  /// `component_count` components over `ev` (not owned; must outlive the
-  /// summary): feature parameters fully resolved (sender_spread
-  /// auto-scaling applied) and spatial layout from here. The one place
-  /// feature parameters are resolved; the assessor and the ONAs read the
-  /// summary's.
-  [[nodiscard]] EvidenceSummary summarize(const EvidenceStore& ev,
-                                          std::uint32_t component_count) const {
-    const FeatureParams fp{p_.sender_spread == 0
-                               ? auto_sender_spread(component_count)
-                               : p_.sender_spread,
-                           p_.spatial_radius};
-    return EvidenceSummary(&ev, fp, component_count, layout_);
+  /// The feature parameters of the evidence summary this classifier reads
+  /// for a cluster of `component_count` components, fully resolved
+  /// (sender_spread auto-scaling applied). The one place they are
+  /// resolved; the assessor and the ONAs read the summary's.
+  [[nodiscard]] FeatureParams feature_params(
+      std::uint32_t component_count) const {
+    return {p_.sender_spread == 0 ? auto_sender_spread(component_count)
+                                  : p_.sender_spread,
+            p_.spatial_radius};
   }
 
-  /// Classifies one job FRU. Needs the host component's diagnosis (a
-  /// component-internal fault explains away job symptoms as job-external)
-  /// and the sibling jobs on the same component (Fig. 10).
-  [[nodiscard]] Diagnosis classify_job(
-      const EvidenceStore& ev, platform::JobId j,
-      const Diagnosis& host_diagnosis,
-      const std::vector<platform::JobId>& siblings, tta::RoundId now) const;
-
-  [[nodiscard]] const fault::SpatialLayout& layout() const { return layout_; }
+  /// Classifies one job FRU from its features at `now`. Needs the host
+  /// component's verdict (a component-internal fault explains away job
+  /// symptoms as job-external) and how many other jobs on the same host
+  /// are value_symptomatic() (Fig. 10).
+  [[nodiscard]] Diagnosis classify_job(const EvidenceSummary::JobFeatures& f,
+                                       const Diagnosis& host_diagnosis,
+                                       std::size_t symptomatic_siblings,
+                                       tta::RoundId now) const;
 
  private:
   Params p_;
-  fault::SpatialLayout layout_;
 };
 
 }  // namespace decos::diag

@@ -24,9 +24,7 @@ void EvidenceStore::ingest(const Symptom& s) {
     }
     case SymptomType::kQueueOverflow: {
       if (!s.subject_job) break;
-      JobEvidence& je = jobs_[*s.subject_job];
-      ++je.overflow_count;
-      je.last_overflow_round = s.round;
+      ++jobs_[*s.subject_job].overflow_count;
       break;
     }
     case SymptomType::kValueOutOfRange: {
@@ -65,8 +63,8 @@ void EvidenceStore::ingest(const Symptom& s) {
 }
 
 tta::RoundId EvidenceStore::prune(tta::RoundId now) {
-  if (now <= p_.window_rounds) return 0;
-  const tta::RoundId cutoff = now - p_.window_rounds;
+  if (now <= kWindowRounds) return 0;
+  const tta::RoundId cutoff = now - kWindowRounds;
   for (auto& [c, rounds] : about_) {
     rounds.erase(rounds.begin(), rounds.lower_bound(cutoff));
   }

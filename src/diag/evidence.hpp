@@ -4,8 +4,9 @@
 // symptom stream: for every component, who reported what about it in which
 // round (the subject view), and what it reported about others (the
 // observer view); for every job, its value/gap/overflow history. The
-// classifier derives the time/space/value features of the fault patterns
-// (Fig. 8) from these structures.
+// evidence summary (diag/summary.hpp) derives the time/space/value
+// features of the fault patterns (Fig. 8) from these structures; the
+// classifier reads only those features.
 //
 // Old per-round detail is pruned beyond a window, with running totals
 // retained, so multi-hour runs stay bounded in memory.
@@ -44,18 +45,12 @@ struct JobEvidence {
   /// Rounds with a model-based transducer assertion from the job itself.
   std::vector<tta::RoundId> transducer_suspect_rounds;
   std::uint64_t overflow_count = 0;
-  tta::RoundId last_overflow_round = 0;
 };
 
 class EvidenceStore {
  public:
-  struct Params {
-    /// Rounds of per-round detail retained.
-    tta::RoundId window_rounds = 200'000;
-  };
-
-  EvidenceStore() : EvidenceStore(Params{}) {}
-  explicit EvidenceStore(Params p) : p_(p) {}
+  /// Rounds of per-round detail retained.
+  static constexpr tta::RoundId kWindowRounds = 200'000;
 
   /// Ingests one decoded symptom.
   void ingest(const Symptom& s);
@@ -79,14 +74,10 @@ class EvidenceStore {
 
   // --- job view ----------------------------------------------------------------
   [[nodiscard]] const JobEvidence& job(platform::JobId j) const;
-  [[nodiscard]] const std::map<platform::JobId, JobEvidence>& jobs() const {
-    return jobs_;
-  }
 
   [[nodiscard]] std::uint64_t symptoms_ingested() const { return ingested_; }
 
  private:
-  Params p_;
   std::map<platform::ComponentId, std::map<tta::RoundId, SubjectRound>> about_;
   std::map<platform::ComponentId, std::map<tta::RoundId, ObserverRound>> by_observer_;
   std::map<platform::ComponentId, std::vector<tta::RoundId>> guardian_blocks_;

@@ -60,7 +60,7 @@ inline constexpr tta::RoundId kEpisodeGap = 25;
 inline constexpr tta::RoundId kCorrelationDelta = 10;
 
 /// The two feature parameters an experiment turns (E13 the sender-spread
-/// bar, E3 the spatial radius), as Classifier::summarize resolves them.
+/// bar, E3 the spatial radius), as Classifier::feature_params resolves them.
 struct FeatureParams {
   /// Senders an observer must flag in one round for a receive-path
   /// (observer-side) round; also the self-suspicion bar for credibility.

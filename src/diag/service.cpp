@@ -216,16 +216,6 @@ const Assessor* DiagnosticService::resolve_job(
   return a;
 }
 
-std::size_t DiagnosticService::serving_assessor(
-    platform::ComponentId c) const {
-  check_failover();
-  const Assessor* a = resolve_component(c, nullptr);
-  for (std::size_t i = 0; i < assessors_.size(); ++i) {
-    if (assessors_[i].get() == a) return i;
-  }
-  return 0;
-}
-
 double DiagnosticService::component_trust(platform::ComponentId c) const {
   check_failover();
   const VerdictDelta* d = nullptr;
@@ -439,6 +429,10 @@ std::vector<FruReport> DiagnosticService::report() const {
   check_failover();
   obs::Registry& metrics = system_.simulator().metrics();
   std::vector<FruReport> rows;
+  rows.reserve(system_.component_count() + subject_jobs_.size());
+  // Each component's verdict from its serving assessor's own evidence: the
+  // host verdict of its job rows, which resolve to the same assessor.
+  std::vector<Diagnosis> local(system_.component_count());
   EvidenceSummary::ComponentFeatures feat;
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
     const VerdictDelta* delta = nullptr;
@@ -450,8 +444,9 @@ std::vector<FruReport> DiagnosticService::report() const {
     // One feature read per row: the verdict and the pattern ONAs both
     // evaluate this value, under the summary's resolved parameters.
     a->summary().component_features(c, a->current_round(), feat);
-    row.diagnosis =
-        delta ? disseminated(*delta) : a->diagnose_component(c, feat);
+    local[c] = delta ? a->classifier().classify(feat, a->current_round())
+                     : a->diagnose_component(c, feat);
+    row.diagnosis = delta ? disseminated(*delta) : local[c];
     row.action = row.diagnosis.action();
     row.evidence_quality = delta ? 0.0 : a->evidence_quality(c);
     row.evidence_age = a->evidence_age(c);
@@ -490,7 +485,8 @@ std::vector<FruReport> DiagnosticService::report() const {
     row.component = job.host();
     row.job = j;
     row.trust = delta ? delta->trust : a->job_trust(j);
-    row.diagnosis = delta ? disseminated(*delta) : a->diagnose_job(j);
+    row.diagnosis =
+        delta ? disseminated(*delta) : a->diagnose_job(j, local[job.host()]);
     row.action = row.diagnosis.action();
     row.evidence_quality = a->job_evidence_quality(j);
     row.evidence_age = a->evidence_age(job.host());

@@ -65,7 +65,7 @@ struct FruReport {
   /// heard the agent recently and the verdict rests on stale evidence.
   double evidence_quality = 1.0;
   /// Rounds since the FRU's agent was last heard by the assessor serving
-  /// this row (`serving_assessor`; in legacy mode the active one).
+  /// this row (in legacy mode the active one).
   tta::RoundId evidence_age = 0;
   /// Whether the agent was heard within the assessor's staleness
   /// threshold. Derived from the integer evidence age, never from
@@ -183,10 +183,6 @@ class DiagnosticService {
       platform::ComponentId c) const;
   [[nodiscard]] std::optional<tta::RoundId> first_job_violation(
       platform::JobId j) const;
-  /// Index of the assessor currently composing `c`'s verdict (hierarchy:
-  /// the first alive tester that heard the agent, else the responsible
-  /// tester serving from cache; legacy: the active assessor).
-  [[nodiscard]] std::size_t serving_assessor(platform::ComponentId c) const;
   /// Summed dissemination counters across every assessor position.
   [[nodiscard]] Assessor::HierarchyStats hierarchy_stats() const;
 

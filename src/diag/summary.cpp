@@ -180,4 +180,14 @@ void EvidenceSummary::component_features(platform::ComponentId c,
   }
 }
 
+EvidenceSummary::JobFeatures EvidenceSummary::job_features(
+    platform::JobId j) const {
+  const JobEvidence& je = store_->job(j);
+  return {je.value_rounds.size(), je.transducer_suspect_rounds.size(),
+          je.overflow_count,
+          je.gap_rounds.empty() ? std::nullopt
+                                : std::optional(je.gap_rounds.back()),
+          magnitudes_drifting(je.value_magnitudes)};
+}
+
 }  // namespace decos::diag

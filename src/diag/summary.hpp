@@ -1,6 +1,6 @@
 // Incremental per-round evidence summaries — the one source of the
-// component features, so classification cost is independent of the
-// evidence window.
+// component and job features, so classification cost is independent of
+// the evidence window.
 //
 // Walking the per-round detail of the evidence store for every feature
 // (credible sender rounds, observer rounds, verdict totals, alpha score)
@@ -29,10 +29,14 @@
 // to the exact walks for integer-valued features (episodes, totals); the
 // alpha accumulator folds multiplicatively and may differ from the exact
 // sum in the last ulp.
+//
+// A job's features (JobFeatures) are counts and flags over its own short
+// value, gap and overflow history, read from the store on demand.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "diag/evidence.hpp"
@@ -52,16 +56,20 @@ class EvidenceSummary {
   static constexpr double kAlphaDecay = 0.999;
   /// Rounds of continuous sender trouble that mean a dead (permanent) FRU.
   static constexpr tta::RoundId kPermanentOmissionRounds = 200;
+  /// Rounds of value errors, or of transducer assertions, before a job's
+  /// value history is judged at all.
+  static constexpr std::size_t kMinValueRounds = 3;
 
   /// `store` is not owned and must outlive the summary (or be re-pointed
   /// with rebind after a wholesale copy). `fp` must be the fully resolved
   /// feature parameters the classifier uses — sender_spread already
-  /// scaled to the component count (Classifier::summarize builds it so).
+  /// scaled to the component count (Classifier::feature_params).
   EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
                   std::uint32_t component_count, fault::SpatialLayout layout);
 
   [[nodiscard]] const EvidenceStore& evidence() const { return *store_; }
   [[nodiscard]] const FeatureParams& feature_params() const { return fp_; }
+  [[nodiscard]] const fault::SpatialLayout& layout() const { return layout_; }
   /// Last folded round; 0 while nothing is folded (a fold always moves
   /// the horizon to round 1 or later, so round 0 is never lost).
   [[nodiscard]] tta::RoundId horizon() const { return horizon_; }
@@ -134,6 +142,27 @@ class EvidenceSummary {
   };
   void component_features(platform::ComponentId c, tta::RoundId now,
                           ComponentFeatures& out) const;
+
+  /// Everything the classifier reads about one job's own history.
+  struct JobFeatures {
+    /// Rounds with a value-out-of-range symptom, and rounds with the job's
+    /// own model-based transducer assertion.
+    std::size_t value_rounds = 0;
+    std::size_t transducer_suspect_rounds = 0;
+    std::uint64_t overflow_count = 0;
+    /// Latest round the job's messages went missing; nullopt if never.
+    std::optional<tta::RoundId> last_gap;
+    /// The worst magnitude per value round grows (magnitudes_drifting):
+    /// the sensor-drift value signature.
+    bool drifting = false;
+
+    /// At least kMinValueRounds value-error rounds: the job emits
+    /// out-of-spec values.
+    [[nodiscard]] bool value_symptomatic() const {
+      return value_rounds >= kMinValueRounds;
+    }
+  };
+  [[nodiscard]] JobFeatures job_features(platform::JobId j) const;
 
  private:
   struct ComponentFold {

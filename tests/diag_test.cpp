@@ -124,7 +124,7 @@ TEST(EvidenceStore, IngestsJobSymptoms) {
 }
 
 TEST(EvidenceStore, PruneDropsOldDetailKeepsTotals) {
-  EvidenceStore ev{EvidenceStore::Params{.window_rounds = 100}};
+  EvidenceStore ev;
   Symptom s;
   s.type = SymptomType::kSlotCrcError;
   s.subject_component = 1;
@@ -136,7 +136,7 @@ TEST(EvidenceStore, PruneDropsOldDetailKeepsTotals) {
     ev.ingest(s);
   }
   EXPECT_EQ(ev.about(1).size(), 50u);
-  ev.prune(500);
+  ev.prune(EvidenceStore::kWindowRounds + 500);
   EXPECT_TRUE(ev.about(1).empty());
 }
 
@@ -529,6 +529,29 @@ TEST(Report, EvidenceStateIsFreshnessFlagNotQualityCompare) {
   row.evidence_quality = 1.0;
   row.evidence_fresh = false;
   EXPECT_STREQ(row.evidence_state(), "no-recent-evidence");
+}
+
+/// Sum of the `diag.classifications` cells of the rig's registry.
+std::uint64_t classifications(scenario::Fig10System& rig) {
+  std::uint64_t n = 0;
+  for (const auto& e : rig.sim().metrics().snapshot().entries) {
+    if (e.name == "diag.classifications") n += e.counter;
+  }
+  return n;
+}
+
+TEST(Report, ClassifiesEachFruOncePerRead) {
+  // Regression: a job verdict classified its host again, so each job row
+  // counted (and traced) a second verdict: 31 for 18 rows, 2 for one job.
+  scenario::Fig10System rig({.seed = 1});
+  rig.run(sim::seconds(1));
+  std::uint64_t before = classifications(rig);
+  const auto rows = rig.diag().report();
+  ASSERT_EQ(rows.size(), 18u);
+  EXPECT_EQ(classifications(rig) - before, rows.size());
+  before = classifications(rig);
+  (void)rig.diag().assessor().diagnose_job(rig.a(0));
+  EXPECT_EQ(classifications(rig) - before, 1u);
 }
 
 TEST(EndToEnd, PipelineIsDeterministic) {

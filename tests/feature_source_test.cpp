@@ -4,7 +4,9 @@
 // from the serving assessor's summary, yields — so an asserted fault
 // pattern can never rest on a different observer-credibility bar than the
 // verdict next to it. Checked on every fault archetype of the Fig. 10
-// rig, and against the exact walks under the same parameters.
+// rig, and against the exact walks under the same parameters. Every job
+// row carries the verdict the assessor gives the job on its own, with the
+// host verdict classified afresh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,9 +35,12 @@ std::vector<FruReport> expect_rows_follow_features(
   const Assessor& a = rig.diag().assessor();
   std::size_t component_rows = 0;
   for (const FruReport& row : rows) {
-    if (row.job) continue;
-    ++component_rows;
     SCOPED_TRACE(row.fru);
+    if (row.job) {
+      EXPECT_EQ(row.diagnosis, a.diagnose_job(*row.job));
+      continue;
+    }
+    ++component_rows;
     EvidenceSummary::ComponentFeatures f;
     a.summary().component_features(row.component, a.current_round(), f);
 
@@ -48,7 +53,7 @@ std::vector<FruReport> expect_rows_follow_features(
     // parameters.
     const EvidenceSummary::ComponentFeatures walked = exact_component_features(
         a.evidence(), row.component, a.current_round(),
-        a.summary().feature_params(), a.classifier().layout(),
+        a.summary().feature_params(), a.summary().layout(),
         rig.options().components);
     EXPECT_EQ(asserted, pattern_onas(walked, a.current_round()));
 

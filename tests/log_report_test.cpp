@@ -135,8 +135,9 @@ TEST(DiagnosticLog, ReplayReproducesClassificationOffBoard) {
   ASSERT_TRUE(replayed.has_value());
   EvidenceStore store;
   replayed->replay_into(store);
-  Classifier classifier({}, fault::SpatialLayout::linear(5));
-  EvidenceSummary summary = classifier.summarize(store, 5);
+  Classifier classifier({});
+  EvidenceSummary summary(&store, classifier.feature_params(5), 5,
+                          fault::SpatialLayout::linear(5));
   summary.fold(rig.round());
   EvidenceSummary::ComponentFeatures features;
   summary.component_features(1, rig.round(), features);

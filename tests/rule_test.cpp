@@ -1,8 +1,7 @@
-// The classifier's rule identity: one feature value or job history per
-// decision rule drives every component rule and every job rule, each
-// verdict names the rule that fired, and neither classify nor
-// classify_job allocates — a verdict is a value, its text is rendered
-// only on demand by rationale().
+// The classifier's rule identity: one feature value per decision rule
+// drives every component rule and every job rule, each verdict names the
+// rule that fired, and neither classify nor classify_job allocates — a
+// verdict is a value, its text is rendered only on demand by rationale().
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "diag/classifier.hpp"
@@ -43,6 +43,8 @@ namespace decos::diag {
 namespace {
 
 using Features = EvidenceSummary::ComponentFeatures;
+using JobFeatures = EvidenceSummary::JobFeatures;
+static_assert(std::is_trivially_copyable_v<JobFeatures>);
 
 constexpr tta::RoundId kNow = 5000;
 
@@ -76,18 +78,8 @@ Features observer_side(int n, int hits) {
   return f;
 }
 
-Symptom job_symptom(SymptomType type, platform::JobId j, tta::RoundId round,
-                    double magnitude) {
-  Symptom s;
-  s.type = type;
-  s.subject_job = j;
-  s.round = round;
-  s.magnitude = magnitude;
-  return s;
-}
-
 TEST(ClassifierRules, EveryRuleFiresWithoutAllocating) {
-  const Classifier classifier({}, fault::SpatialLayout::linear(5));
+  const Classifier classifier({});
 
   const Features guardian{.guardian_episodes = 3};
   const std::vector<std::pair<Features, Rule>> components = {
@@ -106,39 +98,33 @@ TEST(ClassifierRules, EveryRuleFiresWithoutAllocating) {
       {Features{}, Rule::kNoEvidence},
   };
 
-  // One history per job id; job 3 is the symptomatic sibling of job 2.
-  EvidenceStore ev;
-  for (tta::RoundId r = 100; r < 103; ++r) {
-    for (const platform::JobId j : {1u, 2u, 3u, 4u, 6u}) {
-      ev.ingest(job_symptom(SymptomType::kValueOutOfRange, j, r, 1.0));
-    }
-    ev.ingest(job_symptom(SymptomType::kTransducerSuspect, 4, r, 0.0));
-  }
-  for (tta::RoundId r = 0; r < 8; ++r) {  // a drifting sensor
-    ev.ingest(job_symptom(SymptomType::kValueOutOfRange, 5, 100 + r,
-                          1.0 + static_cast<double>(r)));
-  }
-  for (int i = 0; i < 10; ++i) {
-    ev.ingest(job_symptom(SymptomType::kQueueOverflow, 7, 100, 0.0));
-  }
-  ev.ingest(job_symptom(SymptomType::kMessageGap, 8, kNow - 10, 0.0));
+  // Each job rule fires at its threshold; one below it, the next rule in
+  // the order takes over.
+  const JobFeatures value{.value_rounds = 3};
   const Diagnosis healthy_host = classifier.classify(Features{}, kNow);
   const Diagnosis faulty_host = classifier.classify(guardian, kNow);
   struct JobCase {
-    platform::JobId job;
+    JobFeatures f;
     Diagnosis host;
-    std::vector<platform::JobId> siblings;
+    std::size_t siblings;
     Rule rule;
   };
   const std::vector<JobCase> jobs = {
-      {0, healthy_host, {}, Rule::kJobConforms},
-      {1, faulty_host, {}, Rule::kJobHostFault},
-      {2, healthy_host, {2, 3}, Rule::kJobSiblings},
-      {4, healthy_host, {}, Rule::kJobTransducerAssertion},
-      {5, healthy_host, {}, Rule::kJobDrift},
-      {6, healthy_host, {}, Rule::kJobSoftware},
-      {7, healthy_host, {}, Rule::kJobConfiguration},
-      {8, healthy_host, {}, Rule::kJobCrash},
+      {{.value_rounds = 2, .transducer_suspect_rounds = 3,
+        .overflow_count = 9},
+       faulty_host, 1, Rule::kJobConforms},
+      {value, faulty_host, 1, Rule::kJobHostFault},
+      {value, healthy_host, 1, Rule::kJobSiblings},
+      {{.value_rounds = 3, .transducer_suspect_rounds = 3, .drifting = true},
+       healthy_host, 0, Rule::kJobTransducerAssertion},
+      {{.value_rounds = 3, .transducer_suspect_rounds = 2, .drifting = true},
+       healthy_host, 0, Rule::kJobDrift},
+      {value, healthy_host, 0, Rule::kJobSoftware},
+      {{.value_rounds = 2, .overflow_count = 10, .last_gap = kNow},
+       healthy_host, 1, Rule::kJobConfiguration},
+      {{.value_rounds = 2, .overflow_count = 9,
+        .last_gap = kNow - 4 * kEpisodeGap},
+       healthy_host, 1, Rule::kJobCrash},
   };
 
   std::array<Diagnosis, 19> verdicts{};
@@ -149,8 +135,7 @@ TEST(ClassifierRules, EveryRuleFiresWithoutAllocating) {
     verdicts[k++] = classifier.classify(f, kNow);
   }
   for (const JobCase& c : jobs) {
-    verdicts[k++] =
-        classifier.classify_job(ev, c.job, c.host, c.siblings, kNow);
+    verdicts[k++] = classifier.classify_job(c.f, c.host, c.siblings, kNow);
   }
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
 
@@ -162,6 +147,12 @@ TEST(ClassifierRules, EveryRuleFiresWithoutAllocating) {
   for (const JobCase& c : jobs) {
     EXPECT_EQ(verdicts[k++].rule, c.rule) << rationale({.rule = c.rule});
   }
+  // A crash whose last gap is at most 4 episode gaps old is permanent.
+  EXPECT_EQ(verdicts.back().persistence, fault::Persistence::kPermanent);
+  const JobFeatures older_gap{.last_gap = kNow - 4 * kEpisodeGap - 1};
+  EXPECT_EQ(
+      classifier.classify_job(older_gap, healthy_host, 0, kNow).persistence,
+      fault::Persistence::kTransient);
 }
 
 TEST(ClassifierRules, DisseminatedRationaleNamesOriginAndRound) {

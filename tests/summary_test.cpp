@@ -42,13 +42,14 @@ struct Coverage {
 
 /// Compares the summary's features for every component at `now` with the
 /// exact walks over the same store and the same resolved parameters, and
-/// the verdicts `classifier` (which built the summary) reaches from each.
+/// the verdicts `classifier` (whose feature_params the summary holds)
+/// reaches from each.
 void expect_matches_exact(const Classifier& classifier,
                           const EvidenceSummary& s, tta::RoundId now,
                           std::uint32_t components, Coverage* cov = nullptr) {
   const EvidenceStore& ev = s.evidence();
   const FeatureParams& fp = s.feature_params();
-  const fault::SpatialLayout& layout = classifier.layout();
+  const fault::SpatialLayout& layout = s.layout();
   for (platform::ComponentId c = 0; c < components; ++c) {
     SCOPED_TRACE("component " + std::to_string(c) + " at round " +
                  std::to_string(now) + " (horizon " +
@@ -196,9 +197,10 @@ void drive_synthetic(const Classifier& classifier, EvidenceStore& store,
 
 TEST(EvidenceSummary, MatchesExactWalksUnderLateArrivals) {
   const auto layout = fault::SpatialLayout::linear(kComponents);
-  const Classifier classifier({}, layout);
+  const Classifier classifier({});
   EvidenceStore store;
-  EvidenceSummary summary = classifier.summarize(store, kComponents);
+  EvidenceSummary summary(&store, classifier.feature_params(kComponents),
+                          kComponents, layout);
   Coverage cov;
   drive_synthetic(classifier, store, summary, 2000, 97, &cov);
   EXPECT_EQ(summary.horizon(), 1999 - EvidenceSummary::kFoldLag);
@@ -210,9 +212,10 @@ TEST(EvidenceSummary, MatchesExactWalksUnderLateArrivals) {
 
 TEST(EvidenceSummary, ArrivalAtOrBeforeHorizonForcesRebuild) {
   const auto layout = fault::SpatialLayout::linear(kComponents);
-  const Classifier classifier({}, layout);
+  const Classifier classifier({});
   EvidenceStore store;
-  EvidenceSummary summary = classifier.summarize(store, kComponents);
+  EvidenceSummary summary(&store, classifier.feature_params(kComponents),
+                          kComponents, layout);
   drive_synthetic(classifier, store, summary, 1200, 400, nullptr);
   const tta::RoundId now = 1199;
   const tta::RoundId horizon = summary.horizon();
