@@ -41,7 +41,7 @@ Signature measure(const scenario::Fig10System& /*rig*/, diag::Assessor& assessor
       omission += sr.omission;
     }
     for (const auto& [r, orow] : ev.reported_by(c)) {
-      if (orow.senders_reported.size() >= 2) {
+      if (orow.spread() >= 2) {
         touched = true;
         all_rounds.push_back(r);
       }
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     // For wearout the pattern lives in the *subject* rounds of component 1.
     std::vector<tta::RoundId> rounds;
     for (const auto& [r, sr] : assessor.evidence().about(1)) {
-      if (sr.observers.size() >= 2) rounds.push_back(r);
+      if (sr.observer_count() >= 2) rounds.push_back(r);
     }
     const auto eps = diag::episodes_of(rounds, 25);
     double trend = 1.0;
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
     // Connector pattern lives in the observer rounds of component 3.
     std::vector<tta::RoundId> rounds;
     for (const auto& [r, orow] : assessor.evidence().reported_by(3)) {
-      if (orow.senders_reported.size() >= 2) rounds.push_back(r);
+      if (orow.spread() >= 2) rounds.push_back(r);
     }
     const auto eps = diag::episodes_of(rounds, 25);
     const auto d = assessor.diagnose_component(3);

@@ -212,11 +212,12 @@ SectionResult bench_mux_round(tta::RoundId rounds) {
 
 /// Diag ingest path: the evidence store consuming a steady symptom stream
 /// (transport verdicts about a rotating set of senders, plus job-level
-/// value/gap symptoms), pruned to a bounded window as a real assessor
-/// does, but of 2,000 rounds: each prune pretends the store's whole window
-/// minus that has passed, so the bench stays small. Unlike the event and mux spines this path allocates by design —
-/// per-round map/set nodes — so the gate is a *ceiling* per symptom
-/// (regression check), not a hard zero.
+/// value symptoms), pruned every round to a bounded window as a real
+/// assessor does, but of 2,000 rounds: each prune pretends the store's
+/// whole window minus that has passed, so the bench stays small. Like the
+/// event and mux spines this path allocates nothing once warm (flat
+/// round logs with observer masks), and a prune that shifted the whole
+/// window on every round would collapse the throughput floor.
 SectionResult bench_diag_ingest(tta::RoundId rounds) {
   diag::EvidenceStore store;
   constexpr tta::RoundId kPruneAhead =
@@ -247,7 +248,7 @@ SectionResult bench_diag_ingest(tta::RoundId rounds) {
       s.magnitude = rng.uniform(0.1, 2.0);
       store.ingest(s);
     }
-    if (r % 512 == 0) store.prune(r + kPruneAhead);
+    store.prune(r + kPruneAhead);
   };
 
   for (tta::RoundId r = 0; r < 4'096; ++r) round_once(r);  // warm-up

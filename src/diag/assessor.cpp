@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <string>
 
 #include "diag/agent.hpp"
@@ -17,6 +18,83 @@ static_assert(EvidenceSummary::kFoldLag > 255 + Agent::kResendSpan);
 static_assert(Assessor::kDedupeWindow > Agent::kResendSpan);
 // One or two lost heartbeats must not read as agent silence.
 static_assert(Assessor::kStaleAfter >= 4 * Agent::kHeartbeatPeriod);
+
+DedupeSet::Slot DedupeSet::slot_of(const DedupKey& k) {
+  assert(k.type != SymptomType{} &&
+         k.observer < EvidenceStore::kMaxComponents);
+  return Slot{k.round, k.subj_c, k.subj_j,
+              static_cast<std::uint8_t>(k.observer), k.type};
+}
+
+std::size_t DedupeSet::probe(const Slot& s) const {
+  // MurmurHash3's 64-bit finaliser over the round and the rest of the
+  // key packed into one word.
+  const std::uint64_t rest =
+      std::uint64_t{s.subj_c} << 32 | std::uint64_t{s.subj_j} << 16 |
+      std::uint64_t{s.observer} << 8 | static_cast<std::uint64_t>(s.type);
+  std::uint64_t h = s.round ^ rest * 0x9E3779B97F4A7C15ull;
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(h) & mask;
+  while (!vacant(slots_[i]) && slots_[i] != s) i = (i + 1) & mask;
+  return i;
+}
+
+void DedupeSet::place(const Slot& s) {
+  slots_[probe(s)] = s;
+  ++size_;
+}
+
+void DedupeSet::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+  old.swap(slots_);
+  size_ = 0;
+  for (const Slot& s : old) {
+    if (!vacant(s)) place(s);
+  }
+}
+
+bool DedupeSet::insert(const Slot& s) {
+  if (!slots_.empty() && !vacant(slots_[probe(s)])) return false;
+  if (4 * (size_ + 1) > 3 * slots_.size()) grow();
+  place(s);
+  return true;
+}
+
+bool DedupeSet::insert(const DedupKey& k) { return insert(slot_of(k)); }
+
+bool DedupeSet::contains(const DedupKey& k) const {
+  return !slots_.empty() && !vacant(slots_[probe(slot_of(k))]);
+}
+
+void DedupeSet::erase_before(tta::RoundId horizon) {
+  if (size_ == 0) return;
+  // Walk the table once from just after a vacant slot, which no probe run
+  // crosses, taking every key out and placing the survivors back. A key
+  // placed back lands at or before its old slot, behind keys already
+  // placed, so every run stays unbroken from its home slot.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t start = 0;
+  while (!vacant(slots_[start])) ++start;
+  for (std::size_t n = 1; n < slots_.size(); ++n) {
+    Slot& slot = slots_[(start + n) & mask];
+    if (vacant(slot)) continue;
+    const Slot s = slot;
+    slot = Slot{};
+    --size_;
+    if (s.round >= horizon) place(s);
+  }
+}
+
+void DedupeSet::merge(const DedupeSet& other) {
+  for (const Slot& s : other.slots_) {
+    if (!vacant(s)) insert(s);
+  }
+}
 
 Assessor::Assessor(Params p, fault::SpatialLayout layout,
                    std::uint32_t component_count, std::uint32_t job_count)
@@ -197,9 +275,9 @@ void Assessor::track_channel(platform::ComponentId agent,
 }
 
 bool Assessor::dedupe_accept(const Symptom& s) {
-  const DedupKey key{s.observer, s.type, s.subject_component,
-                     s.subject_job.value_or(platform::kInvalidJob), s.round};
-  return seen_.insert(key).second;
+  return seen_.insert(DedupKey{s.observer, s.type, s.subject_component,
+                               s.subject_job.value_or(platform::kInvalidJob),
+                               s.round});
 }
 
 void Assessor::ingest_external(const Symptom& s) {
@@ -423,8 +501,7 @@ void Assessor::process(platform::JobContext& ctx) {
     last_dedupe_prune_ = round_;
     const tta::RoundId horizon =
         round_ > kDedupeWindow ? round_ - kDedupeWindow : 0;
-    std::erase_if(seen_,
-                  [horizon](const DedupKey& k) { return k.round < horizon; });
+    seen_.erase_before(horizon);
   }
 
   summary_.fold(round_);
@@ -681,7 +758,7 @@ void Assessor::reconcile_from(const Assessor& fresher) {
     summary_ = fresher.summary_;
     summary_.rebind(&store_);
   }
-  seen_.insert(fresher.seen_.begin(), fresher.seen_.end());
+  seen_.merge(fresher.seen_);
 }
 
 void Assessor::count_classification(fault::FaultClass cls) const {

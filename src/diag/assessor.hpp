@@ -41,7 +41,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <tuple>
 #include <vector>
 
@@ -91,6 +90,64 @@ struct AgentChannel {
   std::uint64_t reported_detected = 0;
   std::uint32_t reported_dropped = 0;
   std::uint64_t heartbeats = 0;
+};
+
+/// Observation key: unique per symptom because agents coalesce to at
+/// most one symptom per (type, subject) per observation round.
+struct DedupKey {
+  platform::ComponentId observer;
+  SymptomType type;
+  platform::ComponentId subj_c;
+  platform::JobId subj_j;
+  tta::RoundId round;
+  bool operator==(const DedupKey&) const = default;
+};
+
+/// The assessor's set of observation keys: an open-addressed table with
+/// linear probing and no tombstones. Its membership is that of a
+/// std::set<DedupKey> given the same inserts, erase_before calls and
+/// merges; nothing reads its order. A key takes one 16-byte slot, and the
+/// table doubles before its load passes 3/4, so past its first 16 slots
+/// it holds at most 43 bytes per key it has held at once, where a tree
+/// node takes 64. The observer is a node of one cluster (below
+/// EvidenceStore::kMaxComponents), and a slot of type 0, which no symptom
+/// has, is vacant.
+class DedupeSet {
+ public:
+  /// Adds `k`; false if it was already a member.
+  bool insert(const DedupKey& k);
+  [[nodiscard]] bool contains(const DedupKey& k) const;
+  /// Drops every key of a round before `horizon`, in place.
+  void erase_before(tta::RoundId horizon);
+  /// Adds every member of `other`.
+  void merge(const DedupeSet& other);
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+
+ private:
+  struct Slot {
+    tta::RoundId round = 0;
+    platform::ComponentId subj_c = 0;
+    platform::JobId subj_j = 0;
+    std::uint8_t observer = 0;
+    SymptomType type{};
+    bool operator==(const Slot&) const = default;
+  };
+  static_assert(sizeof(Slot) == 16);
+  [[nodiscard]] static bool vacant(const Slot& s) {
+    return s.type == SymptomType{};
+  }
+  [[nodiscard]] static Slot slot_of(const DedupKey& k);
+  /// Index of `s` if present, else of the vacant slot ending its run.
+  [[nodiscard]] std::size_t probe(const Slot& s) const;
+  bool insert(const Slot& s);
+  /// Stores `s`, known to be absent, at the end of its run.
+  void place(const Slot& s);
+  void grow();
+
+  /// Power-of-two sized, or empty before the first insert.
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
 };
 
 class Assessor {
@@ -399,17 +456,8 @@ class Assessor {
   bool dedupe_accept(const Symptom& s);
   void export_staleness();
 
-  /// Observation key: unique per symptom because agents coalesce to at
-  /// most one symptom per (type, subject) per observation round.
-  struct DedupKey {
-    platform::ComponentId observer;
-    SymptomType type;
-    platform::ComponentId subj_c;
-    platform::JobId subj_j;
-    tta::RoundId round;
-    auto operator<=>(const DedupKey&) const = default;
-  };
-  std::set<DedupKey> seen_;
+  /// Observation keys ingested within the dedupe horizon.
+  DedupeSet seen_;
   tta::RoundId last_dedupe_prune_ = 0;
 
   std::vector<AgentChannel> channels_;

@@ -2,8 +2,28 @@
 
 namespace decos::diag {
 
-const std::map<tta::RoundId, SubjectRound> EvidenceStore::kEmptySubject{};
-const std::map<tta::RoundId, ObserverRound> EvidenceStore::kEmptyObserver{};
+namespace {
+
+/// The log of component `c`, growing `logs` to hold it.
+template <class Record>
+RoundLog<Record>& log_of(std::vector<RoundLog<Record>>& logs,
+                         platform::ComponentId c) {
+  if (c >= logs.size()) logs.resize(c + 1);
+  return logs[c];
+}
+
+/// The log of component `c`, or `empty` if it was never mentioned.
+template <class Record>
+const RoundLog<Record>& log_of(const std::vector<RoundLog<Record>>& logs,
+                               platform::ComponentId c,
+                               const RoundLog<Record>& empty) {
+  return c < logs.size() ? logs[c] : empty;
+}
+
+}  // namespace
+
+const RoundLog<SubjectRound> EvidenceStore::kEmptySubject{};
+const RoundLog<ObserverRound> EvidenceStore::kEmptyObserver{};
 const JobEvidence EvidenceStore::kEmptyJob{};
 const std::vector<tta::RoundId> EvidenceStore::kEmptyRounds{};
 
@@ -13,13 +33,20 @@ void EvidenceStore::ingest(const Symptom& s) {
     case SymptomType::kSlotCrcError:
     case SymptomType::kSlotTimingError:
     case SymptomType::kSlotOmission: {
-      SubjectRound& sr = about_[s.subject_component][s.round];
-      sr.observers.insert(s.observer);
+      // One mask bit per node of a cluster of at most 64 (tta::Cluster
+      // asserts it): a symptom naming another node, which only a
+      // hand-written log can carry, is no evidence about this cluster.
+      if (s.observer >= kMaxComponents ||
+          s.subject_component >= kMaxComponents) {
+        break;
+      }
+      SubjectRound& sr = log_of(about_, s.subject_component)[s.round];
+      sr.observers |= std::uint64_t{1} << s.observer;
       if (s.type == SymptomType::kSlotCrcError) ++sr.crc;
       if (s.type == SymptomType::kSlotTimingError) ++sr.timing;
       if (s.type == SymptomType::kSlotOmission) ++sr.omission;
-      by_observer_[s.observer][s.round].senders_reported.insert(
-          s.subject_component);
+      log_of(by_observer_, s.observer)[s.round].senders_reported |=
+          std::uint64_t{1} << s.subject_component;
       break;
     }
     case SymptomType::kQueueOverflow: {
@@ -65,12 +92,8 @@ void EvidenceStore::ingest(const Symptom& s) {
 tta::RoundId EvidenceStore::prune(tta::RoundId now) {
   if (now <= kWindowRounds) return 0;
   const tta::RoundId cutoff = now - kWindowRounds;
-  for (auto& [c, rounds] : about_) {
-    rounds.erase(rounds.begin(), rounds.lower_bound(cutoff));
-  }
-  for (auto& [c, rounds] : by_observer_) {
-    rounds.erase(rounds.begin(), rounds.lower_bound(cutoff));
-  }
+  for (auto& rounds : about_) rounds.prune(cutoff);
+  for (auto& rounds : by_observer_) rounds.prune(cutoff);
   // Job evidence: value/gap vectors are bounded by one entry per round of
   // actual misbehaviour; trim the front beyond the window.
   for (auto& [j, je] : jobs_) {
@@ -92,16 +115,14 @@ tta::RoundId EvidenceStore::prune(tta::RoundId now) {
   return cutoff;
 }
 
-const std::map<tta::RoundId, SubjectRound>& EvidenceStore::about(
+const RoundLog<SubjectRound>& EvidenceStore::about(
     platform::ComponentId c) const {
-  auto it = about_.find(c);
-  return it == about_.end() ? kEmptySubject : it->second;
+  return log_of(about_, c, kEmptySubject);
 }
 
-const std::map<tta::RoundId, ObserverRound>& EvidenceStore::reported_by(
+const RoundLog<ObserverRound>& EvidenceStore::reported_by(
     platform::ComponentId c) const {
-  auto it = by_observer_.find(c);
-  return it == by_observer_.end() ? kEmptyObserver : it->second;
+  return log_of(by_observer_, c, kEmptyObserver);
 }
 
 const std::vector<tta::RoundId>& EvidenceStore::guardian_blocks(

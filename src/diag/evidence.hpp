@@ -8,13 +8,28 @@
 // features of the fault patterns (Fig. 8) from these structures; the
 // classifier reads only those features.
 //
-// Old per-round detail is pruned beyond a window, with running totals
-// retained, so multi-hour runs stay bounded in memory.
+// The transport views are flat, because every assessor rebuilds them
+// from the whole symptom stream. An observer set is a 64-bit mask, one
+// bit per node: tta::Cluster caps a cluster at 64 nodes, and the store
+// keeps no transport symptom that names a node beyond that. Each
+// component's subject view and observer view is a RoundLog, an array of
+// {round, record} entries ascending by round. An ingest into the newest
+// round appends or updates the back entry; a late round is found by
+// binary search and inserted in place. The array therefore holds the
+// same rounds, in the same order, with the same records as a round-keyed
+// map would.
+//
+// Old per-round detail is pruned beyond a window, so multi-hour runs stay
+// bounded in memory. A prune advances a head index past the dropped
+// rounds and compacts the array only once the dead prefix is as long as
+// the live part: amortised O(1) per dropped round, and no allocation once
+// the array has reached its high-water mark.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "diag/symptom.hpp"
@@ -25,15 +40,85 @@ namespace decos::diag {
 
 /// Aggregate of symptoms *about* one subject component in one round.
 struct SubjectRound {
-  std::set<platform::ComponentId> observers;
+  /// Observers that reported the subject, bit o for component o.
+  std::uint64_t observers = 0;
   std::uint32_t crc = 0;
   std::uint32_t timing = 0;
   std::uint32_t omission = 0;
+
+  [[nodiscard]] std::size_t observer_count() const {
+    return static_cast<std::size_t>(std::popcount(observers));
+  }
 };
 
 /// Aggregate of transport symptoms one component *reported* in one round.
 struct ObserverRound {
-  std::set<platform::ComponentId> senders_reported;
+  /// Senders the observer reported, bit c for component c.
+  std::uint64_t senders_reported = 0;
+
+  /// How many distinct senders the observer reported.
+  [[nodiscard]] std::size_t spread() const {
+    return static_cast<std::size_t>(std::popcount(senders_reported));
+  }
+};
+
+/// One component's per-round records in ascending round order, holding
+/// what a std::map<RoundId, Record> would: entries are iterated as
+/// `{round, record}` pairs from begin() to end().
+template <class Record>
+class RoundLog {
+ public:
+  struct Entry {
+    tta::RoundId round;
+    Record record;
+  };
+
+  [[nodiscard]] const Entry* begin() const { return entries_.data() + head_; }
+  [[nodiscard]] const Entry* end() const {
+    return entries_.data() + entries_.size();
+  }
+  [[nodiscard]] std::size_t size() const { return entries_.size() - head_; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+
+  /// First entry of a round at or after `r`.
+  [[nodiscard]] const Entry* lower_bound(tta::RoundId r) const {
+    return std::lower_bound(
+        begin(), end(), r,
+        [](const Entry& e, tta::RoundId x) { return e.round < x; });
+  }
+  /// The record of round `r`, or nullptr.
+  [[nodiscard]] const Record* find(tta::RoundId r) const {
+    const Entry* e = lower_bound(r);
+    return e != end() && e->round == r ? &e->record : nullptr;
+  }
+
+  /// The record of round `r`, inserted empty in place if absent (as
+  /// std::map::operator[]).
+  Record& operator[](tta::RoundId r) {
+    if (empty() || entries_.back().round < r) {
+      return entries_.emplace_back(Entry{r, Record{}}).record;
+    }
+    if (entries_.back().round == r) return entries_.back().record;
+    auto it = entries_.begin() + (lower_bound(r) - entries_.data());
+    if (it->round != r) it = entries_.insert(it, Entry{r, Record{}});
+    return it->record;
+  }
+
+  /// Drops the entries of rounds before `cutoff`.
+  void prune(tta::RoundId cutoff) {
+    while (head_ < entries_.size() && entries_[head_].round < cutoff) ++head_;
+    // Each entry the compaction moves is paid for by a dropped one.
+    if (head_ >= size()) {
+      entries_.erase(entries_.begin(),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<Entry> entries_;
+  /// Entries before head_ are pruned and await compaction.
+  std::size_t head_ = 0;
 };
 
 struct JobEvidence {
@@ -49,6 +134,8 @@ struct JobEvidence {
 
 class EvidenceStore {
  public:
+  /// Components a transport symptom may name: one bit each in a mask.
+  static constexpr platform::ComponentId kMaxComponents = 64;
   /// Rounds of per-round detail retained.
   static constexpr tta::RoundId kWindowRounds = 200'000;
 
@@ -60,11 +147,11 @@ class EvidenceStore {
   tta::RoundId prune(tta::RoundId now);
 
   // --- subject view -------------------------------------------------------
-  [[nodiscard]] const std::map<tta::RoundId, SubjectRound>& about(
+  [[nodiscard]] const RoundLog<SubjectRound>& about(
       platform::ComponentId c) const;
 
   // --- observer view --------------------------------------------------------
-  [[nodiscard]] const std::map<tta::RoundId, ObserverRound>& reported_by(
+  [[nodiscard]] const RoundLog<ObserverRound>& reported_by(
       platform::ComponentId c) const;
 
   /// Rounds in which the guardian blocked transmissions of `c` (deduped,
@@ -78,14 +165,15 @@ class EvidenceStore {
   [[nodiscard]] std::uint64_t symptoms_ingested() const { return ingested_; }
 
  private:
-  std::map<platform::ComponentId, std::map<tta::RoundId, SubjectRound>> about_;
-  std::map<platform::ComponentId, std::map<tta::RoundId, ObserverRound>> by_observer_;
+  /// Transport views, indexed by ComponentId (grown on first mention).
+  std::vector<RoundLog<SubjectRound>> about_;
+  std::vector<RoundLog<ObserverRound>> by_observer_;
   std::map<platform::ComponentId, std::vector<tta::RoundId>> guardian_blocks_;
   std::map<platform::JobId, JobEvidence> jobs_;
   std::uint64_t ingested_ = 0;
 
-  static const std::map<tta::RoundId, SubjectRound> kEmptySubject;
-  static const std::map<tta::RoundId, ObserverRound> kEmptyObserver;
+  static const RoundLog<SubjectRound> kEmptySubject;
+  static const RoundLog<ObserverRound> kEmptyObserver;
   static const JobEvidence kEmptyJob;
   static const std::vector<tta::RoundId> kEmptyRounds;
 };

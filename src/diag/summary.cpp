@@ -1,5 +1,6 @@
 #include "diag/summary.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace decos::diag {
@@ -13,7 +14,7 @@ static_assert(kCorrelationDelta < kEpisodeGap);
 
 /// Adds one subject round to the verdict totals if it met the quorum.
 void add_quorum_round(VerdictTotals& t, const SubjectRound& sr) {
-  if (sr.observers.size() < kObserverQuorum) return;
+  if (sr.observer_count() < kObserverQuorum) return;
   ++t.quorum_rounds;
   t.crc += sr.crc;
   t.timing += sr.timing;
@@ -34,11 +35,10 @@ EvidenceSummary::EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
 bool EvidenceSummary::credible_round(tta::RoundId r,
                                      const SubjectRound& sr) const {
   std::uint32_t credible = 0;
-  for (platform::ComponentId o : sr.observers) {
-    const auto& reported = store_->reported_by(o);
-    auto it = reported.find(r);
-    const std::size_t spread =
-        it == reported.end() ? 0 : it->second.senders_reported.size();
+  for (std::uint64_t m = sr.observers; m != 0; m &= m - 1) {
+    const auto o = static_cast<platform::ComponentId>(std::countr_zero(m));
+    const ObserverRound* orow = store_->reported_by(o).find(r);
+    const std::size_t spread = orow ? orow->spread() : 0;
     if (spread < fp_.sender_spread) ++credible;
   }
   return credible >= kObserverQuorum;
@@ -55,9 +55,9 @@ bool EvidenceSummary::episode_correlated(platform::ComponentId c,
     const auto& reported = store_->reported_by(o);
     auto it = reported.lower_bound(
         e.first > kCorrelationDelta ? e.first - kCorrelationDelta : 0);
-    for (; it != reported.end() && it->first <= e.last + kCorrelationDelta;
+    for (; it != reported.end() && it->round <= e.last + kCorrelationDelta;
          ++it) {
-      if (it->second.senders_reported.size() >= fp_.sender_spread) return true;
+      if (it->record.spread() >= fp_.sender_spread) return true;
     }
   }
   return false;
@@ -72,9 +72,9 @@ void EvidenceSummary::fold_component(platform::ComponentId c,
   double tail_alpha = 0.0;
   const auto& about = store_->about(c);
   for (auto it = about.lower_bound(tail_start());
-       it != about.end() && it->first <= to; ++it) {
-    const tta::RoundId r = it->first;
-    const SubjectRound& sr = it->second;
+       it != about.end() && it->round <= to; ++it) {
+    const tta::RoundId r = it->round;
+    const SubjectRound& sr = it->record;
     add_quorum_round(f.totals, sr);
     if (!credible_round(r, sr)) continue;
     tail_alpha += std::pow(kAlphaDecay, static_cast<double>(to - r));
@@ -88,9 +88,9 @@ void EvidenceSummary::fold_component(platform::ComponentId c,
   // Observer side.
   const auto& reported = store_->reported_by(c);
   for (auto it = reported.lower_bound(tail_start());
-       it != reported.end() && it->first <= to; ++it) {
-    if (it->second.senders_reported.size() < fp_.sender_spread) continue;
-    extend_episodes(f.observer_eps, it->first, kEpisodeGap);
+       it != reported.end() && it->round <= to; ++it) {
+    if (it->record.spread() < fp_.sender_spread) continue;
+    extend_episodes(f.observer_eps, it->round, kEpisodeGap);
   }
 
   // Close every episode that no round after `to` can extend, and freeze
@@ -156,8 +156,8 @@ void EvidenceSummary::component_features(platform::ComponentId c,
   // episodes_of would.
   const auto& about = store_->about(c);
   for (auto it = about.lower_bound(tail_start()); it != about.end(); ++it) {
-    const tta::RoundId r = it->first;
-    const SubjectRound& sr = it->second;
+    const tta::RoundId r = it->round;
+    const SubjectRound& sr = it->record;
     add_quorum_round(out.totals, sr);
     if (!credible_round(r, sr)) continue;
     if (r <= now) {
@@ -168,8 +168,8 @@ void EvidenceSummary::component_features(platform::ComponentId c,
   const auto& reported = store_->reported_by(c);
   for (auto it = reported.lower_bound(tail_start()); it != reported.end();
        ++it) {
-    if (it->second.senders_reported.size() < fp_.sender_spread) continue;
-    extend_episodes(out.observer_eps, it->first, kEpisodeGap);
+    if (it->record.spread() < fp_.sender_spread) continue;
+    extend_episodes(out.observer_eps, it->round, kEpisodeGap);
   }
 
   // Correlation verdicts: frozen for closed episodes, judged live for the

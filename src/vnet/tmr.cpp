@@ -1,5 +1,6 @@
 #include "vnet/tmr.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace decos::vnet {
@@ -7,23 +8,24 @@ namespace decos::vnet {
 TmrVoter::Result TmrVoter::vote(
     std::span<const std::optional<double>> replicas) const {
   Result r;
-  std::vector<std::size_t> present;
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    if (replicas[i].has_value()) present.push_back(i);
-  }
-  if (present.size() < 2) return r;  // kInsufficient
+  const auto present = std::count_if(
+      replicas.begin(), replicas.end(),
+      [](const std::optional<double>& v) { return v.has_value(); });
+  if (present < 2) return r;  // kInsufficient
 
-  // Find an agreeing pair; its mean is the vote.
-  for (std::size_t a = 0; a < present.size(); ++a) {
-    for (std::size_t b = a + 1; b < present.size(); ++b) {
-      const double va = *replicas[present[a]];
-      const double vb = *replicas[present[b]];
+  // Find an agreeing pair, in index order; its mean is the vote.
+  for (std::size_t a = 0; a < replicas.size(); ++a) {
+    if (!replicas[a]) continue;
+    for (std::size_t b = a + 1; b < replicas.size(); ++b) {
+      if (!replicas[b]) continue;
+      const double va = *replicas[a];
+      const double vb = *replicas[b];
       if (std::abs(va - vb) <= p_.epsilon) {
         r.value = 0.5 * (va + vb);
         r.status = Status::kUnanimous;
         // Anything present that disagrees with the vote is outvoted.
-        for (std::size_t i : present) {
-          if (std::abs(*replicas[i] - r.value) > p_.epsilon) {
+        for (std::size_t i = 0; i < replicas.size(); ++i) {
+          if (replicas[i] && std::abs(*replicas[i] - r.value) > p_.epsilon) {
             r.status = Status::kMajority;
             r.outvoted = i;
           }

@@ -97,9 +97,11 @@ TEST(EvidenceStore, IngestsTransportSymptoms) {
   ev.ingest(s);
   const auto& about = ev.about(2);
   ASSERT_EQ(about.size(), 1u);
-  EXPECT_EQ(about.at(10).observers.size(), 2u);
-  EXPECT_EQ(about.at(10).crc, 2u);
-  EXPECT_EQ(ev.reported_by(0).at(10).senders_reported.size(), 1u);
+  ASSERT_NE(about.find(10), nullptr);
+  EXPECT_EQ(about.find(10)->observer_count(), 2u);
+  EXPECT_EQ(about.find(10)->crc, 2u);
+  ASSERT_NE(ev.reported_by(0).find(10), nullptr);
+  EXPECT_EQ(ev.reported_by(0).find(10)->spread(), 1u);
 }
 
 TEST(EvidenceStore, IngestsJobSymptoms) {

@@ -10,11 +10,10 @@ std::vector<tta::RoundId> credible_sender_rounds(const EvidenceStore& ev,
   std::vector<tta::RoundId> rounds;
   for (const auto& [r, sr] : ev.about(c)) {
     std::uint32_t credible = 0;
-    for (platform::ComponentId o : sr.observers) {
-      const auto& reported = ev.reported_by(o);
-      auto it = reported.find(r);
-      const std::size_t spread =
-          it == reported.end() ? 0 : it->second.senders_reported.size();
+    for (platform::ComponentId o = 0; o < EvidenceStore::kMaxComponents; ++o) {
+      if ((sr.observers >> o & 1u) == 0) continue;
+      const ObserverRound* orow = ev.reported_by(o).find(r);
+      const std::size_t spread = orow ? orow->spread() : 0;
       if (spread < p.sender_spread) ++credible;
     }
     if (credible >= kObserverQuorum) rounds.push_back(r);
@@ -33,7 +32,7 @@ std::vector<tta::RoundId> observer_rounds(const EvidenceStore& ev,
                                           const FeatureParams& p) {
   std::vector<tta::RoundId> rounds;
   for (const auto& [r, orow] : ev.reported_by(c)) {
-    if (orow.senders_reported.size() >= p.sender_spread) rounds.push_back(r);
+    if (orow.spread() >= p.sender_spread) rounds.push_back(r);
   }
   return rounds;
 }
@@ -57,9 +56,9 @@ bool episode_correlated(const EvidenceStore& ev, platform::ComponentId c,
     const auto& reported = ev.reported_by(o);
     auto it = reported.lower_bound(
         e.first > kCorrelationDelta ? e.first - kCorrelationDelta : 0);
-    for (; it != reported.end() && it->first <= e.last + kCorrelationDelta;
+    for (; it != reported.end() && it->round <= e.last + kCorrelationDelta;
          ++it) {
-      if (it->second.senders_reported.size() >= p.sender_spread) return true;
+      if (it->record.spread() >= p.sender_spread) return true;
     }
   }
   return false;
@@ -82,7 +81,7 @@ bool spatially_correlated(const EvidenceStore& ev, platform::ComponentId c,
 VerdictTotals verdict_totals(const EvidenceStore& ev, platform::ComponentId c) {
   VerdictTotals vt;
   for (const auto& [r, sr] : ev.about(c)) {
-    if (sr.observers.size() < kObserverQuorum) continue;
+    if (sr.observer_count() < kObserverQuorum) continue;
     ++vt.quorum_rounds;
     vt.crc += sr.crc;
     vt.timing += sr.timing;

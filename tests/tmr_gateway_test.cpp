@@ -5,10 +5,39 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 #include "platform/gateway.hpp"
 #include "scenario/fig10.hpp"
 #include "vnet/tmr.hpp"
+
+// Counts every global allocation, so a test can assert that a call makes
+// none.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace decos::vnet {
 namespace {
@@ -54,6 +83,62 @@ TEST(TmrVoter, InsufficientWithOneValue) {
   TmrVoter v;
   const std::array<Opt, 3> r{std::nullopt, 5.0, std::nullopt};
   EXPECT_EQ(v.vote(r).status, TmrVoter::Status::kInsufficient);
+}
+
+TEST(TmrVoter, FirstAgreeingPairInIndexOrderWins) {
+  // Pairs are tried (0,1), (0,2), (0,3), ... over the present replicas:
+  // (0,3) agrees before (1,2) is reached, and the last disagreeing
+  // replica is the one reported outvoted.
+  TmrVoter v{TmrVoter::Params{.epsilon = 0.5}};
+  const std::array<Opt, 5> r{10.0, 20.0, 20.2, 10.3, std::nullopt};
+  const auto res = v.vote(r);
+  EXPECT_EQ(res.status, TmrVoter::Status::kMajority);
+  EXPECT_DOUBLE_EQ(res.value, 10.15);
+  ASSERT_TRUE(res.outvoted.has_value());
+  EXPECT_EQ(*res.outvoted, 2u);
+}
+
+TEST(TmrVoter, MissingReplicasTakeNoPartWhereverTheyStand) {
+  // An empty optional whose storage holds the bits of 10.1 (both common
+  // standard libraries keep the value at offset 0, the flag after it): a
+  // vote that read it would pair the ghost with the present 10.0.
+  Opt ghost;
+  const double bits = 10.1;
+  std::memcpy(static_cast<void*>(&ghost), &bits, sizeof bits);
+  ASSERT_FALSE(ghost.has_value());
+  TmrVoter v{TmrVoter::Params{.epsilon = 0.5}};
+  const std::array<std::array<Opt, 4>, 3> cases{{
+      {ghost, 20.0, 10.0, 20.1},
+      {10.0, ghost, 20.0, 20.1},
+      {20.0, 10.0, 20.1, ghost},
+  }};
+  const std::array<std::size_t, 3> outvoted{2, 0, 1};
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto res = v.vote(cases[i]);
+    EXPECT_EQ(res.status, TmrVoter::Status::kMajority) << "case " << i;
+    EXPECT_DOUBLE_EQ(res.value, 20.05) << "case " << i;
+    ASSERT_TRUE(res.outvoted.has_value()) << "case " << i;
+    EXPECT_EQ(*res.outvoted, outvoted[i]) << "case " << i;
+  }
+}
+
+TEST(TmrVoter, VoteAllocatesNothing) {
+  TmrVoter v{TmrVoter::Params{.epsilon = 0.5}};
+  const std::array<Opt, 3> unanimous{10.0, 10.1, 9.9};
+  const std::array<Opt, 3> majority{10.0, 55.0, 10.2};
+  const std::array<Opt, 3> missing{10.0, std::nullopt, 10.2};
+  const std::array<Opt, 3> no_quorum{1.0, 20.0, 40.0};
+  const std::array<Opt, 3> insufficient{std::nullopt, 5.0, std::nullopt};
+  const std::uint64_t before = g_allocs.load();
+  int majorities = 0;
+  for (int i = 0; i < 100; ++i) {
+    for (const auto* r : {&unanimous, &majority, &missing, &no_quorum,
+                          &insufficient}) {
+      if (v.vote(*r).status == TmrVoter::Status::kMajority) ++majorities;
+    }
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(majorities, 100);
 }
 
 // --- redundancy monitor -------------------------------------------------------------
