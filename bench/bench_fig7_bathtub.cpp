@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_fig7_bathtub", argc, argv);
   std::printf("== E1 / Fig. 7: bathtub curve of ECU reliability ==\n\n");
 
-  const auto params = reliability::default_ecu_bathtub();
-  const reliability::BathtubHazard tub(params);
+  const reliability::BathtubHazard tub;
 
   // Sample a population of devices; count failures per age bucket.
   const std::size_t population = 200'000;
@@ -68,7 +67,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", t.render().c_str());
 
-  const double floor_fit = params.useful_life_rate.fit();
+  const double floor_fit = reliability::BathtubHazard::kUsefulLifeRate.fit();
   std::printf("useful-life floor: %.2f FIT = %.1f failures / 1e6 units / year "
               "(paper: ~50)\n",
               floor_fit, floor_fit * 1e-9 * 8760.0 * 1e6);

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
     int alpha_fa = 0, alpha_miss = 0, win_fa = 0, win_miss = 0;
     for (int d = 0; d < population; ++d) {
       sim::Rng r1(static_cast<std::uint64_t>(d) * 7919 + 13);
-      reliability::AlphaCount healthy{{1.0, 0.995, threshold}};
-      reliability::AlphaCount faulty{{1.0, 0.995, threshold}};
+      reliability::AlphaCount healthy(threshold);
+      reliability::AlphaCount faulty(threshold);
       reliability::WindowCount whealthy(200, static_cast<std::uint32_t>(threshold));
       reliability::WindowCount wfaulty(200, static_cast<std::uint32_t>(threshold));
       bool ah = false, af = false, wh = false, wf = false;

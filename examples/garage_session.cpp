@@ -123,7 +123,7 @@ int main() {
       job = static_cast<platform::JobId>(i - rig.system().component_count());
     }
     const auto what = apply_action(rig, row, comp, job);
-    std::printf("  %-34s %-22s -> %s\n", row.fru.c_str(),
+    std::printf("  %-34s %-22s -> %s\n", row.label().c_str(),
                 fault::to_string(row.diagnosis.cls), what.c_str());
     ++actions_taken;
   }

@@ -49,7 +49,7 @@ int main() {
     if (row.diagnosis.cls == fault::FaultClass::kNone && row.trust > 0.99) {
       continue;  // only show FRUs with something to say
     }
-    std::printf("%-34s trust=%.2f  %-22s -> %s\n", row.fru.c_str(), row.trust,
+    std::printf("%-34s trust=%.2f  %-22s -> %s\n", row.label().c_str(), row.trust,
                 fault::to_string(row.diagnosis.cls),
                 fault::to_string(row.action));
     std::printf("%-34s   rationale: %s\n", "",

@@ -4,6 +4,19 @@
 #include <cmath>
 
 namespace decos::analysis {
+namespace {
+
+/// Episodes required before a fit is attempted; a line through the
+/// log-gaps needs at least two gaps.
+constexpr std::size_t kMinEpisodes = 4;
+static_assert(kMinEpisodes >= 3);
+/// Gap (in rounds) at which episodes are considered merged —
+/// functionally a permanent failure (end of life).
+constexpr double kEolGapRounds = 40.0;
+/// Shrink factors above this are "not wearing" (no prognosis).
+constexpr double kMaxWearingShrink = 0.97;
+
+}  // namespace
 
 void WearoutTracker::add_episode(tta::RoundId start_round) {
   assert(starts_.empty() || start_round >= starts_.back());
@@ -12,7 +25,7 @@ void WearoutTracker::add_episode(tta::RoundId start_round) {
 
 std::optional<WearoutTracker::Prognosis> WearoutTracker::prognose(
     tta::RoundId now) const {
-  if (starts_.size() < p_.min_episodes) return std::nullopt;
+  if (starts_.size() < kMinEpisodes) return std::nullopt;
 
   // Least squares on log(gap_k) = log g0 + k log s.
   const std::size_t n = starts_.size() - 1;
@@ -34,7 +47,7 @@ std::optional<WearoutTracker::Prognosis> WearoutTracker::prognose(
   const double intercept = (sum_y - slope * sum_k) / nd;         // log g0
 
   const double shrink = std::exp(slope);
-  if (shrink >= p_.max_wearing_shrink) return std::nullopt;  // not wearing
+  if (shrink >= kMaxWearingShrink) return std::nullopt;  // not wearing
 
   Prognosis prog;
   prog.shrink = shrink;
@@ -42,7 +55,7 @@ std::optional<WearoutTracker::Prognosis> WearoutTracker::prognose(
 
   // Episode index at which the gap reaches the EOL threshold.
   const double k_eol =
-      (std::log(p_.eol_gap_rounds) - intercept) / slope;  // slope < 0
+      (std::log(kEolGapRounds) - intercept) / slope;  // slope < 0
   const double k_now = static_cast<double>(n);
 
   // Remaining time = sum of gaps from the current episode index to k_eol:

@@ -17,21 +17,10 @@
 
 namespace decos::analysis {
 
+/// The fit's thresholds (episodes needed, end-of-life gap, the shrink
+/// that counts as wearing) are constants in cbm.cpp.
 class WearoutTracker {
  public:
-  struct Params {
-    /// Episodes required before a fit is attempted.
-    std::size_t min_episodes = 4;
-    /// Gap (in rounds) at which episodes are considered merged —
-    /// functionally a permanent failure (end of life).
-    double eol_gap_rounds = 40.0;
-    /// Shrink factors above this are "not wearing" (no prognosis).
-    double max_wearing_shrink = 0.97;
-  };
-
-  WearoutTracker() : WearoutTracker(Params{}) {}
-  explicit WearoutTracker(Params p) : p_(p) {}
-
   /// Feeds the start round of one observed transient episode (ascending).
   void add_episode(tta::RoundId start_round);
 
@@ -50,10 +39,7 @@ class WearoutTracker {
   /// too few episodes or the gaps are not shrinking (healthy device).
   [[nodiscard]] std::optional<Prognosis> prognose(tta::RoundId now) const;
 
-  [[nodiscard]] const Params& params() const { return p_; }
-
  private:
-  Params p_;
   std::vector<tta::RoundId> starts_;
 };
 

@@ -3,6 +3,12 @@
 #include <cstdio>
 
 namespace decos::analysis {
+namespace {
+
+/// Width of the trust bar in characters.
+constexpr int kBarWidth = 10;
+
+}  // namespace
 
 std::string render_technician_report(const std::vector<diag::FruReport>& rows,
                                      const TechnicianReportOptions& options) {
@@ -19,13 +25,13 @@ std::string render_technician_report(const std::vector<diag::FruReport>& rows,
     }
     // Trust bar: filled proportional to trust.
     std::string bar;
-    const int filled =
-        static_cast<int>(row.trust * options.bar_width + 0.5);
-    for (int i = 0; i < options.bar_width; ++i) {
+    const int filled = static_cast<int>(row.trust * kBarWidth + 0.5);
+    for (int i = 0; i < kBarWidth; ++i) {
       bar += i < filled ? '#' : '.';
     }
-    std::snprintf(buf, sizeof buf, "%-36s [%s] %-22s %s\n", row.fru.c_str(),
-                  bar.c_str(), fault::to_string(row.diagnosis.cls),
+    std::snprintf(buf, sizeof buf, "%-36s [%s] %-22s %s\n",
+                  row.label().c_str(), bar.c_str(),
+                  fault::to_string(row.diagnosis.cls),
                   fault::to_string(row.action));
     out += buf;
     if (row.diagnosis.cls != fault::FaultClass::kNone) {

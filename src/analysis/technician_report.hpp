@@ -16,8 +16,6 @@ namespace decos::analysis {
 struct TechnicianReportOptions {
   /// Hide FRUs with full trust and no diagnosis.
   bool hide_healthy = true;
-  /// Width of the trust bar in characters.
-  int bar_width = 10;
 };
 
 /// Renders the FRU rows of a DiagnosticService::report().

@@ -94,23 +94,13 @@ tta::RoundId EvidenceStore::prune(tta::RoundId now) {
   const tta::RoundId cutoff = now - kWindowRounds;
   for (auto& rounds : about_) rounds.prune(cutoff);
   for (auto& rounds : by_observer_) rounds.prune(cutoff);
-  // Job evidence: value/gap vectors are bounded by one entry per round of
-  // actual misbehaviour; trim the front beyond the window.
+  // Job evidence: value/gap histories are bounded by one entry per round
+  // of actual misbehaviour; trim the front beyond the window.
+  const auto old = [cutoff](tta::RoundId r) { return r < cutoff; };
   for (auto& [j, je] : jobs_) {
-    auto trim = [cutoff](std::vector<tta::RoundId>& rounds,
-                         std::vector<double>* mags) {
-      std::size_t drop = 0;
-      while (drop < rounds.size() && rounds[drop] < cutoff) ++drop;
-      rounds.erase(rounds.begin(),
-                   rounds.begin() + static_cast<std::ptrdiff_t>(drop));
-      if (mags) {
-        mags->erase(mags->begin(),
-                    mags->begin() + static_cast<std::ptrdiff_t>(drop));
-      }
-    };
-    trim(je.value_rounds, &je.value_magnitudes);
-    trim(je.gap_rounds, nullptr);
-    trim(je.transducer_suspect_rounds, nullptr);
+    je.value_magnitudes.drop_front(je.value_rounds.drop_front_while(old));
+    je.gap_rounds.drop_front_while(old);
+    je.transducer_suspect_rounds.drop_front_while(old);
   }
   return cutoff;
 }

@@ -20,16 +20,18 @@
 // map would.
 //
 // Old per-round detail is pruned beyond a window, so multi-hour runs stay
-// bounded in memory. A prune advances a head index past the dropped
-// rounds and compacts the array only once the dead prefix is as long as
-// the live part: amortised O(1) per dropped round, and no allocation once
-// the array has reached its high-water mark.
+// bounded in memory. Every pruned array, the round logs and the job
+// histories alike, is a TrimmedVector: a prune advances a head index past
+// the dropped rounds and compacts the array only once the dead prefix is
+// as long as the live part — amortised O(1) per dropped round, and no
+// allocation once the array has reached its high-water mark.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "diag/symptom.hpp"
@@ -62,6 +64,56 @@ struct ObserverRound {
   }
 };
 
+/// A vector whose front is trimmed through a head index: entries before
+/// the head are dead and await compaction, which happens only once the
+/// dead prefix is as long as the live part. Each entry the compaction
+/// moves is paid for by a dropped one, so a trim costs amortised O(1) per
+/// dropped entry and allocates nothing once the vector has reached its
+/// high-water mark.
+template <class T>
+class TrimmedVector {
+ public:
+  [[nodiscard]] const T* begin() const { return items_.data() + head_; }
+  [[nodiscard]] const T* end() const { return items_.data() + items_.size(); }
+  [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    return items_[head_ + i];
+  }
+  [[nodiscard]] T& operator[](std::size_t i) { return items_[head_ + i]; }
+  [[nodiscard]] const T& back() const { return items_.back(); }
+  [[nodiscard]] T& back() { return items_.back(); }
+
+  T& push_back(T v) { return items_.emplace_back(std::move(v)); }
+  /// Inserts `v` before live entry `i`.
+  T& insert(std::size_t i, T v) {
+    return *items_.insert(
+        items_.begin() + static_cast<std::ptrdiff_t>(head_ + i), std::move(v));
+  }
+  /// Drops the first `n` live entries.
+  void drop_front(std::size_t n) {
+    head_ += n;
+    if (head_ >= size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+  /// Drops the leading live entries for which `old` holds; returns how
+  /// many.
+  template <class Pred>
+  std::size_t drop_front_while(Pred old) {
+    std::size_t n = 0;
+    while (n < size() && old((*this)[n])) ++n;
+    drop_front(n);
+    return n;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
 /// One component's per-round records in ascending round order, holding
 /// what a std::map<RoundId, Record> would: entries are iterated as
 /// `{round, record}` pairs from begin() to end().
@@ -73,12 +125,10 @@ class RoundLog {
     Record record;
   };
 
-  [[nodiscard]] const Entry* begin() const { return entries_.data() + head_; }
-  [[nodiscard]] const Entry* end() const {
-    return entries_.data() + entries_.size();
-  }
-  [[nodiscard]] std::size_t size() const { return entries_.size() - head_; }
-  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] const Entry* begin() const { return entries_.begin(); }
+  [[nodiscard]] const Entry* end() const { return entries_.end(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
 
   /// First entry of a round at or after `r`.
   [[nodiscard]] const Entry* lower_bound(tta::RoundId r) const {
@@ -96,39 +146,36 @@ class RoundLog {
   /// std::map::operator[]).
   Record& operator[](tta::RoundId r) {
     if (empty() || entries_.back().round < r) {
-      return entries_.emplace_back(Entry{r, Record{}}).record;
+      return entries_.push_back(Entry{r, Record{}}).record;
     }
     if (entries_.back().round == r) return entries_.back().record;
-    auto it = entries_.begin() + (lower_bound(r) - entries_.data());
-    if (it->round != r) it = entries_.insert(it, Entry{r, Record{}});
-    return it->record;
+    const auto i = static_cast<std::size_t>(lower_bound(r) - begin());
+    if (entries_[i].round != r) return entries_.insert(i, {r, Record{}}).record;
+    return entries_[i].record;
   }
 
   /// Drops the entries of rounds before `cutoff`.
   void prune(tta::RoundId cutoff) {
-    while (head_ < entries_.size() && entries_[head_].round < cutoff) ++head_;
-    // Each entry the compaction moves is paid for by a dropped one.
-    if (head_ >= size()) {
-      entries_.erase(entries_.begin(),
-                     entries_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
+    entries_.drop_front_while(
+        [cutoff](const Entry& e) { return e.round < cutoff; });
   }
 
  private:
-  std::vector<Entry> entries_;
-  /// Entries before head_ are pruned and await compaction.
-  std::size_t head_ = 0;
+  TrimmedVector<Entry> entries_;
 };
 
+/// A job's symptom rounds in arrival order (a late round lands at the
+/// back), and the worst magnitude of each value round beside them. The
+/// store trims each history's front past the window, up to its first
+/// round inside it.
 struct JobEvidence {
   /// Rounds with at least one value-out-of-range symptom, with the worst
-  /// magnitude of the round (parallel arrays, ascending rounds).
-  std::vector<tta::RoundId> value_rounds;
-  std::vector<double> value_magnitudes;
-  std::vector<tta::RoundId> gap_rounds;
+  /// magnitude of the round (parallel arrays).
+  TrimmedVector<tta::RoundId> value_rounds;
+  TrimmedVector<double> value_magnitudes;
+  TrimmedVector<tta::RoundId> gap_rounds;
   /// Rounds with a model-based transducer assertion from the job itself.
-  std::vector<tta::RoundId> transducer_suspect_rounds;
+  TrimmedVector<tta::RoundId> transducer_suspect_rounds;
   std::uint64_t overflow_count = 0;
 };
 

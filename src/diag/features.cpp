@@ -35,7 +35,7 @@ bool rate_increasing(const std::vector<Episode>& eps) {
   return early > 0 && late < early * kWearoutGapRatio;
 }
 
-bool magnitudes_drifting(const std::vector<double>& mags) {
+bool magnitudes_drifting(std::span<const double> mags) {
   if (mags.size() < 8) return false;
   const std::size_t bucket = mags.size() / 4;
   double mean[4] = {};

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -109,7 +110,7 @@ struct VerdictTotals {
 
 /// Bucket-mean drift test over a job's value-magnitude history: split into
 /// four buckets; near-monotone growth with last >= 1.8 x first.
-[[nodiscard]] bool magnitudes_drifting(const std::vector<double>& magnitudes);
+[[nodiscard]] bool magnitudes_drifting(std::span<const double> magnitudes);
 
 // --- bit-level value-error features (Fig. 8's value dimension at bit
 // granularity, computed over a fault::BitFaultLog slice) ---------------------

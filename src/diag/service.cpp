@@ -420,6 +420,15 @@ std::size_t DiagnosticService::record_detection_latency(
   return recorded;
 }
 
+std::string FruReport::label() const {
+  std::string out;
+  if (job) {
+    out.append("job ").append(job_name).append(" (j");
+    out.append(std::to_string(*job)).append(") on ");
+  }
+  return out.append("component ").append(std::to_string(component));
+}
+
 std::vector<FruReport> DiagnosticService::report() const {
   // The Fig. 11 report. Each row is answered by the FRU's serving
   // assessor: the active one in legacy mode; in hierarchy mode the
@@ -438,7 +447,6 @@ std::vector<FruReport> DiagnosticService::report() const {
     const VerdictDelta* delta = nullptr;
     const Assessor* a = resolve_component(c, &delta);
     FruReport row;
-    row.fru = "component " + std::to_string(c);
     row.component = c;
     row.trust = delta ? delta->trust : a->component_trust(c);
     // One feature read per row: the verdict and the pattern ONAs both
@@ -480,10 +488,9 @@ std::vector<FruReport> DiagnosticService::report() const {
     const VerdictDelta* delta = nullptr;
     const Assessor* a = resolve_job(j, &delta);
     FruReport row;
-    row.fru = "job " + job.name() + " (j" + std::to_string(j) +
-              ") on component " + std::to_string(job.host());
     row.component = job.host();
     row.job = j;
+    row.job_name = job.name();
     row.trust = delta ? delta->trust : a->job_trust(j);
     row.diagnosis =
         delta ? disseminated(*delta) : a->diagnose_job(j, local[job.host()]);

@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "diag/agent.hpp"
@@ -45,13 +46,12 @@ namespace decos::diag {
 
 /// One row of the maintenance report.
 struct FruReport {
-  std::string fru;  // "component 3" or "job brake1 (j5) on component 2"
-  /// Structured FRU identity: the hardware FRU this row concerns, and the
-  /// software FRU when the row describes a job (nullopt for component
-  /// rows). Consumers that act on the report — foremost the maintenance
-  /// executor — key off these instead of parsing the display label.
+  /// FRU identity: the hardware FRU this row concerns, and the software
+  /// FRU when the row describes a job (nullopt for component rows), with
+  /// the job's name as the System holds it (valid while the System lives).
   platform::ComponentId component = 0;
   std::optional<platform::JobId> job;
+  std::string_view job_name;
   double trust = 1.0;
   Diagnosis diagnosis;
   fault::MaintenanceAction action = fault::MaintenanceAction::kNoAction;
@@ -77,6 +77,9 @@ struct FruReport {
   [[nodiscard]] const char* evidence_state() const {
     return evidence_fresh ? "verified" : "no-recent-evidence";
   }
+  /// The display label: "component 3" or "job brake1 (j5) on component 2".
+  /// Built on demand, where a row is shown; report() builds none.
+  [[nodiscard]] std::string label() const;
 };
 
 class DiagnosticService {

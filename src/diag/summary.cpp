@@ -187,7 +187,8 @@ EvidenceSummary::JobFeatures EvidenceSummary::job_features(
           je.overflow_count,
           je.gap_rounds.empty() ? std::nullopt
                                 : std::optional(je.gap_rounds.back()),
-          magnitudes_drifting(je.value_magnitudes)};
+          magnitudes_drifting({je.value_magnitudes.begin(),
+                               je.value_magnitudes.end()})};
 }
 
 }  // namespace decos::diag

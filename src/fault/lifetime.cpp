@@ -2,7 +2,18 @@
 
 #include <cmath>
 
+#include "reliability/fit.hpp"
+
 namespace decos::fault {
+namespace {
+
+/// Field time represented by one simulated second. With 3.6e6, one
+/// simulated second stands for 1000 field hours, so one simulated 10 s
+/// run covers ~1.14 field years.
+constexpr double kCompression = 3.6e6;
+static_assert(kCompression / 3600.0 == 1000.0);
+
+}  // namespace
 
 sim::SimTime LifetimeDriver::uniform_instant(const Params& p) {
   // Leave a short lead-in so the cluster is up, and a tail so effects are
@@ -14,18 +25,19 @@ sim::SimTime LifetimeDriver::uniform_instant(const Params& p) {
 
 std::vector<FaultId> LifetimeDriver::drive(const Params& p) {
   std::vector<FaultId> ids;
-  const double field_hours =
-      p.horizon.sec() * p.compression / 3600.0;
+  const double field_hours = p.horizon.sec() * kCompression / 3600.0;
+  namespace paper = reliability::paper;
 
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
     // Transient hits: Poisson with the field rate over the field window.
-    const double transient_mean = p.transient_rate.per_hour() * field_hours;
+    const double transient_mean =
+        paper::kTransientHardware.per_hour() * field_hours;
     const auto transients = rng_.poisson(transient_mean);
     for (std::uint64_t i = 0; i < transients; ++i) {
       ids.push_back(injector_.inject_seu(c, uniform_instant(p)));
     }
     // Permanent death: exponential; rare at 100 FIT even compressed.
-    if (rng_.bernoulli(p.permanent_rate.failure_probability(
+    if (rng_.bernoulli(paper::kPermanentHardware.failure_probability(
             sim::Duration{static_cast<std::int64_t>(field_hours * 3.6e12)}))) {
       ids.push_back(injector_.inject_permanent_failure(c, uniform_instant(p)));
     }
@@ -68,9 +80,8 @@ std::vector<FaultId> LifetimeDriver::drive(const Params& p) {
   for (std::uint64_t b = 0; b < bursts; ++b) {
     const double center = rng_.uniform(
         0.0, static_cast<double>(system_.component_count() - 1));
-    ids.push_back(injector_.inject_emi_burst(
-        center, 1.1, uniform_instant(p),
-        reliability::paper::kEmiBurstDuration));
+    ids.push_back(injector_.inject_emi_burst(center, 1.1, uniform_instant(p),
+                                             paper::kEmiBurstDuration));
   }
   return ids;
 }

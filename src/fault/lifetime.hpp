@@ -6,16 +6,17 @@
 // the injector describes *what* they do. The LifetimeDriver connects the
 // two: it samples fault events per FRU from the rate models — with a time
 // compression factor mapping field hours onto simulated seconds — and
-// schedules the corresponding injections. The capstone experiment (E14)
-// uses it to compare maintenance policies over whole compressed vehicle
-// lives.
+// schedules the corresponding injections. Transient and permanent hits
+// arrive at the paper's Section III-E rates, and one simulated second
+// stands for 1000 field hours (constants in lifetime.cpp). The capstone
+// experiment (E14) uses it to compare maintenance policies over whole
+// compressed vehicle lives.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "fault/injector.hpp"
-#include "reliability/fit.hpp"
 #include "sim/rng.hpp"
 
 namespace decos::fault {
@@ -25,14 +26,6 @@ class LifetimeDriver {
   struct Params {
     /// Simulated operating window to populate with events.
     sim::Duration horizon = sim::seconds(10);
-    /// Field time represented by one simulated second. With 3.6e6, one
-    /// simulated second stands for 1000 field hours, so one simulated
-    /// 10 s run covers ~1.14 field years.
-    double compression = 3.6e6;
-    /// Per-component field rates. Defaults are the paper's Section III-E
-    /// numbers.
-    reliability::FitRate transient_rate = reliability::paper::kTransientHardware;
-    reliability::FitRate permanent_rate = reliability::paper::kPermanentHardware;
     /// Probability that a given component develops a wearout process
     /// somewhere in the horizon (ageing vehicle).
     double wearout_prob = 0.15;

@@ -19,8 +19,8 @@ analysis::FleetAggregate FleetCampaign::run() const {
     const std::uint32_t n = std::min(batch, cfg_.vehicles - first);
     firsts.push_back(first);
     runs.push_back([cfg = cfg_, first, n] {
-      const FleetBatchConfig bc{first, n,         cfg.epochs, cfg.shards,
-                                cfg.seed, cfg.grid, cfg.vehicle};
+      const FleetBatchConfig bc{first,      n,        cfg.epochs,
+                                cfg.shards, cfg.seed, cfg.grid};
       return FleetSimulator(bc).run();
     });
   }

@@ -28,7 +28,6 @@ struct FleetCampaignConfig {
   /// Worker threads (exec::ExperimentRunner); 1 = serial on the caller.
   unsigned jobs = 1;
   analysis::FleetGrid grid;
-  VehicleParams vehicle;
 };
 
 class FleetCampaign {

@@ -13,7 +13,7 @@ FleetSimulator::FleetSimulator(const FleetBatchConfig& cfg)
   vehicles_.reserve(cfg_.vehicles);
   for (std::uint32_t i = 0; i < cfg_.vehicles; ++i) {
     vehicles_.emplace_back(i, cfg_.first_vehicle + i, cohorts_, cfg_.seed,
-                           cfg_.grid, cfg_.vehicle);
+                           cfg_.grid);
   }
 }
 

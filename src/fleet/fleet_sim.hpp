@@ -29,7 +29,6 @@ struct FleetBatchConfig {
   std::uint32_t shards = 1;
   std::uint64_t seed = 2026;
   analysis::FleetGrid grid;
-  VehicleParams vehicle;
 };
 
 class FleetSimulator {

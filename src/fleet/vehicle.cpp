@@ -7,35 +7,60 @@
 #include "fault/taxonomy.hpp"
 
 namespace decos::fleet {
+namespace {
+
+// Per-epoch hazard model. One drive epoch is kEpochHours of operation
+// compressed into a single simulation event per vehicle.
+constexpr double kEpochHours = 500.0;
+/// Initial component age is uniform over [0, max) — the fleet on the road
+/// is a mix of fresh deliveries and high-milage veterans.
+constexpr double kMaxInitialAgeHours = 100'000.0;
+/// Hours of operation per unit of WearoutCurve age (the curve's knees
+/// live at fractions of 1.0; see fault/bitfault.hpp).
+constexpr double kAgeScaleHours = 100'000.0;
+/// Epoch hardware-failure probability = min(cap, BER * scale): the
+/// cohort's bathtub BER is promoted to a per-epoch hazard.
+constexpr double kHwPerEpochScale = 500.0;
+constexpr double kHwPerEpochCap = 0.5;
+/// Chance per epoch of a software failure / an environmental upset.
+constexpr double kSwPerEpoch = 0.02;
+constexpr double kExternalPerEpoch = 0.015;
+/// Share of hardware symptoms rooted in the connector/loom boundary.
+constexpr double kHwBorderlineShare = 0.25;
+/// Chance a software fault presents as a hardware symptom at the depot —
+/// the paper's NFF driver: the box gets pulled, the bench finds nothing.
+constexpr double kSwMisblame = 0.6;
+/// Chance the model-guided diagnosis misses the true class and falls
+/// back to the symptom reading.
+constexpr double kDiagMiss = 0.05;
+
+}  // namespace
 
 Vehicle::Vehicle(std::uint32_t local_id, std::uint32_t global_id,
                  const CohortSet& cohorts, std::uint64_t fleet_seed,
-                 const analysis::FleetGrid& grid, const VehicleParams& params)
-    : params_(params),
-      rng_(sim::Rng(fleet_seed).fork("vehicle." + std::to_string(global_id))),
+                 const analysis::FleetGrid& grid)
+    : rng_(sim::Rng(fleet_seed).fork("vehicle." + std::to_string(global_id))),
       curve_(&cohorts.curve(cohorts.cohort_of(global_id))),
       local_id_(local_id),
       global_id_(global_id),
       cohort_(cohorts.cohort_of(global_id)),
       depot_(global_id % grid.depots),
-      age_hours_(rng_.uniform(0.0, params.max_initial_age_hours)) {}
+      age_hours_(rng_.uniform(0.0, kMaxInitialAgeHours)) {}
 
 void Vehicle::run_epoch(std::uint32_t window,
                         analysis::FleetBatchCounts& out) {
   const analysis::FleetGrid& g = out.grid;
   const auto bin = std::min(
       g.age_bins - 1, static_cast<std::uint32_t>(age_hours_ / g.bin_hours));
-  out.exposure_hours_by_age[bin] +=
-      static_cast<std::uint64_t>(params_.epoch_hours);
+  out.exposure_hours_by_age[bin] += static_cast<std::uint64_t>(kEpochHours);
   ++out.epochs;
 
   // Hardware: the cohort's bathtub BER at the component's current age,
   // promoted to a per-epoch hazard.
-  const double ber = curve_->ber_at(age_hours_ / params_.age_scale_hours);
-  const double p_hw =
-      std::min(params_.hw_per_epoch_cap, ber * params_.hw_per_epoch_scale);
+  const double ber = curve_->ber_at(age_hours_ / kAgeScaleHours);
+  const double p_hw = std::min(kHwPerEpochCap, ber * kHwPerEpochScale);
   if (rng_.bernoulli(p_hw)) {
-    const bool internal = !rng_.bernoulli(params_.hw_borderline_share);
+    const bool internal = !rng_.bernoulli(kHwBorderlineShare);
     if (internal) {
       out.hw_failures_by_age[bin] += 1;
       out.failures_by_cohort[cohort_] += 1;
@@ -50,20 +75,20 @@ void Vehicle::run_epoch(std::uint32_t window,
 
   // Software: a design fault strikes one module; every vehicle runs the
   // same code, so the hot modules repeat fleet-wide.
-  if (rng_.bernoulli(params_.sw_per_epoch)) {
+  if (rng_.bernoulli(kSwPerEpoch)) {
     const std::uint32_t module = pick_module(g.modules);
     out.module_failures.push_back({local_id_, module, 1});
     visit(fault::FaultClass::kJobInherentSoftware,
-          /*hw_symptom=*/rng_.bernoulli(params_.sw_misblame), window, out);
+          /*hw_symptom=*/rng_.bernoulli(kSwMisblame), window, out);
   }
 
   // Environment: EMI / SEU — transient, leaves no defect behind.
-  if (rng_.bernoulli(params_.external_per_epoch)) {
+  if (rng_.bernoulli(kExternalPerEpoch)) {
     visit(fault::FaultClass::kComponentExternal, /*hw_symptom=*/true, window,
           out);
   }
 
-  age_hours_ += params_.epoch_hours;
+  age_hours_ += kEpochHours;
 }
 
 void Vehicle::visit(fault::FaultClass truth, bool hw_symptom,
@@ -79,7 +104,7 @@ void Vehicle::visit(fault::FaultClass truth, bool hw_symptom,
   // The model-guided depot runs the diagnostic subsystem: usually the true
   // class, occasionally only the symptom (missed diagnosis).
   const fault::FaultClass diagnosed =
-      rng_.bernoulli(params_.diag_miss) ? symptom : truth;
+      rng_.bernoulli(kDiagMiss) ? symptom : truth;
   const auto guided_action = decide(analysis::Strategy::kModelGuided, diagnosed);
   out.guided.count(truth, guided_action);
 

@@ -9,7 +9,9 @@
 // comes from the vehicle's own named RNG stream forked from the fleet
 // seed, so a vehicle's life history is a pure function of
 // (fleet seed, global id, cohort physics) — independent of batch
-// boundaries, shard count and worker count.
+// boundaries, shard count and worker count. The per-epoch hazard model
+// is fixed (constants in vehicle.cpp); a million vehicles share it, so a
+// vehicle carries only its own state.
 #pragma once
 
 #include <cstdint>
@@ -20,33 +22,6 @@
 
 namespace decos::fleet {
 
-/// Per-epoch hazard model. One drive epoch is `epoch_hours` of operation
-/// compressed into a single simulation event per vehicle.
-struct VehicleParams {
-  double epoch_hours = 500.0;
-  /// Initial component age is uniform over [0, max) — the fleet on the
-  /// road is a mix of fresh deliveries and high-milage veterans.
-  double max_initial_age_hours = 100'000.0;
-  /// Hours of operation per unit of WearoutCurve age (the curve's knees
-  /// live at fractions of 1.0; see fault/bitfault.hpp).
-  double age_scale_hours = 100'000.0;
-  /// Epoch hardware-failure probability = min(cap, BER * scale): the
-  /// cohort's bathtub BER is promoted to a per-epoch hazard.
-  double hw_per_epoch_scale = 500.0;
-  double hw_per_epoch_cap = 0.5;
-  /// Chance per epoch of a software failure / an environmental upset.
-  double sw_per_epoch = 0.02;
-  double external_per_epoch = 0.015;
-  /// Share of hardware symptoms rooted in the connector/loom boundary.
-  double hw_borderline_share = 0.25;
-  /// Chance a software fault presents as a hardware symptom at the depot —
-  /// the paper's NFF driver: the box gets pulled, the bench finds nothing.
-  double sw_misblame = 0.6;
-  /// Chance the model-guided diagnosis misses the true class and falls
-  /// back to the symptom reading.
-  double diag_miss = 0.05;
-};
-
 class Vehicle {
  public:
   /// `local_id` indexes the vehicle inside its batch (module cells are
@@ -54,7 +29,7 @@ class Vehicle {
   /// `global_id` is fleet-wide and alone determines the RNG stream.
   Vehicle(std::uint32_t local_id, std::uint32_t global_id,
           const CohortSet& cohorts, std::uint64_t fleet_seed,
-          const analysis::FleetGrid& grid, const VehicleParams& params);
+          const analysis::FleetGrid& grid);
 
   /// Simulates one drive epoch plus the depot visit it may trigger,
   /// tallying into `out` (whose grid must be the ctor's). `window` is the
@@ -75,7 +50,6 @@ class Vehicle {
   /// failures in the low module ids fleet-wide (the 20-80 head).
   [[nodiscard]] std::uint32_t pick_module(std::uint32_t modules);
 
-  VehicleParams params_;
   sim::Rng rng_;
   const fault::WearoutCurve* curve_;
   std::uint32_t local_id_;
@@ -84,5 +58,8 @@ class Vehicle {
   std::uint32_t depot_;
   double age_hours_;
 };
+
+// The fleet's memory scales with this size: a batch holds every vehicle.
+static_assert(sizeof(Vehicle) <= 64);
 
 }  // namespace decos::fleet

@@ -6,6 +6,18 @@
 #include "tta/node.hpp"
 
 namespace decos::maintenance {
+namespace {
+
+/// How often the executor consults the maintenance report.
+constexpr sim::Duration kPollPeriod = sim::milliseconds(10);
+/// Retry delay multiplier: attempt k waits latency * factor^(k-1).
+constexpr double kBackoffFactor = 2.0;
+/// Attempts before the FRU is quarantined as unrepairable.
+constexpr std::uint32_t kMaxAttempts = 4;
+/// Crystal drift of replacement hardware, ppm (well inside spec).
+constexpr double kReplacementDriftPpm = 5.0;
+
+}  // namespace
 
 const char* to_string(WorkOrderState s) {
   switch (s) {
@@ -29,10 +41,10 @@ void MaintenanceExecutor::start() {
   if (started_) return;
   started_ = true;
   sim_.metrics().gauge("maint.spare_pool").set(static_cast<double>(spares_));
-  poll_timer_.start(sim_, sim_.now() + p_.poll_period,
+  poll_timer_.start(sim_, sim_.now() + kPollPeriod,
                     [this]() -> std::optional<sim::Duration> {
                       poll();
-                      return p_.poll_period;
+                      return kPollPeriod;
                     });
 }
 
@@ -70,7 +82,7 @@ void MaintenanceExecutor::poll() {
       continue;
     }
     WorkOrder o;
-    o.fru = row.fru;
+    o.fru = row.label();
     o.component = row.component;
     o.job = row.job;
     o.first_diagnosis = row.diagnosis.cls;
@@ -193,7 +205,7 @@ void MaintenanceExecutor::perform(WorkOrder& o,
       injector_.apply_action(o.component, std::nullopt, action);
       tta::TtaNode& node = system_.cluster().node(o.component);
       node.faults() = tta::FaultControls{};
-      node.clock().set_drift_ppm(p_.replacement_drift_ppm);
+      node.clock().set_drift_ppm(kReplacementDriftPpm);
       node.restart();
       break;
     }
@@ -257,7 +269,7 @@ void MaintenanceExecutor::verify(std::size_t idx) {
     return;
   }
   const double trust = fru_trust(o);
-  if (trust >= p_.verify_trust) {
+  if (trust >= kVerifyTrust) {
     o.state = WorkOrderState::kVerified;
     o.closed = sim_.now();
     sim_.provenance().end_span(o.open_span, obs::ProvOutcome::kRepaired);
@@ -272,12 +284,12 @@ void MaintenanceExecutor::verify(std::size_t idx) {
   sim_.provenance().end_span(o.open_span, o.nff ? obs::ProvOutcome::kNff
                                                 : obs::ProvOutcome::kRetried);
   sim_.metrics().counter("maint.repair_failures").inc();
-  if (o.attempts >= p_.max_attempts) {
+  if (o.attempts >= kMaxAttempts) {
     quarantine(o);
     return;
   }
   // Exponential backoff: the garage escalates, it does not hammer.
-  const double scale = std::pow(p_.backoff_factor,
+  const double scale = std::pow(kBackoffFactor,
                                 static_cast<double>(o.attempts - 1));
   const sim::Duration delay{static_cast<std::int64_t>(
       static_cast<double>(p_.technician_latency.ns()) * scale)};

@@ -82,33 +82,29 @@ struct WorkOrder {
 
 class MaintenanceExecutor {
  public:
+  /// The experiments' settings. The poll period, retry backoff, attempt
+  /// limit and replacement crystal are constants in executor.cpp.
   struct Params {
-    /// How often the executor consults the maintenance report.
-    sim::Duration poll_period = sim::milliseconds(10);
     /// Delay between opening a work order and the technician performing
     /// the action (travel + bench time, compressed to simulation scale).
     sim::Duration technician_latency = sim::milliseconds(40);
-    /// Retry delay multiplier: attempt k waits latency * factor^(k-1).
-    double backoff_factor = 2.0;
     /// Settle time after the action before the trust reset: a replaced
     /// node re-integrates listen-only and its omissions must not poison
     /// the fresh trust of the new unit.
     sim::Duration settle = sim::milliseconds(60);
     /// How long the reset trust must hold for the repair to count.
     sim::Duration verify_window = sim::milliseconds(600);
-    /// Conformance threshold the repaired FRU must hold (Fig. 9's
-    /// healthy band).
-    double verify_trust = 0.9;
     /// Hardware spare pool shared by all component replacements.
     std::uint32_t spares = 2;
-    /// Attempts before the FRU is quarantined as unrepairable.
-    std::uint32_t max_attempts = 4;
     /// How the first attempt chooses its action; retries always re-
     /// diagnose and follow Fig. 11 (the second opinion is model-guided).
     analysis::Strategy strategy = analysis::Strategy::kModelGuided;
-    /// Crystal drift of replacement hardware, ppm (well inside spec).
-    double replacement_drift_ppm = 5.0;
   };
+
+  /// Conformance threshold the repaired FRU must hold (Fig. 9's healthy
+  /// band, the assessor's violation threshold).
+  static constexpr double kVerifyTrust = 0.9;
+  static_assert(kVerifyTrust >= diag::TrustParams::kViolationThreshold);
 
   MaintenanceExecutor(platform::System& system, diag::DiagnosticService& service,
                       fault::FaultInjector& injector, Params params);
@@ -145,7 +141,6 @@ class MaintenanceExecutor {
   /// Garage-visit ledger of every executed action, scored against the
   /// injector's ground truth at execution time.
   [[nodiscard]] const analysis::NffAccounting& nff() const { return nff_; }
-  [[nodiscard]] const Params& params() const { return p_; }
 
   /// Attaches the fault-point registry (not owned; nullptr detaches): the
   /// spare-allocation, repair-settle and repair-verify edges become

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -48,6 +49,15 @@ bool parse_whole(const char* text, unsigned long& out) {
   return true;
 }
 
+/// A malformed flag ends the run before the bench does any work.
+[[noreturn, gnu::format(printf, 1, 2)]] void reject(const char* fmt, ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::exit(1);
+}
+
 }  // namespace
 
 BenchReporter::BenchReporter(std::string bench_name, int argc, char** argv)
@@ -62,10 +72,8 @@ BenchReporter::BenchReporter(std::string bench_name, int argc, char** argv)
       continue;
     }
     if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: %.*s requires a value\n",
-                   static_cast<int>(arg.size()), arg.data());
-      bad_args_ = true;
-      continue;
+      reject("error: %.*s requires a value\n", static_cast<int>(arg.size()),
+             arg.data());
     }
     const char* value = argv[++i];
     unsigned long v = 0;
@@ -74,32 +82,22 @@ BenchReporter::BenchReporter(std::string bench_name, int argc, char** argv)
                                                      : trace_path_) = value;
     } else if (arg == "--trace-cap") {
       if (!parse_whole(value, v) || v == 0) {
-        std::fprintf(stderr,
-                     "error: --trace-cap wants a number >= 1, got '%s'\n",
-                     value);
-        bad_args_ = true;
-      } else {
-        trace_cap_ = static_cast<std::size_t>(v);
+        reject("error: --trace-cap wants a number >= 1, got '%s'\n", value);
       }
+      trace_cap_ = static_cast<std::size_t>(v);
     } else if (arg == "--jobs") {
       if (!parse_whole(value, v)) {
-        std::fprintf(stderr, "error: --jobs wants a number, got '%s'\n",
-                     value);
-        bad_args_ = true;
-      } else if (v == 0) {
-        std::fprintf(stderr,
-                     "error: --jobs must be >= 1 (omit the flag to use "
-                     "hardware concurrency)\n");
-        bad_args_ = true;
-      } else {
-        jobs_ = static_cast<unsigned>(v);
+        reject("error: --jobs wants a number, got '%s'\n", value);
       }
+      if (v == 0) {
+        reject("error: --jobs must be >= 1 (omit the flag to use hardware "
+               "concurrency)\n");
+      }
+      jobs_ = static_cast<unsigned>(v);
     } else if (!parse_seed_list(value, seeds_)) {
-      std::fprintf(stderr,
-                   "error: %.*s wants a non-empty list of distinct "
-                   "integers (N or N,N,...), got '%s'\n",
-                   static_cast<int>(arg.size()), arg.data(), value);
-      bad_args_ = true;
+      reject("error: %.*s wants a non-empty list of distinct integers (N or "
+             "N,N,...), got '%s'\n",
+             static_cast<int>(arg.size()), arg.data(), value);
     }
   }
   args_.push_back(nullptr);
@@ -115,11 +113,8 @@ std::optional<std::string> BenchReporter::take(std::string_view name,
       return std::string();
     }
     if (i + 2 >= args_.size()) {
-      std::fprintf(stderr, "error: %.*s requires a value\n",
-                   static_cast<int>(name.size()), name.data());
-      bad_args_ = true;
-      args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
-      return std::nullopt;
+      reject("error: %.*s requires a value\n", static_cast<int>(name.size()),
+             name.data());
     }
     std::string value = args_[i + 1];
     args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
@@ -150,10 +145,8 @@ std::optional<std::size_t> BenchReporter::count(std::string_view name) {
   if (!text) return std::nullopt;
   unsigned long v = 0;
   if (!parse_whole(text->c_str(), v) || v == 0) {
-    std::fprintf(stderr, "error: %.*s wants a number >= 1, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), text->c_str());
-    bad_args_ = true;
-    return std::nullopt;
+    reject("error: %.*s wants a number >= 1, got '%s'\n",
+           static_cast<int>(name.size()), name.data(), text->c_str());
   }
   echo(name, std::to_string(v));
   return static_cast<std::size_t>(v);
@@ -168,11 +161,8 @@ std::optional<double> BenchReporter::number(std::string_view name, double lo,
   const double v = std::strtod(text->c_str(), &end);
   if (end == text->c_str() || *end != '\0' || errno == ERANGE ||
       !(v >= lo && v <= hi)) {
-    std::fprintf(stderr, "error: %.*s wants a number in [%g, %g], got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), lo, hi,
-                 text->c_str());
-    bad_args_ = true;
-    return std::nullopt;
+    reject("error: %.*s wants a number in [%g, %g], got '%s'\n",
+           static_cast<int>(name.size()), name.data(), lo, hi, text->c_str());
   }
   echo(name, json_number(v));
   return v;
@@ -200,7 +190,7 @@ void BenchReporter::set_info(std::string key, double value) {
 }
 
 int BenchReporter::finish() const {
-  bool ok = !bad_args_;
+  bool ok = true;
   if (!forwarded_ && args_.size() > 2) {
     std::string rest;
     for (std::size_t i = 1; i + 1 < args_.size(); ++i) {

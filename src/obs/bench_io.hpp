@@ -30,7 +30,9 @@ class BenchReporter {
   /// `--seeds <n,n,...>`, `--jobs <n>`, `--trace <path>` and
   /// `--trace-cap <n>` from argv. The bench takes its own flags from the
   /// rest with flag()/value()/count()/number(), or hands the rest on with
-  /// argv(); finish() fails the run on any argument left untaken.
+  /// argv(); finish() fails the run on any argument left untaken. A
+  /// missing or malformed value, here or in a bench flag, prints an error
+  /// and exits 1 at once, before the bench does any work.
   BenchReporter(std::string bench_name, int argc, char** argv);
 
   /// Folds a registry (or pre-built snapshot) into the bench snapshot.
@@ -73,9 +75,10 @@ class BenchReporter {
 
   /// The bench's own flags. Each call takes its flag out of the remaining
   /// arguments: flag() a bare `name`, the others `name <value>`, returning
-  /// nullopt when the flag is absent. A missing or malformed value fails
-  /// the run. Taken values are echoed in the --json export, keyed by the
-  /// flag name without its dashes (`--max-points` -> "max_points").
+  /// nullopt when the flag is absent. A missing or malformed value exits
+  /// the process with 1. Taken values are echoed in the --json export,
+  /// keyed by the flag name without its dashes (`--max-points` ->
+  /// "max_points").
   [[nodiscard]] bool flag(std::string_view name);
   [[nodiscard]] std::optional<std::string> value(std::string_view name);
   /// A whole number >= 1.
@@ -94,8 +97,8 @@ class BenchReporter {
   }
 
   /// Writes the requested exports. Returns 0 on success (also when no
-  /// export was requested), 1 on write failure, a malformed flag or an
-  /// argument the bench did not take — i.e. main's exit code.
+  /// export was requested), 1 on write failure or an argument the bench
+  /// did not take — i.e. main's exit code.
   [[nodiscard]] int finish() const;
 
  private:
@@ -113,7 +116,6 @@ class BenchReporter {
   unsigned jobs_ = 0;  // 0 = hardware concurrency
   Snapshot snapshot_;
   std::vector<std::pair<std::string, double>> info_;
-  bool bad_args_ = false;  // malformed flag (missing path, bad list, --jobs 0)
 
   /// Takes `name` (and its value when `has_value`) out of args_; nullopt
   /// when absent or its value is missing.

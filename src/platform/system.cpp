@@ -3,6 +3,14 @@
 #include <cassert>
 
 namespace decos::platform {
+namespace {
+
+/// Budget of the auto-created diagnostic vnet: messages per round per
+/// node, and queue depth.
+constexpr std::uint16_t kDiagMsgsPerRound = 16;
+constexpr std::uint16_t kDiagQueueDepth = 64;
+
+}  // namespace
 
 System::System(sim::Simulator& sim, Params params)
     : sim_(sim), cluster_(sim, params.cluster) {
@@ -15,8 +23,8 @@ System::System(sim::Simulator& sim, Params params)
   plan_.add_vnet(vnet::VnetConfig{
       .id = kDiagnosticVnet,
       .name = "diagnostic",
-      .msgs_per_round_per_node = params.diag_msgs_per_round,
-      .queue_depth = params.diag_queue_depth,
+      .msgs_per_round_per_node = kDiagMsgsPerRound,
+      .queue_depth = kDiagQueueDepth,
   });
 }
 

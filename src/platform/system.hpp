@@ -32,9 +32,6 @@ class System {
  public:
   struct Params {
     tta::Cluster::Params cluster{};
-    /// Budget of the auto-created diagnostic vnet.
-    std::uint16_t diag_msgs_per_round = 16;
-    std::uint16_t diag_queue_depth = 64;
   };
 
   System(sim::Simulator& sim, Params params);

@@ -16,30 +16,28 @@ namespace decos::reliability {
 
 class AlphaCount {
  public:
-  struct Params {
-    double increment = 1.0;   // added per observed failure
-    double decay = 0.995;     // multiplicative decay per judgement round
-    double threshold = 3.0;   // alpha >= threshold => flagged
-  };
+  /// Added per observed failure.
+  static constexpr double kIncrement = 1.0;
+  /// Multiplicative decay per judgement round.
+  static constexpr double kDecay = 0.995;
 
-  AlphaCount() : AlphaCount(Params{}) {}
-  explicit AlphaCount(Params p) : p_(p) {}
+  /// Flags once alpha >= `threshold` (E7 sweeps it).
+  explicit AlphaCount(double threshold = 3.0) : threshold_(threshold) {}
 
   /// One judgement round: decay, then add increment if a failure was seen.
   void observe(bool failed) {
-    alpha_ *= p_.decay;
+    alpha_ *= kDecay;
     if (failed) {
-      alpha_ += p_.increment;
+      alpha_ += kIncrement;
       ++failures_;
     }
     ++rounds_;
   }
 
   [[nodiscard]] double alpha() const { return alpha_; }
-  [[nodiscard]] bool flagged() const { return alpha_ >= p_.threshold; }
+  [[nodiscard]] bool flagged() const { return alpha_ >= threshold_; }
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
   [[nodiscard]] std::uint64_t failures() const { return failures_; }
-  [[nodiscard]] const Params& params() const { return p_; }
 
   void reset() {
     alpha_ = 0.0;
@@ -48,7 +46,7 @@ class AlphaCount {
   }
 
  private:
-  Params p_;
+  double threshold_;
   double alpha_ = 0.0;
   std::uint64_t rounds_ = 0;
   std::uint64_t failures_ = 0;

@@ -9,6 +9,17 @@ namespace {
 
 constexpr double kNsPerHour = 3.6e12;
 
+// The bathtub's Weibull arms.
+constexpr double kInfantShape = 0.5;
+constexpr double kInfantScaleHours = 2'000.0;  // decays over the first weeks
+/// Fraction of the population subject to infant mortality at all (the
+/// paper notes infant faults affect only a subpopulation).
+constexpr double kInfantPopulationFraction = 0.02;
+constexpr double kWearoutShape = 4.0;
+/// Characteristic life of the wearout arm: ~13.7 years.
+constexpr double kWearoutScaleHours = 120'000.0;
+static_assert(kInfantShape < 1.0 && kWearoutShape > 1.0);
+
 sim::Duration hours_to_duration(double h) {
   // Clamp to the representable range; "never fails" maps to a far future.
   const double ns = h * kNsPerHour;
@@ -45,34 +56,25 @@ sim::Duration WeibullHazard::sample_ttf(sim::Rng& rng, sim::Duration age) const 
 }
 
 double BathtubHazard::hazard_per_hour(sim::Duration age) const {
-  const WeibullHazard infant(p_.infant_shape, p_.infant_scale_hours);
-  const WeibullHazard wearout(p_.wearout_shape, p_.wearout_scale_hours);
-  return p_.infant_population_fraction * infant.hazard_per_hour(age) +
-         p_.useful_life_rate.per_hour() + wearout.hazard_per_hour(age);
+  const WeibullHazard infant(kInfantShape, kInfantScaleHours);
+  const WeibullHazard wearout(kWearoutShape, kWearoutScaleHours);
+  return kInfantPopulationFraction * infant.hazard_per_hour(age) +
+         kUsefulLifeRate.per_hour() + wearout.hazard_per_hour(age);
 }
 
 sim::Duration BathtubHazard::sample_ttf(sim::Rng& rng, sim::Duration age) const {
-  const WeibullHazard wearout(p_.wearout_shape, p_.wearout_scale_hours);
-  const ExponentialHazard useful(p_.useful_life_rate);
+  const WeibullHazard wearout(kWearoutShape, kWearoutScaleHours);
+  const ExponentialHazard useful(kUsefulLifeRate);
 
   sim::Duration ttf = std::min(useful.sample_ttf(rng, age),
                                wearout.sample_ttf(rng, age));
   // Membership in the infant subpopulation is decided per call; callers
   // sampling one device should call once and cache.
-  if (rng.bernoulli(p_.infant_population_fraction)) {
-    const WeibullHazard infant(p_.infant_shape, p_.infant_scale_hours);
+  if (rng.bernoulli(kInfantPopulationFraction)) {
+    const WeibullHazard infant(kInfantShape, kInfantScaleHours);
     ttf = std::min(ttf, infant.sample_ttf(rng, age));
   }
   return ttf;
-}
-
-BathtubHazard::Params default_ecu_bathtub() {
-  BathtubHazard::Params p;
-  // 50 failures / 1e6 units / year = 50 / (1e6 * 8760 h) = 5.7e-9 per hour
-  // = 5.7 FIT.
-  p.useful_life_rate = FitRate{
-      paper::kUsefulLifeFailuresPerMillionPerYear / (1e6 * 8760.0) * 1e9};
-  return p;
 }
 
 }  // namespace decos::reliability

@@ -55,22 +55,15 @@ class WeibullHazard {
 
 /// The Fig. 7 bathtub: superposition of an infant-mortality Weibull
 /// (shape < 1), a constant useful-life rate, and a wearout Weibull
-/// (shape > 1). Hazards add; TTF is sampled by competing risks (minimum of
-/// the three arms' samples).
+/// (shape > 1), at the paper's ECU parameterisation (the Weibull arms'
+/// constants are in hazard.cpp). Hazards add; TTF is sampled by competing
+/// risks (minimum of the three arms' samples).
 class BathtubHazard {
  public:
-  struct Params {
-    double infant_shape = 0.5;
-    double infant_scale_hours = 2'000.0;   // decays over the first weeks
-    /// Fraction of the population subject to infant mortality at all
-    /// (the paper notes infant faults affect only a subpopulation).
-    double infant_population_fraction = 0.02;
-    FitRate useful_life_rate{FitRate{5.7}};  // ~50 / 1e6 units / year
-    double wearout_shape = 4.0;
-    double wearout_scale_hours = 120'000.0;  // ~13.7 years characteristic life
-  };
-
-  explicit BathtubHazard(Params p) : p_(p) {}
+  /// Useful-life floor calibrated to 50 failures per million ECUs per
+  /// year: 50 / (1e6 * 8760 h) = 5.7e-9 per hour = 5.7 FIT.
+  static constexpr FitRate kUsefulLifeRate{
+      paper::kUsefulLifeFailuresPerMillionPerYear / (1e6 * 8760.0) * 1e9};
 
   /// Population-average hazard (infant arm weighted by its fraction).
   [[nodiscard]] double hazard_per_hour(sim::Duration age) const;
@@ -79,15 +72,6 @@ class BathtubHazard {
   /// subpopulation is itself drawn from `rng`.
   [[nodiscard]] sim::Duration sample_ttf(sim::Rng& rng,
                                          sim::Duration age) const;
-
-  [[nodiscard]] const Params& params() const { return p_; }
-
- private:
-  Params p_;
 };
-
-/// Convenience: the paper's default bathtub parameterisation (useful-life
-/// floor calibrated to 50 failures per million ECUs per year).
-[[nodiscard]] BathtubHazard::Params default_ecu_bathtub();
 
 }  // namespace decos::reliability

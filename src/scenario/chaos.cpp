@@ -5,7 +5,22 @@
 namespace decos::scenario {
 namespace {
 
-sim::SimTime ms(std::int64_t v) { return sim::SimTime{0} + sim::milliseconds(v); }
+constexpr sim::SimTime ms(std::int64_t v) {
+  return sim::SimTime{0} + sim::milliseconds(v);
+}
+
+/// The chaos treatment. Diagnostic-channel degradation is active from
+/// t = 0: per-message drop and corruption probabilities on virtual
+/// network 0. The primary assessor's host dies mid-run, after fault
+/// onset, and revives before the end, forcing failover and a reconciled
+/// failback.
+constexpr double kDropProb = 0.10;
+constexpr double kCorruptProb = 0.05;
+constexpr sim::SimTime kKillAt = ms(800);
+constexpr sim::SimTime kReviveAt = ms(2200);
+static_assert(kKillAt < kReviveAt);
+/// Host of the replica assessor that covers the primary's outage.
+constexpr platform::ComponentId kReplicaHost = 6;
 
 /// What one chaos run hands back to the merge thread: the worker tears
 /// the rig down after harvesting, so the merged ChaosCampaignResult is
@@ -24,16 +39,9 @@ ChaosOutcome run_one_chaos(const Archetype& arch, std::uint64_t seed,
   arch.inject(rig);
 
   fault::ChaosInjector storm(rig.sim(), rig.system());
-  if (chaos.drop_prob > 0.0 || chaos.corrupt_prob > 0.0) {
-    storm.degrade_diagnostic_channel(chaos.drop_prob, chaos.corrupt_prob,
-                                     ms(0));
-  }
-  if (chaos.kill_primary) {
-    storm.kill_host(chaos.assessor_host, chaos.kill_at);
-    if (chaos.revive_primary) {
-      storm.revive_host(chaos.assessor_host, chaos.revive_at);
-    }
-  }
+  storm.degrade_diagnostic_channel(kDropProb, kCorruptProb, ms(0));
+  storm.kill_host(chaos.assessor_host, kKillAt);
+  storm.revive_host(chaos.assessor_host, kReviveAt);
 
   rig.run(arch.horizon);
   // Diagnosing goes through DiagnosticService::assessor(), which
@@ -84,7 +92,7 @@ ChaosOutcome run_one_chaos(const Archetype& arch, std::uint64_t seed,
 Fig10Options chaos_rig_options(Fig10Options base, const ChaosOptions& chaos) {
   base.components = chaos.components;
   base.assessor_host = chaos.assessor_host;
-  base.assessor_replicas = {chaos.replica_host};
+  base.assessor_replicas = {kReplicaHost};
   return base;
 }
 
@@ -171,9 +179,8 @@ SilentAgentOutcome run_silent_agent_scenario(bool hardening,
 
   SilentAgentOutcome out;
   out.trust = rig.diag().assessor().component_trust(victim);
-  const std::string fru = "component " + std::to_string(victim);
   for (const diag::FruReport& r : rig.diag().report()) {
-    if (r.fru != fru) continue;
+    if (r.job || r.component != victim) continue;
     out.evidence_quality = r.evidence_quality;
     out.evidence_age = r.evidence_age;
     out.action_is_none = r.action == fault::MaintenanceAction::kNoAction;

@@ -12,9 +12,12 @@
 // headline numbers: hardened accuracy stays close to the fault-free
 // baseline, and a silenced agent is never reported as verified-healthy.
 //
-// The hardening ablation and provenance tracing are rig options
-// (Fig10Options::assessor.hardening, Fig10Options::provenance): the
-// campaign applies only the chaos treatment and the geometry below.
+// The treatment is fixed (constants in chaos.cpp): 10 % of diagnostic
+// messages dropped and 5 % corrupted from t = 0, the primary's host
+// killed at 800 ms and revived at 2200 ms. The hardening ablation and
+// provenance tracing are rig options (Fig10Options::assessor.hardening,
+// Fig10Options::provenance); the campaign applies only the chaos
+// treatment and the geometry below.
 #pragma once
 
 #include <cstdint>
@@ -30,22 +33,12 @@
 namespace decos::scenario {
 
 struct ChaosOptions {
-  /// Diagnostic-channel degradation, active from t = 0: per-message drop
-  /// and corruption probabilities on virtual network 0.
-  double drop_prob = 0.10;
-  double corrupt_prob = 0.05;
-  /// Kill the primary assessor's host mid-run (after fault onset) and
-  /// revive it before the end, forcing failover + reconciled failback.
-  bool kill_primary = true;
-  bool revive_primary = true;
-  sim::SimTime kill_at = sim::SimTime::zero() + sim::milliseconds(800);
-  sim::SimTime revive_at = sim::SimTime::zero() + sim::milliseconds(2200);
   /// Cluster geometry: two components beyond the Fig. 10 five host the
-  /// primary and replica assessors, so archetype injections never touch
-  /// an assessor host and the kill is attributable to chaos alone.
+  /// primary and replica assessors (the replica on `kReplicaHost` in
+  /// chaos.cpp), so archetype injections never touch an assessor host
+  /// and the kill is attributable to chaos alone.
   std::uint32_t components = 7;
   platform::ComponentId assessor_host = 5;
-  platform::ComponentId replica_host = 6;
 };
 
 /// `base` on the chaos-rig geometry of `chaos` (components, primary and

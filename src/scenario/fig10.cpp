@@ -6,6 +6,12 @@
 namespace decos::scenario {
 namespace {
 
+/// Value-range half width of every port spec: the largest sine amplitude
+/// (10, the S triple) plus margin.
+constexpr double kSpecBound = 15.0;
+/// TMR vote agreement tolerance.
+constexpr double kVoteEpsilon = 1.0;
+
 platform::System::Params system_params(const Fig10Options& opts) {
   platform::System::Params p;
   p.cluster.node_count = opts.components;
@@ -69,7 +75,7 @@ Fig10System::Fig10System(Fig10Options opts)
   }
   {
     auto voter_impl =
-        std::make_shared<vnet::TmrVoter>(vnet::TmrVoter::Params{opts_.vote_epsilon});
+        std::make_shared<vnet::TmrVoter>(vnet::TmrVoter::Params{kVoteEpsilon});
     // Replica index by sending job: s_jobs_[r] was created in order.
     std::vector<platform::JobId> replica_jobs = s_jobs_;
     platform::Job& voter = sys.add_job(
@@ -140,8 +146,8 @@ Fig10System::Fig10System(Fig10Options opts)
   for (const auto& pc : sys.plan().ports()) {
     if (pc.vnet == platform::kDiagnosticVnet) continue;
     specs.set(pc.id, diag::PortSpec{
-                         .min_value = -opts_.spec_bound,
-                         .max_value = opts_.spec_bound,
+                         .min_value = -kSpecBound,
+                         .max_value = kSpecBound,
                          .period_rounds = 1,
                          .gap_tolerance_periods = 3,
                      });

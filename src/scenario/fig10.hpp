@@ -37,10 +37,6 @@ struct Fig10Options {
   std::uint32_t components = 5;
   sim::Duration slot_length = sim::microseconds(500);
   double drift_bound_ppm = 40.0;
-  /// Value-range half width for the sine jobs (amplitude 10 + margin).
-  double spec_bound = 15.0;
-  /// TMR vote agreement tolerance.
-  double vote_epsilon = 1.0;
   platform::ComponentId assessor_host = 3;
   /// Additional components hosting replica assessors.
   std::vector<platform::ComponentId> assessor_replicas;

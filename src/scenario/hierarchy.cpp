@@ -10,6 +10,10 @@ namespace {
 
 sim::SimTime ms(std::int64_t v) { return sim::SimTime{0} + sim::milliseconds(v); }
 
+/// Value-range half width of every port spec: the largest ring amplitude
+/// (10) plus margin.
+constexpr double kSpecBound = 15.0;
+
 platform::System::Params system_params(const HierarchyOptions& opts) {
   platform::System::Params p;
   p.cluster.node_count = opts.components;
@@ -72,8 +76,8 @@ HierarchySystem::HierarchySystem(HierarchyOptions opts)
   for (const auto& pc : sys.plan().ports()) {
     if (pc.vnet == platform::kDiagnosticVnet) continue;
     specs.set(pc.id, diag::PortSpec{
-                         .min_value = -opts_.spec_bound,
-                         .max_value = opts_.spec_bound,
+                         .min_value = -kSpecBound,
+                         .max_value = kSpecBound,
                          .period_rounds = 1,
                          .gap_tolerance_periods = 3,
                      });

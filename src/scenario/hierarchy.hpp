@@ -33,7 +33,6 @@ struct HierarchyOptions {
   /// components * (1 + rings).
   std::uint32_t rings = 1;
   sim::Duration slot_length = sim::microseconds(500);
-  double spec_bound = 15.0;
   diag::Assessor::Params assessor{};
   bool provenance = false;
 };

@@ -29,7 +29,8 @@ MaintenanceRun run_one(const Archetype& arch, std::uint64_t seed,
   const diag::Assessor& assessor = rig.diag().assessor();
   out.final_trust = subject.job ? assessor.job_trust(*subject.job)
                                 : assessor.component_trust(subject.component);
-  out.recovered = out.final_trust >= options.executor.verify_trust;
+  out.recovered =
+      out.final_trust >= maintenance::MaintenanceExecutor::kVerifyTrust;
   out.repairs_attempted = executor.repairs_attempted();
   out.repairs_verified = executor.repairs_verified();
   out.repairs_failed = executor.repairs_failed();

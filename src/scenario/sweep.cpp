@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "maintenance/executor.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/chaos.hpp"
 #include "scenario/fig10.hpp"
@@ -10,6 +11,18 @@
 
 namespace decos::scenario {
 namespace {
+
+/// Injection instant of the victim's permanent failure.
+constexpr sim::Duration kInjectAt = sim::milliseconds(100);
+/// The closed-loop executor's garage windows (technician, settle, verify)
+/// are shorter than the E17 campaign's, so the whole repair story fits
+/// the sweep horizon and the enumerable space stays in the low thousands
+/// of points.
+constexpr maintenance::MaintenanceExecutor::Params kExecutor{
+    .technician_latency = sim::milliseconds(20),
+    .settle = sim::milliseconds(20),
+    .verify_window = sim::milliseconds(100),
+};
 
 Fig10Options rig_options(const SweepOptions& opts) {
   Fig10Options fo;
@@ -57,7 +70,7 @@ PointRun run_body(Rig& rig, const SweepOptions& opts,
   rig.diag().bind_fault_points(&reg);
 
   maintenance::MaintenanceExecutor executor(rig.system(), rig.diag(),
-                                            rig.injector(), opts.executor);
+                                            rig.injector(), kExecutor);
   executor.bind_fault_points(&reg);
 
   // Bit-fault leg: a short, un-ledgered rx-BER window on a bystander
@@ -86,7 +99,7 @@ PointRun run_body(Rig& rig, const SweepOptions& opts,
 
   const platform::ComponentId victim = sweep_victim(opts);
   rig.injector().inject_permanent_failure(victim,
-                                          sim::SimTime::zero() + opts.inject_at);
+                                          sim::SimTime::zero() + kInjectAt);
   executor.start();
   rig.run(opts.horizon);
 
@@ -109,7 +122,7 @@ PointRun run_body(Rig& rig, const SweepOptions& opts,
   const fault::FaultClass truth = rig.injector().truth_for_component(victim);
 
   v.final_trust = service.component_trust(victim);
-  v.trust_reconverged = v.final_trust >= opts.executor.verify_trust ||
+  v.trust_reconverged = v.final_trust >= maintenance::MaintenanceExecutor::kVerifyTrust ||
                         executor.quarantined_component(victim);
 
   bool classified = false;

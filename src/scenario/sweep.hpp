@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "fault/faultpoint.hpp"
-#include "maintenance/executor.hpp"
+#include "platform/types.hpp"
 #include "sim/simulator.hpp"
 
 namespace decos::scenario {
@@ -54,21 +54,10 @@ struct SweepOptions {
   std::uint64_t seed = 1;
   /// Simulated horizon of every run. Long enough for the injected fault
   /// to be detected, repaired, re-verified once (a deferred verification
-  /// is one enumerated perturbation) and for trust to reconverge.
+  /// is one enumerated perturbation) and for trust to reconverge. The
+  /// injection instant and the executor's garage windows are constants
+  /// in sweep.cpp.
   sim::Duration horizon = sim::milliseconds(800);
-  /// Injection instant of the victim's permanent failure.
-  sim::Duration inject_at = sim::milliseconds(100);
-  /// Closed-loop executor parameters. The defaults shorten the garage
-  /// windows (technician/settle/verify) relative to the E17 campaign so
-  /// the whole repair story fits the sweep horizon and the enumerable
-  /// space stays in the low thousands of points.
-  maintenance::MaintenanceExecutor::Params executor{};
-
-  SweepOptions() {
-    executor.technician_latency = sim::milliseconds(20);
-    executor.settle = sim::milliseconds(20);
-    executor.verify_window = sim::milliseconds(100);
-  }
 };
 
 [[nodiscard]] const char* to_string(SweepOptions::Rig rig);

@@ -4,12 +4,26 @@
 #include <cmath>
 
 namespace decos::tta {
+namespace {
+
+/// Guardian tolerance around the sender's *send instant* (accounts for
+/// sync precision). Transmissions outside send_instant±tolerance are
+/// blocked. The window is anchored at the send instant rather than the
+/// slot boundaries: a slot-boundary window lets a babble accepted in the
+/// trailing tolerance leak into the *next* slot and mask its rightful
+/// owner — misattributing the fault.
+constexpr sim::Duration kGuardianTolerance = sim::microseconds(30);
+/// FramePool slots the bus considers healthy; demand beyond it still
+/// delivers but counts as a fallback acquire (see FramePool).
+constexpr std::size_t kFramePoolSoftCap = 64;
+
+}  // namespace
 
 Bus::Bus(sim::Simulator& sim, TdmaSchedule schedule, Params params)
     : sim_(sim),
       schedule_(std::move(schedule)),
       params_(params),
-      pool_(FramePool::create(params.frame_pool_soft_cap)),
+      pool_(FramePool::create(kFramePoolSoftCap)),
       frames_sent_metric_(sim.metrics().counter("tta.bus.frames_sent")),
       frames_blocked_metric_(sim.metrics().counter("tta.bus.frames_blocked")),
       copies_dropped_metric_(
@@ -44,8 +58,8 @@ bool Bus::transmit(NodeId sender, FrameHandle master) {
     RoundId matched_round = round;
     for (RoundId r : {round > 0 ? round - 1 : round, round, round + 1}) {
       const sim::SimTime nominal = schedule_.send_instant(r, own_slot);
-      if (adjusted >= nominal - params_.guardian_tolerance &&
-          adjusted <= nominal + params_.guardian_tolerance) {
+      if (adjusted >= nominal - kGuardianTolerance &&
+          adjusted <= nominal + kGuardianTolerance) {
         inside = true;
         matched_round = r;
         break;

@@ -110,19 +110,9 @@ class Bus {
  public:
   struct Params {
     sim::Duration propagation_delay = sim::microseconds(2);
-    /// Guardian tolerance around the sender's *send instant* (accounts
-    /// for sync precision). Transmissions outside send_instant±tolerance
-    /// are blocked. The window is anchored at the send instant rather
-    /// than the slot boundaries: a slot-boundary window lets a babble
-    /// accepted in the trailing tolerance leak into the *next* slot and
-    /// mask its rightful owner — misattributing the fault.
-    sim::Duration guardian_tolerance = sim::microseconds(30);
     /// When false the guardian is disabled (ablation: shows why the core
     /// service is needed).
     bool guardian_enabled = true;
-    /// FramePool slots the bus considers healthy; demand beyond it still
-    /// delivers but counts as a fallback acquire (see FramePool).
-    std::size_t frame_pool_soft_cap = 64;
   };
 
   Bus(sim::Simulator& sim, TdmaSchedule schedule, Params params);

@@ -12,10 +12,10 @@ Cluster::Cluster(sim::Simulator& sim, Params params) : sim_(sim) {
   sim::Rng drift_rng = sim.fork_rng("tta.cluster.drift");
   nodes_.reserve(params.node_count);
   for (std::uint32_t i = 0; i < params.node_count; ++i) {
-    TtaNode::Params np = params.node_template;
-    np.id = i;
-    np.drift_ppm = drift_rng.uniform(-params.drift_bound_ppm,
-                                     params.drift_bound_ppm);
+    const TtaNode::Params np{
+        .id = i,
+        .drift_ppm = drift_rng.uniform(-params.drift_bound_ppm,
+                                       params.drift_bound_ppm)};
     nodes_.push_back(std::make_unique<TtaNode>(sim, *bus_, np));
   }
 }

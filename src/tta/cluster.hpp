@@ -24,7 +24,6 @@ class Cluster {
     /// Spec bound for crystal drift; per-node drift is uniform in
     /// [-bound, +bound] ppm.
     double drift_bound_ppm = 50.0;
-    TtaNode::Params node_template{};
   };
 
   Cluster(sim::Simulator& sim, Params params);

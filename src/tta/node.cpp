@@ -4,13 +4,22 @@
 #include <utility>
 
 namespace decos::tta {
+namespace {
+
+/// Rounds without enough sync measurements before the node considers
+/// itself desynchronised and stops transmitting.
+constexpr std::uint32_t kSyncLossRounds = 8;
+/// Rounds of listen-only operation after re-integration before the node
+/// transmits again (TTP-style integration via received frames).
+constexpr std::uint32_t kReintegrationListenRounds = 4;
+
+}  // namespace
 
 TtaNode::TtaNode(sim::Simulator& sim, Bus& bus, Params params)
     : sim_(sim),
       bus_(bus),
       params_(params),
       clock_(params.drift_ppm),
-      sync_(params.sync),
       rng_(sim.fork_rng("tta.node." + std::to_string(params.id))),
       slots_correct_metric_(
           sim.metrics().counter("tta.slot_verdicts", "verdict=correct")),
@@ -289,7 +298,7 @@ void TtaNode::finish_round(RoundId round) {
   // lone cold start.
   const std::size_t needed = 2 * sync_.params().k + 1;
   if (measurements < needed && frames_heard_this_round_ > 0) {
-    if (++rounds_without_sync_ >= params_.sync_loss_rounds && in_sync_) {
+    if (++rounds_without_sync_ >= kSyncLossRounds && in_sync_) {
       in_sync_ = false;
     }
   } else if (measurements >= needed) {
@@ -320,7 +329,7 @@ void TtaNode::reintegrate(const Frame& frame, sim::SimTime arrival) {
   pending_.frame.reset();
   in_sync_ = true;
   rounds_without_sync_ = 0;
-  listen_rounds_left_ = params_.reintegration_listen_rounds;
+  listen_rounds_left_ = kReintegrationListenRounds;
   round_ = frame.round;
 
   const std::uint32_t slots = sched.params().slots_per_round;

@@ -55,13 +55,6 @@ class TtaNode final : public BusReceiver {
     NodeId id = 0;
     /// Crystal drift in ppm (sampled by the scenario builder).
     double drift_ppm = 0.0;
-    /// Rounds without enough sync measurements before the node considers
-    /// itself desynchronised and stops transmitting.
-    std::uint32_t sync_loss_rounds = 8;
-    /// Rounds of listen-only operation after re-integration before the
-    /// node transmits again (TTP-style integration via received frames).
-    std::uint32_t reintegration_listen_rounds = 4;
-    FtaClockSync::Params sync{};
   };
 
   TtaNode(sim::Simulator& sim, Bus& bus, Params params);

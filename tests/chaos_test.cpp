@@ -141,7 +141,7 @@ TEST(TmrRedundancy, LostReplicaAssertsExternalOnaOnItsHost) {
 
   bool ona_seen = false;
   for (const auto& row : rig.diag().report()) {
-    if (row.fru != "component 0") continue;
+    if (row.job || row.component != 0) continue;
     for (const auto& ona : row.asserted_onas) {
       if (ona == diag::Ona::kTmrRedundancyLost) ona_seen = true;
     }

@@ -1,6 +1,7 @@
 // Model-based tests for the assessor's flat write side: the evidence
 // store's round logs and observer masks against the round-keyed maps and
-// observer sets they replace, and the open-addressed dedupe set against a
+// observer sets they replace, its job histories against the front-erased
+// vectors they replace, and the open-addressed dedupe set against a
 // std::set under the assessor's own insert, prune and merge schedule.
 #include <gtest/gtest.h>
 
@@ -124,6 +125,10 @@ TEST(RoundLogModel, PruneCompactsOnlyOnceTheDeadPrefixOutgrowsTheLiveRounds) {
   EXPECT_EQ(log.begin()->round, 5u);
   EXPECT_EQ(log.size(), 5u);
   EXPECT_EQ(log.find(9)->n, 9);
+  // One dead entry short of the live count still stays in place.
+  log.prune(7);  // 2 dead, 3 live
+  EXPECT_EQ(log.begin(), first + 2);
+  EXPECT_EQ(log.begin()->round, 7u);
 }
 
 // --- evidence store transport views ------------------------------------------
@@ -231,6 +236,109 @@ TEST(EvidenceStoreModel, TransportViewsMatchMapsAcrossTheWindow) {
     }
   }
   expect_same(ev, ref);
+}
+
+// --- evidence store job histories ---------------------------------------------
+
+/// One job's histories as they were kept before the front trim went
+/// through a head index: plain vectors, front-erased on every prune.
+struct VectorJob {
+  std::vector<RoundId> value_rounds;
+  std::vector<double> value_magnitudes;
+  std::vector<RoundId> gap_rounds;
+  std::vector<RoundId> transducer_suspect_rounds;
+  std::size_t dropped = 0;
+
+  void ingest(const Symptom& s) {
+    if (s.type == SymptomType::kValueOutOfRange) {
+      if (!value_rounds.empty() && value_rounds.back() == s.round) {
+        value_magnitudes.back() = std::max(value_magnitudes.back(), s.magnitude);
+      } else {
+        value_rounds.push_back(s.round);
+        value_magnitudes.push_back(s.magnitude);
+      }
+    } else if (s.type == SymptomType::kMessageGap) {
+      gap_rounds.push_back(s.round);
+    } else if (transducer_suspect_rounds.empty() ||
+               transducer_suspect_rounds.back() < s.round) {
+      transducer_suspect_rounds.push_back(s.round);
+    }
+  }
+  void prune(RoundId now) {
+    if (now <= EvidenceStore::kWindowRounds) return;
+    const RoundId cutoff = now - EvidenceStore::kWindowRounds;
+    std::size_t drop = 0;
+    while (drop < value_rounds.size() && value_rounds[drop] < cutoff) ++drop;
+    dropped += drop;
+    value_rounds.erase(value_rounds.begin(), value_rounds.begin() + drop);
+    value_magnitudes.erase(value_magnitudes.begin(),
+                           value_magnitudes.begin() + drop);
+    for (auto* rounds : {&gap_rounds, &transducer_suspect_rounds}) {
+      drop = 0;
+      while (drop < rounds->size() && (*rounds)[drop] < cutoff) ++drop;
+      dropped += drop;
+      rounds->erase(rounds->begin(), rounds->begin() + drop);
+    }
+  }
+};
+
+template <class T>
+void expect_same_history(const TrimmedVector<T>& got,
+                         const std::vector<T>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(got.empty(), want.empty()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << "[" << i << "]";
+    EXPECT_EQ(got.begin()[i], want[i]) << what << "[" << i << "]";
+  }
+  if (!want.empty()) EXPECT_EQ(got.back(), want.back()) << what;
+}
+
+TEST(EvidenceStoreModel, JobHistoriesMatchFrontErasedVectorsAcrossTheWindow) {
+  sim::Rng rng(17);
+  EvidenceStore ev;
+  std::map<platform::JobId, VectorJob> ref;
+  const platform::JobId jobs[] = {0, 1, 2, 7};
+  const SymptomType kinds[] = {SymptomType::kValueOutOfRange,
+                               SymptomType::kMessageGap,
+                               SymptomType::kTransducerSuspect};
+  RoundId now = EvidenceStore::kWindowRounds - 3'000;
+  for (int step = 0; step < 3'000; ++step) {
+    now += static_cast<RoundId>(rng.uniform_int(0, 400));
+    const int burst = static_cast<int>(rng.uniform_int(1, 6));
+    for (int i = 0; i < burst; ++i) {
+      Symptom s;
+      s.type = kinds[rng.uniform_int(0, 2)];
+      s.subject_job = jobs[rng.uniform_int(0, 3)];
+      // Mostly the newest round, repeated; some late rounds up to 300
+      // back, which land at the back of the arrival-order histories.
+      s.round = rng.bernoulli(0.6)
+                    ? now
+                    : now - static_cast<RoundId>(rng.uniform_int(1, 300));
+      s.magnitude = rng.uniform(0.0, 10.0);
+      ev.ingest(s);
+      ref[*s.subject_job].ingest(s);
+    }
+    // A prune schedule that pauses and resumes, so a prune may drop one
+    // round or many.
+    if (rng.bernoulli(0.4)) {
+      ev.prune(now);
+      for (auto& [j, job] : ref) job.prune(now);
+    }
+    for (const auto& [j, want] : ref) {
+      const JobEvidence& got = ev.job(j);
+      expect_same_history(got.value_rounds, want.value_rounds, "value_rounds");
+      expect_same_history(got.value_magnitudes, want.value_magnitudes,
+                          "value_magnitudes");
+      expect_same_history(got.gap_rounds, want.gap_rounds, "gap_rounds");
+      expect_same_history(got.transducer_suspect_rounds,
+                          want.transducer_suspect_rounds,
+                          "transducer_suspect_rounds");
+      if (HasFatalFailure()) return;
+    }
+  }
+  // The run crossed the window: every job's histories were trimmed.
+  for (const auto& [j, want] : ref) EXPECT_GT(want.dropped, 0u) << j;
 }
 
 TEST(EvidenceStoreModel, TopMaskBitIsComponent63) {

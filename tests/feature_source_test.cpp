@@ -35,7 +35,7 @@ std::vector<FruReport> expect_rows_follow_features(
   const Assessor& a = rig.diag().assessor();
   std::size_t component_rows = 0;
   for (const FruReport& row : rows) {
-    SCOPED_TRACE(row.fru);
+    SCOPED_TRACE(row.label());
     if (row.job) {
       EXPECT_EQ(row.diagnosis, a.diagnose_job(*row.job));
       continue;

@@ -162,7 +162,7 @@ TEST(Features, DriftNeedsMonotoneGrowth) {
   EXPECT_FALSE(magnitudes_drifting(falling));
 
   // Too short: undecidable.
-  EXPECT_FALSE(magnitudes_drifting({1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_FALSE(magnitudes_drifting(std::vector<double>{1, 2, 3, 4, 5, 6, 7}));
 
   // Growth modulated by oscillation (the sine-sensor case): still drifts.
   std::vector<double> wavy;

@@ -123,7 +123,7 @@ TEST(HierarchyRig, StalenessGaugesFollowTheServingTester) {
   std::size_t checked = 0;
   for (const diag::FruReport& row : rows) {
     if (row.job) continue;
-    SCOPED_TRACE(row.fru);
+    SCOPED_TRACE(row.label());
     const obs::SnapshotEntry* gauge = snap.find(
         "diag.evidence_staleness", "fru=c" + std::to_string(row.component));
     ASSERT_NE(gauge, nullptr);

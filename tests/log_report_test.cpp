@@ -1,14 +1,43 @@
 // Tests for the diagnostic flight recorder (serialise, parse, file
 // round-trip, replay into a fresh evidence store with identical
-// classification) and the technician report renderer.
+// classification), the maintenance report's allocations and the
+// technician report renderer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 
 #include "analysis/technician_report.hpp"
 #include "diag/log.hpp"
 #include "scenario/fig10.hpp"
 #include "sim/rng.hpp"
+
+namespace {
+// Counts every global allocation, so a test can read how many a call
+// makes. Every variant funnels through malloc/free so replaced and
+// sanitizer allocators never mix.
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace decos::diag {
 namespace {
@@ -145,14 +174,32 @@ TEST(DiagnosticLog, ReplayReproducesClassificationOffBoard) {
   EXPECT_EQ(offboard.cls, onboard.cls) << rationale(offboard);
 }
 
+TEST(MaintenanceReport, RepeatedReportBuildsNoStrings) {
+  // Faults off: no row asserts an ONA, so a report is its two arrays (the
+  // rows and the per-component verdicts). A row names its FRU by
+  // component and job id; the label is built only where a row is shown.
+  scenario::Fig10System rig({.seed = 3});
+  rig.run(sim::milliseconds(500));
+  const std::size_t frus = rig.diag().report().size();  // warm: gauges made
+  ASSERT_EQ(frus, 5u + rig.app_jobs().size());
+  constexpr int kReports = 20;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < kReports; ++i) {
+    const std::vector<FruReport> rows = rig.diag().report();
+    ASSERT_EQ(rows.size(), frus);
+  }
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before,
+            2u * kReports);
+}
+
 TEST(TechnicianReport, RendersBarsAndRationales) {
   std::vector<FruReport> rows;
   FruReport healthy;
-  healthy.fru = "component 0";
+  healthy.component = 0;
   healthy.trust = 1.0;
   rows.push_back(healthy);
   FruReport bad;
-  bad.fru = "component 1";
+  bad.component = 1;
   bad.trust = 0.3;
   bad.diagnosis = {fault::FaultClass::kComponentInternal,
                    fault::Persistence::kIntermittent, 0.85, Rule::kWearout};
@@ -180,7 +227,7 @@ TEST(TechnicianReport, OnaFindingsRendered) {
   rig.run(sim::seconds(5));
   const std::vector<FruReport> rows = rig.diag().report();
   ASSERT_GT(rows.size(), 1u);
-  ASSERT_EQ(rows[1].fru, "component 1");
+  ASSERT_EQ(rows[1].label(), "component 1");
   const auto text = analysis::render_technician_report({rows[1]});
   EXPECT_NE(text.find("component-internal"), std::string::npos);
   // The wearout ONA, first in table order, heads the row's ONA line.

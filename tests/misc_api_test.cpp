@@ -102,9 +102,18 @@ TEST(DiagnosticService, ReportRowsNameEveryFru) {
   const auto report = rig.diag().report();
   ASSERT_EQ(report.size(), 5u + rig.app_jobs().size());
   for (std::size_t c = 0; c < 5; ++c) {
-    EXPECT_EQ(report[c].fru, "component " + std::to_string(c));
+    EXPECT_EQ(report[c].label(), "component " + std::to_string(c));
     EXPECT_GE(report[c].trust, 0.0);
     EXPECT_LE(report[c].trust, 1.0);
+  }
+  for (std::size_t i = 5; i < report.size(); ++i) {
+    ASSERT_TRUE(report[i].job.has_value());
+    const platform::JobId j = *report[i].job;
+    const platform::Job& job = rig.system().job(j);
+    EXPECT_EQ(report[i].component, job.host());
+    EXPECT_EQ(report[i].label(), "job " + job.name() + " (j" +
+                                     std::to_string(j) + ") on component " +
+                                     std::to_string(job.host()));
   }
 }
 

@@ -449,9 +449,9 @@ TEST(DetectionLatency, HealthyRunRecordsNothing) {
 // --- BenchReporter flag parsing --------------------------------------------
 //
 // The bench harness is the repo's outermost CLI; a silently mis-parsed
-// flag skews a whole campaign. Malformed input, or a flag the bench does
-// not take, must flag the run as failed (finish() != 0) and must never
-// half-apply: a bad --seeds list leaves the fallback seeds in force.
+// flag skews a whole campaign. Malformed input exits 1 at once, before
+// the bench runs anything with a half-applied or default value; a flag
+// the bench does not take fails the run at finish() (finish() != 0).
 
 /// Builds a mutable argv from string literals (BenchReporter wants char**).
 class FakeArgv {
@@ -475,53 +475,56 @@ TEST(BenchReporter, ValidFlagsParse) {
   EXPECT_EQ(reporter.finish(), 0);
 }
 
+/// Constructing a reporter from `args` exits 1 with `error` on stderr.
+void expect_rejected(std::vector<std::string> args, const char* error) {
+  EXPECT_EXIT(
+      {
+        FakeArgv argv(std::move(args));
+        BenchReporter reporter("t", argv.argc(), argv.argv());
+      },
+      ::testing::ExitedWithCode(1), error);
+}
+
 TEST(BenchReporter, ExplicitJobsZeroIsRejected) {
-  FakeArgv args({"bench", "--jobs", "0"});
-  BenchReporter reporter("t", args.argc(), args.argv());
-  // jobs() still resolves to something runnable (hardware concurrency),
-  // but the run is flagged as failed so CI cannot miss the bad flag.
-  EXPECT_GE(reporter.jobs(), 1u);
-  EXPECT_NE(reporter.finish(), 0);
+  // Omitting the flag means hardware concurrency; an explicit 0 is a typo.
+  expect_rejected({"bench", "--jobs", "0"}, "--jobs must be >= 1");
 }
 
 TEST(BenchReporter, MalformedJobsIsRejected) {
-  FakeArgv args({"bench", "--jobs", "many"});
-  BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_NE(reporter.finish(), 0);
+  expect_rejected({"bench", "--jobs", "many"}, "--jobs wants a number");
 }
 
 TEST(BenchReporter, EmptySeedListIsRejected) {
-  FakeArgv args({"bench", "--seeds", ""});
-  BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_NE(reporter.finish(), 0);
-  EXPECT_EQ(reporter.seeds_or({42}), (std::vector<std::uint64_t>{42}));
+  expect_rejected({"bench", "--seeds", ""}, "--seeds wants a non-empty list");
 }
 
 TEST(BenchReporter, SeedListWithEmptyEntryIsRejected) {
-  FakeArgv args({"bench", "--seeds", "1,,2"});
-  BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_NE(reporter.finish(), 0);
-  EXPECT_EQ(reporter.seeds_or({42}), (std::vector<std::uint64_t>{42}));
+  expect_rejected({"bench", "--seeds", "1,,2"}, "got '1,,2'");
 }
 
 TEST(BenchReporter, MalformedSeedEntryIsRejected) {
-  FakeArgv args({"bench", "--seeds", "1,two,3"});
-  BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_NE(reporter.finish(), 0);
-  EXPECT_EQ(reporter.seeds_or({42}), (std::vector<std::uint64_t>{42}));
+  expect_rejected({"bench", "--seeds", "1,two,3"}, "got '1,two,3'");
 }
 
 TEST(BenchReporter, DuplicateSeedsAreRejected) {
   // A duplicate would silently double-weight one seed's statistics.
-  FakeArgv args({"bench", "--seeds", "1,2,1"});
-  BenchReporter reporter("t", args.argc(), args.argv());
-  EXPECT_NE(reporter.finish(), 0);
-  EXPECT_EQ(reporter.seeds_or({42}), (std::vector<std::uint64_t>{42}));
+  expect_rejected({"bench", "--seeds", "1,2,1"}, "got '1,2,1'");
 }
 
 TEST(BenchReporter, MissingFlagValuesAreRejected) {
-  for (const char* flag :
-       {"--seeds", "--jobs", "--json", "--csv", "--replay", "--max-points"}) {
+  for (const char* flag : {"--seeds", "--jobs", "--json", "--csv"}) {
+    expect_rejected({"bench", flag}, "requires a value");
+  }
+  // The bench's own flags: rejected when taken, and fail the run at
+  // finish() when not.
+  EXPECT_EXIT(
+      {
+        FakeArgv args({"bench", "--replay"});
+        BenchReporter reporter("t", args.argc(), args.argv());
+        (void)reporter.value("--replay");
+      },
+      ::testing::ExitedWithCode(1), "--replay requires a value");
+  for (const char* flag : {"--replay", "--max-points"}) {
     FakeArgv args({"bench", flag});
     BenchReporter reporter("t", args.argc(), args.argv());
     EXPECT_NE(reporter.finish(), 0) << flag;
@@ -559,10 +562,14 @@ TEST(BenchReporter, MaxPointsZeroOrMalformedIsRejected) {
   // 0 would silently mean "unbounded" — reject it so a typo cannot turn
   // a CI smoke into a full enumeration.
   for (const char* value : {"0", "many", "12x"}) {
-    FakeArgv args({"bench", "--max-points", value});
-    BenchReporter reporter("t", args.argc(), args.argv());
-    EXPECT_FALSE(reporter.count("--max-points").has_value()) << value;
-    EXPECT_NE(reporter.finish(), 0) << value;
+    EXPECT_EXIT(
+        {
+          FakeArgv args({"bench", "--max-points", value});
+          BenchReporter reporter("t", args.argc(), args.argv());
+          (void)reporter.count("--max-points");
+        },
+        ::testing::ExitedWithCode(1), "--max-points wants a number >= 1")
+        << value;
   }
 }
 
@@ -584,11 +591,14 @@ TEST(BenchReporter, BerBoundariesAreAccepted) {
 
 TEST(BenchReporter, BerOutsideUnitIntervalIsRejected) {
   for (const char* value : {"1.5", "-0.1", "nan", "rate", "2e3"}) {
-    FakeArgv args({"bench", "--ber", value});
-    BenchReporter reporter("t", args.argc(), args.argv());
-    EXPECT_EQ(reporter.number("--ber", 0.0, 1.0).value_or(0.5), 0.5)
+    EXPECT_EXIT(
+        {
+          FakeArgv args({"bench", "--ber", value});
+          BenchReporter reporter("t", args.argc(), args.argv());
+          (void)reporter.number("--ber", 0.0, 1.0);
+        },
+        ::testing::ExitedWithCode(1), "--ber wants a number in \\[0, 1\\]")
         << value;
-    EXPECT_NE(reporter.finish(), 0) << value;
   }
 }
 
@@ -611,11 +621,15 @@ TEST(BenchReporter, UnknownWearoutProfileIsRejected) {
 
 TEST(BenchReporter, BerAndWearoutMissingValuesAreRejected) {
   for (const char* flag : {"--ber", "--wearout"}) {
-    FakeArgv args({"bench", flag});
-    BenchReporter reporter("t", args.argc(), args.argv());
-    EXPECT_FALSE(reporter.number("--ber", 0.0, 1.0).has_value()) << flag;
-    EXPECT_FALSE(reporter.value("--wearout").has_value()) << flag;
-    EXPECT_NE(reporter.finish(), 0) << flag;
+    EXPECT_EXIT(
+        {
+          FakeArgv args({"bench", flag});
+          BenchReporter reporter("t", args.argc(), args.argv());
+          (void)reporter.number("--ber", 0.0, 1.0);
+          (void)reporter.value("--wearout");
+        },
+        ::testing::ExitedWithCode(1), "requires a value")
+        << flag;
   }
 }
 

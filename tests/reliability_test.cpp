@@ -101,7 +101,7 @@ TEST(WeibullHazard, ConditionalSamplingRespectsAge) {
 }
 
 TEST(BathtubHazard, HasBathtubShape) {
-  const BathtubHazard tub{default_ecu_bathtub()};
+  const BathtubHazard tub;
   const double early = tub.hazard_per_hour(sim::hours(10));
   const double mid = tub.hazard_per_hour(sim::hours(40'000));
   const double late = tub.hazard_per_hour(sim::hours(200'000));
@@ -110,9 +110,9 @@ TEST(BathtubHazard, HasBathtubShape) {
 }
 
 TEST(BathtubHazard, UsefulLifeFloorMatchesPaperRate) {
-  const auto p = default_ecu_bathtub();
   // 50 per million per year expressed in FIT.
-  EXPECT_NEAR(p.useful_life_rate.fit(), 50.0 / (1e6 * 8760.0) * 1e9, 1e-6);
+  EXPECT_NEAR(BathtubHazard::kUsefulLifeRate.fit(), 50.0 / (1e6 * 8760.0) * 1e9,
+              1e-6);
 }
 
 // --- alpha count ---------------------------------------------------------------
