@@ -89,15 +89,13 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 6; ++i) {
       rig.injector().inject_seu(0, ms(400 + i * 700));  // ambient noise
     }
-    rig.run(sim::seconds(6));
-    const auto& traj = rig.diag().assessor().component_trajectory(2);
+    // The first sampled round with the faulty FRU's trust below 0.5.
     tta::RoundId crossed = 0;
-    for (const auto& s : traj) {
-      if (s.trust < 0.5) {
-        crossed = s.round;
-        break;
+    rig.run_sampled(sim::seconds(6), [&](tta::RoundId r) {
+      if (crossed == 0 && rig.diag().assessor().component_trust(2) < 0.5) {
+        crossed = r;
       }
-    }
+    });
     t.add_row({analysis::Table::num(drop, 3),
                crossed ? std::to_string(crossed) : "never",
                analysis::Table::num(

@@ -22,7 +22,9 @@
 // sync. Gated: zero allocations per round, zero receive-side CRC
 // evaluations per transmission, and exactly N+2 kernel events per
 // transmission (the transmit, its one delivery event, and one slot close
-// per node).
+// per node). The faults-off Fig. 10 rig (diagnosis, TMR voter and every
+// DAS on top of the cluster) is held to zero allocations per round too,
+// over rounds 400-1200; that figure goes to the --json export only.
 //
 // Section 3 (campaign): the wearout/EMI/SEU workloads of
 // scenario/bitfault.hpp, honouring `--ber <rate>` (EMI/SEU receive BER)
@@ -42,6 +44,7 @@
 #include "fault/bitfault.hpp"
 #include "obs/bench_io.hpp"
 #include "scenario/bitfault.hpp"
+#include "scenario/fig10.hpp"
 #include "sim/simulator.hpp"
 #include "tta/bus.hpp"
 #include "tta/cluster.hpp"
@@ -309,6 +312,20 @@ ClusterStats bench_cluster(tta::RoundId rounds) {
   return c;
 }
 
+/// Allocations per round of the faults-off Fig. 10 rig over rounds
+/// 400-1200, after the warm-up has sized every buffer.
+double fig10_rig_allocs_per_round() {
+  constexpr std::int64_t kWarmup = 400;
+  constexpr std::int64_t kRounds = 800;
+  scenario::Fig10System rig;
+  const sim::Duration round = rig.system().cluster().schedule().round_length();
+  rig.run(round * kWarmup);
+  const auto a0 = g_allocs.load(std::memory_order_relaxed);
+  rig.run(round * kRounds);
+  const auto allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+  return static_cast<double>(allocs) / static_cast<double>(kRounds);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -347,6 +364,7 @@ int main(int argc, char** argv) {
       cluster.rounds_per_sec, cluster.allocs_per_round, cluster.events_per_tx,
       cluster.crc_checks_per_tx);
   reporter.set_info("cluster_allocs_per_round", cluster.allocs_per_round);
+  reporter.set_info("rig_allocs_per_round", fig10_rig_allocs_per_round());
   reporter.set_info("events_per_tx", cluster.events_per_tx);
   reporter.set_info("cluster_crc_checks_per_tx", cluster.crc_checks_per_tx);
 

@@ -10,7 +10,9 @@
 //     which stays flat when the overlay delivers its bound. A permanent
 //     failure is injected into every run and the composed detection
 //     latency (injection round -> first composed trust violation) is
-//     reported; it stays bounded while N grows 8x.
+//     reported; it stays bounded while N grows 8x. The largest run's
+//     faults-off window (rounds 200..400) is held to zero allocations
+//     per round (--json only).
 //  2. Kill-any-assessor sweep (N=8): every overlay position is killed in
 //     turn; the composed view must convict the dead host every time with
 //     zero legacy failovers — the overlay self-heals by construction.
@@ -24,7 +26,11 @@
 // the --json export is gated in CI against a checked-in baseline by
 // tools/check_bench.cmake (exact equality on the structural fields,
 // tolerance on throughput-like ones).
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +39,30 @@
 #include "fault/chaos.hpp"
 #include "obs/bench_io.hpp"
 #include "scenario/hierarchy.hpp"
+
+// Counts every global allocation, so a window of rounds can be held to
+// zero.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace decos;
 
@@ -65,6 +95,8 @@ struct ScalePoint {
   double msgs_per_round = 0.0;
   /// msgs_per_round / (N * (d+1)): flat across N when traffic is N·log N.
   double nlogn_ratio = 0.0;
+  /// Allocations per round over the faults-off traffic window.
+  double allocs_per_round = 0.0;
   std::uint64_t detect_rounds = 0;
   std::uint64_t failovers = 0;
   bool victim_convicted = false;
@@ -82,7 +114,10 @@ ScalePoint run_scale_point(std::uint32_t components, std::uint32_t rings) {
   const std::uint64_t fanout0 =
       rig.sim().metrics().counter("diag.agent.route_fanout").value();
   const tta::RoundId r0 = current_round(rig);
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   run_rounds(rig, 200);
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs0;
   const std::uint64_t fanout1 =
       rig.sim().metrics().counter("diag.agent.route_fanout").value();
   const tta::RoundId r1 = current_round(rig);
@@ -103,6 +138,8 @@ ScalePoint run_scale_point(std::uint32_t components, std::uint32_t rings) {
                      static_cast<double>(r1 - r0);
   p.nlogn_ratio = p.msgs_per_round /
                   (static_cast<double>(components) * (p.dimension + 1));
+  p.allocs_per_round =
+      static_cast<double>(allocs) / static_cast<double>(r1 - r0);
   const auto violation = rig.diag().first_component_violation(victim);
   p.victim_convicted =
       violation.has_value() &&
@@ -172,6 +209,7 @@ int main(int argc, char** argv) {
                       static_cast<double>(p.detect_rounds));
     if (p.components == sizes.back().first) {
       reporter.set_info("frus", static_cast<double>(p.frus));
+      reporter.set_info("rig_allocs_per_round", p.allocs_per_round);
     }
   }
   std::printf("%s", t.render().c_str());

@@ -10,8 +10,7 @@ constexpr int kBarWidth = 10;
 
 }  // namespace
 
-std::string render_technician_report(const std::vector<diag::FruReport>& rows,
-                                     const TechnicianReportOptions& options) {
+std::string render_technician_report(const std::vector<diag::FruReport>& rows) {
   std::string out;
   char buf[512];
   out += "FRU                                   trust        diagnosis"
@@ -19,8 +18,7 @@ std::string render_technician_report(const std::vector<diag::FruReport>& rows,
   out += "--------------------------------------------------------------"
          "--------------------------\n";
   for (const auto& row : rows) {
-    if (options.hide_healthy &&
-        row.diagnosis.cls == fault::FaultClass::kNone && row.trust > 0.99) {
+    if (row.diagnosis.cls == fault::FaultClass::kNone && row.trust > 0.99) {
       continue;
     }
     // Trust bar: filled proportional to trust.

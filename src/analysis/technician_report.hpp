@@ -13,14 +13,9 @@
 
 namespace decos::analysis {
 
-struct TechnicianReportOptions {
-  /// Hide FRUs with full trust and no diagnosis.
-  bool hide_healthy = true;
-};
-
-/// Renders the FRU rows of a DiagnosticService::report().
+/// Renders the FRU rows of a DiagnosticService::report(), hiding FRUs
+/// with full trust and no diagnosis.
 [[nodiscard]] std::string render_technician_report(
-    const std::vector<diag::FruReport>& rows,
-    const TechnicianReportOptions& options = {});
+    const std::vector<diag::FruReport>& rows);
 
 }  // namespace decos::analysis

@@ -103,9 +103,10 @@ Assessor::Assessor(Params p, fault::SpatialLayout layout,
       component_count_(component_count),
       summary_(&store_, classifier_.feature_params(component_count),
                component_count, std::move(layout)),
+      jobs_by_host_(component_count),
       component_trust_(component_count, TrustParams::kInitial),
+      component_violation_round_(component_count, kNever),
       jobs_(job_count),
-      component_trajectories_(component_count),
       was_stale_(component_count, false),
       channels_(component_count),
       component_hits_(component_count, 0),
@@ -125,6 +126,9 @@ void Assessor::enable_hierarchy(HierarchyTopology topology,
 
 void Assessor::register_peer(platform::JobId assessor_job,
                              std::uint32_t position) {
+  if (assessor_job >= peer_position_.size()) {
+    peer_position_.resize(assessor_job + 1, kNoPeer);
+  }
   peer_position_[assessor_job] = position;
 }
 
@@ -154,6 +158,9 @@ void Assessor::bind_hierarchy_metrics(obs::Registry& registry) {
 
 void Assessor::register_agent(platform::JobId agent_job,
                               platform::ComponentId component) {
+  if (agent_job >= agent_component_.size()) {
+    agent_component_.resize(agent_job + 1, kNoComponent);
+  }
   agent_component_[agent_job] = component;
 }
 
@@ -171,7 +178,7 @@ Assessor::JobState& Assessor::enrol(platform::JobId j) {
 
 void Assessor::register_subject_job(platform::JobId job,
                                     platform::ComponentId host) {
-  jobs_by_host_[host].push_back(job);
+  jobs_by_host_.at(host).push_back(job);
   enrol(job).host = host;
   if (job >= job_hits_.size()) job_hits_.resize(job + 1, 0);
 }
@@ -199,7 +206,7 @@ obs::ProvenanceId Assessor::journey_for(const Symptom& s) const {
 
 void Assessor::note_component_trust(platform::ComponentId c) {
   if (component_trust_[c] < TrustParams::kViolationThreshold &&
-      !component_violation_round_.contains(c)) {
+      component_violation_round_[c] == kNever) {
     component_violation_round_[c] = round_;
     violations_metric_.inc();
     if (prov_ && prov_->enabled()) {
@@ -210,9 +217,10 @@ void Assessor::note_component_trust(platform::ComponentId c) {
 }
 
 void Assessor::note_job_trust(platform::JobId j) {
-  if (jobs_[j].trust < TrustParams::kViolationThreshold &&
-      !job_violation_round_.contains(j)) {
-    job_violation_round_[j] = round_;
+  JobState& js = jobs_[j];
+  if (js.trust < TrustParams::kViolationThreshold &&
+      js.violation_round == kNever) {
+    js.violation_round = round_;
     violations_metric_.inc();
     if (prov_ && prov_->enabled()) {
       prov_->event(prov_->journey_for_job(j), obs::ProvStage::kVerdict,
@@ -223,16 +231,18 @@ void Assessor::note_job_trust(platform::JobId j) {
 
 std::optional<tta::RoundId> Assessor::first_component_violation(
     platform::ComponentId c) const {
-  auto it = component_violation_round_.find(c);
-  if (it == component_violation_round_.end()) return std::nullopt;
-  return it->second;
+  if (c >= component_count_ || component_violation_round_[c] == kNever) {
+    return std::nullopt;
+  }
+  return component_violation_round_[c];
 }
 
 std::optional<tta::RoundId> Assessor::first_job_violation(
     platform::JobId j) const {
-  auto it = job_violation_round_.find(j);
-  if (it == job_violation_round_.end()) return std::nullopt;
-  return it->second;
+  if (j >= jobs_.size() || jobs_[j].violation_round == kNever) {
+    return std::nullopt;
+  }
+  return jobs_[j].violation_round;
 }
 
 tta::RoundId Assessor::evidence_age(platform::ComponentId c) const {
@@ -284,7 +294,6 @@ void Assessor::ingest_external(const Symptom& s) {
   if (hierarchical() && !topo_->is_tester(position_, s.subject_component)) {
     // Guardian-block reports follow the same implicit addressing as the
     // wire stream: only the subject's testers account them.
-    ++hier_.symptoms_filtered;
     hier_filtered_metric_.inc();
     return;
   }
@@ -315,19 +324,19 @@ void Assessor::process(platform::JobContext& ctx) {
   std::fill(transport_masks_.begin(), transport_masks_.end(), 0u);
 
   for (const vnet::Message& m : ctx.inbox()) {
-    auto agent_it = agent_component_.find(m.sender);
-    if (agent_it == agent_component_.end()) {
+    const platform::ComponentId agent = m.sender < agent_component_.size()
+                                            ? agent_component_[m.sender]
+                                            : kNoComponent;
+    if (agent == kNoComponent) {
       // Not a known agent: in hierarchy mode this is where verdict
       // deltas from peer assessors arrive on the dissemination vnet.
       if (hierarchical()) handle_delta(m);
       continue;
     }
-    const platform::ComponentId agent = agent_it->second;
     if (const auto hb = decode_heartbeat(m)) {
       if (hierarchical() && !topo_->is_tester(position_, agent)) {
         // Implicit addressing: the overlay's routing is enforced at the
         // receiver — a tester keeps channel state only for its slice.
-        ++hier_.symptoms_filtered;
         hier_filtered_metric_.inc();
         continue;
       }
@@ -337,10 +346,7 @@ void Assessor::process(platform::JobContext& ctx) {
         // a sequence gap — exactly like a frame lost in flight.
         continue;
       }
-      if (hierarchical()) {
-        ++hier_.symptoms_accepted;
-        hier_accepted_metric_.inc();
-      }
+      if (hierarchical()) hier_accepted_metric_.inc();
       if (p_.hardening) track_channel(agent, m);
       ++heartbeats_;
       AgentChannel& ch = channels_[agent];
@@ -362,11 +368,9 @@ void Assessor::process(platform::JobContext& ctx) {
       // their host there), so every tester of a FRU sees the identical
       // evidence stream about it — and nothing else.
       if (!topo_->is_tester(position_, symptom->subject_component)) {
-        ++hier_.symptoms_filtered;
         hier_filtered_metric_.inc();
         continue;
       }
-      ++hier_.symptoms_accepted;
       hier_accepted_metric_.inc();
       // Liveness only, no wire-sequence accounting: a slice subscriber
       // legitimately skips most of an agent's stream, so sequence jumps
@@ -474,7 +478,7 @@ void Assessor::process(platform::JobContext& ctx) {
     const std::uint32_t hits = j < job_hits_.size() ? job_hits_[j] : 0;
     if (hits == 0) {
       const platform::ComponentId host = jobs_[j].host;
-      if (host == kNoHost || !channel_degraded(host)) {
+      if (host == kNoComponent || !channel_degraded(host)) {
         trust = std::min(1.0, trust + TrustParams::kRecovery);
       }
     } else {
@@ -486,12 +490,8 @@ void Assessor::process(platform::JobContext& ctx) {
 
   if (hierarchical()) emit_deltas(ctx);
 
-  // Trajectory sampling (Fig. 9).
   if (round_ >= last_sample_ + kSamplePeriod) {
     last_sample_ = round_;
-    for (platform::ComponentId c = 0; c < component_count_; ++c) {
-      component_trajectories_[c].push_back(TrustSample{round_, component_trust_[c]});
-    }
     export_staleness();
   }
 
@@ -509,15 +509,16 @@ void Assessor::process(platform::JobContext& ctx) {
 }
 
 void Assessor::handle_delta(const vnet::Message& m) {
-  const auto peer = peer_position_.find(m.sender);
-  if (peer == peer_position_.end()) return;  // not a peer assessor either
+  const std::uint32_t peer = m.sender < peer_position_.size()
+                                 ? peer_position_[m.sender]
+                                 : kNoPeer;
+  if (peer == kNoPeer) return;  // not a peer assessor either
   auto delta = decode_delta(m);
   if (!delta) return;
   // Deltas travel strictly along cube edges; anything else is a routing
   // anomaly (stale peer view, misconfiguration) and is refused so the
   // flood's termination argument stays edge-local.
-  if (!topo_->are_neighbors(position_, peer->second)) {
-    ++hier_.deltas_rejected;
+  if (!topo_->are_neighbors(position_, peer)) {
     hier_rejected_metric_.inc();
     return;
   }
@@ -535,13 +536,11 @@ void Assessor::handle_delta(const vnet::Message& m) {
     if (delta->round <= seen_it->second) {
       // Re-flooded copy of an emission we already propagated (or an older
       // one): absorb silently. This is what terminates the flood.
-      ++hier_.deltas_duplicate;
       hier_duplicate_metric_.inc();
       return;
     }
     seen_it->second = delta->round;
   }
-  ++hier_.deltas_accepted;
   hier_delta_accepted_metric_.inc();
   const DeltaKey key{delta->job_level, delta->fru};
   if (delta->clear) {
@@ -626,7 +625,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
   }
   for (const platform::JobId j : subjects_) {
     JobState& js = jobs_[j];
-    if (js.host == kNoHost) continue;
+    if (js.host == kNoComponent) continue;
     if (!topo_->is_tester(position_, js.host)) continue;
     const double trust = js.trust;
     const bool suspect = trust < TrustParams::kViolationThreshold;
@@ -658,13 +657,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
       break;
     }
     ++sent;
-    if (pd.forward) {
-      ++hier_.deltas_forwarded;
-      hier_forwarded_metric_.inc();
-    } else {
-      ++hier_.deltas_emitted;
-      hier_emitted_metric_.inc();
-    }
+    (pd.forward ? hier_forwarded_metric_ : hier_emitted_metric_).inc();
   }
 }
 
@@ -697,7 +690,7 @@ void Assessor::export_staleness() {
 
 void Assessor::reset_component_trust(platform::ComponentId c) {
   component_trust_.at(c) = TrustParams::kInitial;
-  component_violation_round_.erase(c);
+  component_violation_round_[c] = kNever;
   if (hierarchical()) {
     delta_cache_.erase(DeltaKey{false, c});
     if (comp_delta_active_[c]) {
@@ -710,7 +703,7 @@ void Assessor::reset_component_trust(platform::ComponentId c) {
 void Assessor::reset_job_trust(platform::JobId j) {
   JobState& js = enrol(j);
   js.trust = TrustParams::kInitial;
-  job_violation_round_.erase(j);
+  js.violation_round = kNever;
   if (hierarchical()) {
     delta_cache_.erase(DeltaKey{true, j});
     if (js.delta_active) {
@@ -728,11 +721,8 @@ void Assessor::reconcile_from(const Assessor& fresher) {
       channels_[c] = fresher.channels_[c];
       component_trust_[c] = fresher.component_trust_[c];
     }
-    auto vit = fresher.component_violation_round_.find(c);
-    if (vit != fresher.component_violation_round_.end()) {
-      auto [mine, inserted] = component_violation_round_.emplace(c, vit->second);
-      if (!inserted) mine->second = std::min(mine->second, vit->second);
-    }
+    component_violation_round_[c] = std::min(
+        component_violation_round_[c], fresher.component_violation_round_[c]);
   }
   for (const platform::JobId j : subjects_) {
     const platform::ComponentId host = host_or_zero(j);
@@ -741,9 +731,12 @@ void Assessor::reconcile_from(const Assessor& fresher) {
       jobs_[j].trust = fresher.jobs_[j].trust;
     }
   }
-  for (const auto& [j, r] : fresher.job_violation_round_) {
-    auto [mine, inserted] = job_violation_round_.emplace(j, r);
-    if (!inserted) mine->second = std::min(mine->second, r);
+  // Violation instants cover every job the fresher side saw violate,
+  // enrolled here or not.
+  if (fresher.jobs_.size() > jobs_.size()) jobs_.resize(fresher.jobs_.size());
+  for (std::size_t j = 0; j < fresher.jobs_.size(); ++j) {
+    jobs_[j].violation_round = std::min(jobs_[j].violation_round,
+                                        fresher.jobs_[j].violation_round);
   }
   // Both assessors subscribe to the same symptom multicast, so the side
   // that stayed alive holds (essentially) a superset of the other's
@@ -753,7 +746,6 @@ void Assessor::reconcile_from(const Assessor& fresher) {
   if (fresher.round_ >= round_ ||
       fresher.store_.symptoms_ingested() > store_.symptoms_ingested()) {
     store_ = fresher.store_;
-    component_trajectories_ = fresher.component_trajectories_;
     last_sample_ = fresher.last_sample_;
     summary_ = fresher.summary_;
     summary_.rebind(&store_);
@@ -798,12 +790,9 @@ Diagnosis Assessor::diagnose_job(platform::JobId j) const {
 Diagnosis Assessor::diagnose_job(platform::JobId j,
                                  const Diagnosis& host) const {
   std::size_t symptomatic_siblings = 0;
-  const auto sib_it = jobs_by_host_.find(host_or_zero(j));
-  if (sib_it != jobs_by_host_.end()) {
-    for (const platform::JobId s : sib_it->second) {
-      if (s != j && summary_.job_features(s).value_symptomatic()) {
-        ++symptomatic_siblings;
-      }
+  for (const platform::JobId s : jobs_by_host_[host_or_zero(j)]) {
+    if (s != j && summary_.job_features(s).value_symptomatic()) {
+      ++symptomatic_siblings;
     }
   }
   Diagnosis d = classifier_.classify_job(summary_.job_features(j), host,

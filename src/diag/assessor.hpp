@@ -28,11 +28,19 @@
 // dissemination) are constants; assessor.cpp static_asserts how the
 // horizons relate to the agents' heartbeat and resend timing.
 //
-// Per-FRU state is dense: component state in vectors indexed by
-// ComponentId, per-job trust, host and dissemination flag in one vector
-// indexed by JobId (sized from the job count, grown on enrolment). The
-// per-round passes walk these arrays, never a tree, so a position's round
-// costs O(components + jobs) array work plus its slice's emissions.
+// The assessor holds each fact once, and only the present: it keeps no
+// trust history (the Fig. 9 benches sample component_trust() themselves,
+// through Fig10System::run_sampled), and its dissemination counts live
+// only in the `diag.hierarchy.*` registry counters.
+//
+// Per-FRU state is dense: component trust, violation round and channel in
+// vectors indexed by ComponentId; per-job trust, violation round, host and
+// dissemination flag in one vector indexed by JobId (sized from the job
+// count, grown on enrolment); agent and peer lookups in JobId-indexed
+// arrays with a sentinel. The per-round passes walk these arrays, never a
+// tree, so a position's round costs O(components + jobs) array work plus
+// its slice's emissions. Only the dissemination state (delta cache, flood
+// dedupe, outbound queue) is node-based.
 #pragma once
 
 #include <array>
@@ -73,11 +81,6 @@ struct TrustParams {
   /// Drop per symptomatic round (scaled by min(symptoms, 4)); E13 sweeps
   /// it.
   double drop = 0.02;
-};
-
-struct TrustSample {
-  tta::RoundId round;
-  double trust;
 };
 
 /// Per-agent diagnostic-channel state: when the assessor last heard the
@@ -161,7 +164,8 @@ class Assessor {
     bool hardening = true;
   };
 
-  /// Trajectory sampling period in rounds (Fig. 9 resolution).
+  /// Rounds between exports of the `diag.evidence_staleness` gauges. The
+  /// Fig. 9 benches sample trust at the same period.
   static constexpr tta::RoundId kSamplePeriod = 50;
   /// Rounds of agent silence before the FRU's evidence counts stale.
   static constexpr tta::RoundId kStaleAfter = 32;
@@ -211,7 +215,8 @@ class Assessor {
   /// (primary only — replicas would double-count the shared multicast),
   /// these are bound on *every* assessor: each position filters and
   /// forwards its own slice, so the cluster-wide sums are the meaningful
-  /// quantities (diag.hierarchy.* counters).
+  /// quantities (diag.hierarchy.* counters). The assessor keeps no other
+  /// copy; HierarchyStats reads them back.
   void bind_hierarchy_metrics(obs::Registry& registry);
 
   /// Attaches the provenance tracer (not owned; nullptr detaches): every
@@ -270,29 +275,6 @@ class Assessor {
   /// membership change and the overlay catching up).
   void refresh_topology(const std::vector<bool>& alive);
 
-  /// Cross-cluster dissemination counters (hierarchy mode only).
-  struct HierarchyStats {
-    std::uint64_t symptoms_accepted = 0;
-    std::uint64_t symptoms_filtered = 0;
-    std::uint64_t deltas_emitted = 0;
-    std::uint64_t deltas_forwarded = 0;
-    std::uint64_t deltas_accepted = 0;
-    std::uint64_t deltas_duplicate = 0;
-    std::uint64_t deltas_rejected = 0;
-
-    HierarchyStats& operator+=(const HierarchyStats& other) {
-      symptoms_accepted += other.symptoms_accepted;
-      symptoms_filtered += other.symptoms_filtered;
-      deltas_emitted += other.deltas_emitted;
-      deltas_forwarded += other.deltas_forwarded;
-      deltas_accepted += other.deltas_accepted;
-      deltas_duplicate += other.deltas_duplicate;
-      deltas_rejected += other.deltas_rejected;
-      return *this;
-    }
-  };
-  [[nodiscard]] const HierarchyStats& hierarchy_stats() const { return hier_; }
-
   /// Best disseminated verdict this assessor holds about a FRU outside
   /// its own evidence (latest emission round wins; ties to the lowest
   /// origin position). nullptr when nothing (non-cleared) is cached.
@@ -334,10 +316,6 @@ class Assessor {
   /// Trust of an enrolled job; 1.0 for a job the assessor never heard of.
   [[nodiscard]] double job_trust(platform::JobId j) const {
     return enrolled(j) ? jobs_[j].trust : 1.0;
-  }
-  [[nodiscard]] const std::vector<TrustSample>& component_trajectory(
-      platform::ComponentId c) const {
-    return component_trajectories_.at(c);
   }
 
   /// Round at which the FRU's trust first fell below the violation
@@ -400,18 +378,27 @@ class Assessor {
   std::uint32_t component_count_;
   /// Folded features over store_, the classifier's only feature source.
   EvidenceSummary summary_;
-  std::map<platform::JobId, platform::ComponentId> agent_component_;
-  std::map<platform::ComponentId, std::vector<platform::JobId>> jobs_by_host_;
+  static constexpr platform::ComponentId kNoComponent =
+      std::numeric_limits<platform::ComponentId>::max();
+  /// Round of a FRU never suspected.
+  static constexpr tta::RoundId kNever =
+      std::numeric_limits<tta::RoundId>::max();
+  /// Reporting component per agent JobId; kNoComponent for other jobs.
+  std::vector<platform::ComponentId> agent_component_;
+  /// Registered subject jobs per host ComponentId, in registration order.
+  std::vector<std::vector<platform::JobId>> jobs_by_host_;
 
   std::vector<double> component_trust_;
+  /// First violation round per ComponentId, kNever while unsuspected.
+  std::vector<tta::RoundId> component_violation_round_;
   /// Per-job state, indexed by JobId. A job is enrolled by
   /// register_subject_job or by reset_job_trust; only enrolled jobs carry
-  /// trust, and only registered ones know their host.
-  static constexpr platform::ComponentId kNoHost =
-      std::numeric_limits<platform::ComponentId>::max();
+  /// trust, and only registered ones know their host. A violation round
+  /// can also arrive by reconcile_from for a job never enrolled here.
   struct JobState {
     double trust = 1.0;
-    platform::ComponentId host = kNoHost;
+    tta::RoundId violation_round = kNever;
+    platform::ComponentId host = kNoComponent;
     bool enrolled = false;
     /// Hierarchy mode: an emitted suspicion stands (not yet cleared).
     bool delta_active = false;
@@ -428,9 +415,9 @@ class Assessor {
   /// Host of `j`, or component 0 when unknown (the classification and
   /// reconciliation fallback).
   [[nodiscard]] platform::ComponentId host_or_zero(platform::JobId j) const {
-    return j < jobs_.size() && jobs_[j].host != kNoHost ? jobs_[j].host : 0;
+    return j < jobs_.size() && jobs_[j].host != kNoComponent ? jobs_[j].host
+                                                              : 0;
   }
-  std::vector<std::vector<TrustSample>> component_trajectories_;
   tta::RoundId round_ = 0;
   tta::RoundId last_sample_ = 0;
   DiagnosticLog* recorder_ = nullptr;
@@ -480,8 +467,10 @@ class Assessor {
   std::optional<HierarchyTopology> topo_;
   std::uint32_t position_ = 0;
   platform::PortId dissem_port_ = 0;
-  std::map<platform::JobId, std::uint32_t> peer_position_;
-  HierarchyStats hier_;
+  static constexpr std::uint32_t kNoPeer =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Cube position per peer assessor JobId; kNoPeer for other jobs.
+  std::vector<std::uint32_t> peer_position_;
   /// Cached verdicts per FRU key {job_level, fru id}.
   using DeltaKey = std::pair<bool, std::uint32_t>;
   std::map<DeltaKey, VerdictDelta> delta_cache_;
@@ -528,8 +517,6 @@ class Assessor {
   obs::Counter gaps_metric_;
   obs::Counter duplicates_metric_;
   obs::Counter agent_drops_metric_;
-  std::map<platform::ComponentId, tta::RoundId> component_violation_round_;
-  std::map<platform::JobId, tta::RoundId> job_violation_round_;
 };
 
 }  // namespace decos::diag

@@ -270,10 +270,22 @@ std::optional<tta::RoundId> DiagnosticService::first_job_violation(
   return best;
 }
 
-Assessor::HierarchyStats DiagnosticService::hierarchy_stats() const {
-  Assessor::HierarchyStats total;
-  for (const auto& a : assessors_) total += a->hierarchy_stats();
-  return total;
+HierarchyStats HierarchyStats::from(const obs::Snapshot& s) {
+  auto count = [&s](std::string_view name) {
+    const obs::SnapshotEntry* e = s.find(name);
+    return e ? e->counter : 0;
+  };
+  return {count("diag.hierarchy.symptoms_accepted"),
+          count("diag.hierarchy.symptoms_filtered"),
+          count("diag.hierarchy.deltas_emitted"),
+          count("diag.hierarchy.deltas_forwarded"),
+          count("diag.hierarchy.deltas_accepted"),
+          count("diag.hierarchy.deltas_duplicate"),
+          count("diag.hierarchy.deltas_rejected")};
+}
+
+HierarchyStats DiagnosticService::hierarchy_stats() const {
+  return HierarchyStats::from(system_.simulator().metrics().snapshot());
 }
 
 bool DiagnosticService::is_diagnostic_job(platform::JobId j) const {

@@ -82,6 +82,22 @@ struct FruReport {
   [[nodiscard]] std::string label() const;
 };
 
+/// Cross-cluster dissemination counts (hierarchy mode): the
+/// `diag.hierarchy.*` registry counters, which every assessor position
+/// bumps, so they hold the cluster-wide sums.
+struct HierarchyStats {
+  std::uint64_t symptoms_accepted = 0;
+  std::uint64_t symptoms_filtered = 0;
+  std::uint64_t deltas_emitted = 0;
+  std::uint64_t deltas_forwarded = 0;
+  std::uint64_t deltas_accepted = 0;
+  std::uint64_t deltas_duplicate = 0;
+  std::uint64_t deltas_rejected = 0;
+
+  /// The counts `s` holds; zero for a counter it lacks (legacy mode).
+  [[nodiscard]] static HierarchyStats from(const obs::Snapshot& s);
+};
+
 class DiagnosticService {
  public:
   struct Params {
@@ -186,8 +202,9 @@ class DiagnosticService {
       platform::ComponentId c) const;
   [[nodiscard]] std::optional<tta::RoundId> first_job_violation(
       platform::JobId j) const;
-  /// Summed dissemination counters across every assessor position.
-  [[nodiscard]] Assessor::HierarchyStats hierarchy_stats() const;
+  /// Dissemination counts summed over every assessor position, read from
+  /// the simulator's registry.
+  [[nodiscard]] HierarchyStats hierarchy_stats() const;
 
   /// Maintenance report over all FRUs: components first, then application
   /// jobs. Only FRUs whose trust fell below the report threshold carry a

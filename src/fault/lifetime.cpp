@@ -76,7 +76,7 @@ std::vector<FaultId> LifetimeDriver::drive(const Params& p) {
   }
 
   // Ambient EMI bursts at random harness positions.
-  const auto bursts = rng_.poisson(p.emi_bursts_mean);
+  const auto bursts = rng_.poisson(kEmiBurstsMean);
   for (std::uint64_t b = 0; b < bursts; ++b) {
     const double center = rng_.uniform(
         0.0, static_cast<double>(system_.component_count() - 1));

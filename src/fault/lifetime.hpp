@@ -36,9 +36,9 @@ class LifetimeDriver {
     double heisenbug_prob = 0.1;
     /// Probability of one configuration fault over the horizon.
     double config_fault_prob = 0.1;
-    /// Mean number of ambient EMI bursts over the horizon.
-    double emi_bursts_mean = 2.0;
   };
+  /// Mean number of ambient EMI bursts over the horizon.
+  static constexpr double kEmiBurstsMean = 2.0;
 
   LifetimeDriver(FaultInjector& injector, platform::System& system,
                  sim::Rng rng)

@@ -1,5 +1,6 @@
 #include "scenario/fig10.hpp"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -77,11 +78,12 @@ Fig10System::Fig10System(Fig10Options opts)
     auto voter_impl =
         std::make_shared<vnet::TmrVoter>(vnet::TmrVoter::Params{kVoteEpsilon});
     // Replica index by sending job: s_jobs_[r] was created in order.
-    std::vector<platform::JobId> replica_jobs = s_jobs_;
+    const std::array<platform::JobId, 3> replica_jobs{s_jobs_[0], s_jobs_[1],
+                                                      s_jobs_[2]};
     platform::Job& voter = sys.add_job(
         das_s, "S.voter", 3,
         [this, voter_impl, replica_jobs](platform::JobContext& ctx) {
-          std::vector<std::optional<double>> replicas(replica_jobs.size());
+          std::array<std::optional<double>, 3> replicas{};
           for (const auto& m : ctx.inbox()) {
             for (std::size_t r = 0; r < replica_jobs.size(); ++r) {
               if (m.sender == replica_jobs[r]) replicas[r] = m.value;
@@ -187,6 +189,20 @@ Fig10System::Fig10System(Fig10Options opts)
 
 void Fig10System::run(sim::Duration d) {
   sim_.run_until(sim_.now() + d);
+}
+
+void Fig10System::run_sampled(sim::Duration d,
+                              sim::FunctionRef<void(tta::RoundId)> sample) {
+  const sim::Duration round = system_.cluster().schedule().round_length();
+  const diag::Assessor& assessor = diag_->assessor();
+  tta::RoundId last = 0;
+  for (sim::Duration elapsed{}; elapsed < d; elapsed += round) {
+    run(round);
+    const tta::RoundId r = assessor.current_round();
+    if (r < last + diag::Assessor::kSamplePeriod) continue;
+    last = r;
+    sample(r);
+  }
 }
 
 std::vector<platform::JobId> Fig10System::app_jobs() const {

@@ -17,6 +17,7 @@
 #include "diag/service.hpp"
 #include "fault/injector.hpp"
 #include "platform/system.hpp"
+#include "sim/function_ref.hpp"
 #include "sim/simulator.hpp"
 #include "vnet/tmr.hpp"
 
@@ -60,6 +61,11 @@ class Fig10System {
 
   /// Runs the simulation for `d` of simulated time.
   void run(sim::Duration d);
+  /// Runs for `d` a TDMA round at a time and calls `sample` with the
+  /// primary assessor's round after the first assessment round of every
+  /// Assessor::kSamplePeriod: the resolution of the Fig. 9 trajectories.
+  void run_sampled(sim::Duration d,
+                   sim::FunctionRef<void(tta::RoundId)> sample);
 
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] platform::System& system() { return system_; }

@@ -121,7 +121,6 @@ namespace {
 struct HierarchyRun {
   fault::FaultClass truth = fault::FaultClass::kNone;
   fault::FaultClass predicted = fault::FaultClass::kNone;
-  diag::Assessor::HierarchyStats stats;
   obs::Snapshot metrics;
 };
 
@@ -155,7 +154,6 @@ HierarchyRun run_one(const HierarchyOptions& base, std::uint64_t seed) {
   HierarchyRun out;
   out.truth = rig.injector().ledger().front().cls;
   out.predicted = rig.diag().diagnose_component(victim).cls;
-  out.stats = rig.diag().hierarchy_stats();
   out.metrics = rig.sim().metrics().snapshot();
   return out;
 }
@@ -171,7 +169,6 @@ HierarchyCampaignResult run_hierarchy_campaign(
              result.confusion.add(r.truth, r.predicted);
              ++result.runs;
              if (r.predicted == r.truth) ++result.correct;
-             result += r.stats;
              result.metrics.merge(r.metrics);
            });
   return result;

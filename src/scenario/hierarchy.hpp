@@ -65,14 +65,16 @@ class HierarchySystem {
   std::vector<std::vector<platform::JobId>> ring_jobs_;  // [ring][component]
 };
 
-/// The base holds the dissemination counters summed over all runs
-/// (traffic accounting).
-struct HierarchyCampaignResult : diag::Assessor::HierarchyStats {
+struct HierarchyCampaignResult {
   analysis::ConfusionMatrix confusion;
   std::size_t runs = 0;
   std::size_t correct = 0;
   obs::Snapshot metrics;
 
+  /// Dissemination counts summed over all runs (traffic accounting).
+  [[nodiscard]] diag::HierarchyStats hierarchy_stats() const {
+    return diag::HierarchyStats::from(metrics);
+  }
   [[nodiscard]] double accuracy() const {
     return runs == 0 ? 0.0
                      : static_cast<double>(correct) / static_cast<double>(runs);

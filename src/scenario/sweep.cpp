@@ -14,6 +14,10 @@ namespace {
 
 /// Injection instant of the victim's permanent failure.
 constexpr sim::Duration kInjectAt = sim::milliseconds(100);
+/// Simulated horizon of every run. Long enough for the injected fault to
+/// be detected, repaired, re-verified once (a deferred verification is
+/// one enumerated perturbation) and for trust to reconverge.
+constexpr sim::Duration kHorizon = sim::milliseconds(800);
 /// The closed-loop executor's garage windows (technician, settle, verify)
 /// are shorter than the E17 campaign's, so the whole repair story fits
 /// the sweep horizon and the enumerable space stays in the low thousands
@@ -101,7 +105,7 @@ PointRun run_body(Rig& rig, const SweepOptions& opts,
   rig.injector().inject_permanent_failure(victim,
                                           sim::SimTime::zero() + kInjectAt);
   executor.start();
-  rig.run(opts.horizon);
+  rig.run(kHorizon);
 
   PointRun out;
   ConvergenceVerdict& v = out.verdict;

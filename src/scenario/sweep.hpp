@@ -52,12 +52,6 @@ struct SweepOptions {
   enum class Rig : std::uint8_t { kFig10, kChaosRig, kHierarchy };
   Rig rig = Rig::kFig10;
   std::uint64_t seed = 1;
-  /// Simulated horizon of every run. Long enough for the injected fault
-  /// to be detected, repaired, re-verified once (a deferred verification
-  /// is one enumerated perturbation) and for trust to reconverge. The
-  /// injection instant and the executor's garage windows are constants
-  /// in sweep.cpp.
-  sim::Duration horizon = sim::milliseconds(800);
 };
 
 [[nodiscard]] const char* to_string(SweepOptions::Rig rig);

@@ -9,6 +9,7 @@
 #include "diag/assessor.hpp"
 #include "diag/classifier.hpp"
 #include "diag/evidence.hpp"
+#include "diag/service.hpp"
 #include "diag/symptom.hpp"
 #include "platform/job.hpp"
 #include "scenario/fig10.hpp"
@@ -298,6 +299,10 @@ TEST(AssessorJobState, ReconcileAcrossDifferentSubjectSets) {
   EXPECT_DOUBLE_EQ(a.job_trust(3), 0.8);
   EXPECT_DOUBLE_EQ(a.job_trust(1), 1.0);
   EXPECT_DOUBLE_EQ(a.job_trust(4), 1.0);
+  // Violation instants are adopted for every job, enrolled here or not.
+  EXPECT_EQ(a.first_job_violation(3), std::optional<tta::RoundId>(1));
+  EXPECT_EQ(a.first_job_violation(4), std::optional<tta::RoundId>(1));
+  EXPECT_FALSE(a.first_job_violation(1).has_value());
 
   // The other way round, b's fresher channel wins and its own trust for
   // job 3 stands; job 4, unknown to a, is untouched.
@@ -307,6 +312,105 @@ TEST(AssessorJobState, ReconcileAcrossDifferentSubjectSets) {
   b.reconcile_from(c);
   EXPECT_DOUBLE_EQ(b.job_trust(3), 0.8);
   EXPECT_DOUBLE_EQ(b.job_trust(4), 0.8);
+}
+
+TEST(AssessorJobState, ReconcileAdoptsViolationsPastTheReceiversJobs) {
+  Assessor::Params p;
+  p.trust.drop = 0.2;
+  Assessor a = make_assessor(p, /*job_count=*/2);
+  Assessor b = make_assessor(p, /*job_count=*/2);
+  register_agents(a);
+  register_agents(b);
+  b.register_subject_job(9, 3);
+  AssessorHarness d;
+  d.round(b, 4, {job_symptom(9, 3, 4)});
+  d.round(b, 5, {job_symptom(9, 3, 5)});
+  ASSERT_EQ(b.first_job_violation(9), std::optional<tta::RoundId>(4));
+
+  // The earlier instant wins, on either side.
+  Assessor c = make_assessor(p, /*job_count=*/2);
+  register_agents(c);
+  c.register_subject_job(9, 3);
+  d.round(c, 2, {job_symptom(9, 3, 2)});
+  a.reconcile_from(b);
+  EXPECT_EQ(a.first_job_violation(9), std::optional<tta::RoundId>(4));
+  EXPECT_DOUBLE_EQ(a.job_trust(9), 1.0);  // not enrolled by the merge
+  a.reconcile_from(c);
+  EXPECT_EQ(a.first_job_violation(9), std::optional<tta::RoundId>(2));
+  a.reconcile_from(b);
+  EXPECT_EQ(a.first_job_violation(9), std::optional<tta::RoundId>(2));
+  b.reconcile_from(a);
+  EXPECT_EQ(b.first_job_violation(9), std::optional<tta::RoundId>(2));
+  EXPECT_FALSE(a.first_job_violation(40000).has_value());
+}
+
+TEST(AssessorJobState, ResetClearsTheViolationInstant) {
+  Assessor::Params p;
+  p.trust.drop = 0.2;
+  Assessor a = make_assessor(p, /*job_count=*/3);
+  register_agents(a);
+  a.register_subject_job(1, 2);
+  AssessorHarness d;
+  d.round(a, 1, {job_symptom(1, 2, 1)});
+  ASSERT_EQ(a.first_job_violation(1), std::optional<tta::RoundId>(1));
+  a.reset_job_trust(1);
+  EXPECT_FALSE(a.first_job_violation(1).has_value());
+
+  Symptom block;
+  block.type = SymptomType::kGuardianBlock;
+  block.observer = 2;
+  block.subject_component = 2;
+  block.round = 1;
+  a.ingest_external(block);
+  ASSERT_EQ(a.first_component_violation(2), std::optional<tta::RoundId>(1));
+  a.reset_component_trust(2);
+  EXPECT_FALSE(a.first_component_violation(2).has_value());
+}
+
+TEST(AssessorJobState, SymptomaticSiblingImplicatesTheHost) {
+  Assessor a = make_assessor({}, /*job_count=*/4);
+  register_agents(a);
+  a.register_subject_job(1, 2);
+  a.register_subject_job(2, 2);
+  a.register_subject_job(3, 1);
+  AssessorHarness d;
+  for (tta::RoundId r = 1; r <= EvidenceSummary::kMinValueRounds; ++r) {
+    d.round(a, r,
+            {job_symptom(1, 2, r), job_symptom(2, 2, r), job_symptom(3, 1, r)});
+  }
+  // Jobs 1 and 2 share host 2; job 3 misbehaves alone on host 1.
+  EXPECT_EQ(a.diagnose_job(1).rule, Rule::kJobSiblings);
+  EXPECT_EQ(a.diagnose_job(2).rule, Rule::kJobSiblings);
+  EXPECT_NE(a.diagnose_job(3).rule, Rule::kJobSiblings);
+}
+
+TEST(AssessorJobState, DeltasArriveOnlyFromRegisteredPeers) {
+  Assessor a = make_assessor({}, /*job_count=*/1);
+  register_agents(a);
+  a.enable_hierarchy(HierarchyTopology({0, 1}, 4), 1, /*dissem_port=*/7);
+  a.register_peer(/*assessor_job=*/700, /*position=*/0);
+  obs::Registry registry;
+  a.bind_hierarchy_metrics(registry);
+  auto delta_from = [](platform::JobId sender, std::uint32_t fru) {
+    VerdictDelta v;
+    v.fru = fru;
+    v.trust = 0.3;
+    v.cls = fault::FaultClass::kComponentInternal;
+    v.round = 5;
+    vnet::Message m = encode_delta(v, 5);
+    m.sender = sender;
+    return m;
+  };
+  AssessorHarness d;
+  d.round(a, 5, {delta_from(700, 2), delta_from(701, 3)});
+  ASSERT_NE(a.cached_component_delta(2), nullptr);
+  EXPECT_EQ(a.cached_component_delta(2)->origin, 0u);
+  EXPECT_EQ(a.cached_component_delta(3), nullptr);
+  // The stranger's message is not a peer's delta at all, so no cube-edge
+  // check rejects it.
+  const HierarchyStats stats = HierarchyStats::from(registry.snapshot());
+  EXPECT_EQ(stats.deltas_accepted, 1u);
+  EXPECT_EQ(stats.deltas_rejected, 0u);
 }
 
 // --- end-to-end classification -----------------------------------------------------
@@ -490,15 +594,24 @@ TEST(EndToEnd, TrustTrajectoriesDiverge) {
   scenario::Fig10System rig({.seed = 24});
   rig.injector().inject_wearout(2, ms(300), sim::milliseconds(400), 0.75,
                                 sim::milliseconds(10));
-  rig.run(sim::seconds(5));
   auto& assessor = rig.diag().assessor();
-  const auto& faulty = assessor.component_trajectory(2);
-  const auto& healthy = assessor.component_trajectory(3);
-  ASSERT_GT(faulty.size(), 10u);
-  EXPECT_LT(faulty.back().trust, 0.6);
-  EXPECT_GT(healthy.back().trust, 0.95);
+  std::vector<tta::RoundId> rounds;
+  std::vector<double> faulty, healthy;
+  rig.run_sampled(sim::seconds(5), [&](tta::RoundId r) {
+    rounds.push_back(r);
+    faulty.push_back(assessor.component_trust(2));
+    healthy.push_back(assessor.component_trust(3));
+  });
+  // The assessor's host stays up, so a sample lands every kSamplePeriod
+  // rounds: 50, 100, ... 1950 of the 2000 rounds run.
+  ASSERT_EQ(rounds.size(), 39u);
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    EXPECT_EQ(rounds[i], (i + 1) * Assessor::kSamplePeriod);
+  }
+  EXPECT_LT(faulty.back(), 0.6);
+  EXPECT_GT(healthy.back(), 0.95);
   // The faulty trajectory is (weakly) below the healthy one at the end.
-  EXPECT_LT(faulty.back().trust, healthy.back().trust);
+  EXPECT_LT(faulty.back(), healthy.back());
 }
 
 TEST(EndToEnd, ReportListsEveryFru) {

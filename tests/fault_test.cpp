@@ -229,12 +229,15 @@ TEST(LifetimeDriver, EventsLandInsideHorizon) {
                         rig.sim().fork_rng("life"));
   LifetimeDriver::Params p;
   p.horizon = sim::seconds(5);
-  p.emi_bursts_mean = 5.0;
   driver.drive(p);
+  std::size_t emi_bursts = 0;
   for (const auto& f : rig.injector().ledger()) {
     EXPECT_GE(f.start.ns(), 0);
     EXPECT_LE(f.start.ns(), p.horizon.ns());
+    if (f.description.starts_with("EMI burst")) ++emi_bursts;
   }
+  // The ambient bursts (LifetimeDriver::kEmiBurstsMean) are among them.
+  EXPECT_GT(emi_bursts, 0u);
   // The populated life actually runs.
   rig.run(p.horizon);
   EXPECT_GT(rig.diag().assessor().symptoms_processed(), 0u);

@@ -212,11 +212,6 @@ TEST(TechnicianReport, RendersBarsAndRationales) {
   EXPECT_NE(text.find("###......."), std::string::npos);  // 30% bar
   EXPECT_NE(text.find("(wearout signature)"), std::string::npos);
   EXPECT_NE(text.find("replace-component"), std::string::npos);
-
-  analysis::TechnicianReportOptions show_all;
-  show_all.hide_healthy = false;
-  const auto full = analysis::render_technician_report(rows, show_all);
-  EXPECT_NE(full.find("component 0"), std::string::npos);
 }
 
 TEST(TechnicianReport, OnaFindingsRendered) {

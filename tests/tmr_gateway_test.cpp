@@ -2,6 +2,8 @@
 // monitor) and the hidden gateway: unit level plus end-to-end on the
 // Fig. 10 system (replica loss detected as degraded redundancy while the
 // voted service stays correct) and a hand-built gateway bridging two DASs.
+// Also holds the faults-off Fig. 10 and hierarchy rigs to zero allocations
+// per round once warm.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +15,7 @@
 
 #include "platform/gateway.hpp"
 #include "scenario/fig10.hpp"
+#include "scenario/hierarchy.hpp"
 #include "vnet/tmr.hpp"
 
 // Counts every global allocation, so a test can assert that a call makes
@@ -198,6 +201,34 @@ TEST(RedundancyLive, ReplicaHostFailureDegradesRedundancyButNotService) {
   // ...and the diagnosis independently names the dead component.
   EXPECT_EQ(rig.diag().assessor().diagnose_component(0).cls,
             fault::FaultClass::kComponentInternal);
+}
+
+// --- steady-state allocations ----------------------------------------------------
+
+/// Allocations made by `run(round * rounds)` after `run(round * warmup)`.
+template <typename Rig>
+std::uint64_t allocs_after_warmup(Rig& rig, std::int64_t warmup,
+                                  std::int64_t rounds) {
+  const sim::Duration round = rig.system().cluster().schedule().round_length();
+  rig.run(round * warmup);
+  const std::uint64_t before = g_allocs.load();
+  rig.run(round * rounds);
+  return g_allocs.load() - before;
+}
+
+TEST(SteadyState, Fig10RigAllocatesNothingPerRound) {
+  // Rounds 400-1200: diagnosis, TMR voting and every DAS, faults off.
+  scenario::Fig10System rig;
+  EXPECT_EQ(allocs_after_warmup(rig, 400, 800), 0u);
+}
+
+TEST(SteadyState, HierarchyRigAllocatesNothingPerRound) {
+  // Rounds 600-1600 of an 8-position cube with one application ring: past
+  // the first staleness export and the first dedupe prune.
+  scenario::HierarchyOptions opts;
+  opts.components = 8;
+  scenario::HierarchySystem rig(opts);
+  EXPECT_EQ(allocs_after_warmup(rig, 600, 1000), 0u);
 }
 
 // --- gateway ----------------------------------------------------------------------

@@ -41,12 +41,14 @@ set(rules_bench_kernel_hotpath
 # last-ulp classifier or libm difference that shifts one detection by a
 # round passes while an O(N^2) traffic blowup or a silent overlay fails.
 # The flagship's records decoded per reception is a pure work count: exact,
-# so a receiver that decodes records it hosts no receiver for fails.
+# so a receiver that decodes records it hosts no receiver for fails. The
+# largest rig allocates nothing per round in its faults-off window, so a
+# history that grows with the run (say, per-round samples) fails.
 set(tolerance_bench_hierarchy_scaling 15)
 set(rules_bench_hierarchy_scaling
   "exact scale_convicted" "exact kill_convicted" "exact failovers"
   "exact flagship_converged" "exact frus"
-  "exact records_decoded_per_reception"
+  "exact records_decoded_per_reception" "zero rig_allocs_per_round"
   "band msgs_per_round_8" "band msgs_per_round_16" "band msgs_per_round_32"
   "band msgs_per_round_64" "band detect_rounds_8" "band detect_rounds_16"
   "band detect_rounds_32" "band detect_rounds_64")
@@ -58,11 +60,14 @@ set(rules_bench_hierarchy_scaling
 # transmit throughput keeps its floor. The faults-off 7-node cluster is
 # held to the same zeros per round and per transmission, and to exactly
 # N+2 = 9 kernel events per transmission (transmit, one delivery event,
-# one slot close per node): a per-receiver delivery event fails it.
+# one slot close per node): a per-receiver delivery event fails it. The
+# faults-off Fig. 10 rig on top (diagnosis, TMR voter, every DAS) is held
+# to zero allocations per round as well.
 set(tolerance_bench_bitfault 10)
 set(rules_bench_bitfault
   "floor tx_rounds_per_sec" "zero allocs_per_round" "exact crc_checks_per_tx"
-  "zero cluster_allocs_per_round" "exact events_per_tx"
+  "zero cluster_allocs_per_round" "zero rig_allocs_per_round"
+  "exact events_per_tx"
   "exact cluster_crc_checks_per_tx" "zero orphan_flips")
 
 # E23 fleet: throughput floors; steady-state stepping is allocation-free
