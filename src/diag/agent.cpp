@@ -1,5 +1,6 @@
 #include "diag/agent.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace decos::diag {
@@ -149,19 +150,40 @@ void Agent::on_overflow(platform::PortId port, tta::RoundId round) {
   note(s);
 }
 
+std::vector<Agent::SpecPort>& Agent::spec_ports() {
+  if (spec_ports_built_) return spec_ports_;
+  spec_ports_built_ = true;
+  const auto& ports = system_.plan().ports();
+  for (const auto& [id, spec] : specs_.all()) {
+    if (id >= ports.size()) continue;
+    const vnet::PortConfig& pc = ports[id];
+    if (system_.job(pc.owner).host() != component_) continue;
+    const bool gap_checked =
+        pc.vnet != platform::kDiagnosticVnet && spec.period_rounds != 0;
+    spec_ports_.push_back(SpecPort{
+        id, pc.owner, spec.min_value, spec.max_value, gap_checked,
+        static_cast<tta::RoundId>(spec.period_rounds) *
+            spec.gap_tolerance_periods});
+  }
+  return spec_ports_;
+}
+
 void Agent::on_sent(const vnet::Message& msg, tta::RoundId round) {
-  last_sent_[msg.port] = round;
-  const auto spec = specs_.find(msg.port);
-  if (!spec) return;
-  if (msg.value >= spec->min_value && msg.value <= spec->max_value) return;
+  std::vector<SpecPort>& table = spec_ports();
+  const auto it = std::lower_bound(
+      table.begin(), table.end(), msg.port,
+      [](const SpecPort& sp, platform::PortId p) { return sp.port < p; });
+  if (it == table.end() || it->port != msg.port) return;
+  it->last_sent = round;
+  if (msg.value >= it->min_value && msg.value <= it->max_value) return;
   Symptom s;
   s.type = SymptomType::kValueOutOfRange;
   s.observer = component_;
   s.subject_component = component_;
   s.subject_job = msg.sender;
   s.round = round;
-  s.magnitude = msg.value > spec->max_value ? msg.value - spec->max_value
-                                            : spec->min_value - msg.value;
+  s.magnitude = msg.value > it->max_value ? msg.value - it->max_value
+                                          : it->min_value - msg.value;
   note(s);
 }
 
@@ -169,34 +191,20 @@ void Agent::flush(platform::JobContext& ctx) {
   const tta::RoundId round = ctx.round();
 
   // LIF temporal monitor: has any locally hosted, spec'd port gone silent
-  // beyond its gap tolerance? The plan is frozen before the first dispatch,
-  // so the agent's own ports are collected once and then walked alone.
-  if (!monitored_built_) {
-    monitored_built_ = true;
-    for (const auto& pc : system_.plan().ports()) {
-      if (pc.vnet == platform::kDiagnosticVnet) continue;
-      if (system_.job(pc.owner).host() != component_) continue;
-      const auto spec = specs_.find(pc.id);
-      if (!spec || spec->period_rounds == 0) continue;
-      monitored_.push_back(MonitoredPort{
-          pc.id, pc.owner,
-          static_cast<tta::RoundId>(spec->period_rounds) *
-              spec->gap_tolerance_periods});
-    }
-  }
-  for (MonitoredPort& mp : monitored_) {
-    const auto sent_it = last_sent_.find(mp.port);
-    const tta::RoundId last = sent_it == last_sent_.end() ? 0 : sent_it->second;
+  // beyond its gap tolerance?
+  for (SpecPort& sp : spec_ports()) {
+    if (!sp.gap_checked) continue;
     // Rate-limit to one report per tolerance window.
-    if (round > last + mp.limit && round >= mp.last_report + mp.limit) {
-      mp.last_report = round;
+    if (round > sp.last_sent + sp.gap_limit &&
+        round >= sp.last_report + sp.gap_limit) {
+      sp.last_report = round;
       Symptom s;
       s.type = SymptomType::kMessageGap;
       s.observer = component_;
       s.subject_component = component_;
-      s.subject_job = mp.owner;
+      s.subject_job = sp.owner;
       s.round = round;
-      s.magnitude = static_cast<double>(round - last);
+      s.magnitude = static_cast<double>(round - sp.last_sent);
       note(s);
     }
   }

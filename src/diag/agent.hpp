@@ -151,18 +151,25 @@ class Agent {
   std::deque<Resend> resend_;
   tta::RoundId last_heartbeat_ = 0;
 
-  /// LIF temporal monitor: last round each local port was seen sending.
-  std::map<platform::PortId, tta::RoundId> last_sent_;
-  /// The gap monitor's ports: locally hosted, spec'd with a period, not on
-  /// the diagnostic vnet. Built at the first flush, ascending port id.
-  struct MonitoredPort {
+  /// The LIF monitor's table: one row per spec'd port owned by a job
+  /// hosted here, ascending port id. Built on first use, once the plan is
+  /// final (the service adds its own ports after the agents). on_sent
+  /// finds a sent message's row by binary search; the gap check walks the
+  /// gap-checked rows.
+  struct SpecPort {
     platform::PortId port;
     platform::JobId owner;
-    tta::RoundId limit;  // period_rounds * gap_tolerance_periods
+    double min_value;
+    double max_value;
+    /// Gap-checked: periodic and not on the diagnostic vnet.
+    bool gap_checked;
+    tta::RoundId gap_limit;  // period_rounds * gap_tolerance_periods
+    tta::RoundId last_sent = 0;
     tta::RoundId last_report = 0;
   };
-  std::vector<MonitoredPort> monitored_;
-  bool monitored_built_ = false;
+  std::vector<SpecPort> spec_ports_;
+  bool spec_ports_built_ = false;
+  std::vector<SpecPort>& spec_ports();
 
   // Cluster-wide aggregates (all agents of one simulator share the cells).
   obs::Counter heartbeats_metric_;

@@ -96,6 +96,25 @@ void DedupeSet::merge(const DedupeSet& other) {
   }
 }
 
+namespace {
+
+/// Calls `visit(id)` for each set bit of `bits` in ascending id order and
+/// clears the bit when `visit` returns false. A word is read once, before
+/// its bits are visited.
+template <typename Visit>
+void for_each_watched(std::vector<std::uint64_t>& bits, Visit&& visit) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      const int bit = std::countr_zero(word);
+      const auto id = static_cast<std::uint32_t>(w * 64) +
+                      static_cast<std::uint32_t>(bit);
+      if (!visit(id)) bits[w] &= ~(std::uint64_t{1} << bit);
+    }
+  }
+}
+
+}  // namespace
+
 Assessor::Assessor(Params p, fault::SpatialLayout layout,
                    std::uint32_t component_count, std::uint32_t job_count)
     : p_(p),
@@ -110,7 +129,9 @@ Assessor::Assessor(Params p, fault::SpatialLayout layout,
       was_stale_(component_count, false),
       channels_(component_count),
       component_hits_(component_count, 0),
-      mask_words_((component_count + 63) / 64) {
+      mask_words_((component_count + 63) / 64),
+      watched_components_((component_count + 63) / 64, 0),
+      watched_jobs_((job_count + 63) / 64, 0) {
   if (mask_words_ == 0) mask_words_ = 1;
   transport_masks_.assign(component_count_ * mask_words_, 0);
 }
@@ -170,10 +191,13 @@ Assessor::JobState& Assessor::enrol(platform::JobId j) {
   if (!js.enrolled) {
     js.enrolled = true;
     js.trust = TrustParams::kInitial;
-    subjects_.insert(std::lower_bound(subjects_.begin(), subjects_.end(), j),
-                     j);
   }
   return js;
+}
+
+void Assessor::watch_job(platform::JobId j) {
+  if (j / 64 >= watched_jobs_.size()) watched_jobs_.resize(j / 64 + 1, 0);
+  watched_jobs_[j / 64] |= std::uint64_t{1} << (j % 64);
 }
 
 void Assessor::register_subject_job(platform::JobId job,
@@ -308,6 +332,7 @@ void Assessor::ingest_external(const Symptom& s) {
   if (s.subject_component < component_trust_.size()) {
     component_trust_[s.subject_component] = std::max(
         0.0, component_trust_[s.subject_component] - p_.trust.drop);
+    watch_component(s.subject_component);
     note_component_trust(s.subject_component);
   }
 }
@@ -315,14 +340,10 @@ void Assessor::ingest_external(const Symptom& s) {
 void Assessor::process(platform::JobContext& ctx) {
   round_ = ctx.round();
 
-  // Which FRUs were implicated by symptoms ingested this dispatch.
-  // Member scratch, reset here: the steady-state dispatch allocates
-  // nothing (the trust-update loops below walk every FRU anyway, so the
-  // O(N) reset costs no extra asymptotic work).
-  std::fill(component_hits_.begin(), component_hits_.end(), 0u);
-  std::fill(job_hits_.begin(), job_hits_.end(), 0u);
-  std::fill(transport_masks_.begin(), transport_masks_.end(), 0u);
-
+  // Which FRUs were implicated by symptoms ingested this dispatch, in
+  // member scratch that arrives zeroed: the steady-state dispatch
+  // allocates nothing, and every hit watches its FRU, so the trust pass
+  // below meets and zeroes each counter it reads.
   for (const vnet::Message& m : ctx.inbox()) {
     const platform::ComponentId agent = m.sender < agent_component_.size()
                                             ? agent_component_[m.sender]
@@ -402,6 +423,7 @@ void Assessor::process(platform::JobContext& ctx) {
       const platform::JobId j = *symptom->subject_job;
       if (j >= job_hits_.size()) job_hits_.resize(j + 1, 0);
       ++job_hits_[j];
+      watch_job(j);
     } else if ((symptom->type == SymptomType::kSlotCrcError ||
                 symptom->type == SymptomType::kSlotTimingError ||
                 symptom->type == SymptomType::kSlotOmission) &&
@@ -411,7 +433,7 @@ void Assessor::process(platform::JobContext& ctx) {
                        symptom->subject_component / 64] |=
           std::uint64_t{1} << (symptom->subject_component % 64);
     } else if (symptom->subject_component < component_count_) {
-      ++component_hits_[symptom->subject_component];
+      charge_component(symptom->subject_component, 1);
     }
   }
 
@@ -421,22 +443,25 @@ void Assessor::process(platform::JobContext& ctx) {
   const std::size_t spread_bar = summary_.feature_params().sender_spread;
   for (platform::ComponentId observer = 0; observer < component_count_;
        ++observer) {
-    const std::uint64_t* mask = &transport_masks_[observer * mask_words_];
+    std::uint64_t* mask = &transport_masks_[observer * mask_words_];
     std::size_t spread = 0;
     for (std::size_t w = 0; w < mask_words_; ++w) {
       spread += static_cast<std::size_t>(std::popcount(mask[w]));
     }
     if (spread == 0) continue;
     if (spread >= spread_bar) {
-      component_hits_[observer] += static_cast<std::uint32_t>(spread);
+      charge_component(observer, static_cast<std::uint32_t>(spread));
     } else {
       for (std::size_t w = 0; w < mask_words_; ++w) {
         for (std::uint64_t word = mask[w]; word != 0; word &= word - 1) {
-          ++component_hits_[w * 64 +
-                            static_cast<std::size_t>(std::countr_zero(word))];
+          charge_component(
+              static_cast<platform::ComponentId>(
+                  w * 64 + static_cast<std::size_t>(std::countr_zero(word))),
+              1);
         }
       }
     }
+    std::fill(mask, mask + mask_words_, 0u);
   }
 
   // Staleness-expiry fault site: reached once per fresh->stale transition
@@ -458,9 +483,13 @@ void Assessor::process(platform::JobContext& ctx) {
   // Trust update: recovery for quiet FRUs, drop scaled by symptom volume.
   // "Quiet" only earns recovery while the FRU's agent channel is fresh: a
   // silent agent means *absence of evidence*, and absence of evidence must
-  // freeze trust, not launder it back toward 1.0.
-  for (platform::ComponentId c = 0; c < component_count_; ++c) {
+  // freeze trust, not launder it back toward 1.0. Only watched FRUs can
+  // change; one back at initial trust with no standing delta leaves the
+  // watch.
+  for_each_watched(watched_components_, [&](std::uint32_t id) {
+    const auto c = static_cast<platform::ComponentId>(id);
     const std::uint32_t hits = component_hits_[c];
+    component_hits_[c] = 0;
     if (hits == 0) {
       if (!channel_degraded(c)) {
         component_trust_[c] =
@@ -472,10 +501,15 @@ void Assessor::process(platform::JobContext& ctx) {
           std::max(0.0, component_trust_[c] - p_.trust.drop * scale);
       note_component_trust(c);
     }
-  }
-  for (const platform::JobId j : subjects_) {
+    return component_trust_[c] != TrustParams::kInitial ||
+           (hierarchical() && comp_delta_active_[c]);
+  });
+  for_each_watched(watched_jobs_, [&](std::uint32_t id) {
+    const auto j = static_cast<platform::JobId>(id);
+    std::uint32_t hits = 0;
+    if (j < job_hits_.size()) std::swap(hits, job_hits_[j]);
+    if (!enrolled(j)) return false;
     double& trust = jobs_[j].trust;
-    const std::uint32_t hits = j < job_hits_.size() ? job_hits_[j] : 0;
     if (hits == 0) {
       const platform::ComponentId host = jobs_[j].host;
       if (host == kNoComponent || !channel_degraded(host)) {
@@ -486,7 +520,8 @@ void Assessor::process(platform::JobContext& ctx) {
       trust = std::max(0.0, trust - p_.trust.drop * scale);
       note_job_trust(j);
     }
-  }
+    return trust != TrustParams::kInitial || jobs_[j].delta_active;
+  });
 
   if (hierarchical()) emit_deltas(ctx);
 
@@ -611,8 +646,10 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
     delta_seen_[std::make_tuple(position_, job_level, fru)] = round_;
     dissem_out_.push_back(PendingDelta{d, /*forward=*/false});
   };
-  for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    if (!topo_->is_tester(position_, c)) continue;
+  // Only watched FRUs can be suspects or hold a standing delta.
+  for_each_watched(watched_components_, [&](std::uint32_t id) {
+    const auto c = static_cast<platform::ComponentId>(id);
+    if (!topo_->is_tester(position_, c)) return true;
     const bool suspect =
         component_trust_[c] < TrustParams::kViolationThreshold;
     if (suspect && (!comp_delta_active_[c] || refresh)) {
@@ -622,11 +659,14 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
       comp_delta_active_[c] = false;
       queue_clear_delta(false, c, component_trust_[c]);
     }
-  }
-  for (const platform::JobId j : subjects_) {
+    return true;
+  });
+  for_each_watched(watched_jobs_, [&](std::uint32_t id) {
+    const auto j = static_cast<platform::JobId>(id);
+    if (!enrolled(j)) return true;
     JobState& js = jobs_[j];
-    if (js.host == kNoComponent) continue;
-    if (!topo_->is_tester(position_, js.host)) continue;
+    if (js.host == kNoComponent) return true;
+    if (!topo_->is_tester(position_, js.host)) return true;
     const double trust = js.trust;
     const bool suspect = trust < TrustParams::kViolationThreshold;
     bool& active = js.delta_active;
@@ -637,7 +677,8 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
       active = false;
       queue_clear_delta(true, j, trust);
     }
-  }
+    return true;
+  });
   // Budgeted drain: own emissions and forwards share the per-round send
   // allowance; leftovers stay queued (FIFO) for the next round.
   std::size_t sent = 0;
@@ -715,8 +756,10 @@ void Assessor::reset_job_trust(platform::JobId j) {
 
 void Assessor::reconcile_from(const Assessor& fresher) {
   // Per-FRU max-staleness merge: the side that heard the FRU's agent more
-  // recently contributes trust and channel state.
+  // recently contributes trust and channel state. Adopted trust may be
+  // lower, so every FRU is watched afterwards.
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
+    watch_component(c);
     if (fresher.channels_[c].last_heard >= channels_[c].last_heard) {
       channels_[c] = fresher.channels_[c];
       component_trust_[c] = fresher.component_trust_[c];
@@ -724,7 +767,10 @@ void Assessor::reconcile_from(const Assessor& fresher) {
     component_violation_round_[c] = std::min(
         component_violation_round_[c], fresher.component_violation_round_[c]);
   }
-  for (const platform::JobId j : subjects_) {
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    const auto j = static_cast<platform::JobId>(i);
+    if (!jobs_[j].enrolled) continue;
+    watch_job(j);
     const platform::ComponentId host = host_or_zero(j);
     if (fresher.enrolled(j) &&
         fresher.channels_[host].last_heard >= channels_[host].last_heard) {

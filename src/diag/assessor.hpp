@@ -37,10 +37,12 @@
 // vectors indexed by ComponentId; per-job trust, violation round, host and
 // dissemination flag in one vector indexed by JobId (sized from the job
 // count, grown on enrolment); agent and peer lookups in JobId-indexed
-// arrays with a sentinel. The per-round passes walk these arrays, never a
-// tree, so a position's round costs O(components + jobs) array work plus
-// its slice's emissions. Only the dissemination state (delta cache, flood
-// dedupe, outbound queue) is node-based.
+// arrays with a sentinel. The per-round trust and emission passes visit
+// only *watched* FRUs (a bitset per id space, see watched_components_),
+// so a healthy FRU at initial trust costs a round nothing, and a round
+// costs its inbox, its watched FRUs and its slice's emissions. Only the
+// dissemination state (delta cache, flood dedupe, outbound queue) is
+// node-based.
 #pragma once
 
 #include <array>
@@ -404,9 +406,6 @@ class Assessor {
     bool delta_active = false;
   };
   std::vector<JobState> jobs_;
-  /// Enrolled jobs in ascending JobId order: the trust and emission passes
-  /// walk this list, so the dissemination FIFO order is ascending JobId.
-  std::vector<platform::JobId> subjects_;
   [[nodiscard]] bool enrolled(platform::JobId j) const {
     return j < jobs_.size() && jobs_[j].enrolled;
   }
@@ -452,11 +451,33 @@ class Assessor {
   // Dispatch-local scratch, hoisted to members so the steady-state
   // process() pass allocates nothing: hit counters per FRU and one
   // bitmask of implicated subjects per transport observer (flattened,
-  // `mask_words_` words per observer).
+  // `mask_words_` words per observer). The passes that read them zero
+  // them again, so no pass touches an idle FRU's entry.
   std::vector<std::uint32_t> component_hits_;
   std::vector<std::uint32_t> job_hits_;  // indexed by JobId
   std::vector<std::uint64_t> transport_masks_;
   std::size_t mask_words_ = 1;
+
+  /// Watch bits, one per ComponentId and one per JobId: the FRUs the
+  /// trust pass and emit_deltas visit, in ascending id order (so the
+  /// dissemination FIFO order is ascending ComponentId, then JobId).
+  /// Every writer that can lower trust (a hit, ingest_external,
+  /// reconcile_from) sets the bit, and the trust pass clears it only once
+  /// trust is exactly kInitial and no delta stands. An unwatched FRU
+  /// therefore has initial trust, no hits and no standing delta, and both
+  /// passes would leave it as it is: recovery saturates at 1.0 and it is
+  /// no suspect.
+  std::vector<std::uint64_t> watched_components_;
+  std::vector<std::uint64_t> watched_jobs_;
+  void watch_component(platform::ComponentId c) {
+    watched_components_[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+  void watch_job(platform::JobId j);
+  /// Counts `n` hits on component `c` this dispatch and watches it.
+  void charge_component(platform::ComponentId c, std::uint32_t n) {
+    component_hits_[c] += n;
+    watch_component(c);
+  }
 
   std::uint64_t gaps_ = 0;
   std::uint64_t duplicates_ = 0;

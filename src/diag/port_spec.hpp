@@ -6,8 +6,8 @@
 // locally emitted message against the spec of its port.
 #pragma once
 
+#include <cstdint>
 #include <map>
-#include <optional>
 
 #include "platform/types.hpp"
 
@@ -26,12 +26,6 @@ struct PortSpec {
 class SpecTable {
  public:
   void set(platform::PortId port, PortSpec spec) { specs_[port] = spec; }
-
-  [[nodiscard]] std::optional<PortSpec> find(platform::PortId port) const {
-    auto it = specs_.find(port);
-    if (it == specs_.end()) return std::nullopt;
-    return it->second;
-  }
 
   [[nodiscard]] const std::map<platform::PortId, PortSpec>& all() const {
     return specs_;

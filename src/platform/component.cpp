@@ -18,14 +18,19 @@ void Component::host(Job& job) {
 void Component::host_port(PortId port) { mux_.host_port(port); }
 
 void Component::bind() {
-  local_receivers_.assign(plan_.ports().size(), {});
+  receiver_offsets_.clear();
+  receiver_offsets_.reserve(plan_.ports().size() + 1);
+  receiver_offsets_.push_back(0);
+  receivers_.clear();
   hosted_port_mask_.assign(plan_.ports().size(), 0);
   for (const vnet::PortConfig& pc : plan_.ports()) {
     for (JobId receiver : pc.receivers) {
       auto it = jobs_.find(receiver);
-      if (it != jobs_.end()) local_receivers_[pc.id].push_back(it->second);
+      if (it != jobs_.end()) receivers_.push_back(it->second);
     }
-    hosted_port_mask_[pc.id] = local_receivers_[pc.id].empty() ? 0 : 1;
+    receiver_offsets_.push_back(static_cast<std::uint32_t>(receivers_.size()));
+    hosted_port_mask_[pc.id] =
+        receiver_offsets_[pc.id + 1] == receiver_offsets_[pc.id] ? 0 : 1;
   }
   node_.payload_provider = [this](tta::RoundId round,
                                   std::vector<std::uint8_t>& out) {
@@ -78,18 +83,23 @@ void Component::build_payload(tta::RoundId round,
   vnet::pack_into(drain_scratch_, round, out);
 }
 
+std::span<Job* const> Component::local_receivers(PortId port) const {
+  return {receivers_.data() + receiver_offsets_[port],
+          receivers_.data() + receiver_offsets_[port + 1]};
+}
+
 void Component::route_local(const vnet::Message& msg) {
-  if (msg.port >= local_receivers_.size()) return;
+  if (msg.port + std::size_t{1} >= receiver_offsets_.size()) return;
   if (delivery_mutator) {
     vnet::Message stored = msg;  // the record as this component holds it
     delivery_mutator(stored);
-    for (Job* receiver : local_receivers_[msg.port]) {
+    for (Job* receiver : local_receivers(msg.port)) {
       if (delivery_filter && !delivery_filter(stored, receiver->id())) continue;
       receiver->deliver(stored);
     }
     return;
   }
-  for (Job* receiver : local_receivers_[msg.port]) {
+  for (Job* receiver : local_receivers(msg.port)) {
     if (delivery_filter && !delivery_filter(msg, receiver->id())) continue;
     receiver->deliver(msg);
   }

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "platform/job.hpp"
@@ -95,12 +96,16 @@ class Component {
   const vnet::NetworkPlan& plan_;
   vnet::Multiplexer mux_;
   std::map<JobId, Job*> jobs_;  // ordered: deterministic dispatch order
-  /// Per-port list of *hosted* receiver jobs, precomputed in bind(): the
-  /// delivery hot path walks exactly the jobs it will deliver to, instead
-  /// of probing the job map once per configured receiver per message.
-  std::vector<std::vector<Job*>> local_receivers_;
-  /// Per port: 1 if local_receivers_[port] is non-empty. The arrival
-  /// decode mask (vnet::unpack_into).
+  /// The *hosted* receiver jobs of every port, precomputed in bind() as
+  /// one CSR table: port p's receivers are
+  /// receivers_[receiver_offsets_[p] .. receiver_offsets_[p + 1]). The
+  /// delivery hot path walks exactly the jobs it will deliver to, and a
+  /// port with no receiver here costs one offset, not an empty vector.
+  std::vector<std::uint32_t> receiver_offsets_;
+  std::vector<Job*> receivers_;
+  [[nodiscard]] std::span<Job* const> local_receivers(PortId port) const;
+  /// Per port: 1 if it has a receiver hosted here. The arrival decode
+  /// mask (vnet::unpack_into).
   std::vector<std::uint8_t> hosted_port_mask_;
   std::uint64_t records_decoded_ = 0;
   /// Round-scratch buffers: cleared every use, capacity kept, so the

@@ -57,15 +57,16 @@ std::uint64_t Simulator::run_all() {
 
 void Simulator::record_run_rate(
     std::uint64_t events, std::chrono::steady_clock::time_point wall_start) {
-  if (events == 0) return;
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  // Sub-millisecond bursts give a noisy rate; skip them so the gauge
-  // reflects sustained execution.
-  if (wall < 1e-3) return;
-  events_per_sec_.set(static_cast<double>(events) / wall);
+  // Sustained rate over every run call so far: a caller stepping one
+  // round per call must read the same rate as one long call, not the
+  // rate of whichever call happened to be slow.
+  run_events_ += events;
+  run_wall_s_ += std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - wall_start)
+                     .count();
+  if (run_wall_s_ > 0.0) {
+    events_per_sec_.set(static_cast<double>(run_events_) / run_wall_s_);
+  }
 }
 
 bool Simulator::step() {

@@ -142,6 +142,10 @@ class Simulator {
   obs::Counter events_counter_;
   obs::Gauge queue_depth_hwm_;
   obs::Gauge events_per_sec_;
+  /// Events and wall seconds summed over every run_until/run_all call:
+  /// `sim.events_per_sec` is their ratio.
+  std::uint64_t run_events_ = 0;
+  double run_wall_s_ = 0.0;
   std::size_t queue_hwm_ = 0;  // cached so the hot path is one compare
 };
 

@@ -1,5 +1,6 @@
 #include "vnet/multiplexer.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace decos::vnet {
@@ -12,7 +13,7 @@ void Multiplexer::bind_metrics(obs::Registry& registry) {
   relayed_metric_ = registry.counter("vnet.mux.messages_relayed");
   overflow_metric_ = registry.counter("vnet.mux.overflows");
   queue_occupancy_metric_ = registry.gauge("vnet.mux.queue_occupancy_hwm");
-  for (auto& [pid, pq] : hosted_) bind_port_metrics(pq);
+  for (PortQueue& pq : queues_) bind_port_metrics(pq);
 }
 
 void Multiplexer::bind_port_metrics(PortQueue& pq) {
@@ -23,22 +24,40 @@ void Multiplexer::bind_port_metrics(PortQueue& pq) {
       "port=" + plan_.vnet(cfg.vnet).name + "/" + cfg.name);
 }
 
+const Multiplexer::PortQueue* Multiplexer::find(platform::PortId port) const {
+  if (port >= queue_of_port_.size() || queue_of_port_[port] == kNotHosted) {
+    return nullptr;
+  }
+  return &queues_[queue_of_port_[port]];
+}
+
 void Multiplexer::host_port(platform::PortId port) {
   const PortConfig& cfg = plan_.port(port);
-  assert(!hosted_.contains(port));
-  auto [it, inserted] = hosted_.emplace(port, PortQueue{port, {}, 0, 0, {}});
-  bind_port_metrics(it->second);
-  by_vnet_[cfg.vnet].push_back(port);
+  assert(find(port) == nullptr);
+  // Sized to the whole plan: ports are hosted once the plan is complete
+  // (System::finalize), so the index is allocated once.
+  if (port >= queue_of_port_.size()) {
+    queue_of_port_.resize(std::max<std::size_t>(port + 1, plan_.ports().size()),
+                          kNotHosted);
+  }
+  const auto index = static_cast<std::uint32_t>(queues_.size());
+  queue_of_port_[port] = index;
+  queues_.push_back(PortQueue{port, cfg.vnet, cfg.owner, {}, 0, 0, {}});
+  bind_port_metrics(queues_.back());
+  if (cfg.vnet >= lanes_.size()) {
+    lanes_.resize(std::max<std::size_t>(cfg.vnet + 1, plan_.vnets().size()));
+  }
+  lanes_[cfg.vnet].queues.push_back(index);
 }
 
 bool Multiplexer::send(Message msg, tta::RoundId round) {
-  auto it = hosted_.find(msg.port);
-  assert(it != hosted_.end() && "send on a port not hosted here");
-  PortQueue& pq = it->second;
-  const VnetConfig& vn = plan_.vnet(plan_.port(msg.port).vnet);
+  assert(find(msg.port) != nullptr && "send on a port not hosted here");
+  PortQueue& pq = queues_[queue_of_port_[msg.port]];
+  Lane& lane = lanes_[pq.vnet];
+  const VnetConfig& vn = plan_.vnet(pq.vnet);
 
-  msg.vnet = plan_.port(msg.port).vnet;
-  msg.sender = plan_.port(msg.port).owner;
+  msg.vnet = pq.vnet;
+  msg.sender = pq.owner;
   msg.sent_round = round;
 
   if (vn.kind == VnetKind::kTimeTriggered) {
@@ -49,6 +68,7 @@ bool Multiplexer::send(Message msg, tta::RoundId round) {
       pq.queue.back() = msg;
     } else {
       pq.queue.push_back(msg);
+      ++lane.queued;
     }
     return true;
   }
@@ -63,6 +83,7 @@ bool Multiplexer::send(Message msg, tta::RoundId round) {
   }
   msg.seq = pq.next_seq++;
   pq.queue.push_back(msg);
+  ++lane.queued;
   if (static_cast<double>(pq.queue.size()) > queue_occupancy_metric_.value()) {
     queue_occupancy_metric_.set(static_cast<double>(pq.queue.size()));
   }
@@ -72,28 +93,28 @@ bool Multiplexer::send(Message msg, tta::RoundId round) {
 void Multiplexer::drain_messages(tta::RoundId round,
                                  std::vector<Message>& out) {
   out.clear();
-  for (auto& [vnet_id, ports] : by_vnet_) {
-    const VnetConfig& vn = plan_.vnet(vnet_id);
-    std::uint16_t budget = vn.msgs_per_round_per_node;
+  for (std::size_t vnet_id = 0; vnet_id < lanes_.size(); ++vnet_id) {
+    Lane& lane = lanes_[vnet_id];
+    if (lane.queued == 0) continue;
+    std::uint16_t budget =
+        plan_.vnet(static_cast<platform::VnetId>(vnet_id))
+            .msgs_per_round_per_node;
     // Round-robin across the vnet's hosted ports until the budget is used
-    // or all queues are empty.
-    bool progress = true;
-    while (budget > 0 && progress) {
-      progress = false;
-      for (platform::PortId pid : ports) {
-        if (budget == 0) break;
-        auto& pq = hosted_.at(pid);
+    // or the lane is empty.
+    while (budget > 0 && lane.queued > 0) {
+      for (const std::uint32_t index : lane.queues) {
+        if (budget == 0 || lane.queued == 0) break;
+        PortQueue& pq = queues_[index];
         if (pq.queue.empty()) continue;
         Message msg = pq.queue.front();
         pq.queue.pop_front();
+        --lane.queued;
         --budget;
-        progress = true;
         if (drain_filter && !drain_filter(msg, round)) continue;  // injected loss
         out.push_back(std::move(msg));
       }
     }
   }
-  (void)round;
   relayed_metric_.inc(out.size());
 }
 
@@ -117,13 +138,13 @@ std::vector<Message> Multiplexer::unpack_arrival(
 }
 
 std::uint64_t Multiplexer::overflows(platform::PortId port) const {
-  auto it = hosted_.find(port);
-  return it == hosted_.end() ? 0 : it->second.overflows;
+  const PortQueue* pq = find(port);
+  return pq == nullptr ? 0 : pq->overflows;
 }
 
 std::size_t Multiplexer::queue_length(platform::PortId port) const {
-  auto it = hosted_.find(port);
-  return it == hosted_.end() ? 0 : it->second.queue.size();
+  const PortQueue* pq = find(port);
+  return pq == nullptr ? 0 : pq->queue.size();
 }
 
 }  // namespace decos::vnet

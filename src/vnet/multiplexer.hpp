@@ -10,8 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -83,6 +82,9 @@ class Multiplexer {
   platform::ComponentId component_;
   struct PortQueue {
     platform::PortId id;
+    /// The port's vnet and owner, fixed by the plan when hosted.
+    platform::VnetId vnet;
+    platform::JobId owner;
     /// Ring, not deque: the steady send/drain cycle must not trickle
     /// block allocations (see sim/ring.hpp).
     sim::Ring<Message> queue;
@@ -92,9 +94,22 @@ class Multiplexer {
     /// snapshots tell diagnostic-port drops from application-port drops.
     obs::Counter overflow_labeled;
   };
-  std::unordered_map<platform::PortId, PortQueue> hosted_;
-  /// Hosted ports grouped by vnet, in hosting order (drain fairness).
-  std::map<platform::VnetId, std::vector<platform::PortId>> by_vnet_;  // ordered: deterministic drain order
+  /// Hosted port queues, in hosting order.
+  std::vector<PortQueue> queues_;
+  static constexpr std::uint32_t kNotHosted =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Index into queues_ per PortId, kNotHosted for ports hosted
+  /// elsewhere; covers every port the plan held when one was hosted.
+  std::vector<std::uint32_t> queue_of_port_;
+  /// One lane per VnetId: its hosted queues in hosting order (the
+  /// round-robin order) and the messages queued on them, so a drain skips
+  /// an idle vnet at once and ends a pass when the lane runs dry.
+  struct Lane {
+    std::vector<std::uint32_t> queues;
+    std::size_t queued = 0;
+  };
+  std::vector<Lane> lanes_;
+  [[nodiscard]] const PortQueue* find(platform::PortId port) const;
   std::uint64_t total_overflows_ = 0;
   obs::Registry* registry_ = nullptr;
   obs::Counter relayed_metric_;

@@ -6,6 +6,9 @@
 // directly, one hand-built inbox per round.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "diag/assessor.hpp"
 #include "diag/classifier.hpp"
 #include "diag/evidence.hpp"
@@ -411,6 +414,222 @@ TEST(AssessorJobState, DeltasArriveOnlyFromRegisteredPeers) {
   const HierarchyStats stats = HierarchyStats::from(registry.snapshot());
   EXPECT_EQ(stats.deltas_accepted, 1u);
   EXPECT_EQ(stats.deltas_rejected, 0u);
+}
+
+// --- assessor watch: every trust drop recovers to exactly the initial trust ------
+//
+// The trust and emission passes visit only watched FRUs, so each writer
+// that lowers trust must watch its FRU, or the FRU would never recover
+// (nor be suspected, nor have its suspicion cleared). Each case lowers
+// trust one way, then runs quiet rounds: trust must come back to exactly
+// kInitial and, in hierarchy mode, the suspicion must end in one clear.
+
+// A transport symptom: `observer` saw a CRC error in `subject`'s slot.
+vnet::Message crc_symptom(platform::ComponentId observer,
+                          platform::ComponentId subject, tta::RoundId r) {
+  Symptom s;
+  s.type = SymptomType::kSlotCrcError;
+  s.observer = observer;
+  s.subject_component = subject;
+  s.round = r;
+  s.magnitude = 1.0;
+  vnet::Message m = encode(s, r);
+  m.sent_round = r;
+  m.sender = static_cast<platform::JobId>(kAgentBase + observer);
+  return m;
+}
+
+class AssessorWatch : public ::testing::TestWithParam<bool> {
+ protected:
+  // Hardening off: every agent channel reads fresh, so quiet rounds
+  // recover trust without heartbeats.
+  static Assessor::Params params() {
+    Assessor::Params p;
+    p.trust.drop = 0.2;
+    p.hardening = false;
+    return p;
+  }
+
+  void setup(Assessor& a) {
+    register_agents(a);
+    a.register_subject_job(2, 1);
+    if (GetParam()) {
+      a.enable_hierarchy(HierarchyTopology({0}, 4), 0, /*dissem_port=*/7);
+    }
+  }
+
+  // Quiet rounds (from, to], then the recovery checks on one FRU.
+  void expect_recovers(Assessor& a, tta::RoundId from, bool job_level,
+                       std::uint32_t fru) {
+    for (tta::RoundId r = from + 1; r <= from + 500; ++r) d.round(a, r, {});
+    const double trust = job_level
+                             ? a.job_trust(static_cast<platform::JobId>(fru))
+                             : a.component_trust(
+                                   static_cast<platform::ComponentId>(fru));
+    EXPECT_EQ(trust, TrustParams::kInitial);
+    if (!GetParam()) return;
+    std::size_t suspicions = 0;
+    std::size_t clears = 0;
+    bool last_clear = false;
+    for (const vnet::Message& m : d.sent) {
+      const auto delta = decode_delta(m);
+      if (!delta || delta->job_level != job_level || delta->fru != fru) {
+        continue;
+      }
+      (delta->clear ? clears : suspicions) += 1;
+      last_clear = delta->clear;
+    }
+    EXPECT_GE(suspicions, 1u);
+    EXPECT_EQ(clears, 1u);
+    EXPECT_TRUE(last_clear);
+  }
+
+  AssessorHarness d;
+};
+
+TEST_P(AssessorWatch, JobHitRecovers) {
+  Assessor a = make_assessor(params(), /*job_count=*/4);
+  setup(a);
+  d.round(a, 1, {job_symptom(2, 1, 1)});
+  ASSERT_DOUBLE_EQ(a.job_trust(2), 0.8);
+  expect_recovers(a, 1, /*job_level=*/true, 2);
+}
+
+TEST_P(AssessorWatch, ComponentHitRecovers) {
+  Assessor a = make_assessor(params(), /*job_count=*/4);
+  setup(a);
+  // One sender flagged by one observer, below the spread bar: the sender
+  // is charged.
+  d.round(a, 1, {crc_symptom(0, 3, 1)});
+  ASSERT_DOUBLE_EQ(a.component_trust(3), 0.8);
+  EXPECT_EQ(a.component_trust(0), TrustParams::kInitial);
+  expect_recovers(a, 1, /*job_level=*/false, 3);
+}
+
+TEST_P(AssessorWatch, SpreadChargeRecovers) {
+  Assessor a = make_assessor(params(), /*job_count=*/4);
+  setup(a);
+  // One observer flags two of its three peers at once (the bar on four
+  // components): the observer is charged, once per flagged sender.
+  ASSERT_EQ(a.summary().feature_params().sender_spread, 2u);
+  d.round(a, 1, {crc_symptom(0, 2, 1), crc_symptom(0, 3, 1)});
+  ASSERT_DOUBLE_EQ(a.component_trust(0), 0.6);
+  EXPECT_EQ(a.component_trust(2), TrustParams::kInitial);
+  EXPECT_EQ(a.component_trust(3), TrustParams::kInitial);
+  expect_recovers(a, 1, /*job_level=*/false, 0);
+}
+
+TEST_P(AssessorWatch, GuardianBlockRecovers) {
+  Assessor a = make_assessor(params(), /*job_count=*/4);
+  setup(a);
+  d.round(a, 1, {});
+  Symptom block;
+  block.type = SymptomType::kGuardianBlock;
+  block.observer = 1;
+  block.subject_component = 1;
+  block.round = 1;
+  a.ingest_external(block);
+  ASSERT_DOUBLE_EQ(a.component_trust(1), 0.8);
+  expect_recovers(a, 1, /*job_level=*/false, 1);
+}
+
+TEST_P(AssessorWatch, ReconciledTrustRecovers) {
+  Assessor a = make_assessor(params(), /*job_count=*/4);
+  Assessor b = make_assessor(params(), /*job_count=*/4);
+  setup(a);
+  setup(b);
+  AssessorHarness other;
+  d.round(a, 1, {});
+  other.round(b, 1, {job_symptom(2, 1, 1), crc_symptom(0, 3, 1)});
+  a.reconcile_from(b);
+  ASSERT_DOUBLE_EQ(a.job_trust(2), 0.8);
+  ASSERT_DOUBLE_EQ(a.component_trust(3), 0.8);
+  expect_recovers(a, 1, /*job_level=*/true, 2);
+  expect_recovers(a, 501, /*job_level=*/false, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, AssessorWatch, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Hierarchy" : "Flat";
+                         });
+
+// --- agent LIF monitor ------------------------------------------------------------
+
+// A five-node system with one spec'd application port and one spec'd
+// port on the diagnostic vnet, both owned by jobs on component 0. Each
+// job sends `value` on its port up to (not including) round `stop`.
+struct AgentRig {
+  sim::Simulator simulator{31};
+  platform::System sys{simulator, [] {
+                         platform::System::Params sp;
+                         sp.cluster.node_count = 5;
+                         return sp;
+                       }()};
+  platform::JobId app_job = 0;
+  platform::JobId diag_job = 0;
+  std::unique_ptr<DiagnosticService> service;
+
+  AgentRig(double value, tta::RoundId stop) {
+    const auto das =
+        sys.add_das("app", platform::Criticality::kNonSafetyCritical);
+    const auto vn = sys.add_vnet("app", 4, 8);
+    using PortPair = std::pair<platform::PortId, platform::PortId>;
+    auto ports = std::make_shared<PortPair>();
+    platform::Job& app = sys.add_job(
+        das, "app", 0, [ports, value, stop](platform::JobContext& ctx) {
+          if (ctx.round() < stop) ctx.send(ports->first, value);
+        });
+    platform::Job& diag = sys.add_job(
+        das, "diag-user", 0, [ports, value, stop](platform::JobContext& ctx) {
+          if (ctx.round() < stop) ctx.send(ports->second, value);
+        });
+    platform::Job& dst =
+        sys.add_job(das, "dst", 1, [](platform::JobContext&) {});
+    app_job = app.id();
+    diag_job = diag.id();
+    ports->first = sys.add_port(app_job, "out", vn, {dst.id()});
+    ports->second = sys.add_port(diag_job, "diag-out",
+                                 platform::kDiagnosticVnet, {dst.id()});
+    SpecTable specs;
+    for (const platform::PortId p : {ports->first, ports->second}) {
+      specs.set(p, PortSpec{.min_value = -5, .max_value = 5, .period_rounds = 1,
+                            .gap_tolerance_periods = 2});
+    }
+    DiagnosticService::Params dp;
+    dp.assessor_host = 3;
+    service = std::make_unique<DiagnosticService>(
+        sys, std::move(specs), fault::SpatialLayout::linear(5), dp);
+    sys.finalize();
+    sys.start();
+    simulator.run_until(sim::SimTime{0} + sim::milliseconds(400));
+  }
+
+  [[nodiscard]] const JobEvidence& evidence(platform::JobId j) const {
+    return service->assessor().evidence().job(j);
+  }
+};
+
+TEST(AgentSpecTable, OutOfRangeValueRaisesValueSymptom) {
+  const AgentRig rig(/*value=*/9.0, /*stop=*/1'000'000);
+  EXPECT_FALSE(rig.evidence(rig.app_job).value_rounds.empty());
+  EXPECT_TRUE(rig.evidence(rig.app_job).gap_rounds.empty());
+  const AgentRig healthy(/*value=*/1.0, /*stop=*/1'000'000);
+  EXPECT_TRUE(healthy.evidence(healthy.app_job).value_rounds.empty());
+  EXPECT_TRUE(healthy.evidence(healthy.app_job).gap_rounds.empty());
+}
+
+TEST(AgentSpecTable, SilentPeriodicPortRaisesGapSymptom) {
+  const AgentRig rig(/*value=*/1.0, /*stop=*/20);
+  EXPECT_TRUE(rig.evidence(rig.app_job).value_rounds.empty());
+  EXPECT_FALSE(rig.evidence(rig.app_job).gap_rounds.empty());
+}
+
+TEST(AgentSpecTable, DiagnosticVnetPortIsValueCheckedButNeverGapChecked) {
+  const AgentRig rig(/*value=*/9.0, /*stop=*/20);
+  EXPECT_FALSE(rig.evidence(rig.diag_job).value_rounds.empty());
+  EXPECT_TRUE(rig.evidence(rig.diag_job).gap_rounds.empty());
+  // The application port, silent as long, does raise gaps.
+  EXPECT_FALSE(rig.evidence(rig.app_job).gap_rounds.empty());
 }
 
 // --- end-to-end classification -----------------------------------------------------

@@ -6,7 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <deque>
+#include <functional>
+#include <future>
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "scenario/fig10.hpp"
@@ -134,6 +140,185 @@ TEST_P(MultiplexerProperty, DepthBudgetAndFifoHold) {
 INSTANTIATE_TEST_SUITE_P(
     BudgetDepth, MultiplexerProperty,
     ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Values(1, 3, 8)));
+
+// --- multiplexer: equal to a reference model under random traffic ---------------
+
+// The multiplexer as a plain reference: queues in a map by port, drained
+// in ascending vnet order, round-robin over each vnet's ports in hosting
+// order, a pass repeating until the budget is spent or a whole pass moves
+// nothing. Budgets, depths and kinds are read from the plan at each use.
+struct MuxModel {
+  const vnet::NetworkPlan& plan;
+  std::map<platform::VnetId, std::vector<platform::PortId>> by_vnet;
+  struct Port {
+    std::deque<vnet::Message> queue;
+    std::uint64_t overflows = 0;
+    std::uint32_t next_seq = 0;
+  };
+  std::map<platform::PortId, Port> ports;
+
+  void host(platform::PortId p) {
+    ports[p];
+    by_vnet[plan.port(p).vnet].push_back(p);
+  }
+
+  bool send(vnet::Message m, tta::RoundId round) {
+    Port& q = ports.at(m.port);
+    const vnet::VnetConfig& vn = plan.vnet(plan.port(m.port).vnet);
+    m.vnet = plan.port(m.port).vnet;
+    m.sender = plan.port(m.port).owner;
+    m.sent_round = round;
+    if (vn.kind == vnet::VnetKind::kTimeTriggered) {
+      m.seq = q.next_seq++;
+      if (q.queue.empty()) {
+        q.queue.push_back(m);
+      } else {
+        q.queue.back() = m;
+      }
+      return true;
+    }
+    if (q.queue.size() >= vn.queue_depth) {
+      ++q.overflows;
+      return false;
+    }
+    m.seq = q.next_seq++;
+    q.queue.push_back(m);
+    return true;
+  }
+
+  std::vector<vnet::Message> drain(
+      tta::RoundId round,
+      const std::function<bool(vnet::Message&, tta::RoundId)>& filter) {
+    std::vector<vnet::Message> out;
+    for (const auto& [vnet_id, list] : by_vnet) {
+      std::uint16_t budget = plan.vnet(vnet_id).msgs_per_round_per_node;
+      bool progress = true;
+      while (budget > 0 && progress) {
+        progress = false;
+        for (const platform::PortId p : list) {
+          if (budget == 0) break;
+          Port& q = ports.at(p);
+          if (q.queue.empty()) continue;
+          vnet::Message m = q.queue.front();
+          q.queue.pop_front();
+          --budget;
+          progress = true;
+          if (!filter(m, round)) continue;
+          out.push_back(m);
+        }
+      }
+    }
+    return out;
+  }
+};
+
+class MultiplexerModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MultiplexerModel, MatchesTheReferenceUnderRandomTraffic) {
+  // Four vnets (two ET, one TT, one with nothing hosted), ten ports hosted
+  // in shuffled order so each vnet's ports interleave with the others',
+  // and one port left unhosted.
+  vnet::NetworkPlan plan;
+  plan.add_vnet({.id = 0, .name = "diag", .msgs_per_round_per_node = 3,
+                 .queue_depth = 4});
+  plan.add_vnet({.id = 1, .name = "state", .msgs_per_round_per_node = 2,
+                 .queue_depth = 1, .kind = vnet::VnetKind::kTimeTriggered});
+  plan.add_vnet({.id = 2, .name = "events", .msgs_per_round_per_node = 4,
+                 .queue_depth = 3});
+  plan.add_vnet({.id = 3, .name = "idle", .msgs_per_round_per_node = 4,
+                 .queue_depth = 3});
+  constexpr platform::PortId kPorts = 11;
+  constexpr platform::PortId kUnhosted = 7;
+  sim::Rng rng(GetParam());
+  for (platform::PortId p = 0; p < kPorts; ++p) {
+    const auto vn = static_cast<platform::VnetId>(rng.uniform_int(0, 2));
+    plan.add_port({.id = p, .name = "p" + std::to_string(p), .vnet = vn,
+                   .owner = static_cast<platform::JobId>(100 + p),
+                   .receivers = {}});
+  }
+  std::vector<platform::PortId> hosted;
+  for (platform::PortId p = 0; p < kPorts; ++p) {
+    if (p != kUnhosted) hosted.push_back(p);
+  }
+  for (std::size_t i = hosted.size(); i > 1; --i) {
+    std::swap(hosted[i - 1],
+              hosted[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+
+  vnet::Multiplexer mux(plan, 0);
+  MuxModel model{plan, {}, {}};
+  for (const platform::PortId p : hosted) {
+    mux.host_port(p);
+    model.host(p);
+  }
+  // A pure filter (both sides see the same calls): drops every fifth
+  // message by content and corrupts the value of some others.
+  const auto filter = [](vnet::Message& m, tta::RoundId) {
+    if ((m.seq * 7 + m.port) % 5 == 0) return false;
+    if (m.seq % 3 == 0) m.value = -m.value;
+    return true;
+  };
+  mux.drain_filter = filter;
+
+  // A drain that never ends is a failure too, so the run has a deadline.
+  auto run = std::async(std::launch::async, [&] {
+    for (tta::RoundId round = 1; round <= 400; ++round) {
+      if (round == 150) {
+        // Mid-run reconfiguration, as a job borderline fault injects it.
+        plan.mutable_vnet(2).msgs_per_round_per_node = 1;
+        plan.mutable_vnet(2).queue_depth = 6;
+      }
+      if (round == 280) {
+        plan.mutable_vnet(0).msgs_per_round_per_node = 8;
+        plan.mutable_vnet(2).queue_depth = 2;
+      }
+      const auto offered = rng.uniform_int(0, 9);
+      for (std::int64_t i = 0; i < offered; ++i) {
+        vnet::Message m;
+        m.port = hosted[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(hosted.size()) - 1))];
+        m.value = static_cast<double>(round * 16) + static_cast<double>(i);
+        m.kind = static_cast<std::uint8_t>(i);
+        ASSERT_EQ(mux.send(m, round), model.send(m, round))
+            << "round " << round;
+      }
+      // Every few rounds nothing is drained, so queues fill and overflow.
+      if (round % 4 == 3) continue;
+      const std::vector<vnet::Message> got = mux.drain_messages(round);
+      const std::vector<vnet::Message> want = model.drain(round, filter);
+      ASSERT_EQ(got.size(), want.size()) << "round " << round;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].port, want[i].port) << "round " << round << " #" << i;
+        EXPECT_EQ(got[i].vnet, want[i].vnet);
+        EXPECT_EQ(got[i].sender, want[i].sender);
+        EXPECT_EQ(got[i].seq, want[i].seq);
+        EXPECT_EQ(got[i].kind, want[i].kind);
+        EXPECT_EQ(got[i].value, want[i].value);
+        EXPECT_EQ(got[i].sent_round, want[i].sent_round);
+      }
+      for (platform::PortId p = 0; p < kPorts + 2; ++p) {
+        const auto it = model.ports.find(p);
+        const bool hosted_here = it != model.ports.end();
+        EXPECT_EQ(mux.overflows(p), hosted_here ? it->second.overflows : 0)
+            << "port " << p;
+        EXPECT_EQ(mux.queue_length(p),
+                  hosted_here ? it->second.queue.size() : 0)
+            << "port " << p;
+      }
+    }
+  });
+  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    ADD_FAILURE() << "drain_messages did not return";
+    std::_Exit(1);
+  }
+  run.get();
+  EXPECT_EQ(mux.queue_length(kUnhosted), 0u);
+  EXPECT_EQ(mux.overflows(kUnhosted), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MultiplexerModel,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // --- clock sync: precision across the drift envelope -----------------------------
 

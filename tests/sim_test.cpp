@@ -5,6 +5,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <new>
 #include <optional>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -265,6 +267,27 @@ TEST(Simulator, EventLimitThrows) {
   timer.start(sim, SimTime{0},
               []() -> std::optional<Duration> { return Duration{1}; });
   EXPECT_THROW(sim.run_until(SimTime{10'000}), std::runtime_error);
+}
+
+TEST(Simulator, EventRateIsSustainedAcrossRunCalls) {
+  // A cheap batch, then one slow event in a call of its own: the gauge
+  // is the rate over both calls, not the rate of the slow one alone.
+  Simulator sim(1);
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20'000; ++i) sim.schedule_at(SimTime{1}, [] {});
+  sim.run_until(SimTime{1});
+  sim.schedule_at(SimTime{2}, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  });
+  sim.run_until(SimTime{2});
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+  const obs::Snapshot snapshot = sim.metrics().snapshot();
+  const obs::SnapshotEntry* rate = snapshot.find("sim.events_per_sec");
+  ASSERT_NE(rate, nullptr);
+  EXPECT_GE(rate->gauge,
+            static_cast<double>(sim.events_executed()) / wall);
 }
 
 // --- event handles: cancellation is a detectable no-op on stale ids --------
